@@ -230,5 +230,5 @@ val run_streaming :
     may buffer up to the whole stream. [dist]/[dist_int]/[scoring] are
     as in {!run_flat}. The number of logical qubits is taken from
     [Mapping.n_logical initial]. Raises [Invalid_argument] on
-    validation failure, a stream gate out of qubit range, or a
-    zero-operand gate. *)
+    validation failure, a stream gate out of qubit range, a two-qubit
+    stream gate on one qubit, or a zero-operand gate. *)

@@ -57,18 +57,22 @@ let with_out path f =
   Fun.protect ~finally:(fun () -> close_out_noerr oc) (fun () -> f oc)
 
 let route_file ?(config = Config.default) coupling ~input ~output =
+  let t0 = Unix.gettimeofday () in
   match
     (* pass 1: survey the file in O(n_qubits) memory for the register
-       shape and the per-qubit retire schedule *)
-    let sv = with_in input (fun ic -> Qasm_stream.survey (Qasm_stream.of_channel ic)) in
+       shape and the per-qubit retire schedule; a register wider than
+       the device stops it before the schedule is sized *)
     let n_physical = Coupling.n_qubits coupling in
+    let sv =
+      with_in input (fun ic ->
+          Qasm_stream.survey ~max_qubits:n_physical (Qasm_stream.of_channel ic))
+    in
     if sv.Qasm_stream.sv_n_qubits > n_physical then
       Error
         (Printf.sprintf "%s: circuit needs %d qubits, device has %d" input
            sv.Qasm_stream.sv_n_qubits n_physical)
     else begin
       (* pass 2: stream-route gate by gate, writing as we go *)
-      let t0 = Unix.gettimeofday () in
       let result =
         with_in input (fun ic ->
             with_out output (fun oc ->

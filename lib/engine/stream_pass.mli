@@ -56,7 +56,8 @@ val route_file :
     streaming route writing gates as they are decided. Parse errors,
     I/O errors and width mismatches come back as [Error "file:line:col:
     message"]-style strings; the output file is not meaningful after an
-    [Error]. [wall_s] covers the routing pass only (not the survey). *)
+    [Error]. A register wider than the device is reported before the
+    survey sizes anything by it. [wall_s] covers both passes. *)
 
 val route_files :
   ?config:Config.t ->

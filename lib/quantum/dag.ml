@@ -412,6 +412,13 @@ module Window = struct
                  "Dag.Window: gate qubit %d out of range (n_qubits = %d)" q
                  t.n_qubits))
         qubits;
+      (* the router would search forever for a SWAP that makes a qubit
+         adjacent to itself *)
+      (match Gate.two_qubit_pair gate with
+      | Some (a, b) when a = b ->
+        invalid_arg
+          (Printf.sprintf "Dag.Window: two-qubit gate on q[%d] twice" a)
+      | _ -> ());
       let s = alloc t in
       let qs = Array.of_list qubits in
       let m = Array.length qs in

@@ -119,9 +119,10 @@ module Window : sig
       slots by the maximum qubit-inactivity span. Without [retire] the
       window stays exact but may admit up to the whole stream. Raises
       [Invalid_argument] if [retire] has the wrong length, or later if
-      the stream yields a gate whose qubit is outside [0, n_qubits) or a
-      zero-operand gate (an empty barrier has no qubit to anchor its
-      admission time to, so its position could not be reproduced). *)
+      the stream yields a gate whose qubit is outside [0, n_qubits), a
+      two-qubit gate whose operands are equal, or a zero-operand gate
+      (an empty barrier has no qubit to anchor its admission time to, so
+      its position could not be reproduced). *)
 
   val saturate : t -> (int -> unit) -> unit
   (** [saturate t on_ready] admits gates in stream order until every

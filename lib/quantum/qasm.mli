@@ -36,6 +36,13 @@ val of_file : string -> Circuit.t
     channel is closed on all exits, including parse errors. Raises
     {!Parse_error} or [Sys_error]. *)
 
+val add_gate : Buffer.t -> Gate.t -> unit
+(** Append one gate line, terminated by a newline, e.g.
+    [rz(0.78539816339744828) q[3];]. Parameters are printed with
+    [%.17g], so they parse back to the same floats. This is the only
+    gate printer: {!to_string}, {!to_file} and {!output_gate} all use
+    it. *)
+
 val to_string : Circuit.t -> string
 (** Print a circuit as an OpenQASM 2.0 program over one register [q]. *)
 
@@ -49,6 +56,7 @@ val output_prelude : out_channel -> n_qubits:int -> n_clbits:int -> unit
 
 val output_gate : out_channel -> Gate.t -> unit
 (** Write one gate line, byte-identical to the corresponding line of
-    {!to_string}. [output_prelude] + repeated [output_gate] lets the
-    streaming path serialise a routed circuit without materialising
-    it. *)
+    {!to_string}, with one channel write. [output_prelude] + repeated
+    [output_gate] lets the streaming path serialise a routed circuit
+    without materialising it; calls on different channels may run on
+    different domains at once. *)

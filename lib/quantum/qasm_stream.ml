@@ -6,68 +6,28 @@ let fail line column fmt =
     fmt
 
 (* ------------------------------------------------------------------ *)
-(* Chunked character reader                                            *)
+(* Slice-scanning lexer with one-token lookahead                       *)
 (* ------------------------------------------------------------------ *)
 
-(* The reader pulls bytes from a refill callback one chunk at a time, so
-   the frontend never holds more than one chunk of the input in memory.
-   [line]/[col] always describe the next unconsumed character; both are
-   1-based, and a newline resets the column. *)
-type reader = {
-  refill : bytes -> int;  (* fills the buffer, returns 0 at end of input *)
-  buf : Bytes.t;
-  mutable len : int;
-  mutable pos : int;
-  mutable eof : bool;
-  mutable line : int;
-  mutable col : int;
-}
+(* The lexer pulls bytes from a refill callback into one fixed buffer,
+   so the frontend never holds more than one chunk of the input in
+   memory. A token is the slice [start, pos) of that buffer. When a scan
+   reaches the end of the buffered bytes inside a token, the token so
+   far moves to the front of the buffer and the refill appends behind
+   it; a token that fills the whole buffer is therefore rejected.
 
-let chunk_size = 65536
+   The token fields describe the lookahead once it is scanned, and the
+   last consumed token until then: a caller reads the text or value of
+   a token it consumed before it peeks at the next one. [line]/[col]
+   locate [buf.[pos]], the next unscanned byte; both are 1-based, and a
+   newline resets the column. *)
 
-let reader_of_refill refill =
-  {
-    refill;
-    buf = Bytes.create chunk_size;
-    len = 0;
-    pos = 0;
-    eof = false;
-    line = 1;
-    col = 1;
-  }
-
-let ensure r =
-  if r.pos >= r.len && not r.eof then begin
-    let n = r.refill r.buf in
-    r.len <- n;
-    r.pos <- 0;
-    if n = 0 then r.eof <- true
-  end
-
-let at_eof r =
-  ensure r;
-  r.pos >= r.len
-
-(* valid only immediately after [at_eof r = false] *)
-let cur r = Bytes.unsafe_get r.buf r.pos
-
-let advance r =
-  let c = Bytes.unsafe_get r.buf r.pos in
-  r.pos <- r.pos + 1;
-  if c = '\n' then begin
-    r.line <- r.line + 1;
-    r.col <- 1
-  end
-  else r.col <- r.col + 1
-
-(* ------------------------------------------------------------------ *)
-(* Incremental lexer                                                   *)
-(* ------------------------------------------------------------------ *)
-
-type token =
-  | Ident of string
-  | Number of float
-  | String of string
+(* Constant constructors only, so [=] on kinds compiles to an integer
+   test rather than a call to polymorphic compare. *)
+type kind =
+  | Ident
+  | Number
+  | String
   | LBracket
   | RBracket
   | LParen
@@ -82,169 +42,241 @@ type token =
   | Caret
   | LBrace
   | RBrace
+  | Eof
 
-type lexed = { token : token; line : int; col : int }
+type lexer = {
+  refill : bytes -> int -> int -> int;
+  buf : Bytes.t;
+  mutable len : int;  (* bytes of [buf] holding input *)
+  mutable pos : int;
+  mutable eof : bool;
+  mutable line : int;
+  mutable col : int;
+  mutable scanned : bool;  (* the lookahead is in the token fields *)
+  mutable kind : kind;
+  mutable start : int;
+  mutable tline : int;
+  mutable tcol : int;
+  mutable nat : int;  (* Number: its value if an exact non-negative int, else -1 *)
+  mutable num : float;  (* Number: its value when [nat < 0] *)
+  mutable last_line : int;  (* position of the last consumed token *)
+  mutable last_col : int;
+}
+
+let chunk_size = 65536
+
+let lexer_of_refill refill =
+  {
+    refill;
+    buf = Bytes.create chunk_size;
+    len = 0;
+    pos = 0;
+    eof = false;
+    line = 1;
+    col = 1;
+    scanned = false;
+    kind = Eof;
+    start = 0;
+    tline = 1;
+    tcol = 1;
+    nat = -1;
+    num = 0.0;
+    last_line = 1;
+    last_col = 1;
+  }
+
+(* The buffered bytes are used up: move the token so far, [start, pos),
+   to the front and append the next bytes behind it. *)
+let refill_keeping_token lx =
+  (not lx.eof)
+  &&
+  let keep = lx.pos - lx.start in
+  if keep >= chunk_size then
+    fail lx.tline lx.tcol "token of %d bytes or more" chunk_size;
+  if lx.start > 0 then Bytes.blit lx.buf lx.start lx.buf 0 keep;
+  lx.start <- 0;
+  lx.pos <- keep;
+  let n = lx.refill lx.buf keep (chunk_size - keep) in
+  lx.len <- keep + n;
+  if n = 0 then lx.eof <- true;
+  n > 0
+
+(* Make [buf.[pos]] readable; false at end of input. *)
+let[@inline] fill lx = lx.pos < lx.len || refill_keeping_token lx
+
+(* [fill] between tokens: nothing is kept *)
+let fill_fresh lx =
+  lx.start <- lx.pos;
+  fill lx
 
 let is_digit c = c >= '0' && c <= '9'
 
-let is_ident_start c =
-  (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c = '_'
+let is_ident_char c =
+  (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c = '_' || is_digit c
 
-let is_ident_char c = is_ident_start c || is_digit c
+let byte lx = Bytes.unsafe_get lx.buf lx.pos
 
-let scan_number r ~line ~col ~first =
-  let b = Buffer.create 24 in
-  Buffer.add_char b first;
-  let prev = ref first in
-  let continues () =
-    (not (at_eof r))
-    &&
-    let ch = cur r in
-    is_digit ch || ch = '.' || ch = 'e' || ch = 'E'
-    || ((ch = '+' || ch = '-') && (!prev = 'e' || !prev = 'E'))
-  in
-  while continues () do
-    let ch = cur r in
-    Buffer.add_char b ch;
-    prev := ch;
-    advance r
+(* one byte of a token that contains no newline: the column is set from
+   the token's length once it ends *)
+let step lx = lx.pos <- lx.pos + 1
+
+let step_blank lx =
+  if byte lx = '\n' then begin
+    lx.line <- lx.line + 1;
+    lx.col <- 1
+  end
+  else lx.col <- lx.col + 1;
+  lx.pos <- lx.pos + 1
+
+let end_token lx kind =
+  lx.kind <- kind;
+  lx.col <- lx.tcol + (lx.pos - lx.start)
+
+let text lx = Bytes.sub_string lx.buf lx.start (lx.pos - lx.start)
+
+(* 2^62: a float below it that is an integer converts to an int exactly *)
+let int_bound = Float.of_int max_int
+
+(* A number is a digit run, optionally continued by '.', exponent and
+   digits, or a '.' and digits ([exact] is false after such a leading
+   '.'). Digit runs convert directly; anything else is converted by
+   [float_of_string] from the token's slice. *)
+let scan_number lx ~exact =
+  let n = ref 0 and exact = ref exact in
+  while fill lx && is_digit (byte lx) do
+    let d = Char.code (byte lx) - 48 in
+    if !n > (max_int - d) / 10 then exact := false else n := (!n * 10) + d;
+    step lx
   done;
-  let text = Buffer.contents b in
-  match float_of_string_opt text with
-  | Some f -> { token = Number f; line; col }
-  | None -> fail line col "malformed number %S" text
-
-let rec next_token r =
-  if at_eof r then None
+  let prev = ref '0' in
+  while
+    fill lx
+    &&
+    let c = byte lx in
+    is_digit c || c = '.' || c = 'e' || c = 'E'
+    || ((c = '+' || c = '-') && (!prev = 'e' || !prev = 'E'))
+  do
+    prev := byte lx;
+    exact := false;
+    step lx
+  done;
+  if !exact then lx.nat <- !n
   else begin
-    let c = cur r in
-    if c = ' ' || c = '\t' || c = '\r' || c = '\n' then begin
-      advance r;
-      next_token r
-    end
-    else begin
-      let line = r.line and col = r.col in
-      if c = '/' then begin
-        advance r;
-        if (not (at_eof r)) && cur r = '/' then begin
-          (* line comment *)
-          while (not (at_eof r)) && cur r <> '\n' do
-            advance r
-          done;
-          next_token r
-        end
-        else Some { token = Slash; line; col }
-      end
-      else if c = '"' then begin
-        advance r;
-        let b = Buffer.create 16 in
-        let rec scan () =
-          if at_eof r then fail line col "unterminated string literal"
-          else begin
-            let ch = cur r in
-            advance r;
-            if ch <> '"' then begin
-              Buffer.add_char b ch;
-              scan ()
-            end
-          end
-        in
-        scan ();
-        Some { token = String (Buffer.contents b); line; col }
-      end
-      else if is_digit c then begin
-        advance r;
-        Some (scan_number r ~line ~col ~first:c)
-      end
-      else if c = '.' then begin
-        advance r;
-        if (not (at_eof r)) && is_digit (cur r) then
-          Some (scan_number r ~line ~col ~first:'.')
-        else fail line col "unexpected character %C" '.'
-      end
-      else if is_ident_start c then begin
-        let b = Buffer.create 16 in
-        Buffer.add_char b c;
-        advance r;
-        while (not (at_eof r)) && is_ident_char (cur r) do
-          Buffer.add_char b (cur r);
-          advance r
+    match float_of_string_opt (text lx) with
+    | Some f ->
+      lx.num <- f;
+      lx.nat <-
+        (if Float.is_integer f && f >= 0.0 && f < int_bound then int_of_float f
+         else -1)
+    | None -> fail lx.tline lx.tcol "malformed number %S" (text lx)
+  end;
+  end_token lx Number
+
+let rec scan lx =
+  if not (fill_fresh lx) then begin
+    lx.kind <- Eof;
+    lx.tline <- lx.line;
+    lx.tcol <- lx.col
+  end
+  else begin
+    let c = byte lx in
+    lx.tline <- lx.line;
+    lx.tcol <- lx.col;
+    match c with
+    | ' ' | '\t' | '\r' | '\n' ->
+      step_blank lx;
+      scan lx
+    | 'a' .. 'z' | 'A' .. 'Z' | '_' ->
+      step lx;
+      while fill lx && is_ident_char (byte lx) do
+        step lx
+      done;
+      end_token lx Ident
+    | '0' .. '9' -> scan_number lx ~exact:true
+    | '.' ->
+      step lx;
+      if fill lx && is_digit (byte lx) then scan_number lx ~exact:false
+      else fail lx.tline lx.tcol "unexpected character %C" '.'
+    | '/' ->
+      step lx;
+      if fill lx && byte lx = '/' then begin
+        (* line comment *)
+        lx.col <- lx.col + 1;
+        while fill_fresh lx && byte lx <> '\n' do
+          step_blank lx
         done;
-        Some { token = Ident (Buffer.contents b); line; col }
+        scan lx
       end
-      else if c = '-' then begin
-        advance r;
-        if (not (at_eof r)) && cur r = '>' then begin
-          advance r;
-          Some { token = Arrow; line; col }
+      else end_token lx Slash
+    | '"' ->
+      step_blank lx;
+      let rec body () =
+        if not (fill lx) then fail lx.tline lx.tcol "unterminated string literal"
+        else begin
+          let c = byte lx in
+          step_blank lx;
+          if c <> '"' then body ()
         end
-        else Some { token = Minus; line; col }
+      in
+      body ();
+      lx.kind <- String
+    | '-' ->
+      step lx;
+      if fill lx && byte lx = '>' then begin
+        step lx;
+        end_token lx Arrow
       end
-      else begin
-        advance r;
-        let t =
-          match c with
-          | '[' -> LBracket
-          | ']' -> RBracket
-          | '(' -> LParen
-          | ')' -> RParen
-          | ',' -> Comma
-          | ';' -> Semicolon
-          | '+' -> Plus
-          | '{' -> LBrace
-          | '}' -> RBrace
-          | '*' -> Star
-          | '^' -> Caret
-          | _ -> fail line col "unexpected character %C" c
-        in
-        Some { token = t; line; col }
-      end
-    end
+      else end_token lx Minus
+    | _ ->
+      let kind =
+        match c with
+        | '[' -> LBracket
+        | ']' -> RBracket
+        | '(' -> LParen
+        | ')' -> RParen
+        | ',' -> Comma
+        | ';' -> Semicolon
+        | '+' -> Plus
+        | '{' -> LBrace
+        | '}' -> RBrace
+        | '*' -> Star
+        | '^' -> Caret
+        | _ -> fail lx.tline lx.tcol "unexpected character %C" c
+      in
+      step lx;
+      end_token lx kind
   end
 
-(* ------------------------------------------------------------------ *)
-(* Token stream with one-token lookahead                               *)
-(* ------------------------------------------------------------------ *)
+let peek lx =
+  if not lx.scanned then begin
+    scan lx;
+    lx.scanned <- true
+  end;
+  lx.kind
 
-type tokstream = {
-  rdr : reader;
-  mutable la : lexed option;
-  mutable last_line : int;
-  mutable last_col : int;  (* position of the last consumed token *)
-}
+let next lx =
+  if peek lx = Eof then fail lx.last_line lx.last_col "unexpected end of input";
+  lx.scanned <- false;
+  lx.last_line <- lx.tline;
+  lx.last_col <- lx.tcol;
+  lx.kind
 
-let peek ts =
-  match ts.la with
-  | Some _ as s -> s
-  | None ->
-    let s = next_token ts.rdr in
-    ts.la <- s;
-    s
+(* the value of a consumed [Number] *)
+let number lx = if lx.nat >= 0 then Float.of_int lx.nat else lx.num
 
-let next ts =
-  match peek ts with
-  | None -> fail ts.last_line ts.last_col "unexpected end of input"
-  | Some t ->
-    ts.la <- None;
-    ts.last_line <- t.line;
-    ts.last_col <- t.col;
-    t
+let expect lx kind what =
+  if next lx <> kind then fail lx.tline lx.tcol "expected %s" what
 
-let expect ts tok what =
-  let t = next ts in
-  if t.token <> tok then fail t.line t.col "expected %s" what
+let expect_ident lx =
+  if next lx <> Ident then fail lx.tline lx.tcol "expected identifier";
+  (text lx, lx.tline, lx.tcol)
 
-let expect_ident ts =
-  let t = next ts in
-  match t.token with
-  | Ident s -> (s, t.line, t.col)
-  | _ -> fail t.line t.col "expected identifier"
-
-let expect_nat ts =
-  let t = next ts in
-  match t.token with
-  | Number f when Float.is_integer f && f >= 0.0 -> int_of_float f
-  | _ -> fail t.line t.col "expected a non-negative integer"
+let expect_nat lx =
+  if next lx <> Number then fail lx.tline lx.tcol "expected a non-negative integer";
+  if lx.nat >= 0 then lx.nat
+  else if Float.is_integer lx.num && lx.num >= 0.0 then
+    fail lx.tline lx.tcol "integer %s is out of range" (text lx)
+  else fail lx.tline lx.tcol "expected a non-negative integer"
 
 (* ------------------------------------------------------------------ *)
 (* Parameter expression evaluation                                     *)
@@ -268,11 +300,11 @@ let rec parse_expr ts =
   let v = ref (parse_term ts) in
   let rec loop () =
     match peek ts with
-    | Some { token = Plus; _ } ->
+    | Plus ->
       ignore (next ts);
       v := Bin (`Add, !v, parse_term ts);
       loop ()
-    | Some { token = Minus; _ } ->
+    | Minus ->
       ignore (next ts);
       v := Bin (`Sub, !v, parse_term ts);
       loop ()
@@ -285,11 +317,11 @@ and parse_term ts =
   let v = ref (parse_factor ts) in
   let rec loop () =
     match peek ts with
-    | Some { token = Star; _ } ->
+    | Star ->
       ignore (next ts);
       v := Bin (`Mul, !v, parse_factor ts);
       loop ()
-    | Some { token = Slash; _ } ->
+    | Slash ->
       ignore (next ts);
       v := Bin (`Div, !v, parse_factor ts);
       loop ()
@@ -301,23 +333,24 @@ and parse_term ts =
 and parse_factor ts =
   let base = parse_atom ts in
   match peek ts with
-  | Some { token = Caret; _ } ->
+  | Caret ->
     ignore (next ts);
     Bin (`Pow, base, parse_factor ts)
   | _ -> base
 
 and parse_atom ts =
-  let t = next ts in
-  match t.token with
-  | Number f -> Num f
-  | Ident "pi" -> Num Float.pi
-  | Ident name -> Var (name, t.line, t.col)
+  match next ts with
+  | Number -> Num (number ts)
+  | Ident -> (
+    match text ts with
+    | "pi" -> Num Float.pi
+    | name -> Var (name, ts.tline, ts.tcol))
   | Minus -> Neg (parse_atom ts)
   | LParen ->
     let v = parse_expr ts in
     expect ts RParen ")";
     v
-  | _ -> fail t.line t.col "expected a parameter expression"
+  | _ -> fail ts.tline ts.tcol "expected a parameter expression"
 
 let rec eval_expr env = function
   | Num f -> f
@@ -382,7 +415,7 @@ let parse_arg env ts =
     | None -> fail line col "unknown quantum register %S" name
   in
   match peek ts with
-  | Some { token = LBracket; _ } ->
+  | LBracket ->
     ignore (next ts);
     let idx = expect_nat ts in
     expect ts RBracket "]";
@@ -399,7 +432,7 @@ let parse_carg env ts =
     | None -> fail line col "unknown classical register %S" name
   in
   match peek ts with
-  | Some { token = LBracket; _ } ->
+  | LBracket ->
     ignore (next ts);
     let idx = expect_nat ts in
     expect ts RBracket "]";
@@ -410,11 +443,11 @@ let parse_carg env ts =
 
 let parse_params ts =
   match peek ts with
-  | Some { token = LParen; _ } ->
+  | LParen ->
     ignore (next ts);
     let rec loop acc =
       let v = parse_expr ts in
-      match (next ts).token with
+      match next ts with
       | Comma -> loop (v :: acc)
       | RParen -> List.rev (v :: acc)
       | _ ->
@@ -427,7 +460,7 @@ let parse_args env ts =
   let rec loop acc =
     let a = parse_arg env ts in
     match peek ts with
-    | Some { token = Comma; _ } ->
+    | Comma ->
       ignore (next ts);
       loop (a :: acc)
     | _ -> List.rev (a :: acc)
@@ -460,21 +493,38 @@ let one_qubit line col = function
   | Qubit q -> q
   | Whole _ -> fail line col "broadcast is only supported for single-qubit gates"
 
+(* OpenQASM 2.0 forbids naming a qubit twice in one application. A
+   two-qubit gate on a single qubit would also leave the router looking
+   for a SWAP that makes the qubit adjacent to itself. *)
+let distinct line col name qs =
+  if List.length (List.sort_uniq Int.compare qs) <> List.length qs then
+    fail line col "gate %S repeats a qubit argument" name
+
+let two_qubits line col name a b =
+  let a = one_qubit line col a and b = one_qubit line col b in
+  if a = b then fail line col "gate %S repeats a qubit argument" name;
+  (a, b)
+
 (* Apply a gate given already-evaluated parameters and resolved qubit
    arguments. User-defined gates expand recursively; recursion is finite
    because a definition may only call gates defined before it. *)
 let rec apply_gate env line col name params args =
   match (name, args) with
   | ("cx" | "CX"), [ a; b ] ->
-    emit env (Gate.Cnot (one_qubit line col a, one_qubit line col b))
+    let a, b = two_qubits line col name a b in
+    emit env (Gate.Cnot (a, b))
   | "cz", [ a; b ] ->
-    emit env (Gate.Cz (one_qubit line col a, one_qubit line col b))
+    let a, b = two_qubits line col name a b in
+    emit env (Gate.Cz (a, b))
   | "swap", [ a; b ] ->
-    emit env (Gate.Swap (one_qubit line col a, one_qubit line col b))
+    let a, b = two_qubits line col name a b in
+    emit env (Gate.Swap (a, b))
   | ("ccx" | "toffoli"), [ a; b; c ] ->
-    List.iter (emit env)
-      (Decompose.toffoli (one_qubit line col a) (one_qubit line col b)
-         (one_qubit line col c))
+    let a = one_qubit line col a
+    and b = one_qubit line col b
+    and c = one_qubit line col c in
+    distinct line col name [ a; b; c ];
+    List.iter (emit env) (Decompose.toffoli a b c)
   | ("cx" | "CX" | "cz" | "swap"), _ ->
     fail line col "gate %S expects exactly 2 qubit arguments" name
   | ("ccx" | "toffoli"), _ ->
@@ -487,9 +537,9 @@ let rec apply_gate env line col name params args =
     if List.length args <> List.length def.formal_qubits then
       fail line col "gate %S expects %d qubit argument(s)" name
         (List.length def.formal_qubits);
-    let qubit_binding =
-      List.combine def.formal_qubits (List.map (one_qubit line col) args)
-    in
+    let qubits = List.map (one_qubit line col) args in
+    distinct line col name qubits;
+    let qubit_binding = List.combine def.formal_qubits qubits in
     let param_binding = List.combine def.formal_params params in
     List.iter
       (fun stmt ->
@@ -522,16 +572,16 @@ let parse_gate_def env ts =
   if Hashtbl.mem env.defs name then fail line col "gate %S defined twice" name;
   let formal_params =
     match peek ts with
-    | Some { token = LParen; _ } ->
+    | LParen ->
       ignore (next ts);
       (match peek ts with
-      | Some { token = RParen; _ } ->
+      | RParen ->
         ignore (next ts);
         []
       | _ ->
         let rec loop acc =
           let p, _, _ = expect_ident ts in
-          match (next ts).token with
+          match next ts with
           | Comma -> loop (p :: acc)
           | RParen -> List.rev (p :: acc)
           | _ ->
@@ -544,26 +594,26 @@ let parse_gate_def env ts =
   let rec qubit_formals acc =
     let q, _, _ = expect_ident ts in
     match peek ts with
-    | Some { token = Comma; _ } ->
+    | Comma ->
       ignore (next ts);
       qubit_formals (q :: acc)
     | _ -> List.rev (q :: acc)
   in
   let formal_qubits = qubit_formals [] in
-  (match (next ts).token with
-  | LBrace -> ()
-  | _ -> fail ts.last_line ts.last_col "expected { to open the gate body");
+  if next ts <> LBrace then
+    fail ts.last_line ts.last_col "expected { to open the gate body";
   let body = ref [] in
   let rec body_loop () =
     match peek ts with
-    | Some { token = RBrace; _ } -> ignore (next ts)
-    | Some _ ->
+    | RBrace -> ignore (next ts)
+    | Eof -> fail ts.last_line ts.last_col "unterminated gate body"
+    | _ ->
       let callee, callee_line, callee_col = expect_ident ts in
       if callee = "barrier" then begin
         (* barriers inside gate bodies only constrain scheduling of the
            expansion; accept and drop them *)
         let rec skip () =
-          match (next ts).token with Semicolon -> () | _ -> skip ()
+          match next ts with Semicolon -> () | _ -> skip ()
         in
         skip ();
         body_loop ()
@@ -571,11 +621,11 @@ let parse_gate_def env ts =
       else begin
         let exprs =
           match peek ts with
-          | Some { token = LParen; _ } ->
+          | LParen ->
             ignore (next ts);
             let rec loop acc =
               let e = parse_expr ts in
-              match (next ts).token with
+              match next ts with
               | Comma -> loop (e :: acc)
               | RParen -> List.rev (e :: acc)
               | _ ->
@@ -587,7 +637,7 @@ let parse_gate_def env ts =
         in
         let rec qargs acc =
           let q, _, _ = expect_ident ts in
-          match (next ts).token with
+          match next ts with
           | Comma -> qargs (q :: acc)
           | Semicolon -> List.rev (q :: acc)
           | _ -> fail ts.last_line ts.last_col "expected , or ; in gate body"
@@ -596,7 +646,6 @@ let parse_gate_def env ts =
         body := { callee; callee_line; callee_col; exprs; qargs } :: !body;
         body_loop ()
       end
-    | None -> fail ts.last_line ts.last_col "unterminated gate body"
   in
   body_loop ();
   Hashtbl.add env.defs name
@@ -609,10 +658,8 @@ let parse_statement env ts =
     let _version = eval_expr [] (parse_expr ts) in
     expect ts Semicolon ";"
   | "include" ->
-    let t = next ts in
-    (match t.token with
-    | String _ -> ()
-    | _ -> fail t.line t.col "include expects a string literal");
+    if next ts <> String then
+      fail ts.tline ts.tcol "include expects a string literal";
     expect ts Semicolon ";"
   | "qreg" | "creg" ->
     let reg_name, rline, rcol = expect_ident ts in
@@ -626,6 +673,8 @@ let parse_statement env ts =
     in
     if Hashtbl.mem table reg_name then
       fail rline rcol "register %S declared twice" reg_name;
+    if size > max_int - base then
+      fail rline rcol "register %S overflows the total register size" reg_name;
     Hashtbl.add table reg_name { base; size };
     if name = "qreg" then begin
       env.n_qubits <- env.n_qubits + size;
@@ -645,6 +694,7 @@ let parse_statement env ts =
           | Whole reg -> List.init reg.size (fun i -> reg.base + i))
         args
     in
+    distinct line col name qs;
     emit env (Gate.Barrier qs)
   | "measure" ->
     let src = parse_arg env ts in
@@ -664,7 +714,7 @@ let parse_statement env ts =
     (* declaration without body: consume through the semicolon; any later
        application will fail as an unknown gate *)
     let rec skip () =
-      match (next ts).token with Semicolon -> () | _ -> skip ()
+      match next ts with Semicolon -> () | _ -> skip ()
     in
     skip ()
   | _ ->
@@ -677,12 +727,11 @@ let parse_statement env ts =
 (* Pull-based event API                                                *)
 (* ------------------------------------------------------------------ *)
 
-type t = { ts : tokstream; env : env }
+type t = { ts : lexer; env : env }
 
 let make refill =
   {
-    ts =
-      { rdr = reader_of_refill refill; la = None; last_line = 1; last_col = 1 };
+    ts = lexer_of_refill refill;
     env =
       {
         qregs = Hashtbl.create 4;
@@ -695,24 +744,23 @@ let make refill =
   }
 
 let of_refill refill = make refill
-let of_channel ic = make (fun b -> input ic b 0 (Bytes.length b))
+let of_channel ic = make (input ic)
 
 let of_string s =
   let off = ref 0 in
-  make (fun b ->
-      let n = min (Bytes.length b) (String.length s - !off) in
-      Bytes.blit_string s !off b 0 n;
+  make (fun b pos len ->
+      let n = min len (String.length s - !off) in
+      Bytes.blit_string s !off b pos n;
       off := !off + n;
       n)
 
 let rec next_event t =
   if not (Queue.is_empty t.env.events) then Some (Queue.pop t.env.events)
-  else
-    match peek t.ts with
-    | None -> None
-    | Some _ ->
-      parse_statement t.env t.ts;
-      next_event t
+  else if peek t.ts = Eof then None
+  else begin
+    parse_statement t.env t.ts;
+    next_event t
+  end
 
 let n_qubits t = t.env.n_qubits
 let n_clbits t = t.env.n_clbits
@@ -728,7 +776,7 @@ type survey = {
   sv_last_use : int array;
 }
 
-let survey t =
+let survey ?(max_qubits = max_int) t =
   let last = ref (Array.make 16 (-1)) in
   let ensure_q n =
     if n > Array.length !last then begin
@@ -749,14 +797,19 @@ let survey t =
         (Gate.qubits g);
       incr pos;
       drain ()
+    | Some (Qreg _) when n_qubits t > max_qubits -> ()
     | Some (Qreg _ | Creg _) -> drain ()
   in
   drain ();
   let nq = n_qubits t in
-  ensure_q nq;
   {
     sv_n_qubits = nq;
     sv_n_clbits = n_clbits t;
     sv_n_gates = !pos;
-    sv_last_use = Array.sub !last 0 nq;
+    sv_last_use =
+      (if nq > max_qubits then [||]
+       else begin
+         ensure_q nq;
+         Array.sub !last 0 nq
+       end);
   }

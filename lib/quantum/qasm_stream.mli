@@ -1,11 +1,13 @@
 (** Incremental OpenQASM 2.0 frontend.
 
-    The streaming counterpart to {!Qasm}: the lexer pulls characters
-    from a channel (or any refill callback) one chunk at a time, and the
-    parser exposes a pull-based event API instead of materialising a
-    {!Circuit.t}. Memory use is bounded by one input chunk plus the
-    symbol tables (registers and user gate definitions) — it never
-    depends on the number of gates in the program.
+    The streaming counterpart to {!Qasm}: the lexer pulls bytes from a
+    channel (or any refill callback) into one 64 KiB buffer and scans
+    tokens as slices of it, and the parser exposes a pull-based event
+    API instead of materialising a {!Circuit.t}. Memory use is bounded
+    by that buffer plus the symbol tables (registers and user gate
+    definitions) — it never depends on the number of gates in the
+    program. A token must be shorter than the buffer: one of 64 KiB or
+    more is a {!Parse_error}.
 
     The grammar accepted is exactly the subset documented in {!Qasm};
     indeed {!Qasm.of_string}/{!Qasm.of_file} are implemented by draining
@@ -16,7 +18,11 @@
 exception Parse_error of { line : int; column : int; message : string }
 (** Raised on malformed input. [line] and [column] are 1-based and
     locate the offending token (for lexical errors, the offending
-    character). *)
+    character). Besides syntax errors this covers integers that do not
+    convert exactly to a native [int] (register sizes and indices such
+    as [1e300] or [99999999999999999999]), registers whose sizes
+    overflow the running total, and applications that name one qubit
+    twice ([cx q\[0\],q\[0\]], [barrier q\[0\],q\[0\]]). *)
 
 type t
 (** A parser over a partially-consumed input stream. *)
@@ -30,10 +36,11 @@ val of_string : string -> t
 (** Lex from an in-memory string (used by the eager {!Qasm} API and by
     tests). *)
 
-val of_refill : (bytes -> int) -> t
-(** Lex from an arbitrary refill callback: [refill buf] writes at most
-    [Bytes.length buf] bytes at offset 0 and returns how many were
-    written, 0 meaning end of input. *)
+val of_refill : (bytes -> int -> int -> int) -> t
+(** Lex from an arbitrary refill callback with the contract of
+    [Stdlib.input]: [refill buf pos len] writes at most [len] bytes at
+    offset [pos] and returns how many were written, 0 meaning end of
+    input. *)
 
 type event =
   | Qreg of { name : string; size : int }
@@ -69,7 +76,11 @@ type survey = {
           window in {!Dag.Window}. *)
 }
 
-val survey : t -> survey
+val survey : ?max_qubits:int -> t -> survey
 (** Drain the stream in O(n_qubits) memory, recording only the counts
     and per-qubit last-use positions. Used as a cheap pre-pass over a
-    file before streaming it a second time for routing. *)
+    file before streaming it a second time for routing. With
+    [max_qubits], the survey stops at the first register declaration
+    that takes the qubit total past it: [sv_n_qubits] is then that
+    total, [sv_n_gates] counts the gates before it and [sv_last_use] is
+    empty, so nothing is sized by an oversized declaration. *)

@@ -220,6 +220,140 @@ let test_file_io () =
   Sys.remove path;
   check Alcotest.bool "file round trip" true (Circuit.equal c back)
 
+(* Repeated qubits are rejected at the application, on the line:col of
+   the gate name: a two-qubit gate on one qubit would otherwise send the
+   router looking for a SWAP that makes the qubit adjacent to itself. *)
+let test_repeated_qubits_rejected () =
+  let pos_of s =
+    match Qasm.of_string s with
+    | exception Qasm.Parse_error { line; column; _ } -> Some (line, column)
+    | _ -> None
+  in
+  List.iter
+    (fun stmt ->
+      check
+        Alcotest.(option (pair int int))
+        stmt
+        (Some (3, 2))
+        (pos_of
+           ("qreg q[3];\ngate g a,b { h a; h b; }\n " ^ stmt ^ "\nh q[0];")))
+    [
+      "cx q[0],q[0];";
+      "CX q[1],q[1];";
+      "cz q[2],q[2];";
+      "swap q[0],q[0];";
+      "ccx q[0],q[1],q[0];";
+      "g q[1],q[1];";
+      "barrier q[0],q[0];";
+      "barrier q,q[2];";
+    ];
+  check Alcotest.int "distinct operands still parse" 2
+    (Circuit.length (Qasm.of_string "qreg q[2]; cx q[0],q[1]; barrier q;"))
+
+(* Integers must convert to an int exactly: anything else is an error at
+   the integer's own token, before a register or index is sized by it. *)
+let test_integer_bounds () =
+  let pos_of label s expected =
+    match Qasm.of_string s with
+    | exception Qasm.Parse_error { line; column; _ } ->
+      check Alcotest.(pair int int) label expected (line, column)
+    | _ -> Alcotest.failf "%s: expected a parse error" label
+  in
+  pos_of "qreg q[1e300]" "qreg q[1e300];" (1, 8);
+  pos_of "20-digit index" "qreg q[2];\nh q[99999999999999999999];" (2, 5);
+  pos_of "totals overflow" "qreg a[4611686018427387903];\nqreg b[1];" (2, 6);
+  check Alcotest.int "max_int register converts exactly" max_int
+    (Circuit.n_qubits (Qasm.of_string "qreg q[4611686018427387903];"));
+  check Alcotest.bool "integral float index" true
+    (Circuit.equal
+       (Qasm.of_string "qreg q[3]; h q[2e0]; x q[1.0];")
+       (Circuit.create ~n_qubits:3 [ Gate.Single (H, 2); Single (X, 1) ]))
+
+(* The Format printer that [Qasm.add_gate] replaced, kept as the
+   byte-level reference for it. *)
+let reference_gate_line g =
+  let pp_param ppf v = Format.fprintf ppf "%.17g" v in
+  let pp_gate ppf g =
+    let params = function
+      | Gate.Rx a | Gate.Ry a | Gate.Rz a | Gate.U1 a -> [ a ]
+      | Gate.U2 (a, b) -> [ a; b ]
+      | Gate.U3 (a, b, c) -> [ a; b; c ]
+      | _ -> []
+    in
+    match g with
+    | Gate.Single (k, q) -> (
+      match params k with
+      | [] -> Format.fprintf ppf "%s q[%d];" (Gate.single_kind_name k) q
+      | ps ->
+        Format.fprintf ppf "%s(%a) q[%d];" (Gate.single_kind_name k)
+          (Format.pp_print_list
+             ~pp_sep:(fun ppf () -> Format.pp_print_string ppf ",")
+             pp_param)
+          ps q)
+    | Gate.Cnot (a, b) -> Format.fprintf ppf "cx q[%d],q[%d];" a b
+    | Gate.Cz (a, b) -> Format.fprintf ppf "cz q[%d],q[%d];" a b
+    | Gate.Swap (a, b) -> Format.fprintf ppf "swap q[%d],q[%d];" a b
+    | Gate.Barrier qs ->
+      Format.fprintf ppf "barrier %a;"
+        (Format.pp_print_list
+           ~pp_sep:(fun ppf () -> Format.pp_print_string ppf ",")
+           (fun ppf q -> Format.fprintf ppf "q[%d]" q))
+        qs
+    | Gate.Measure (q, c) -> Format.fprintf ppf "measure q[%d] -> c[%d];" q c
+  in
+  Format.asprintf "%a@." pp_gate g
+
+(* every gate kind; parameters that print specially (nan of either sign,
+   infinities, -0.0, subnormals, 17 significant digits); indices of any
+   sign and width; barriers far wider than Format's 78-column margin *)
+let any_gate =
+  let open QCheck.Gen in
+  let param =
+    frequency
+      [
+        ( 2,
+          oneofl
+            [
+              Float.nan; -.Float.nan; infinity; neg_infinity; 0.0; -0.0;
+              4.9e-324; 2.2250738585072009e-308; Float.min_float; Float.max_float;
+              Float.pi; 0.1; 1.0 /. 3.0; 12345678901234567.0; -1e-300;
+            ] );
+        (2, float);
+        (1, float_bound_inclusive 10.0);
+      ]
+  in
+  let index = frequency [ (4, small_nat); (1, int) ] in
+  let kind =
+    oneof
+      [
+        oneofl Gate.[ I; H; X; Y; Z; S; Sdg; T; Tdg ];
+        map (fun a -> Gate.Rx a) param;
+        map (fun a -> Gate.Ry a) param;
+        map (fun a -> Gate.Rz a) param;
+        map (fun a -> Gate.U1 a) param;
+        map2 (fun a b -> Gate.U2 (a, b)) param param;
+        map3 (fun a b c -> Gate.U3 (a, b, c)) param param param;
+      ]
+  in
+  oneof
+    [
+      map2 (fun k q -> Gate.Single (k, q)) kind index;
+      map2 (fun a b -> Gate.Cnot (a, b)) index index;
+      map2 (fun a b -> Gate.Cz (a, b)) index index;
+      map2 (fun a b -> Gate.Swap (a, b)) index index;
+      map (fun qs -> Gate.Barrier qs) (list_size (int_range 0 60) index);
+      map2 (fun q c -> Gate.Measure (q, c)) index index;
+    ]
+
+let prop_add_gate_matches_format =
+  QCheck.Test.make ~count:2000
+    ~name:"add_gate = the Format printer, byte for byte"
+    (QCheck.make ~print:reference_gate_line any_gate)
+    (fun g ->
+      let b = Buffer.create 16 in
+      Qasm.add_gate b g;
+      Buffer.contents b = reference_gate_line g)
+
 let suite =
   [
     tc "parse basic program" `Quick test_parse_basic;
@@ -238,4 +372,7 @@ let suite =
     tc "cuccaro adder via macros" `Quick test_cuccaro_qasm_adds;
     tc "gate definition errors" `Quick test_gate_definition_errors;
     tc "file io" `Quick test_file_io;
+    tc "repeated qubits rejected" `Quick test_repeated_qubits_rejected;
+    tc "integers must convert exactly" `Quick test_integer_bounds;
+    QCheck_alcotest.to_alcotest prop_add_gate_matches_format;
   ]

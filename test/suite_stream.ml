@@ -21,14 +21,16 @@ module Routing_pass = Sabre_core.Routing_pass
 let check = Alcotest.check
 let tc = Alcotest.test_case
 
-let source_of_circuit c =
-  let r = ref (Circuit.gates c) in
+let source_of_list gates =
+  let r = ref gates in
   fun () ->
     match !r with
     | [] -> None
     | g :: tl ->
       r := tl;
       Some g
+
+let source_of_circuit c = source_of_list (Circuit.gates c)
 
 let last_use_of c =
   let last = Array.make (Circuit.n_qubits c) (-1) in
@@ -130,15 +132,10 @@ let test_window_peak_bounded () =
 let test_window_rejects_zero_operand () =
   (* the empty barrier is only reached once the CNOT executes and the
      window re-saturates — drive the full consumption loop *)
-  let gates = ref [ Gate.Cnot (0, 1); Gate.Barrier [] ] in
-  let source () =
-    match !gates with
-    | [] -> None
-    | g :: tl ->
-      gates := tl;
-      Some g
+  let w =
+    Dag.Window.create ~n_qubits:2
+      (source_of_list [ Gate.Cnot (0, 1); Gate.Barrier [] ])
   in
-  let w = Dag.Window.create ~n_qubits:2 source in
   Alcotest.check_raises "empty barrier rejected"
     (Invalid_argument "Dag.Window: zero-operand gates are not streamable")
     (fun () ->
@@ -150,17 +147,15 @@ let test_window_rejects_zero_operand () =
       done)
 
 let test_window_rejects_out_of_range () =
-  let gates = ref [ Gate.Cnot (0, 5) ] in
-  let source () =
-    match !gates with
-    | [] -> None
-    | g :: tl ->
-      gates := tl;
-      Some g
-  in
-  let w = Dag.Window.create ~n_qubits:2 source in
+  let w = Dag.Window.create ~n_qubits:2 (source_of_list [ Gate.Cnot (0, 5) ]) in
   match Dag.Window.saturate w (fun _ -> ()) with
   | () -> Alcotest.fail "qubit 5 on a 2-qubit window was admitted"
+  | exception Invalid_argument _ -> ()
+
+let test_window_rejects_self_pair () =
+  let w = Dag.Window.create ~n_qubits:2 (source_of_list [ Gate.Cnot (1, 1) ]) in
+  match Dag.Window.saturate w (fun _ -> ()) with
+  | () -> Alcotest.fail "cx q[1],q[1] was admitted"
   | exception Invalid_argument _ -> ()
 
 (* ------------------------------------------------------------------ *)
@@ -379,21 +374,28 @@ let test_survey () =
   (* qa[0] last used by measure (pos 6), qa[1] by measure (pos 7),
      qb[0] by cx (pos 2), qb[1] by gd1's h expansion (pos 4) *)
   check (Alcotest.array Alcotest.int) "last uses" [| 6; 7; 2; 4 |]
+    sv.Qasm_stream.sv_last_use;
+  (* qb takes the total past 3: the survey stops there, sizing nothing *)
+  let sv = Qasm_stream.survey ~max_qubits:3 (Qasm_stream.of_string program) in
+  check Alcotest.int "qubits up to the oversized register" 4
+    sv.Qasm_stream.sv_n_qubits;
+  check Alcotest.int "no gates surveyed" 0 sv.Qasm_stream.sv_n_gates;
+  check (Alcotest.array Alcotest.int) "no schedule" [||]
     sv.Qasm_stream.sv_last_use
 
-(* Parsing through a 1-byte refill function must agree with parsing the
-   whole string: every token boundary crosses a buffer refill. *)
-let byte_by_byte_events src =
-  let pos = ref 0 in
-  let refill buf =
-    if !pos >= String.length src then 0
-    else begin
-      Bytes.set buf 0 src.[!pos];
-      incr pos;
-      1
-    end
-  in
-  let s = Qasm_stream.of_refill refill in
+(* A stream over [src] through a refill whose k-th call hands out at
+   most [size k] (>= 1) bytes, so refills land wherever the sizes put
+   them. *)
+let refill_stream ~size src =
+  let off = ref 0 and calls = ref 0 in
+  Qasm_stream.of_refill (fun buf pos len ->
+      let n = min (min len (size !calls)) (String.length src - !off) in
+      Bytes.blit_string src !off buf pos n;
+      off := !off + n;
+      incr calls;
+      n)
+
+let drain_gates s =
   let gates = ref [] in
   let rec drain () =
     match Qasm_stream.next_event s with
@@ -405,6 +407,12 @@ let byte_by_byte_events src =
   in
   drain ();
   (List.rev !gates, Qasm_stream.n_qubits s, Qasm_stream.n_clbits s)
+
+let refill_events ~size src = drain_gates (refill_stream ~size src)
+
+(* Parsing through a 1-byte refill function must agree with parsing the
+   whole string: every token boundary crosses a buffer refill. *)
+let byte_by_byte_events src = refill_events ~size:(fun _ -> 1) src
 
 let test_chunked_parse_equals_string_parse () =
   let c = Qasm.of_string program in
@@ -422,6 +430,117 @@ let prop_roundtrip =
         QCheck.Test.fail_reportf "round-trip changed the circuit:@.%s"
           (Qasm.to_string c1)
       else true)
+
+(* Generated programs with up to six byte edits (an empty insertion
+   deletes a byte). The edits keep every number small, so a broadcast
+   never expands a huge register. *)
+let edited_program =
+  let open QCheck.Gen in
+  Check.Generators.qasm_program >>= fun src ->
+  list_size (int_range 0 6)
+    (pair (int_bound 10_000)
+       (oneofl
+          [ ""; ""; " "; "\n"; "//"; "\""; "("; ")"; "["; "]"; ","; ";"; "{";
+            "}"; "-"; "->"; ".5"; "cx"; "h"; "q"; "gate"; "barrier";
+            "99999999999999999999" ]))
+  >|= List.fold_left
+        (fun s (i, ins) ->
+          let n = String.length s in
+          let i = i mod (n + 1) in
+          let rest = if ins = "" then min n (i + 1) else i in
+          String.sub s 0 i ^ ins ^ String.sub s rest (n - rest))
+        src
+
+(* Refill sizes change neither the events nor any error's line:col and
+   message. *)
+let prop_random_refill_parse =
+  QCheck.Test.make ~count:300
+    ~name:"random-size-refill parse = whole-string parse"
+    QCheck.(pair (make ~print:Fun.id edited_program) int)
+    (fun (src, seed) ->
+      let rng = Random.State.make [| seed |] in
+      let size _ = 1 + Random.State.int rng (if Random.State.bool rng then 8 else 300) in
+      let outcome s =
+        match drain_gates s with
+        | r -> Ok r
+        | exception Qasm_stream.Parse_error { line; column; message } ->
+          Error (line, column, message)
+      in
+      compare (outcome (Qasm_stream.of_string src))
+        (outcome (refill_stream ~size src))
+      = 0)
+
+(* Every token of this program straddles a refill at some split point:
+   the first refill hands out [k] bytes and the second the rest. *)
+let straddle_program =
+  {|OPENQASM 2.0;
+qreg qubits_with_a_long_name[12];
+rz(007) qubits_with_a_long_name[007];
+rz(1e0) qubits_with_a_long_name[1e0];
+rz(.5) qubits_with_a_long_name[10];
+rz(1e-3) qubits_with_a_long_name[11];
+rz(12345678901234567) qubits_with_a_long_name[0];
+cx qubits_with_a_long_name[0000000000000000003],qubits_with_a_long_name[4];
+|}
+
+let test_tokens_straddle_refills () =
+  let expected = Circuit.gates (Qasm.of_string straddle_program) in
+  (match expected with
+  | [
+   Single (Rz a, 7);
+   Single (Rz b, 1);
+   Single (Rz c, 10);
+   Single (Rz d, 11);
+   Single (Rz e, 0);
+   Cnot (3, 4);
+  ] ->
+    let exact = Alcotest.float 0.0 in
+    check exact "007" 7.0 a;
+    check exact "1e0" 1.0 b;
+    check exact ".5" 0.5 c;
+    check exact "1e-3" 1e-3 d;
+    check exact "17-digit integer" (float_of_string "12345678901234567") e
+  | _ -> Alcotest.fail "unexpected parse of the straddle program");
+  for k = 1 to String.length straddle_program - 1 do
+    let gates, nq, _ =
+      refill_events
+        ~size:(fun call -> if call = 0 then k else max_int)
+        straddle_program
+    in
+    if gates <> expected || nq <> 12 then
+      Alcotest.failf "a refill after byte %d changed the parse" k
+  done
+
+(* A token must be shorter than the 64 KiB buffer; comments are not
+   tokens and may be longer. *)
+let test_token_bound () =
+  let program n =
+    let name = String.make n 'r' in
+    Printf.sprintf "qreg q[1];\n// %s\nqreg %s[2];\nh %s[1];\n"
+      (String.make 100_000 'c') name name
+  in
+  check Alcotest.int "65535-byte identifier" 1
+    (Circuit.length (Qasm.of_string (program 65_535)));
+  let gates, _, _ = refill_events ~size:(fun _ -> 1000) (program 65_535) in
+  check Alcotest.int "65535-byte identifier through 1000-byte refills" 1
+    (List.length gates);
+  List.iter
+    (fun n ->
+      let src = program n in
+      List.iter
+        (fun (how, parse) ->
+          match parse src with
+          | exception Qasm.Parse_error { line; column; _ } ->
+            check
+              Alcotest.(pair int int)
+              (Printf.sprintf "%d-byte token (%s) fails at the token" n how)
+              (3, 6) (line, column)
+          | _ -> Alcotest.failf "%d-byte token (%s) was accepted" n how)
+        [
+          ("whole string", fun s -> ignore (Qasm.of_string s));
+          ("1000-byte refills", fun s -> ignore (refill_events ~size:(fun _ -> 1000) s));
+        ])
+    [ 65_536; 70_000 ]
 
 let prop_chunked_parse =
   QCheck.Test.make ~count:100
@@ -497,6 +616,39 @@ let test_route_files_isolates_failures () =
 (* Stream_chain workload                                               *)
 (* ------------------------------------------------------------------ *)
 
+let with_qasm_file text f =
+  let input = temp "in" and output = temp "out" in
+  Fun.protect
+    ~finally:(fun () ->
+      Sys.remove input;
+      Sys.remove output)
+    (fun () ->
+      let oc = open_out input in
+      output_string oc text;
+      close_out oc;
+      f input output)
+
+(* Typed errors, not a hang, an exception or an allocation sized by the
+   input. *)
+let test_route_file_rejects_bad_input () =
+  let tokyo = Devices.ibm_q20_tokyo () in
+  List.iter
+    (fun (body, expected) ->
+      with_qasm_file ("OPENQASM 2.0;\n" ^ body ^ "\n") (fun input output ->
+          match Engine.Stream_pass.route_file tokyo ~input ~output with
+          | Ok _ -> Alcotest.failf "%S was routed" body
+          | Error msg -> check Alcotest.string body (input ^ expected) msg))
+    [
+      ("qreg q[2];\ncx q[0],q[0];", ":3:1: gate \"cx\" repeats a qubit argument");
+      ( "qreg q[2];\nbarrier q[0],q[0];",
+        ":3:1: gate \"barrier\" repeats a qubit argument" );
+      ("qreg q[1e300];", ":2:8: integer 1e300 is out of range");
+      ( "qreg q[100000000000];",
+        ": circuit needs 100000000000 qubits, device has 20" );
+      ( "qreg q[4611686018427387903];\nh q[4611686018427387902];",
+        ": circuit needs 4611686018427387903 qubits, device has 20" );
+    ]
+
 let test_stream_chain_contract () =
   let n = 9 and gates = 500 in
   let drain f =
@@ -533,6 +685,8 @@ let suite =
       test_window_rejects_zero_operand;
     tc "window rejects out-of-range qubits" `Quick
       test_window_rejects_out_of_range;
+    tc "window rejects two-qubit gates on one qubit" `Quick
+      test_window_rejects_self_pair;
     tc "run_streaming = run_flat on named rows" `Quick
       test_streaming_equals_materialised;
     tc "streamed golden digests" `Quick test_stream_goldens;
@@ -547,9 +701,14 @@ let suite =
       test_chunked_parse_equals_string_parse;
     QCheck_alcotest.to_alcotest prop_roundtrip;
     QCheck_alcotest.to_alcotest prop_chunked_parse;
+    QCheck_alcotest.to_alcotest prop_random_refill_parse;
+    tc "tokens straddling a refill" `Quick test_tokens_straddle_refills;
+    tc "tokens of 64 KiB or more are errors" `Quick test_token_bound;
     tc "route_file matches materialised routing" `Quick
       test_route_file_matches_materialised;
     tc "route_files isolates per-file failures" `Quick
       test_route_files_isolates_failures;
+    tc "route_file rejects bad input with typed errors" `Quick
+      test_route_file_rejects_bad_input;
     tc "stream_chain generator contract" `Quick test_stream_chain_contract;
   ]
