@@ -721,7 +721,7 @@ let throughput () =
       | Error e -> fail_job e)
     seq.outcomes;
   let seq_swaps = swaps_of seq in
-  let host = Engine.Trial_runner.default_domains () in
+  let host = max 1 (Domain.recommended_domain_count ()) in
   let domain_counts =
     List.sort_uniq compare [ 1; 2; 4; host ]
     |> List.filter (fun d -> d <= !max_domains)
@@ -829,7 +829,7 @@ let stream () =
      correctness bug, not a benchmark artefact *)
   let check_gates = 50_000 in
   let flat =
-    Routing_pass.run_flat config device
+    Routing_pass.run config device
       (Quantum.Dag.of_circuit
          (Workloads.Stream_chain.circuit ~n ~gates:check_gates ()))
       m0

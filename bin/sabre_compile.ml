@@ -61,25 +61,28 @@ type routed = {
    baseline — runs behind the same [Engine.Router] interface, and the
    [Verify_pass] replaces the hand-rolled verification this binary used
    to carry. Returns the per-pass wall times for [--stats-json]. *)
-let route router_name config device circuit ~trial_mode ~cache ~instrument =
+let route router_name config device circuit ~domains ~cache ~instrument =
   Baseline.Routers.register ();
   match Engine.Router.find_suggest router_name with
   | Error msg -> Error msg
   | Ok router -> (
-    let t0 = Sys.time () in
+    let t0 = Unix.gettimeofday () in
     let cache_spec =
       (* key with the canonical registry name, so a hit is shared with
          batch mode and the serve daemon *)
       if cache then Some (Engine.Router.name router) else None
     in
     match
-      Engine.Context.create ~config ~trial_mode ?cache_spec device circuit
+      Engine.Context.create ~config ~trial_domains:domains ?cache_spec device
+        circuit
       |> Engine.Pipeline.run ~instrument
            (Engine.Pipeline.default ~router ~verify:true ())
     with
     | ctx ->
       let r = Engine.Context.routed_exn ctx in
-      let stats = Engine.Context.stats ctx ~time_s:(Sys.time () -. t0) in
+      let stats =
+        Engine.Context.stats ctx ~time_s:(Unix.gettimeofday () -. t0)
+      in
       Ok
         ( {
             physical = r.Engine.Context.physical;
@@ -636,11 +639,7 @@ let run_main input workload size device_name device_size directed router
              (Circuit.n_qubits circuit) (Coupling.n_qubits device))
       else Ok ()
     in
-    let trial_mode =
-      match parallel with
-      | None -> Engine.Trial_runner.Sequential
-      | Some n -> Engine.Trial_runner.Domains (max 1 n)
-    in
+    let domains = match parallel with None -> 1 | Some n -> max 1 n in
     let instrument =
       if trace then Engine.Instrument.stderr_trace else Engine.Instrument.null
     in
@@ -648,13 +647,12 @@ let run_main input workload size device_name device_size directed router
       match portfolio with
       | None ->
         let* r, stats, passes =
-          route router config device circuit ~trial_mode ~cache ~instrument
+          route router config device circuit ~domains ~cache ~instrument
         in
         Ok (r, stats, passes, router, None)
       | Some spec ->
         (* -j fans the portfolio entries across domains (trials stay
            sequential inside each entry, so results are unchanged) *)
-        let domains = match parallel with None -> 1 | Some n -> max 1 n in
         let* r, winner, report =
           route_portfolio spec objective config device circuit ~domains
             ~race:portfolio_race ~cache ~instrument ~quiet

@@ -173,7 +173,7 @@ let stream_equivalence ~config coupling circuit =
       (fun i g -> List.iter (fun q -> retire.(q) <- i) (Gate.qubits g))
       gates;
     match
-      Routing_pass.run_flat config coupling (Dag.of_circuit circuit) initial
+      Routing_pass.run config coupling (Dag.of_circuit circuit) initial
     with
     | exception Invalid_argument _ -> Ok ()
     | m ->

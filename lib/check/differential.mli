@@ -109,7 +109,7 @@ val stream_equivalence :
     {!Sabre_core.Routing_pass.run_streaming} — once retire-bounded (the
     per-qubit last-use schedule that keeps the window small) and once
     unbounded — and route the materialised circuit with
-    {!Sabre_core.Routing_pass.run_flat} from the same seeded fixed
+    {!Sabre_core.Routing_pass.run} from the same seeded fixed
     initial mapping: the emitted gate sequences, final mappings and SWAP
     counts must be byte-identical. [Ok ()] when the instance is wider
     than the device or the materialised route itself rejects it. *)

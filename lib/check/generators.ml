@@ -231,7 +231,9 @@ let config =
   float_range 0.0 0.9 >>= fun extended_set_weight ->
   float_range 0.0 0.01 >>= fun decay_increment ->
   int_range 1 5 >>= fun decay_reset_interval ->
-  int_range 0 1_000_000 >|= fun seed ->
+  int_range 0 1_000_000 >>= fun seed ->
+  (* small limits reach the anti-livelock fallback *)
+  oneofl [ None; Some 1; Some 2; Some 4 ] >|= fun stall_limit ->
   {
     Config.default with
     heuristic;
@@ -242,6 +244,7 @@ let config =
     decay_increment;
     decay_reset_interval;
     seed;
+    stall_limit;
   }
 
 (* ------------------------------------------------------------------ *)

@@ -56,9 +56,11 @@ val coupling : ?min_qubits:int -> ?slack:int -> unit -> Coupling.t QCheck.Gen.t
 val config : Config.t QCheck.Gen.t
 (** Random valid configuration: every field that {!Config.validate}
     accepts is exercised (all three heuristics, small trial/traversal
-    counts, random extended-set size/weight, decay parameters, seed).
-    [commutation_aware] stays [false]; the differential harness turns it
-    on explicitly for the commuting metamorphic property. *)
+    counts, random extended-set size/weight, decay parameters, seed,
+    and a [stall_limit] of none, 1, 2 or 4 so that instances reach the
+    anti-livelock fallback). [commutation_aware] stays [false]; the
+    differential harness turns it on explicitly for the commuting
+    metamorphic property. *)
 
 type instance = {
   circuit : Circuit.t;

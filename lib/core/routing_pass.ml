@@ -181,6 +181,17 @@ module Scratch = struct
     }
 end
 
+(* The circuit a traversal walks, read only through the accessors below.
+   [Eager] is a materialised DAG, with its predecessor counts and BFS
+   stamps borrowed from the scratch. [Streamed] is a window over a gate
+   stream: it releases successors, completes successor sets for the
+   lookahead and stamps visits itself. Both release ready nodes in the
+   same order (see [Dag.Window]), which is why one driver routes both
+   byte for byte alike. *)
+type nodes =
+  | Eager of { dag : Dag.t; remaining : int array; visit_stamp : int array }
+  | Streamed of Dag.Window.t
+
 (* Mutable search state for one traversal. *)
 type state = {
   config : Config.t;
@@ -192,9 +203,8 @@ type state = {
          argument), [None] falls back to full per-candidate recompute *)
   stride : int;
   n_logical : int;
-  dag : Dag.t;
+  nodes : nodes;
   mapping : Mapping.t;  (* private copy, updated in place *)
-  remaining : int array;  (* unexecuted predecessor count per node *)
   ready : Intq.t;  (* nodes whose predecessors all executed *)
   (* Front layer: array-backed deque of ready-but-blocked two-qubit
      nodes, oldest first, always compacted to start at index 0.
@@ -211,7 +221,6 @@ type state = {
   mutable eq2 : int array;
   mutable elen : int;
   (* extended-set BFS scratch, reused across rebuilds *)
-  visit_stamp : int array;  (* per DAG node; = visit_gen if seen *)
   mutable visit_gen : int;
   bfs : Intq.t;
   (* SWAP-candidate scratch: per-coupling-edge stamps. A set bit at
@@ -243,6 +252,55 @@ type state = {
   mutable sc_full_terms : int;
 }
 
+let node_gate st i =
+  match st.nodes with
+  | Eager e -> Dag.gate e.dag i
+  | Streamed w -> Dag.Window.gate w i
+
+let pair_q1 st i =
+  match st.nodes with
+  | Eager e -> Dag.pair_q1 e.dag i
+  | Streamed w -> Dag.Window.pair_q1 w i
+
+let pair_q2 st i =
+  match st.nodes with
+  | Eager e -> Dag.pair_q2 e.dag i
+  | Streamed w -> Dag.Window.pair_q2 w i
+
+let push_ready st i = Intq.push st.ready i
+
+(* Retire executed node [i]: successors whose predecessors have all
+   executed join the ready queue, in program order. *)
+let release st i =
+  match st.nodes with
+  | Eager { dag; remaining; _ } ->
+    Dag.succ_iter dag i (fun j ->
+        remaining.(j) <- remaining.(j) - 1;
+        if remaining.(j) = 0 then push_ready st j)
+  | Streamed w -> Dag.Window.execute w i (push_ready st)
+
+(* Apply [f] to every successor of [i], the set complete, for the
+   lookahead BFS. A window admits just enough of the stream first; it
+   is saturated whenever the router is stalled, so those admissions
+   never make a node ready. *)
+let lookahead_iter st i f =
+  match st.nodes with
+  | Eager e -> Dag.succ_iter e.dag i f
+  | Streamed w ->
+    Dag.Window.ensure_successors w i (push_ready st);
+    Dag.Window.succ_iter_seq w i f
+
+(* First visit of [i] in the current BFS generation? Marks it. *)
+let first_visit st i =
+  match st.nodes with
+  | Eager { visit_stamp; _ } ->
+    visit_stamp.(i) <> st.visit_gen
+    && begin
+      visit_stamp.(i) <- st.visit_gen;
+      true
+    end
+  | Streamed w -> Dag.Window.mark_visited w i st.visit_gen
+
 (* Prefix ASAP depth under {!Depth.depth_swap3} weights (Swap 3,
    Barrier 0, else 1), maintained gate by gate over the emitted
    physical stream. ASAP finish times only ever grow as gates are
@@ -265,7 +323,7 @@ let depth_tracker n_physical =
   in
   (note, fun () -> depth.contents)
 
-(* Every-N-decisions progress check for the traversal loops below.
+(* Every-N-decisions progress check for the traversal loop below.
    Raising [Cancelled] from inside the [Fun.protect]ed loop is safe for
    the arena: the [finally] sync writes back grown arrays and the
    monotone generation counters, so an aborted run leaves the scratch
@@ -303,23 +361,23 @@ let front_push st i =
   st.front_len <- st.front_len + 1;
   st.front_gen <- st.front_gen + 1
 
-(* Emit the logical gate at DAG node [i], remapped through the current π,
-   and release its successors. *)
+(* Emit the logical gate at node [i], remapped through the current π,
+   and release its successors. A window may reuse [i]'s slot once it is
+   released, so the node is read first. *)
 let execute_node st i =
   let to_physical q = Mapping.to_physical st.mapping q in
-  emit st (Gate.remap to_physical (Dag.gate st.dag i));
-  Dag.succ_iter st.dag i (fun j ->
-      st.remaining.(j) <- st.remaining.(j) - 1;
-      if st.remaining.(j) = 0 then Intq.push st.ready j);
+  emit st (Gate.remap to_physical (node_gate st i));
+  let two = pair_q1 st i >= 0 in
+  release st i;
   st.stall <- 0;
-  if Dag.is_two_qubit_node st.dag i then reset_decay st
+  if two then reset_decay st
 
 let executable st i =
-  let q1 = Dag.pair_q1 st.dag i in
+  let q1 = pair_q1 st i in
   q1 < 0
   || Coupling.connected st.coupling
        (Mapping.to_physical st.mapping q1)
-       (Mapping.to_physical st.mapping (Dag.pair_q2 st.dag i))
+       (Mapping.to_physical st.mapping (pair_q2 st i))
 
 (* Drain the ready queue and the front layer until no gate can execute.
    Returns once progress stops; the front then holds exactly the blocked
@@ -330,7 +388,7 @@ let advance st =
     let progressed = ref false in
     while not (Intq.is_empty st.ready) do
       let i = Intq.pop st.ready in
-      if Dag.is_two_qubit_node st.dag i then front_push st i
+      if pair_q1 st i >= 0 then front_push st i
       else begin
         execute_node st i;
         progressed := true
@@ -372,8 +430,8 @@ let rebuild_front_caches st =
   st.fq2 <- ensure_capacity st.fq2 st.front_len;
   for r = 0 to st.front_len - 1 do
     let i = st.front_buf.(r) in
-    st.fq1.(r) <- Dag.pair_q1 st.dag i;
-    st.fq2.(r) <- Dag.pair_q2 st.dag i
+    st.fq1.(r) <- pair_q1 st i;
+    st.fq2.(r) <- pair_q2 st i
   done;
   st.flen <- st.front_len;
   let size = st.config.extended_set_size in
@@ -383,19 +441,19 @@ let rebuild_front_caches st =
     st.eq2 <- ensure_capacity st.eq2 size;
     st.visit_gen <- st.visit_gen + 1;
     Intq.clear st.bfs;
+    let enqueue j = Intq.push st.bfs j in
     for r = 0 to st.front_len - 1 do
-      Dag.succ_iter st.dag st.front_buf.(r) (fun j -> Intq.push st.bfs j)
+      lookahead_iter st st.front_buf.(r) enqueue
     done;
     while st.elen < size && not (Intq.is_empty st.bfs) do
       let i = Intq.pop st.bfs in
-      if st.visit_stamp.(i) <> st.visit_gen then begin
-        st.visit_stamp.(i) <- st.visit_gen;
-        if Dag.is_two_qubit_node st.dag i then begin
-          st.eq1.(st.elen) <- Dag.pair_q1 st.dag i;
-          st.eq2.(st.elen) <- Dag.pair_q2 st.dag i;
+      if first_visit st i then begin
+        if pair_q1 st i >= 0 then begin
+          st.eq1.(st.elen) <- pair_q1 st i;
+          st.eq2.(st.elen) <- pair_q2 st i;
           st.elen <- st.elen + 1
         end;
-        Dag.succ_iter st.dag i (fun j -> Intq.push st.bfs j)
+        lookahead_iter st i enqueue
       end
     done
   end;
@@ -584,12 +642,8 @@ let choose_delta st di stamp =
   done;
   (!have_best, !best_p1, !best_p2)
 
-(* [rebuild] refreshes the fq/eq caches from the current front: the
-   materialised path passes [rebuild_front_caches], the streaming path
-   its window-backed equivalent. Everything below the caches is
-   representation-agnostic. *)
-let choose_and_apply_swap ~rebuild st =
-  if st.cache_gen <> st.front_gen then rebuild st;
+let choose_and_apply_swap st =
+  if st.cache_gen <> st.front_gen then rebuild_front_caches st;
   let stamp = mark_candidates st in
   st.sc_decisions <- st.sc_decisions + 1;
   let have_best, p1, p2 =
@@ -615,25 +669,25 @@ let choose_and_apply_swap ~rebuild st =
 
 (* Anti-livelock fallback: force the oldest front gate executable by
    swapping one operand along a shortest path to the other. *)
-let fallback_walk st q1 q2 =
-  assert (q1 >= 0);
-  let p1 = Mapping.to_physical st.mapping q1
-  and p2 = Mapping.to_physical st.mapping q2 in
-  let path = Coupling.shortest_path st.coupling p1 p2 in
-  let rec walk = function
-    | a :: (b :: (_ :: _ as rest)) ->
-      apply_swap st ~fallback:true (a, b);
-      walk (b :: rest)
-    | _ -> ()
-  in
-  walk path;
-  reset_decay st;
-  st.stall <- 0
-
 let fallback_route st =
   if st.front_len > 0 then begin
     let i = st.front_buf.(0) in
-    fallback_walk st (Dag.pair_q1 st.dag i) (Dag.pair_q2 st.dag i)
+    let q1 = pair_q1 st i in
+    assert (q1 >= 0);
+    let path =
+      Coupling.shortest_path st.coupling
+        (Mapping.to_physical st.mapping q1)
+        (Mapping.to_physical st.mapping (pair_q2 st i))
+    in
+    let rec walk = function
+      | a :: (b :: (_ :: _ as rest)) ->
+        apply_swap st ~fallback:true (a, b);
+        walk (b :: rest)
+      | _ -> ()
+    in
+    walk path;
+    reset_decay st;
+    st.stall <- 0
   end
 
 let flat_hop_distances coupling =
@@ -688,49 +742,56 @@ let resolve_metric ~coupling ~scoring ~dist ~dist_int =
   in
   (dist, dist_int)
 
-let run_with_scratch ~scratch ?dist ?dist_int ?(scoring = Delta) ?hook config
-    coupling dag initial =
+let scoring_of st =
+  {
+    Stats.decisions = st.sc_decisions;
+    candidates = st.sc_candidates;
+    delta_terms = st.sc_delta_terms;
+    full_terms = st.sc_full_terms;
+  }
+
+(* The traversal driver behind both entry points (Algorithm 1): execute
+   what the front layer allows, otherwise apply the best-scoring SWAP —
+   or, after [stall_limit] SWAPs without progress, the fallback — until
+   the front is empty. Validates the inputs, resets [scratch]'s per-run
+   state and builds the search state over it; returns the final state. *)
+let traverse ~scratch ~dist ~dist_int ~scoring ~hook ~sink config coupling
+    nodes initial =
   (match Config.validate config with
   | Ok () -> ()
   | Error msg -> invalid_arg ("Routing_pass.run: " ^ msg));
-  let circuit = Dag.circuit dag in
-  if Circuit.n_qubits circuit > Coupling.n_qubits coupling then
-    invalid_arg "Routing_pass.run: circuit wider than device";
-  if Mapping.n_logical initial <> Circuit.n_qubits circuit then
-    invalid_arg "Routing_pass.run: mapping arity mismatch";
-  let n = Dag.n_nodes dag in
   let n_physical = Coupling.n_qubits coupling in
+  let n_logical = Mapping.n_logical initial in
+  if n_logical > n_physical then
+    invalid_arg "Routing_pass.run: circuit wider than device";
+  if Mapping.n_physical initial <> n_physical then
+    invalid_arg
+      (Printf.sprintf
+         "Routing_pass.run: initial mapping is for %d physical qubits, device \
+          has %d"
+         (Mapping.n_physical initial) n_physical);
   if
     scratch.Scratch.n_physical <> n_physical
     || scratch.Scratch.n_edges <> Coupling.n_edges coupling
   then invalid_arg "Routing_pass.run: scratch built for a different device";
   let dist, dist_int = resolve_metric ~coupling ~scoring ~dist ~dist_int in
   (* per-run reset of the reused arena *)
-  scratch.Scratch.remaining <- grown scratch.Scratch.remaining n;
-  let remaining = scratch.Scratch.remaining in
-  for i = 0 to n - 1 do
-    remaining.(i) <- Dag.in_degree dag i
-  done;
-  scratch.Scratch.visit_stamp <- grown scratch.Scratch.visit_stamp (max 1 n);
-  scratch.Scratch.l2p <- grown scratch.Scratch.l2p (Mapping.n_logical initial);
+  scratch.Scratch.l2p <- grown scratch.Scratch.l2p n_logical;
   Intq.clear scratch.Scratch.ready;
   Intq.clear scratch.Scratch.bfs;
-  Array.fill scratch.Scratch.decay 0 (Array.length scratch.Scratch.decay) 1.0;
+  Array.fill scratch.Scratch.decay 0 n_physical 1.0;
   (* front generations restart at 0 every run, so an index left over
      from a previous run could alias a fresh generation — invalidate *)
   Incidence.invalidate scratch.Scratch.finc;
   Incidence.invalidate scratch.Scratch.einc;
-  let n_logical = Mapping.n_logical initial in
-  let out_rev = ref [] in
-  let base_sink g = out_rev := g :: !out_rev in
   let sink, depth_lb =
     match hook with
-    | None -> (base_sink, fun () -> 0)
+    | None -> (sink, fun () -> 0)
     | Some _ ->
       let note, current = depth_tracker n_physical in
       ( (fun g ->
           note g;
-          base_sink g),
+          sink g),
         current )
   in
   let st =
@@ -741,9 +802,8 @@ let run_with_scratch ~scratch ?dist ?dist_int ?(scoring = Delta) ?hook config
       dist_int;
       stride = n_physical;
       n_logical;
-      dag;
+      nodes;
       mapping = Mapping.copy initial;
-      remaining;
       ready = scratch.Scratch.ready;
       front_buf = scratch.Scratch.front_buf;
       front_len = 0;
@@ -755,7 +815,6 @@ let run_with_scratch ~scratch ?dist ?dist_int ?(scoring = Delta) ?hook config
       eq1 = scratch.Scratch.eq1;
       eq2 = scratch.Scratch.eq2;
       elen = 0;
-      visit_stamp = scratch.Scratch.visit_stamp;
       visit_gen = scratch.Scratch.visit_gen;
       bfs = scratch.Scratch.bfs;
       cand_mark = scratch.Scratch.cand_mark;
@@ -804,251 +863,73 @@ let run_with_scratch ~scratch ?dist ?dist_int ?(scoring = Delta) ?hook config
       ~depth_lb
   in
   Fun.protect ~finally:sync (fun () ->
-      List.iter (fun i -> Intq.push st.ready i) (Dag.initial_front dag);
+      (match nodes with
+      | Eager { dag; _ } -> List.iter (push_ready st) (Dag.initial_front dag)
+      | Streamed w -> Dag.Window.saturate w (push_ready st));
       advance st;
       while st.front_len > 0 do
         if st.stall > st.stall_limit then fallback_route st
-        else choose_and_apply_swap ~rebuild:rebuild_front_caches st;
+        else choose_and_apply_swap st;
         check ();
         advance st
       done;
-      {
-        physical =
-          Circuit.create
-            ~n_qubits:(Coupling.n_qubits coupling)
-            ~n_clbits:(Circuit.n_clbits circuit)
-            (List.rev !out_rev);
-        final_mapping = st.mapping;
-        n_swaps = st.n_swaps;
-        search_steps = st.search_steps;
-        fallback_swaps = st.fallback_swaps;
-        scoring =
-          {
-            Stats.decisions = st.sc_decisions;
-            candidates = st.sc_candidates;
-            delta_terms = st.sc_delta_terms;
-            full_terms = st.sc_full_terms;
-          };
-      })
+      st)
 
-let run_flat ?dist ?dist_int ?scoring ?hook config coupling dag initial =
-  run_with_scratch
-    ~scratch:(Scratch.create coupling)
-    ?dist ?dist_int ?scoring ?hook config coupling dag initial
-
-let run ?dist ?scoring config coupling dag initial =
-  let dist = Option.map Heuristic.flatten_dist dist in
-  run_flat ?dist ?scoring config coupling dag initial
-
-(* ------------------------------------------------------------------ *)
-(* Streaming entry point                                               *)
-(* ------------------------------------------------------------------ *)
-
-(* placeholder for [state.dag] in streaming runs: the window-backed
-   driver below never touches it *)
-let empty_dag = lazy (Dag.of_circuit (Circuit.create ~n_qubits:0 []))
+let run ?scratch ?dist ?dist_int ?(scoring = Delta) ?hook config coupling dag
+    initial =
+  let circuit = Dag.circuit dag in
+  if Mapping.n_logical initial <> Circuit.n_qubits circuit then
+    invalid_arg "Routing_pass.run: mapping arity mismatch";
+  let scratch =
+    match scratch with Some s -> s | None -> Scratch.create coupling
+  in
+  let n = Dag.n_nodes dag in
+  scratch.Scratch.remaining <- grown scratch.Scratch.remaining n;
+  scratch.Scratch.visit_stamp <- grown scratch.Scratch.visit_stamp (max 1 n);
+  let remaining = scratch.Scratch.remaining in
+  for i = 0 to n - 1 do
+    remaining.(i) <- Dag.in_degree dag i
+  done;
+  let out_rev = ref [] in
+  let st =
+    traverse ~scratch ~dist ~dist_int ~scoring ~hook
+      ~sink:(fun g -> out_rev := g :: !out_rev)
+      config coupling
+      (Eager { dag; remaining; visit_stamp = scratch.Scratch.visit_stamp })
+      initial
+  in
+  {
+    physical =
+      Circuit.create
+        ~n_qubits:(Coupling.n_qubits coupling)
+        ~n_clbits:(Circuit.n_clbits circuit)
+        (List.rev !out_rev);
+    final_mapping = st.mapping;
+    n_swaps = st.n_swaps;
+    search_steps = st.search_steps;
+    fallback_swaps = st.fallback_swaps;
+    scoring = scoring_of st;
+  }
 
 (* Single forward traversal over a gate stream, emitting routed gates
-   through [sink] as they execute. Byte-for-byte equivalent to
-   [run_flat] on the materialised circuit with the same [initial]
-   mapping: the window releases ready nodes in exactly the order the
-   eager DAG does (see [Dag.Window]), the front/extended-set caches are
-   rebuilt from the window with the same contents and order, and the
-   scoring machinery below the caches is shared code. Peak memory is
-   bounded by the window, which [retire] (per-qubit last-use stream
-   positions, e.g. from [Qasm_stream.survey]) keeps proportional to the
-   circuit's qubit-inactivity span rather than its length. *)
-let run_streaming ?dist ?dist_int ?(scoring = Delta) ?retire ?hook ~sink config
+   through [sink] as they execute. Peak memory is bounded by the
+   window, which [retire] (per-qubit last-use stream positions, e.g.
+   from [Qasm_stream.survey]) keeps proportional to the circuit's
+   qubit-inactivity span rather than its length. *)
+let run_streaming ?dist ?dist_int ?(scoring = Delta) ?retire ~sink config
     coupling source initial =
-  (match Config.validate config with
-  | Ok () -> ()
-  | Error msg -> invalid_arg ("Routing_pass.run: " ^ msg));
-  let n_physical = Coupling.n_qubits coupling in
-  let n_logical = Mapping.n_logical initial in
-  if n_logical > n_physical then
-    invalid_arg "Routing_pass.run_streaming: circuit wider than device";
-  let dist, dist_int = resolve_metric ~coupling ~scoring ~dist ~dist_int in
-  let w = Dag.Window.create ?retire ~n_qubits:n_logical source in
+  let w =
+    Dag.Window.create ?retire ~n_qubits:(Mapping.n_logical initial) source
+  in
   let gates_out = ref 0 in
-  let note_depth, depth_lb =
-    match hook with
-    | None -> ((fun _ -> ()), fun () -> 0)
-    | Some _ -> depth_tracker n_physical
-  in
   let st =
-    {
-      config;
-      coupling;
-      dist;
-      dist_int;
-      stride = n_physical;
-      n_logical;
-      dag = Lazy.force empty_dag;
-      mapping = Mapping.copy initial;
-      remaining = [||];
-      ready = Intq.create 64;
-      front_buf = Array.make 16 0;
-      front_len = 0;
-      front_gen = 0;
-      cache_gen = -1;
-      fq1 = [||];
-      fq2 = [||];
-      flen = 0;
-      eq1 = [||];
-      eq2 = [||];
-      elen = 0;
-      visit_stamp = [||];
-      visit_gen = 0;
-      bfs = Intq.create 64;
-      cand_mark = Array.make (max 1 (Coupling.n_edges coupling)) 0;
-      cand_gen = 0;
-      l2p_scratch = Array.make (max 1 n_logical) 0;
-      finc = Incidence.create ();
-      einc = Incidence.create ();
-      sink =
-        (fun g ->
-          incr gates_out;
-          note_depth g;
-          sink g);
-      decay = Array.make n_physical 1.0;
-      steps_since_reset = 0;
-      stall = 0;
-      stall_limit =
-        (match config.stall_limit with
-        | Some s -> s
-        | None -> 10 + (5 * Coupling.diameter coupling));
-      n_swaps = 0;
-      search_steps = 0;
-      fallback_swaps = 0;
-      sc_decisions = 0;
-      sc_candidates = 0;
-      sc_delta_terms = 0;
-      sc_full_terms = 0;
-    }
+    traverse ~scratch:(Scratch.create coupling) ~dist ~dist_int ~scoring
+      ~hook:None
+      ~sink:(fun g ->
+        incr gates_out;
+        sink g)
+      config coupling (Streamed w) initial
   in
-  for q = 0 to n_logical - 1 do
-    st.l2p_scratch.(q) <- Mapping.to_physical st.mapping q
-  done;
-  let on_ready i = Intq.push st.ready i in
-  (* window-backed counterparts of [execute_node]/[executable]/[advance]
-     — same control flow, with successor release (and re-saturation)
-     delegated to the window *)
-  let execute_slot i =
-    let to_physical q = Mapping.to_physical st.mapping q in
-    emit st (Gate.remap to_physical (Dag.Window.gate w i));
-    let two = Dag.Window.is_two_qubit_node w i in
-    Dag.Window.execute w i on_ready;
-    st.stall <- 0;
-    if two then reset_decay st
-  in
-  let slot_executable i =
-    let q1 = Dag.Window.pair_q1 w i in
-    q1 < 0
-    || Coupling.connected st.coupling
-         (Mapping.to_physical st.mapping q1)
-         (Mapping.to_physical st.mapping (Dag.Window.pair_q2 w i))
-  in
-  let advance_stream () =
-    let again = ref true in
-    while !again do
-      let progressed = ref false in
-      while not (Intq.is_empty st.ready) do
-        let i = Intq.pop st.ready in
-        if Dag.Window.is_two_qubit_node w i then front_push st i
-        else begin
-          execute_slot i;
-          progressed := true
-        end
-      done;
-      let wr = ref 0 in
-      let executed = ref false in
-      for r = 0 to st.front_len - 1 do
-        let i = st.front_buf.(r) in
-        if slot_executable i then begin
-          execute_slot i;
-          executed := true
-        end
-        else begin
-          st.front_buf.(!wr) <- i;
-          incr wr
-        end
-      done;
-      if !executed then begin
-        st.front_len <- !wr;
-        st.front_gen <- st.front_gen + 1;
-        progressed := true
-      end;
-      again := !progressed
-    done
-  in
-  (* window-backed [rebuild_front_caches]: identical contents and order;
-     [ensure_successors] completes a node's successor set before the
-     BFS expands it (admissions during a rebuild never release ready
-     nodes — the window is saturated whenever a router is stalled) *)
-  let rebuild_stream_caches st =
-    st.fq1 <- ensure_capacity st.fq1 st.front_len;
-    st.fq2 <- ensure_capacity st.fq2 st.front_len;
-    for r = 0 to st.front_len - 1 do
-      let i = st.front_buf.(r) in
-      st.fq1.(r) <- Dag.Window.pair_q1 w i;
-      st.fq2.(r) <- Dag.Window.pair_q2 w i
-    done;
-    st.flen <- st.front_len;
-    let size = st.config.extended_set_size in
-    st.elen <- 0;
-    if size > 0 && st.config.heuristic <> Config.Basic then begin
-      st.eq1 <- ensure_capacity st.eq1 size;
-      st.eq2 <- ensure_capacity st.eq2 size;
-      st.visit_gen <- st.visit_gen + 1;
-      Intq.clear st.bfs;
-      for r = 0 to st.front_len - 1 do
-        Dag.Window.ensure_successors w st.front_buf.(r) on_ready;
-        Dag.Window.succ_iter_seq w st.front_buf.(r) (fun j ->
-            Intq.push st.bfs j)
-      done;
-      while st.elen < size && not (Intq.is_empty st.bfs) do
-        let i = Intq.pop st.bfs in
-        if Dag.Window.mark_visited w i st.visit_gen then begin
-          if Dag.Window.is_two_qubit_node w i then begin
-            st.eq1.(st.elen) <- Dag.Window.pair_q1 w i;
-            st.eq2.(st.elen) <- Dag.Window.pair_q2 w i;
-            st.elen <- st.elen + 1
-          end;
-          Dag.Window.ensure_successors w i on_ready;
-          Dag.Window.succ_iter_seq w i (fun j -> Intq.push st.bfs j)
-        end
-      done
-    end;
-    (match st.dist_int with
-    | Some _ ->
-      Incidence.build st.finc ~gen:st.front_gen ~n_logical:st.n_logical
-        ~q1:st.fq1 ~q2:st.fq2 ~len:st.flen;
-      if st.elen > 0 then
-        Incidence.build st.einc ~gen:st.front_gen ~n_logical:st.n_logical
-          ~q1:st.eq1 ~q2:st.eq2 ~len:st.elen
-    | None -> ());
-    st.cache_gen <- st.front_gen
-  in
-  let fallback_stream () =
-    if st.front_len > 0 then begin
-      let i = st.front_buf.(0) in
-      fallback_walk st (Dag.Window.pair_q1 w i) (Dag.Window.pair_q2 w i)
-    end
-  in
-  let check =
-    progress_check ~hook
-      ~decisions:(fun () -> st.sc_decisions)
-      ~swaps:(fun () -> st.n_swaps)
-      ~depth_lb
-  in
-  Dag.Window.saturate w on_ready;
-  advance_stream ();
-  while st.front_len > 0 do
-    if st.stall > st.stall_limit then fallback_stream ()
-    else choose_and_apply_swap ~rebuild:rebuild_stream_caches st;
-    check ();
-    advance_stream ()
-  done;
   if not (Dag.Window.exhausted w && Dag.Window.live_count w = 0) then
     invalid_arg "Routing_pass.run_streaming: stream not drained";
   {
@@ -1056,13 +937,7 @@ let run_streaming ?dist ?dist_int ?(scoring = Delta) ?retire ?hook ~sink config
     s_n_swaps = st.n_swaps;
     s_search_steps = st.search_steps;
     s_fallback_swaps = st.fallback_swaps;
-    s_scoring =
-      {
-        Stats.decisions = st.sc_decisions;
-        candidates = st.sc_candidates;
-        delta_terms = st.sc_delta_terms;
-        full_terms = st.sc_full_terms;
-      };
+    s_scoring = scoring_of st;
     s_gates_in = Dag.Window.admitted w;
     s_gates_out = !gates_out;
     s_peak_window = Dag.Window.peak_live w;

@@ -68,47 +68,6 @@ type result = {
   scoring : Stats.scoring;  (** inner-loop scorer accounting *)
 }
 
-val run :
-  ?dist:float array array ->
-  ?scoring:scoring_mode ->
-  Config.t -> Coupling.t -> Dag.t -> Mapping.t -> result
-(** [run config coupling dag initial] routes the DAG's circuit. [dist]
-    overrides the hop-count distance matrix with a custom routing metric
-    (e.g. {!Hardware.Noise.swap_reliability_distance} for fidelity-aware
-    mapping); it must be non-negative, symmetric, zero on the diagonal
-    and finite between connected qubits. The
-    initial mapping is not mutated. Raises [Invalid_argument] when the
-    circuit needs more logical qubits than the device has physical ones,
-    or when the coupling graph is disconnected while the circuit requires
-    interaction across components.
-
-    Convenience wrapper over {!run_flat}: flattens [dist] row-major per
-    call. Drivers that route many traversals (trials × directions)
-    should flatten once and call {!run_flat}. *)
-
-val run_flat :
-  ?dist:float array ->
-  ?dist_int:int array ->
-  ?scoring:scoring_mode ->
-  ?hook:hook ->
-  Config.t -> Coupling.t -> Dag.t -> Mapping.t -> result
-(** Same as {!run}, but the metric is the row-major flattened matrix
-    ([dist.((p1 * n_physical) + p2)], stride = device qubit count) the
-    search scores against directly — no per-compilation conversion, one
-    shared array across trials and traversal directions. Raises
-    [Invalid_argument] if [dist] is not exactly [n_physical²] long.
-
-    [dist_int] is the integer view of the same matrix for the delta
-    scorer (e.g. {!Hardware.Dist_cache.lookup_all}'s second component);
-    it must agree with [dist] entry for entry ([Invalid_argument]
-    otherwise). When omitted under [~scoring:Delta] (the default mode)
-    an integer view is derived from [dist] when possible, else the run
-    degrades to full recompute.
-
-    Allocates a fresh {!Scratch.t} per call; drivers routing many
-    traversals against one device should hold a scratch and call
-    {!run_with_scratch}. *)
-
 (** Reusable search-state arena: every array the traversal loop touches
     (front deque, candidate stamps, BFS ring buffer, decay, front-pair
     and extended-set caches), allocated once per device and reset per
@@ -157,29 +116,47 @@ module Incidence : sig
   (** Apply to each slot id containing logical qubit [q]. *)
 end
 
-val run_with_scratch :
-  scratch:Scratch.t ->
+val run :
+  ?scratch:Scratch.t ->
   ?dist:float array ->
   ?dist_int:int array ->
   ?scoring:scoring_mode ->
   ?hook:hook ->
-  Config.t ->
-  Coupling.t ->
-  Dag.t ->
-  Mapping.t ->
-  result
-(** {!run_flat}, reusing [scratch] instead of allocating. The output is
-    bit-identical to a fresh-scratch run: per-run state is reset on
+  Config.t -> Coupling.t -> Dag.t -> Mapping.t -> result
+(** [run config coupling dag initial] routes the DAG's circuit. The
+    initial mapping is not mutated.
+
+    [dist] overrides the hop-count distance matrix with a custom routing
+    metric (e.g. {!Hardware.Noise.swap_reliability_distance}, flattened
+    with {!Heuristic.flatten_dist}), row-major with stride
+    [n_physical]: [dist.((p1 * n_physical) + p2)]. It must be
+    non-negative, symmetric, zero on the diagonal, finite between
+    connected qubits and exactly [n_physical²] long. Drivers routing
+    many traversals flatten once and share the array.
+
+    [dist_int] is the integer view of the same matrix for the delta
+    scorer (e.g. {!Hardware.Dist_cache.lookup_all}'s second component);
+    it must agree with [dist] entry for entry. When omitted under
+    [~scoring:Delta] (the default mode) an integer view is derived from
+    [dist] when possible, else the run degrades to full recompute.
+
+    [scratch] is reused instead of allocating a fresh arena. The output
+    is bit-identical to a fresh-scratch run: per-run state is reset on
     entry, and the stamp arrays survive untouched because their
-    generation counters only ever increase (a π-independent stale stamp
-    can never collide with a fresh generation). Raises
-    [Invalid_argument] when [scratch] was created for a device of a
-    different shape (qubit or edge count).
+    generation counters only ever increase.
 
     [hook] installs the cooperative progress callback; a [Stop] verdict
     raises {!Cancelled} and leaves [scratch] reusable (the sync in the
     run's [Fun.protect] runs on the abort path too). Installing a hook
-    never changes the routed output of a run that completes. *)
+    never changes the routed output of a run that completes.
+
+    Raises [Invalid_argument] when the config is invalid, the circuit
+    needs more logical qubits than the device has physical ones, the
+    mapping's logical width differs from the circuit's or its physical
+    width from the device's, [scratch] was created for a device of
+    another shape (qubit or edge count), [dist]/[dist_int] have the
+    wrong size or disagree, or the coupling graph is disconnected while
+    the circuit requires interaction across components. *)
 
 (** {2 Streaming entry point} *)
 
@@ -202,7 +179,6 @@ val run_streaming :
   ?dist_int:int array ->
   ?scoring:scoring_mode ->
   ?retire:int array ->
-  ?hook:hook ->
   sink:(Quantum.Gate.t -> unit) ->
   Config.t ->
   Coupling.t ->
@@ -215,10 +191,11 @@ val run_streaming :
     routed physical gate to [sink] as soon as it is decided.
 
     The delivered gate sequence is byte-identical to
-    [(run_flat config coupling (Dag.of_circuit c) initial).physical] on
-    the materialised equivalent [c] — same gates, same order, same
-    SWAPs — for every scoring mode and heuristic; see {!Dag.Window} for
-    the admission discipline behind the guarantee. What streaming gives
+    [(run config coupling (Dag.of_circuit c) initial).physical] on the
+    materialised equivalent [c] — same gates, same order, same SWAPs —
+    for every scoring mode and heuristic: both entry points drive the
+    same traversal loop, and {!Dag.Window} releases ready nodes in the
+    order the eager DAG does. What streaming gives
     up is only what inherently needs the whole circuit: reverse
     traversals and multi-trial initial-mapping search.
 
@@ -228,7 +205,7 @@ val run_streaming :
     proportional to the circuit's maximum qubit-inactivity span and
     independent of gate count. Without it the run is still exact but
     may buffer up to the whole stream. [dist]/[dist_int]/[scoring] are
-    as in {!run_flat}. The number of logical qubits is taken from
-    [Mapping.n_logical initial]. Raises [Invalid_argument] on
-    validation failure, a stream gate out of qubit range, a two-qubit
-    stream gate on one qubit, or a zero-operand gate. *)
+    as in {!run}. The number of logical qubits is taken from
+    [Mapping.n_logical initial]. Raises [Invalid_argument] on the
+    validation failures of {!run}, a stream gate out of qubit range, a
+    two-qubit stream gate on one qubit, or a zero-operand gate. *)

@@ -32,7 +32,7 @@ type t = {
   search_steps : int;  (** heuristic SWAP selections, all traversals *)
   fallback_swaps : int;  (** anti-livelock SWAPs (0 in normal runs) *)
   traversals_run : int;  (** routing passes executed over all trials *)
-  time_s : float;  (** CPU seconds for the whole compilation *)
+  time_s : float;  (** wall-clock seconds for the whole compilation *)
   first_traversal_swaps : int;
       (** SWAPs of the best trial's *first* forward traversal — the
           paper's [g_la] column, before reverse-traversal improvement *)

@@ -32,8 +32,7 @@ let compile_one ~config ~router_name ~pipeline ~cache ~instrument coupling job
   let t0 = wall () in
   let cache_spec = if cache then Some router_name else None in
   match
-    Context.create ~config ~trial_mode:Trial_runner.Sequential ~instrument
-      ?cache_spec coupling job.circuit
+    Context.create ~config ~instrument ?cache_spec coupling job.circuit
     |> Pipeline.run ~instrument pipeline
   with
   | ctx ->

@@ -13,7 +13,7 @@ module Stats = Sabre_core.Stats
     routing scratch arena across the jobs it claims. Results come back
     in job order and are {e byte-identical} to compiling each circuit
     sequentially: every job runs its trial loop sequentially inside the
-    job ([Trial_runner.Sequential]) with the seed from [config], so the
+    job (one trial domain) with the seed from [config], so the
     only parallelism is across independent circuits.
 
     Per-job failures (routing failure, verification failure, invalid
@@ -63,8 +63,8 @@ val compile_many :
     {!Portfolio.run} over the entries (sequentially inside the job —
     parallelism stays across jobs, keeping results byte-identical to
     sequential) and keeps the winner. [domains] defaults to 1
-    (sequential — pass [Trial_runner.default_domains ()] to use every
-    core); [verify] (default [false]) appends the semantic
+    (sequential — pass [Domain.recommended_domain_count ()] to use
+    every core); [verify] (default [false]) appends the semantic
     {!Verify_pass} to each job's pipeline. [race] (default [false])
     arms {!Portfolio.run}'s incumbent-bound pruning inside each
     portfolio job — the per-job winner is unchanged, losing entries

@@ -31,7 +31,7 @@ type t = {
   dist : float array;  (* row-major, stride = Coupling.n_qubits coupling *)
   dist_int : int array option;  (* integer view of [dist], if exact *)
   scoring_mode : Sabre_core.Routing_pass.scoring_mode;
-  trial_mode : Trial_runner.mode;
+  trial_domains : int;
   race : Race.t option;
   fixed_initial : Mapping.t option;
   dag_forward : Dag.t option;
@@ -51,7 +51,7 @@ let check_device coupling circuit =
   then invalid_arg "Engine.Context: disconnected coupling graph"
 
 let create ?(config = Config.default) ?dist ?noise
-    ?(trial_mode = Trial_runner.Sequential) ?race ?initial
+    ?(trial_domains = 1) ?race ?initial
     ?(instrument = Instrument.null)
     ?(scoring = Sabre_core.Routing_pass.Delta) ?cache_spec coupling circuit =
   (match Config.validate config with
@@ -120,7 +120,7 @@ let create ?(config = Config.default) ?dist ?noise
     dist;
     dist_int;
     scoring_mode = scoring;
-    trial_mode;
+    trial_domains;
     race;
     fixed_initial = Option.map Mapping.copy initial;
     dag_forward = None;

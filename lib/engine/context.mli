@@ -65,7 +65,9 @@ type t = {
   scoring_mode : Sabre_core.Routing_pass.scoring_mode;
       (** candidate-scoring strategy handed to the router (default
           [Delta]; output is bit-identical either way) *)
-  trial_mode : Trial_runner.mode;
+  trial_domains : int;
+      (** domains the routing pass spreads trials over ({!Scheduler.run});
+          1, the default, routes them on the calling domain *)
   race : Race.t option;
       (** cooperative cancel/prune token; routers that support it
           install {!Race.hook} into their decision loops *)
@@ -90,7 +92,7 @@ val create :
   ?config:Config.t ->
   ?dist:float array array ->
   ?noise:Noise.t ->
-  ?trial_mode:Trial_runner.mode ->
+  ?trial_domains:int ->
   ?race:Race.t ->
   ?initial:Mapping.t ->
   ?instrument:Instrument.t ->

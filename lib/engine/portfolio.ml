@@ -272,7 +272,7 @@ let objective_value objective m =
     | None -> invalid_arg "Portfolio.objective_value: no success probability")
 
 (* strict improvement only: ties keep the earlier entry, the same
-   first-best-wins rule Trial_runner.best applies to trials *)
+   first-best-wins rule of Scheduler.best *)
 let better objective (_, a) (_, b) =
   match (a, b) with
   | Ok a, Ok b -> objective_value objective a < objective_value objective b
@@ -352,8 +352,8 @@ let run ?(domains = 1) ?(objective = Swaps) ?(config = Config.default) ?noise
     let cache_spec = if cache then Some (entry_name e) else None in
     let outcome =
       match
-        Context.create ~config ~trial_mode:Trial_runner.Sequential ?noise
-          ?race:tokens.(i) ~instrument ?cache_spec coupling circuit
+        Context.create ~config ?noise ?race:tokens.(i) ~instrument
+          ?cache_spec coupling circuit
         |> Pipeline.run ~instrument
              (Pipeline.default ~router
                 ~initial_strategy:(Initial_mapping_pass.Seeded seeder) ~verify
@@ -434,7 +434,7 @@ let run ?(domains = 1) ?(objective = Swaps) ?(config = Config.default) ?noise
       if entry_stats.(i).e_cancelled then count "cancelled" 1)
     outcomes;
   let indexed = Array.mapi (fun i o -> (i, o)) outcomes in
-  let winner_i, winner = Trial_runner.best ~better:(better objective) indexed in
+  let winner_i, winner = Scheduler.best ~better:(better objective) indexed in
   (match winner with
   | Ok _ -> ()
   | Error _ ->

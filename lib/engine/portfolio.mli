@@ -15,7 +15,7 @@ module Stats = Sabre_core.Stats
     ["reverse-traversal"]) — with trials sequential inside each entry,
     so the only parallelism is across entries and the outcome array is
     byte-identical at any domain count. The winner is the entry whose
-    objective value is lowest, chosen with {!Trial_runner.best}'s
+    objective value is lowest, chosen with {!Scheduler.best}'s
     first-best-wins tie-break: the earliest listed entry wins ties,
     whatever the schedule was.
 

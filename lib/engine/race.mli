@@ -15,7 +15,7 @@
       because it provably cannot be selected as the winner.
 
     {b Why pruning preserves the winner bit for bit.} Winner selection
-    ({!Trial_runner.best} over entry outcomes) minimises the pair
+    ({!Scheduler.best} over entry outcomes) minimises the pair
     (objective value, entry index) lexicographically — strict
     improvement wins, ties keep the earliest entry. That pair is packed
     into a single integer (value in the high bits, index in the low

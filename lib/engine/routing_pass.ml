@@ -32,9 +32,7 @@ let route ~instrument ~router (ctx : Context.t) =
      one domain (the token's trial bookkeeping is entry-local); the
      portfolio always races with sequential trials. *)
   let race =
-    match ctx.race with
-    | Some r when ctx.trial_mode = Trial_runner.Sequential -> Some r
-    | _ -> None
+    match ctx.race with Some r when ctx.trial_domains = 1 -> Some r | _ -> None
   in
   let n_trials = Array.length mappings in
   let jobs =
@@ -55,8 +53,8 @@ let route ~instrument ~router (ctx : Context.t) =
         o)
       mappings
   in
-  let outcomes = Trial_runner.map ~mode:ctx.trial_mode jobs in
-  let best = Trial_runner.best ~better:(better ~noise:ctx.noise) outcomes in
+  let outcomes = Scheduler.run ~domains:ctx.trial_domains jobs in
+  let best = Scheduler.best ~better:(better ~noise:ctx.noise) outcomes in
   let sum f = Array.fold_left (fun acc o -> acc + f o) 0 outcomes in
   let scoring =
     Array.fold_left

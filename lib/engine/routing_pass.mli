@@ -1,9 +1,9 @@
 (** The routing stage: drive a {!Router} over every trial seed and keep
     the best attempt.
 
-    Trials are evaluated by {!Trial_runner} in the context's trial mode
-    (sequentially or across Domains) and reduced in trial order by the
-    paper's ranking: fewest inserted SWAPs, ties broken by routed depth
+    Trials are evaluated by {!Scheduler.run} over the context's
+    [trial_domains] and reduced in trial order ({!Scheduler.best}) by
+    the paper's ranking: fewest inserted SWAPs, ties broken by routed depth
     — or, when the context carries a noise model, highest estimated
     success probability (Section VI). Deterministic routers (greedy,
     BKA) run a single trial. *)

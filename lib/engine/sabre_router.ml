@@ -48,7 +48,7 @@ let route (ctx : Context.t) ~initial =
     | Some r -> Race.note_traversal r ~final:(i = total)
     | None -> ());
     let r =
-      Routing.run_with_scratch ~scratch ~dist:ctx.dist ?dist_int:ctx.dist_int
+      Routing.run ~scratch ~dist:ctx.dist ?dist_int:ctx.dist_int
         ~scoring:ctx.scoring_mode ?hook ctx.config ctx.coupling oriented
         mapping
     in

@@ -147,3 +147,14 @@ let run_cancellable ?(chunk = 1) ~cancelled ~domains jobs =
       results
     end
   end
+
+let best ~better = function
+  | [||] -> invalid_arg "Scheduler.best: no results"
+  | results ->
+    (* left-to-right, strict improvement only: ties keep the earliest
+       result, so any domain count picks the same winner *)
+    let acc = ref results.(0) in
+    for i = 1 to Array.length results - 1 do
+      if better results.(i) !acc then acc := results.(i)
+    done;
+    !acc

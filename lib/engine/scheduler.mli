@@ -49,6 +49,13 @@ val run :
     domain with no spawning. [chunk] overrides {!default_chunk} and is
     clamped to at least 1. Exceptions propagate as documented above. *)
 
+val best : better:('a -> 'a -> bool) -> 'a array -> 'a
+(** Left fold keeping the first element when [better] ties — the
+    reduction order of a sequential loop over {!run}'s input-ordered
+    results, so every domain count picks the same winner ("first best
+    wins"). [better a b] must mean "[a] is strictly better than [b]".
+    Raises [Invalid_argument] on an empty array. *)
+
 val run_report :
   ?chunk:int -> domains:int -> (unit -> 'a) array -> 'a report
 (** Like {!run}, also returning per-domain counters. When the pool ran

@@ -13,8 +13,7 @@ type report = {
   wall_s : float;
 }
 
-let run ?(config = Config.default) ?initial ?retire ~n_qubits ~sink coupling
-    source =
+let run ?(config = Config.default) ?retire ~n_qubits ~sink coupling source =
   (match Config.validate config with
   | Ok () -> ()
   | Error msg -> invalid_arg ("Stream_pass.run: " ^ msg));
@@ -23,11 +22,7 @@ let run ?(config = Config.default) ?initial ?retire ~n_qubits ~sink coupling
     invalid_arg
       (Printf.sprintf "Stream_pass.run: stream needs %d qubits, device has %d"
          n_qubits n_physical);
-  let initial =
-    match initial with
-    | Some m -> m
-    | None -> Mapping.identity ~n_logical:n_qubits ~n_physical
-  in
+  let initial = Mapping.identity ~n_logical:n_qubits ~n_physical in
   let dist, dist_int, _ = Hardware.Dist_cache.lookup_all coupling in
   let t0 = Unix.gettimeofday () in
   let result =

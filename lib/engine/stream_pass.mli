@@ -1,6 +1,5 @@
 module Coupling = Hardware.Coupling
 module Config = Sabre_core.Config
-module Mapping = Sabre_core.Mapping
 module Routing_pass = Sabre_core.Routing_pass
 
 (** Streaming compilation: QASM file in, routed QASM file out, in
@@ -12,7 +11,7 @@ module Routing_pass = Sabre_core.Routing_pass
     {!Quantum.Qasm_stream} frontend, emitting each routed gate to a
     sink the moment it is decided. The emitted gate sequence is
     byte-identical to materialising the circuit and routing it with
-    {!Sabre_core.Routing_pass.run_flat} from the same mapping. What
+    {!Sabre_core.Routing_pass.run} from the same mapping. What
     streaming gives up is the initial-mapping search (trials ×
     bidirectional traversals), which inherently needs the whole
     circuit. *)
@@ -26,7 +25,6 @@ type report = {
 
 val run :
   ?config:Config.t ->
-  ?initial:Mapping.t ->
   ?retire:int array ->
   n_qubits:int ->
   sink:(Quantum.Gate.t -> unit) ->
@@ -34,8 +32,8 @@ val run :
   (unit -> Quantum.Gate.t option) ->
   report
 (** [run ~n_qubits ~sink coupling source] stream-routes the gate
-    stream. [initial] defaults to the identity placement; [retire] is
-    the per-qubit last-use schedule bounding the window (see
+    stream from the identity placement; [retire] is the per-qubit
+    last-use schedule bounding the window (see
     {!Sabre_core.Routing_pass.run_streaming}); the distance matrices
     come from {!Hardware.Dist_cache}. [n_clbits] in the report is 0
     (a raw gate stream carries no classical-register information).

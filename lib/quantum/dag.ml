@@ -575,7 +575,6 @@ module Window = struct
   let seq t s = t.seq.(s)
   let pair_q1 t s = t.pq1.(s)
   let pair_q2 t s = t.pq2.(s)
-  let is_two_qubit_node t s = t.pq1.(s) >= 0
 
   (* visit stamps for lookahead BFS: slot reuse clears the stamp, and
      router generations only grow, so stale stamps never collide *)

@@ -157,7 +157,6 @@ module Window : sig
 
   val pair_q1 : t -> int -> int
   val pair_q2 : t -> int -> int
-  val is_two_qubit_node : t -> int -> bool
 
   val mark_visited : t -> int -> int -> bool
   (** [mark_visited t s gen] — first visit of [s] in generation [gen]?

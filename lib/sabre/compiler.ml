@@ -17,7 +17,7 @@ let validate config =
   | Error msg -> invalid_arg ("Sabre.Compiler: " ^ msg)
 
 let finish t0 ctx =
-  let time_s = Sys.time () -. t0 in
+  let time_s = Unix.gettimeofday () -. t0 in
   let r = Engine.Context.routed_exn ctx in
   {
     physical = r.Engine.Context.physical;
@@ -28,7 +28,7 @@ let finish t0 ctx =
 
 let run ?(config = Config.default) ?dist ?noise coupling circuit =
   validate config;
-  let t0 = Sys.time () in
+  let t0 = Unix.gettimeofday () in
   Engine.Context.create ~config ?dist ?noise coupling circuit
   |> Engine.Pipeline.run (Engine.Pipeline.default ())
   |> finish t0
@@ -36,7 +36,7 @@ let run ?(config = Config.default) ?dist ?noise coupling circuit =
 let route_with_initial ?(config = Config.default) ?dist coupling circuit
     initial =
   validate config;
-  let t0 = Sys.time () in
+  let t0 = Unix.gettimeofday () in
   (* the historical contract: exactly one forward traversal, no trials *)
   let config = { config with Config.trials = 1; traversals = 1 } in
   Engine.Context.create ~config ?dist ~initial coupling circuit

@@ -52,4 +52,6 @@ val route_with_initial :
   Coupling.t -> Circuit.t -> Mapping.t -> result
 (** Single forward traversal from a caller-supplied initial mapping (no
     trials, no reverse traversal) — the building block exposed for
-    ablation studies and for the paper's [g_la] first-traversal column. *)
+    ablation studies and for the paper's [g_la] first-traversal column.
+    Raises [Invalid_argument] as {!run} does, and when the mapping is
+    sized for a device of another width. *)

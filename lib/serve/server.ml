@@ -298,8 +298,7 @@ let compile_request t ?should_stop (c : Protocol.compile) : Protocol.response =
       in
       let resp =
         match
-          Engine.Context.create ~config
-            ~trial_mode:Engine.Trial_runner.Sequential ?race ?cache_spec
+          Engine.Context.create ~config ?race ?cache_spec
             ~instrument:t.instrument device circuit
           |> Engine.Pipeline.run ~instrument:t.instrument
                (Engine.Pipeline.default ~router ~verify:true ())

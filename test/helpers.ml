@@ -32,3 +32,8 @@ let assert_compiler_result ?simulate_up_to ~coupling ~logical
    some single-qubit gates, uniform qubit choice. *)
 let random_circuit ~seed ~n ~gates =
   Workloads.Random_reversible.circuit ~seed ~hot_bias:0.0 ~n ~gates ()
+
+let contains ~sub s =
+  let n = String.length s and m = String.length sub in
+  let rec at i = i + m <= n && (String.sub s i m = sub || at (i + 1)) in
+  at 0

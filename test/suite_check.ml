@@ -64,6 +64,21 @@ let test_instance_of_seed_deterministic () =
     || Coupling.edges a.Generators.coupling
        <> Coupling.edges c.Generators.coupling)
 
+let test_instances_reach_fallback () =
+  (* the generated stall limits drive some instances into the
+     anti-livelock fallback, so every differential property checks that
+     path alongside the heuristic one *)
+  let reaches seed =
+    let i = Generators.instance_of_seed seed in
+    let r =
+      Sabre.Compiler.run ~config:i.Generators.config i.Generators.coupling
+        i.Generators.circuit
+    in
+    r.Sabre.Compiler.stats.Sabre.Stats.fallback_swaps > 0
+  in
+  check Alcotest.bool "some instance reaches the fallback" true
+    (List.exists reaches (List.init 100 Fun.id))
+
 (* ------------------------------------------------------------------ *)
 (* Shrinker contract                                                   *)
 (* ------------------------------------------------------------------ *)
@@ -283,6 +298,8 @@ let suite =
   @ [
       tc "instance_of_seed is deterministic" `Quick
         test_instance_of_seed_deterministic;
+      tc "generated instances reach the fallback" `Quick
+        test_instances_reach_fallback;
       tc "shrinker: smaller-or-equal and still failing" `Quick
         test_shrink_smaller_and_still_failing;
       tc "shrinker: keeps irreducible circuit" `Quick

@@ -145,6 +145,38 @@ let test_all_devices_smoke () =
         ~logical:c r name)
     Devices.all_named
 
+(* [Stats.time_s] is wall time. A second domain burning CPU for the
+   whole compilation must not inflate it: CPU time summed over the
+   process's domains would exceed the wall time around the call wherever
+   the two domains really run in parallel. *)
+let test_time_s_is_wall_time () =
+  let device = Devices.ibm_q20_tokyo () in
+  let c = Workloads.Qft.circuit 12 in
+  let started = Atomic.make false and stop = Atomic.make false in
+  let spinner =
+    Domain.spawn (fun () ->
+        Atomic.set started true;
+        while not (Atomic.get stop) do
+          ()
+        done)
+  in
+  while not (Atomic.get started) do
+    Domain.cpu_relax ()
+  done;
+  let t0 = Unix.gettimeofday () in
+  let r =
+    Fun.protect
+      ~finally:(fun () ->
+        Atomic.set stop true;
+        Domain.join spinner)
+      (fun () -> Compiler.run ~config:{ Config.default with trials = 8 } device c)
+  in
+  let wall = Unix.gettimeofday () -. t0 in
+  check Alcotest.bool
+    (Printf.sprintf "time_s %.3f s <= wall %.3f s" r.stats.time_s wall)
+    true
+    (r.stats.time_s <= wall)
+
 let suite =
   [
     tc "end to end on Tokyo" `Quick test_end_to_end_tokyo;
@@ -158,6 +190,8 @@ let suite =
     tc "rejects disconnected device" `Quick test_rejects_disconnected_device;
     tc "rejects invalid config" `Quick test_rejects_invalid_config;
     tc "stats depths" `Quick test_stats_depths;
+    tc "time_s is wall time beside a busy domain" `Quick
+      test_time_s_is_wall_time;
     tc "expanded swaps stay compliant" `Quick test_expand_swaps_compliant;
     tc "all devices smoke" `Slow test_all_devices_smoke;
   ]

@@ -98,13 +98,13 @@ let test_golden_route_with_initial () =
     "213d890016d2ebb9d539c973b4839d3a" (fingerprint r)
 
 (* ------------------------------------------------------------------ *)
-(* Trial runner: sequential and Domain-parallel pick the same winner   *)
+(* Trials: sequential and Domain-parallel pick the same winner          *)
 (* ------------------------------------------------------------------ *)
 
-let run_mode mode =
+let run_domains trial_domains =
   let device = Devices.ibm_q20_tokyo () in
   let c = Helpers.random_circuit ~seed:7 ~n:12 ~gates:150 in
-  let ctx = Engine.Context.create ~trial_mode:mode device c in
+  let ctx = Engine.Context.create ~trial_domains device c in
   let ctx = Engine.Pipeline.run (Engine.Pipeline.default ()) ctx in
   (c, ctx)
 
@@ -120,8 +120,8 @@ let stats_equal_sans_time (a : Sabre.Stats.t) (b : Sabre.Stats.t) =
   && a.first_traversal_swaps = b.first_traversal_swaps
 
 let test_parallel_trials_same_winner () =
-  let _, seq = run_mode Engine.Trial_runner.Sequential in
-  let _, par = run_mode (Engine.Trial_runner.Domains 4) in
+  let _, seq = run_domains 1 in
+  let _, par = run_domains 4 in
   let rs = Engine.Context.routed_exn seq
   and rp = Engine.Context.routed_exn par in
   check Alcotest.bool "same routed circuit" true
@@ -135,7 +135,7 @@ let test_parallel_trials_same_winner () =
        (Engine.Context.stats par ~time_s:0.0))
 
 let test_parallel_result_verifies () =
-  let c, par = run_mode (Engine.Trial_runner.Domains 3) in
+  let c, par = run_domains 3 in
   let r = Engine.Context.routed_exn par in
   Helpers.assert_routed ~coupling:(Devices.ibm_q20_tokyo ())
     ~initial:(Mapping.l2p_array r.Engine.Context.trial_initial)
@@ -239,18 +239,13 @@ let test_router_registry_miss () =
       check Alcotest.bool (n ^ " registered") true (List.mem n names))
     [ "sabre"; "greedy"; "bka" ]
 
-let contains ~sub s =
-  let n = String.length s and m = String.length sub in
-  let rec at i = i + m <= n && (String.sub s i m = sub || at (i + 1)) in
-  at 0
-
 let expect_invalid_arg ~substring f =
   match f () with
   | _ -> Alcotest.failf "expected Invalid_argument (%s)" substring
   | exception Invalid_argument msg ->
     check Alcotest.bool
       (Printf.sprintf "%S mentions %S" msg substring)
-      true (contains ~sub:substring msg)
+      true (Helpers.contains ~sub:substring msg)
 
 let test_context_rejects_invalid_config () =
   let device = Devices.ibm_q5_yorktown () in
@@ -281,7 +276,7 @@ let test_routing_pass_requires_initial_mapping () =
   | _ -> Alcotest.fail "routing without an initial mapping succeeded"
   | exception Engine.Router.Route_failed msg ->
     check Alcotest.bool "mentions the missing pass" true
-      (contains ~sub:"Initial_mapping_pass" msg)
+      (Helpers.contains ~sub:"Initial_mapping_pass" msg)
 
 let test_routed_exn_before_routing () =
   let ctx =

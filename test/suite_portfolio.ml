@@ -250,7 +250,7 @@ let test_winner_never_loses_to_sabre () =
 
 let test_first_best_tie_break () =
   (* a circuit needing no swaps: every entry ties at 0, so the first
-     entry must win — the Trial_runner.best contract made observable *)
+     entry must win — the Scheduler.best contract made observable *)
   let circuit =
     Circuit.create ~n_qubits:2
       [ Quantum.Gate.Cnot (0, 1); Quantum.Gate.Single (Quantum.Gate.H, 0) ]

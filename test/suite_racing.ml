@@ -38,7 +38,7 @@ let fixed_initial coupling circuit =
     ~n_physical:(Coupling.n_qubits coupling)
 
 let route_fresh ?hook coupling circuit initial =
-  Routing_pass.run_flat ?hook Config.default coupling
+  Routing_pass.run ?hook Config.default coupling
     (Dag.of_circuit circuit) initial
 
 let results_equal (a : Routing_pass.result) (b : Routing_pass.result) =
@@ -114,13 +114,13 @@ let test_cancelled_scratch_reusable () =
         }
       in
       (match
-         Routing_pass.run_with_scratch ~scratch ~hook Config.default ring
+         Routing_pass.run ~scratch ~hook Config.default ring
            (Dag.of_circuit busy_circuit) initial
        with
       | _ -> Alcotest.failf "no Cancelled at stop_after=%d" stop_after
       | exception Routing_pass.Cancelled -> ());
       let again =
-        Routing_pass.run_with_scratch ~scratch Config.default ring
+        Routing_pass.run ~scratch Config.default ring
           (Dag.of_circuit busy_circuit) initial
       in
       check Alcotest.bool

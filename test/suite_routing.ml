@@ -166,6 +166,49 @@ let test_rejects_mapping_arity_mismatch () =
     | exception Invalid_argument _ -> true
     | _ -> false)
 
+(* An initial mapping sized for another device is rejected at entry, by
+   a message naming both widths, whichever entry point receives it:
+   one wider than the device with every qubit placed on the device, one
+   placing a qubit off the device, and one narrower than the device. *)
+let check_rejects_foreign_mapping route =
+  let device = Devices.linear 4 in
+  let c = Circuit.create ~n_qubits:2 [ Gate.Cnot (0, 1) ] in
+  List.iter
+    (fun (n_physical, l2p) ->
+      let m = Mapping.of_array ~n_physical l2p in
+      let expected =
+        Printf.sprintf "%d physical qubits, device has 4" n_physical
+      in
+      match route device c m with
+      | () -> Alcotest.failf "routed a mapping for %d physical qubits" n_physical
+      | exception Invalid_argument msg ->
+        check Alcotest.bool
+          (Printf.sprintf "%S names both widths" msg)
+          true
+          (Helpers.contains ~sub:expected msg))
+    [ (8, [| 0; 3 |]); (8, [| 6; 1 |]); (3, [| 0; 2 |]) ]
+
+let test_rejects_foreign_mapping_run () =
+  check_rejects_foreign_mapping (fun device c m ->
+      ignore (Routing_pass.run single_pass device (Dag.of_circuit c) m))
+
+let test_rejects_foreign_mapping_streaming () =
+  check_rejects_foreign_mapping (fun device c m ->
+      let rest = ref (Circuit.gates c) in
+      let source () =
+        match !rest with
+        | [] -> None
+        | g :: tl ->
+          rest := tl;
+          Some g
+      in
+      ignore
+        (Routing_pass.run_streaming ~sink:ignore single_pass device source m))
+
+let test_rejects_foreign_mapping_route_with_initial () =
+  check_rejects_foreign_mapping (fun device c m ->
+      ignore (Sabre.Compiler.route_with_initial device c m))
+
 let test_decay_zero_equals_lookahead () =
   (* with δ = 0 every decay factor stays 1.0, so the Decay heuristic must
      reproduce the Lookahead heuristic exactly *)
@@ -332,7 +375,7 @@ let test_incidence_rebuild_invalidation () =
   check Alcotest.int "invalidated" (-1) (I.generation idx)
 
 let route_mode ~scoring ?(config = single_pass) coupling dag mapping =
-  Routing_pass.run_flat ~scoring config coupling dag mapping
+  Routing_pass.run ~scoring config coupling dag mapping
 
 let assert_modes_agree ?config device c m label =
   let dag = Dag.of_circuit c in
@@ -422,11 +465,11 @@ let test_non_integer_metric_falls_back_to_full () =
   let m = Mapping.identity ~n_logical:5 ~n_physical:n in
   let dag = Dag.of_circuit c in
   let a =
-    Routing_pass.run_flat ~dist ~scoring:Routing_pass.Delta single_pass device
+    Routing_pass.run ~dist ~scoring:Routing_pass.Delta single_pass device
       dag m
   in
   let b =
-    Routing_pass.run_flat ~dist ~scoring:Routing_pass.Full single_pass device
+    Routing_pass.run ~dist ~scoring:Routing_pass.Full single_pass device
       dag m
   in
   check Alcotest.bool "identical circuits" true
@@ -445,7 +488,7 @@ let test_mismatched_dist_int_rejected () =
   let m = Mapping.identity ~n_logical:4 ~n_physical:4 in
   let dag = Dag.of_circuit c in
   check Alcotest.bool "raises on disagreement" true
-    (match Routing_pass.run_flat ~dist ~dist_int single_pass device dag m with
+    (match Routing_pass.run ~dist ~dist_int single_pass device dag m with
     | exception Invalid_argument _ -> true
     | _ -> false)
 
@@ -464,6 +507,12 @@ let suite =
     tc "wider device than circuit" `Quick test_wider_device_than_circuit;
     tc "rejects too-wide circuit" `Quick test_rejects_too_wide_circuit;
     tc "rejects mapping arity mismatch" `Quick test_rejects_mapping_arity_mismatch;
+    tc "rejects foreign-width mapping: run" `Quick
+      test_rejects_foreign_mapping_run;
+    tc "rejects foreign-width mapping: run_streaming" `Quick
+      test_rejects_foreign_mapping_streaming;
+    tc "rejects foreign-width mapping: route_with_initial" `Quick
+      test_rejects_foreign_mapping_route_with_initial;
     tc "decay(0) = lookahead" `Quick test_decay_zero_equals_lookahead;
     tc "decay knob has effect" `Quick test_decay_knob_has_effect;
     tc "stall fallback terminates" `Quick test_stall_fallback_terminates;

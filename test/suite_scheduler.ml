@@ -1,14 +1,13 @@
-(* Scheduler (domain pool over a shared atomic queue) and the
-   Trial_runner winner reduction.
+(* Scheduler (domain pool over a shared atomic queue) and its winner
+   reduction.
 
    The determinism contract under test: whatever the claim interleaving,
    results come back in input order, every thunk runs exactly once, the
-   lowest-indexed failure is the one re-raised, and [Trial_runner.best]
+   lowest-indexed failure is the one re-raised, and [Scheduler.best]
    keeps the first of equally good candidates — together these make a
    multi-domain run observationally identical to a sequential loop. *)
 
 module Scheduler = Engine.Scheduler
-module Trial_runner = Engine.Trial_runner
 
 let check = Alcotest.check
 let tc = Alcotest.test_case
@@ -106,19 +105,19 @@ let test_domains_clamped_to_jobs () =
   check Alcotest.bool "worker count clamped" true (Array.length stats <= 3)
 
 (* ------------------------------------------------------------------ *)
-(* Trial_runner                                                        *)
+(* Trial reduction                                                     *)
 (* ------------------------------------------------------------------ *)
 
 let test_map_modes_agree () =
   let jobs = Array.init 23 (fun i -> (fun () -> 3 * i)) in
-  let seq = Trial_runner.map ~mode:Trial_runner.Sequential jobs in
+  let seq = Array.map (fun f -> f ()) jobs in
   List.iter
     (fun d ->
       check
         (Alcotest.array Alcotest.int)
-        (Printf.sprintf "Domains %d = Sequential" d)
+        (Printf.sprintf "%d domains = sequential loop" d)
         seq
-        (Trial_runner.map ~mode:(Trial_runner.Domains d) jobs))
+        (Scheduler.run ~domains:d jobs))
     [ 1; 2; 4 ]
 
 let test_best_first_wins_on_tie () =
@@ -127,21 +126,17 @@ let test_best_first_wins_on_tie () =
      reduction that makes parallel trial runs reproducible *)
   let better (a, _) (b, _) = a < b in
   let score, tag =
-    Trial_runner.best ~better
+    Scheduler.best ~better
       [| (5, "a"); (3, "first-best"); (3, "later-tie"); (7, "d"); (3, "e") |]
   in
   check Alcotest.int "winning score" 3 score;
   check Alcotest.string "first best wins" "first-best" tag;
-  let _, tag = Trial_runner.best ~better [| (1, "only") |] in
+  let _, tag = Scheduler.best ~better [| (1, "only") |] in
   check Alcotest.string "singleton" "only" tag;
   check Alcotest.bool "empty array rejected" true
-    (match Trial_runner.best ~better [||] with
+    (match Scheduler.best ~better [||] with
     | _ -> false
     | exception Invalid_argument _ -> true)
-
-let test_default_domains_positive () =
-  check Alcotest.bool "default_domains >= 1" true
-    (Trial_runner.default_domains () >= 1)
 
 let suite =
   [
@@ -155,5 +150,4 @@ let suite =
     tc "domains clamped to job count" `Quick test_domains_clamped_to_jobs;
     tc "trial map modes agree" `Quick test_map_modes_agree;
     tc "best: first best wins on ties" `Quick test_best_first_wins_on_tie;
-    tc "default_domains positive" `Quick test_default_domains_positive;
   ]

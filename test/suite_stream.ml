@@ -159,7 +159,7 @@ let test_window_rejects_self_pair () =
   | exception Invalid_argument _ -> ()
 
 (* ------------------------------------------------------------------ *)
-(* run_streaming = run_flat, named rows + golden digests               *)
+(* run_streaming = run, named rows + golden digests                    *)
 (* ------------------------------------------------------------------ *)
 
 let stream_route ?retire ~config ~scoring coupling circuit initial =
@@ -217,7 +217,7 @@ let test_streaming_equals_materialised () =
       List.iter
         (fun scoring ->
           let m =
-            Routing_pass.run_flat ~scoring config coupling
+            Routing_pass.run ~scoring config coupling
               (Dag.of_circuit circuit) initial
           in
           let expected = Circuit.gates m.Routing_pass.physical in
@@ -576,7 +576,7 @@ let test_route_file_matches_materialised () =
         in
         let parsed_back = Qasm.of_file input in
         let m =
-          Routing_pass.run_flat Config.default tokyo
+          Routing_pass.run Config.default tokyo
             (Dag.of_circuit parsed_back) initial
         in
         check Alcotest.bool "routed file = materialised route" true
@@ -687,7 +687,7 @@ let suite =
       test_window_rejects_out_of_range;
     tc "window rejects two-qubit gates on one qubit" `Quick
       test_window_rejects_self_pair;
-    tc "run_streaming = run_flat on named rows" `Quick
+    tc "run_streaming = run, named rows" `Quick
       test_streaming_equals_materialised;
     tc "streamed golden digests" `Quick test_stream_goldens;
     tc "routed peak window plateaus" `Quick
