@@ -147,7 +147,7 @@ let cmd =
       `S Manpage.s_examples;
       `Pre
         "  sabre_serve --socket /tmp/sabre.sock --domains 4\n\
-        \  printf '{\"kind\":\"ping\",\"id\":\"x\"}\\n' | nc -U /tmp/sabre.sock";
+        \  printf '{\"kind\":\"ping\",\"id\":\"x\"}\\\\n' | nc -U /tmp/sabre.sock";
     ]
   in
   Cmd.v

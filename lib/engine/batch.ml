@@ -118,18 +118,14 @@ let rename name : outcome -> outcome = function
 
 let compile_many ?(config = Config.default) ?(router = Sabre_router.router)
     ?portfolio ?(domains = 1) ?(verify = false) ?(race = false)
-    ?(cache = false) ?(dedup = true) ?(instrument = Instrument.null) coupling
-    jobs =
+    ?(cache = false) ?(instrument = Instrument.null) coupling jobs =
   (match Config.validate config with
   | Ok () -> ()
   | Error msg -> invalid_arg ("Engine.Batch: " ^ msg));
   (* Warm the device-keyed distance cache once on the calling domain so
      workers start from a hit instead of racing on the first miss. *)
   ignore (Hardware.Dist_cache.hop_distances coupling);
-  let unique_jobs, owner =
-    if dedup then dedup_plan jobs
-    else (jobs, Array.init (Array.length jobs) Fun.id)
-  in
+  let unique_jobs, owner = dedup_plan jobs in
   let thunks =
     match portfolio with
     | Some (entries, objective) ->

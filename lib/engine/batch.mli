@@ -52,7 +52,6 @@ val compile_many :
   ?verify:bool ->
   ?race:bool ->
   ?cache:bool ->
-  ?dedup:bool ->
   ?instrument:Instrument.t ->
   Coupling.t ->
   job array ->
@@ -74,13 +73,13 @@ val compile_many :
     {!Compile_cache}: results previously routed for the same
     [(circuit, device, config, router/entry, scoring)] key — in this
     batch, an earlier batch, or any other entry point — come back as
-    O(1) hits, byte-identical to a fresh route. [dedup] (default
-    [true]) collapses manifest rows with byte-identical circuits before
+    O(1) hits, byte-identical to a fresh route.
+
+    Rows with byte-identical circuits are always collapsed before
     scheduling: the representative routes once and every duplicate
     receives the same outcome (success or error) under its own name, in
-    the original order — [domain_stats] then counts scheduled unique
-    jobs, not manifest rows. Both are pure perf knobs: reported
-    outcomes are byte-identical either way.
+    the original order — [domain_stats] counts scheduled unique jobs,
+    not manifest rows.
 
     [instrument] receives every
     job's pass events and must be domain-safe when [domains > 1]

@@ -151,27 +151,6 @@ let compute_distances g =
   done;
   d
 
-(* The paper's original O(N³) all-pairs algorithm (Section IV-A), kept
-   as the differential-testing reference for the BFS implementation
-   above; not used on any production path. *)
-let floyd_warshall g =
-  let d = Array.make_matrix g.n g.n infinity_dist in
-  for i = 0 to g.n - 1 do
-    d.(i).(i) <- 0;
-    List.iter (fun j -> d.(i).(j) <- 1) g.adj.(i)
-  done;
-  for k = 0 to g.n - 1 do
-    for i = 0 to g.n - 1 do
-      let dik = d.(i).(k) in
-      if dik < infinity_dist then
-        for j = 0 to g.n - 1 do
-          let through = dik + d.(k).(j) in
-          if through < d.(i).(j) then d.(i).(j) <- through
-        done
-    done
-  done;
-  d
-
 let distance_matrix g =
   match g.dist with
   | Some d -> d

@@ -58,11 +58,6 @@ val distance_matrix : t -> int array array
     graph value and cached; see {!Dist_cache} for the cross-instance,
     device-keyed cache. *)
 
-val floyd_warshall : t -> int array array
-(** The paper's original O(N³) Floyd–Warshall all-pairs algorithm, kept
-    as a differential-testing reference for {!distance_matrix}. Not
-    cached; do not use on a hot path. *)
-
 val digest : t -> string
 (** Canonical hex digest of the device: qubit count plus the normalised
     sorted edge list. Equal exactly when two graphs have the same vertex

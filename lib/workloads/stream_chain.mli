@@ -30,5 +30,5 @@ val last_use : ?seed:int -> n:int -> gates:int -> unit -> int array
 
 val to_qasm_file : ?seed:int -> n:int -> gates:int -> string -> unit
 (** Write the sequence as an OpenQASM file ([qreg q[n]; creg c[1]])
-    gate by gate, in O(1) memory — generator for the CI stream-smoke
-    job's million-gate inputs. *)
+    gate by gate, in O(1) memory — generator for the million-gate
+    inputs of the stream-memory check in [bench/smoke.py]. *)

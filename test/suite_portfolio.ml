@@ -236,17 +236,35 @@ let test_winner_dominates () =
     [ Portfolio.Swaps; Portfolio.Depth; Portfolio.Success_prob ]
 
 let test_winner_never_loses_to_sabre () =
+  (* every router with its native and its iso seeder *)
+  let grid =
+    List.concat_map
+      (fun router ->
+        List.map
+          (fun seeder -> { Portfolio.router; seeder; overrides = [] })
+          [ "reverse-traversal"; "iso" ])
+      [ "sabre"; "hail"; "greedy" ]
+  in
   List.iter
     (fun name ->
       let circuit = zoo_circuit name in
       let plain = Sabre.Compiler.run ~config:Config.default device circuit in
-      let report =
-        Portfolio.run ~config:Config.default device circuit entries
-      in
-      let w = Portfolio.winner_member report in
-      check Alcotest.bool (name ^ ": winner <= plain sabre") true
-        (w.Portfolio.n_swaps <= plain.Sabre.Compiler.stats.Sabre.Stats.n_swaps))
-    zoo
+      List.iter
+        (fun (label, entries) ->
+          let report =
+            Portfolio.run ~config:Config.default device circuit entries
+          in
+          let w = Portfolio.winner_member report in
+          let tag = Printf.sprintf "%s, %s" name label in
+          Helpers.assert_routed ~coupling:device
+            ~initial:(Mapping.l2p_array w.Portfolio.initial)
+            ~final:(Mapping.l2p_array w.Portfolio.final)
+            ~logical:circuit ~physical:w.Portfolio.physical tag;
+          check Alcotest.bool (tag ^ ": winner <= plain sabre") true
+            (w.Portfolio.n_swaps
+            <= plain.Sabre.Compiler.stats.Sabre.Stats.n_swaps))
+        [ ("3 entries", entries); ("6-entry grid", grid) ])
+    (zoo @ [ "ising_model_10" ])
 
 let test_first_best_tie_break () =
   (* a circuit needing no swaps: every entry ties at 0, so the first

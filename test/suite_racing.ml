@@ -318,6 +318,19 @@ let racing_entries =
   | Ok es -> es
   | Error msg -> failwith ("racing spec rejected: " ^ msg)
 
+(* the bench racing section's spec and zoo: its speed floor is measured
+   on the runs whose answers the equivalence test below pins *)
+let bench_entries =
+  match
+    Portfolio.parse_spec
+      "sabre/iso:trials=1,traversals=1,hail,hail/degree,hail/interaction"
+  with
+  | Ok es -> es
+  | Error msg -> failwith ("bench racing spec rejected: " ^ msg)
+
+let bench_zoo =
+  [ "4mod5-v1_22"; "decod24-v2_43"; "4gt13_92"; "qft_10"; "ising_model_10" ]
+
 let outcome_equal a b =
   match (a, b) with
   | Ok (a : Portfolio.member), Ok (b : Portfolio.member) ->
@@ -333,7 +346,7 @@ let test_race_preserves_winner () =
       let circuit = Lazy.force (Workloads.Suite.find name).circuit in
       let run ~race ~domains =
         Portfolio.run ~race ~domains ~config:Config.default device circuit
-          racing_entries
+          bench_entries
       in
       let plain = run ~race:false ~domains:1 in
       check Alcotest.bool (name ^ ": plain run not racing") false
@@ -366,8 +379,8 @@ let test_race_preserves_winner () =
                   (Printf.sprintf "%s: entry %d result unchanged" name i)
                   true (outcome_equal p r))
             raced.Portfolio.outcomes)
-        [ 1; 2 ])
-    [ "4mod5-v1_22"; "qft_10" ]
+        [ 1; 2; 4 ])
+    bench_zoo
 
 let test_hard_cancel_portfolio () =
   (* a pre-fired cancel probe stops every entry before any completes *)

@@ -53,13 +53,13 @@ let rpc path req =
       | Error e -> Alcotest.failf "transport failure: %s" e)
 
 let compile_req ?(id = "x") ?(overrides = P.no_overrides) ?(cache = true)
-    ?deadline_s ?(device = "tokyo") ?(router = "sabre") qasm =
+    ?deadline_s ?(device = "tokyo") ?device_size ?(router = "sabre") qasm =
   P.Compile
     {
       id;
       source = P.Inline qasm;
       device;
-      device_size = None;
+      device_size;
       router;
       overrides;
       cache;
@@ -705,7 +705,6 @@ let zoo_names =
   [ "4mod5-v1_22"; "decod24-v2_43"; "4gt13_92"; "qft_10"; "ising_model_10" ]
 
 let test_byte_identity () =
-  let device = Devices.ibm_q20_tokyo () in
   let texts =
     List.map
       (fun name ->
@@ -717,7 +716,8 @@ let test_byte_identity () =
   let overrides = { P.no_overrides with trials = Some 2 } in
   with_server ~domains:2 (fun path _server ->
       List.iter
-        (fun router_name ->
+        (fun (device_name, device_size, router_name) ->
+          let device = Devices.by_name device_name device_size in
           let router =
             match Engine.Router.find router_name with
             | Some r -> r
@@ -735,10 +735,13 @@ let test_byte_identity () =
           in
           List.iteri
             (fun i (name, text) ->
-              let label = Printf.sprintf "%s/%s" router_name name in
+              let label =
+                Printf.sprintf "%s/%s/%s" device_name router_name name
+              in
               match
                 ( rpc path
-                    (compile_req ~id:label ~overrides ~router:router_name text),
+                    (compile_req ~id:label ~overrides ~device:device_name
+                       ?device_size ~router:router_name text),
                   report.Batch.outcomes.(i) )
               with
               | P.Ok_compiled r, Ok (s : Batch.success) ->
@@ -766,7 +769,13 @@ let test_byte_identity () =
                 Alcotest.failf "%s: unexpected response %s" label
                   (P.encode_response r))
             texts)
-        [ "sabre"; "greedy"; "bka" ])
+        [
+          ("tokyo", None, "sabre");
+          ("tokyo", None, "greedy");
+          ("tokyo", None, "bka");
+          (* a sized device the daemon builds from the request *)
+          ("grid", Some 400, "sabre");
+        ])
 
 let test_path_source_equals_inline () =
   let file = Filename.temp_file "serve_zoo" ".qasm" in

@@ -206,6 +206,10 @@ let equivalence_rows () =
       tokyo,
       Workloads.Stream_chain.circuit ~seed:1 ~n:12 ~gates:600 (),
       Config.default );
+    ( "chain16x50k/tokyo/decay",
+      tokyo,
+      Workloads.Stream_chain.circuit ~n:16 ~gates:50_000 (),
+      Config.default );
   ]
 
 let test_streaming_equals_materialised () =
