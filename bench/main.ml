@@ -11,7 +11,8 @@
    Speed floors (run only when named; each exits 2 when its floor is
    missed):
      scoring     — delta scoring >= 1.3x full recompute on the largest
-                   device of the scaling sweep, with identical routes
+                   device of the scaling sweep, with identical routes;
+                   prints each mode's minor words per decision too
      throughput  — 2-domain batch >= 0.6x sequential with equal SWAP
                    totals; warm distance cache >= 10x cheaper than cold
      racing      — incumbent-bound pruning >= 1.3x on the best circuit
@@ -445,9 +446,9 @@ let scoring () =
   Format.printf
     "@.== Delta scoring: O(Δ) incremental SWAP-candidate evaluation vs \
      full recompute ==@.@.";
-  Format.printf "%-10s %7s %7s %7s | %9s %9s %8s | %11s %11s@." "device"
-    "qubits" "gates" "swaps" "full_s" "delta_s" "speedup" "delta_terms"
-    "full_terms";
+  Format.printf "%-10s %7s %7s %7s | %9s %9s %8s | %9s %9s | %11s %11s@."
+    "device" "qubits" "gates" "swaps" "full_s" "delta_s" "speedup" "full_w/d"
+    "delta_w/d" "delta_terms" "full_terms";
   let largest = ref (0, nan) in
   List.iter
     (fun n_physical ->
@@ -465,11 +466,22 @@ let scoring () =
         Mapping.identity ~n_logical:n ~n_physical:(Coupling.n_qubits dev)
       in
       let config = Sabre.Config.default in
+      (* minor words the timed call allocates: deterministic on one
+         domain, so every repeat reads the same *)
+      let words = ref 0.0 in
       let route mode () =
-        Sabre.Routing_pass.run ~scoring:mode config dev dag m0
+        let w0 = Gc.minor_words () in
+        let r = Sabre.Routing_pass.run ~scoring:mode config dev dag m0 in
+        words := Gc.minor_words () -. w0;
+        r
       in
       let full, t_full = time_min (route Sabre.Routing_pass.Full) in
+      let full_words = !words in
       let delta, t_delta = time_min (route Sabre.Routing_pass.Delta) in
+      let delta_words = !words in
+      let per_decision w (r : Sabre.Routing_pass.result) =
+        w /. float_of_int (max 1 r.scoring.Sabre.Stats.decisions)
+      in
       let name = Printf.sprintf "grid%dx%d" rows cols in
       (* both modes must make byte-identical decisions: this is the
          exactness guarantee the delta scorer is built on — a mismatch
@@ -489,9 +501,13 @@ let scoring () =
       let speedup = t_full /. t_delta in
       if Coupling.n_qubits dev > fst !largest then
         largest := (Coupling.n_qubits dev, speedup);
-      Format.printf "%-10s %7d %7d %7d | %8.3fs %8.3fs %7.2fx | %11d %11d@.%!"
+      Format.printf
+        "%-10s %7d %7d %7d | %8.3fs %8.3fs %7.2fx | %9.0f %9.0f | %11d %11d@.%!"
         name (Coupling.n_qubits dev) gates delta.n_swaps t_full t_delta
-        speedup delta_terms full_terms)
+        speedup
+        (per_decision full_words full)
+        (per_decision delta_words delta)
+        delta_terms full_terms)
     !scaling_sizes;
   check_floor "scoring (delta over full, largest device)" ~bound:1.3
     (snd !largest)

@@ -19,6 +19,14 @@ type result = {
   scoring : Stats.scoring;
 }
 
+type mapping_result = {
+  m_final_mapping : Mapping.t;
+  m_n_swaps : int;
+  m_search_steps : int;
+  m_fallback_swaps : int;
+  m_scoring : Stats.scoring;
+}
+
 type stream_result = {
   s_final_mapping : Mapping.t;
   s_n_swaps : int;
@@ -80,11 +88,7 @@ module Incidence = struct
     t.built_gen <- gen
 
   let degree t q = t.off.(q + 1) - t.off.(q)
-
-  let iter t q f =
-    for s = t.off.(q) to t.off.(q + 1) - 1 do
-      f t.idx.(s)
-    done
+  let slot t q j = t.idx.(t.off.(q) + j)
 end
 
 (* Growable int FIFO: the ready queue and the extended-set BFS both ran
@@ -109,13 +113,16 @@ module Intq = struct
       q.buf <- buf;
       q.head <- 0
     end;
-    q.buf.((q.head + q.len) mod Array.length q.buf) <- x;
+    let cap = Array.length q.buf in
+    let tail = q.head + q.len in
+    q.buf.(if tail >= cap then tail - cap else tail) <- x;
     q.len <- q.len + 1
 
   let pop q =
     if q.len = 0 then invalid_arg "Intq.pop: empty";
     let x = q.buf.(q.head) in
-    q.head <- (q.head + 1) mod Array.length q.buf;
+    let head = q.head + 1 in
+    q.head <- (if head = Array.length q.buf then 0 else head);
     q.len <- q.len - 1;
     x
 end
@@ -181,21 +188,27 @@ module Scratch = struct
     }
 end
 
-(* The circuit a traversal walks, read only through the accessors below.
-   [Eager] is a materialised DAG, with its predecessor counts and BFS
-   stamps borrowed from the scratch. [Streamed] is a window over a gate
-   stream: it releases successors, completes successor sets for the
-   lookahead and stamps visits itself. Both release ready nodes in the
-   same order (see [Dag.Window]), which is why one driver routes both
-   byte for byte alike. *)
+(* The circuit a traversal walks. [Eager] is a materialised DAG, read
+   through its flat arrays, with its predecessor counts and BFS stamps
+   borrowed from the scratch. [Streamed] is a window over a gate stream,
+   read through its accessors: it releases successors, completes
+   successor sets for the lookahead and stamps visits itself. Both
+   release ready nodes in the same order (see [Dag.Window]), which is
+   why one driver routes both byte for byte alike. *)
 type nodes =
-  | Eager of { dag : Dag.t; remaining : int array; visit_stamp : int array }
+  | Eager of {
+      dag : Dag.t;
+      flat : Dag.flat;
+      remaining : int array;
+      visit_stamp : int array;
+    }
   | Streamed of Dag.Window.t
 
 (* Mutable search state for one traversal. *)
 type state = {
   config : Config.t;
   coupling : Coupling.t;
+  cflat : Coupling.flat;  (* the coupling's adjacency and edge arrays *)
   dist : float array;  (* row-major, stride = n_physical *)
   dist_int : int array option;
       (* integer view of [dist]; [Some] engages delta scoring (the
@@ -233,11 +246,15 @@ type state = {
       (* logical→physical view of [mapping], initialised once per run
          and kept in lock-step by [apply_swap]; the full-recompute
          scorer additionally flips/restores it per candidate *)
+  to_physical : int -> int;
+      (* reads [l2p_scratch]: the remap of every emitted gate, built
+         once per run instead of once per gate *)
   (* delta-scoring state: per-logical-qubit incidence over the fq/eq
      pair slots, rebuilt with the front caches *)
   finc : Incidence.t;
   einc : Incidence.t;
-  sink : Gate.t -> unit;  (* receives emitted physical gates in order *)
+  sink : (Gate.t -> unit) option;
+      (* receives emitted physical gates in order; [None] builds none *)
   decay : float array;  (* per physical qubit; 1.0 at rest *)
   mutable steps_since_reset : int;
   mutable stall : int;  (* swaps since the last gate execution *)
@@ -259,12 +276,12 @@ let node_gate st i =
 
 let pair_q1 st i =
   match st.nodes with
-  | Eager e -> Dag.pair_q1 e.dag i
+  | Eager e -> e.flat.pair_q1.(i)
   | Streamed w -> Dag.Window.pair_q1 w i
 
 let pair_q2 st i =
   match st.nodes with
-  | Eager e -> Dag.pair_q2 e.dag i
+  | Eager e -> e.flat.pair_q2.(i)
   | Streamed w -> Dag.Window.pair_q2 w i
 
 let push_ready st i = Intq.push st.ready i
@@ -273,33 +290,13 @@ let push_ready st i = Intq.push st.ready i
    executed join the ready queue, in program order. *)
 let release st i =
   match st.nodes with
-  | Eager { dag; remaining; _ } ->
-    Dag.succ_iter dag i (fun j ->
-        remaining.(j) <- remaining.(j) - 1;
-        if remaining.(j) = 0 then push_ready st j)
+  | Eager { flat; remaining; _ } ->
+    for k = flat.succ_off.(i) to flat.succ_off.(i + 1) - 1 do
+      let j = flat.succ_idx.(k) in
+      remaining.(j) <- remaining.(j) - 1;
+      if remaining.(j) = 0 then push_ready st j
+    done
   | Streamed w -> Dag.Window.execute w i (push_ready st)
-
-(* Apply [f] to every successor of [i], the set complete, for the
-   lookahead BFS. A window admits just enough of the stream first; it
-   is saturated whenever the router is stalled, so those admissions
-   never make a node ready. *)
-let lookahead_iter st i f =
-  match st.nodes with
-  | Eager e -> Dag.succ_iter e.dag i f
-  | Streamed w ->
-    Dag.Window.ensure_successors w i (push_ready st);
-    Dag.Window.succ_iter_seq w i f
-
-(* First visit of [i] in the current BFS generation? Marks it. *)
-let first_visit st i =
-  match st.nodes with
-  | Eager { visit_stamp; _ } ->
-    visit_stamp.(i) <> st.visit_gen
-    && begin
-      visit_stamp.(i) <- st.visit_gen;
-      true
-    end
-  | Streamed w -> Dag.Window.mark_visited w i st.visit_gen
 
 (* Prefix ASAP depth under {!Depth.depth_swap3} weights (Swap 3,
    Barrier 0, else 1), maintained gate by gate over the emitted
@@ -349,8 +346,6 @@ let reset_decay st =
   Array.fill st.decay 0 (Array.length st.decay) 1.0;
   st.steps_since_reset <- 0
 
-let emit st gate = st.sink gate
-
 let front_push st i =
   if st.front_len = Array.length st.front_buf then begin
     let buf = Array.make (2 * st.front_len) 0 in
@@ -365,8 +360,9 @@ let front_push st i =
    and release its successors. A window may reuse [i]'s slot once it is
    released, so the node is read first. *)
 let execute_node st i =
-  let to_physical q = Mapping.to_physical st.mapping q in
-  emit st (Gate.remap to_physical (node_gate st i));
+  (match st.sink with
+  | Some sink -> sink (Gate.remap st.to_physical (node_gate st i))
+  | None -> ());
   let two = pair_q1 st i >= 0 in
   release st i;
   st.stall <- 0;
@@ -375,9 +371,9 @@ let execute_node st i =
 let executable st i =
   let q1 = pair_q1 st i in
   q1 < 0
-  || Coupling.connected st.coupling
-       (Mapping.to_physical st.mapping q1)
-       (Mapping.to_physical st.mapping (pair_q2 st i))
+  ||
+  let l2p = st.l2p_scratch in
+  st.cflat.edge_ids.((l2p.(q1) * st.stride) + l2p.(pair_q2 st i)) >= 0
 
 (* Drain the ready queue and the front layer until no gate can execute.
    Returns once progress stops; the front then holds exactly the blocked
@@ -420,11 +416,61 @@ let advance st =
 
 let ensure_capacity arr len = if Array.length arr < len then Array.make (2 * len) 0 else arr
 
-(* Rebuild the front-pair arrays and the extended set E (Section IV-D:
-   breadth-first successors of the front layer, up to [size] two-qubit
-   gates). Both depend only on front membership — not on π — so they
-   stay valid across every candidate scored and every SWAP applied until
-   a gate executes; [cache_gen] tracks that. *)
+(* The extended set E (Section IV-D): breadth-first successors of the
+   front layer, up to [size] two-qubit gates, in BFS collection order.
+   One loop per node representation, so neither pays a dispatch per
+   node: the eager one reads the DAG's arrays in place; the windowed one
+   admits each node's successor set before expanding it (the window is
+   saturated whenever the router is stalled, so those admissions never
+   make a node ready). *)
+let enqueue_successors bfs (flat : Dag.flat) i =
+  for k = flat.succ_off.(i) to flat.succ_off.(i + 1) - 1 do
+    Intq.push bfs flat.succ_idx.(k)
+  done
+
+let extend_eager st (flat : Dag.flat) visit_stamp size =
+  let gen = st.visit_gen in
+  for r = 0 to st.front_len - 1 do
+    enqueue_successors st.bfs flat st.front_buf.(r)
+  done;
+  while st.elen < size && not (Intq.is_empty st.bfs) do
+    let i = Intq.pop st.bfs in
+    if visit_stamp.(i) <> gen then begin
+      visit_stamp.(i) <- gen;
+      if flat.pair_q1.(i) >= 0 then begin
+        st.eq1.(st.elen) <- flat.pair_q1.(i);
+        st.eq2.(st.elen) <- flat.pair_q2.(i);
+        st.elen <- st.elen + 1
+      end;
+      enqueue_successors st.bfs flat i
+    end
+  done
+
+let extend_streamed st w size =
+  let enqueue j = Intq.push st.bfs j in
+  let expand i =
+    Dag.Window.ensure_successors w i (push_ready st);
+    Dag.Window.succ_iter_seq w i enqueue
+  in
+  for r = 0 to st.front_len - 1 do
+    expand st.front_buf.(r)
+  done;
+  while st.elen < size && not (Intq.is_empty st.bfs) do
+    let i = Intq.pop st.bfs in
+    if Dag.Window.mark_visited w i st.visit_gen then begin
+      if Dag.Window.pair_q1 w i >= 0 then begin
+        st.eq1.(st.elen) <- Dag.Window.pair_q1 w i;
+        st.eq2.(st.elen) <- Dag.Window.pair_q2 w i;
+        st.elen <- st.elen + 1
+      end;
+      expand i
+    end
+  done
+
+(* Rebuild the front-pair arrays and the extended set E. Both depend
+   only on front membership — not on π — so they stay valid across every
+   candidate scored and every SWAP applied until a gate executes;
+   [cache_gen] tracks that. *)
 let rebuild_front_caches st =
   st.fq1 <- ensure_capacity st.fq1 st.front_len;
   st.fq2 <- ensure_capacity st.fq2 st.front_len;
@@ -441,21 +487,9 @@ let rebuild_front_caches st =
     st.eq2 <- ensure_capacity st.eq2 size;
     st.visit_gen <- st.visit_gen + 1;
     Intq.clear st.bfs;
-    let enqueue j = Intq.push st.bfs j in
-    for r = 0 to st.front_len - 1 do
-      lookahead_iter st st.front_buf.(r) enqueue
-    done;
-    while st.elen < size && not (Intq.is_empty st.bfs) do
-      let i = Intq.pop st.bfs in
-      if first_visit st i then begin
-        if pair_q1 st i >= 0 then begin
-          st.eq1.(st.elen) <- pair_q1 st i;
-          st.eq2.(st.elen) <- pair_q2 st i;
-          st.elen <- st.elen + 1
-        end;
-        lookahead_iter st i enqueue
-      end
-    done
+    match st.nodes with
+    | Eager { flat; visit_stamp; _ } -> extend_eager st flat visit_stamp size
+    | Streamed w -> extend_streamed st w size
   end;
   (* Delta scoring: the incidence indices mirror the fq/eq slots just
      rebuilt. Logical-qubit keyed, so they survive applied SWAPs and
@@ -478,25 +512,27 @@ let rebuild_front_caches st =
    mutates, so they are re-marked per decision — but with per-edge
    stamps instead of a hashtable, and the id-order scan replaces the
    sort (edge ids are already the sorted (min,max) order). *)
+let mark_edges_of st stamp q =
+  let { Coupling.adj_off; adj_idx; edge_ids; _ } = st.cflat in
+  let p = st.l2p_scratch.(q) in
+  for k = adj_off.(p) to adj_off.(p + 1) - 1 do
+    st.cand_mark.(edge_ids.((p * st.stride) + adj_idx.(k))) <- stamp
+  done
+
 let mark_candidates st =
   st.cand_gen <- st.cand_gen + 1;
   let stamp = st.cand_gen in
-  let mark_qubit q =
-    let p = Mapping.to_physical st.mapping q in
-    Coupling.neighbors_iter st.coupling p (fun p' ->
-        st.cand_mark.(Coupling.edge_id st.coupling p p') <- stamp)
-  in
   (* reads the fq caches — same pairs, same order as the front deque —
      so the function is independent of how the DAG is represented;
      [choose_and_apply_swap] rebuilds stale caches before marking *)
   for r = 0 to st.flen - 1 do
-    mark_qubit st.fq1.(r);
-    mark_qubit st.fq2.(r)
+    mark_edges_of st stamp st.fq1.(r);
+    mark_edges_of st stamp st.fq2.(r)
   done;
   stamp
 
-let apply_swap st ~fallback (p1, p2) =
-  emit st (Gate.Swap (p1, p2));
+let apply_swap st ~fallback p1 p2 =
+  (match st.sink with Some sink -> sink (Gate.Swap (p1, p2)) | None -> ());
   let l1 = Mapping.to_logical st.mapping p1
   and l2 = Mapping.to_logical st.mapping p2 in
   Mapping.swap_physical_inplace st.mapping p1 p2;
@@ -508,54 +544,76 @@ let apply_swap st ~fallback (p1, p2) =
   st.n_swaps <- st.n_swaps + 1;
   if fallback then st.fallback_swaps <- st.fallback_swaps + 1
 
-let score_swap st ~l2p ~p1 ~p2 =
-  (* tentatively apply the swap on the scratch π *)
-  let l1 = Mapping.to_logical st.mapping p1
-  and l2 = Mapping.to_logical st.mapping p2 in
-  if l1 >= 0 then l2p.(l1) <- p2;
-  if l2 >= 0 then l2p.(l2) <- p1;
-  let v =
-    Heuristic.score_flat ~heuristic:st.config.heuristic ~dist:st.dist
-      ~stride:st.stride ~l2p ~fq1:st.fq1 ~fq2:st.fq2 ~flen:st.flen
-      ~eq1:st.eq1 ~eq2:st.eq2 ~elen:st.elen
-      ~weight:st.config.extended_set_weight ~decay:st.decay ~p1 ~p2
-  in
-  if l1 >= 0 then l2p.(l1) <- p1;
-  if l2 >= 0 then l2p.(l2) <- p2;
-  v
-
-(* Full-recompute scorer: every candidate pays |F|+|E| distance terms.
-   Scans edge ids in order — same enumeration as the old sorted
-   candidate list, same first-strictly-better tie-break. *)
+(* Full-recompute scorer: every candidate pays |F|+|E| distance terms,
+   scored with the SWAP tentatively applied to the scratch π. Scans
+   edge ids in order — same enumeration as the old sorted candidate
+   list, same first-strictly-better tie-break. Returns the best edge id,
+   or -1 when no edge is marked. *)
 let choose_full st stamp =
   let l2p = st.l2p_scratch in
   let per_candidate = st.flen + st.elen in
-  let best_p1 = ref (-1) and best_p2 = ref (-1) in
-  let best_score = ref infinity in
-  let have_best = ref false in
-  for e = 0 to Coupling.n_edges st.coupling - 1 do
+  let { Coupling.edge_a; edge_b; _ } = st.cflat in
+  let best = ref (-1) and best_score = ref infinity in
+  for e = 0 to Array.length edge_a - 1 do
     if st.cand_mark.(e) = stamp then begin
-      let p1, p2 = Coupling.edge_endpoints st.coupling e in
-      let s = score_swap st ~l2p ~p1 ~p2 in
+      let p1 = edge_a.(e) and p2 = edge_b.(e) in
+      let l1 = Mapping.to_logical st.mapping p1
+      and l2 = Mapping.to_logical st.mapping p2 in
+      if l1 >= 0 then l2p.(l1) <- p2;
+      if l2 >= 0 then l2p.(l2) <- p1;
+      let s =
+        Heuristic.score_flat ~heuristic:st.config.heuristic ~dist:st.dist
+          ~stride:st.stride ~l2p ~fq1:st.fq1 ~fq2:st.fq2 ~flen:st.flen
+          ~eq1:st.eq1 ~eq2:st.eq2 ~elen:st.elen
+          ~weight:st.config.extended_set_weight ~decay:st.decay ~p1 ~p2
+      in
+      if l1 >= 0 then l2p.(l1) <- p1;
+      if l2 >= 0 then l2p.(l2) <- p2;
       st.sc_candidates <- st.sc_candidates + 1;
       st.sc_delta_terms <- st.sc_delta_terms + per_candidate;
       st.sc_full_terms <- st.sc_full_terms + per_candidate;
-      if (not !have_best) || s < !best_score then begin
-        have_best := true;
-        best_score := s;
-        best_p1 := p1;
-        best_p2 := p2
+      if !best < 0 || s < !best_score then begin
+        best := e;
+        best_score := s
       end
     end
   done;
-  (!have_best, !best_p1, !best_p2)
+  !best
+
+(* Σ over the pair slots of [inc] incident to logical qubit [l] of
+   (term after the candidate SWAP (p1 p2) − term before), counting two
+   scorer terms per slot visited; 0 when [l] is -1 (a free physical
+   qubit). Slots whose pair also contains [skip] are omitted: when
+   walking l2's slots, pairs containing l1 were already counted in l1's
+   walk. The new physical position is the transposition (p1 p2) applied
+   to the current one — no l2p mutation needed. *)
+let delta_over st inc q1a q2a di p1 p2 l skip =
+  if l < 0 then 0
+  else begin
+    let l2p = st.l2p_scratch and stride = st.stride in
+    let d = ref 0 and touched = ref 0 in
+    for j = 0 to Incidence.degree inc l - 1 do
+      let k = Incidence.slot inc l j in
+      let a = q1a.(k) and b = q2a.(k) in
+      if a <> skip && b <> skip then begin
+        let pa = l2p.(a) and pb = l2p.(b) in
+        let pa' = if pa = p1 then p2 else if pa = p2 then p1 else pa in
+        let pb' = if pb = p1 then p2 else if pb = p2 then p1 else pb in
+        d := !d + di.((pa' * stride) + pb') - di.((pa * stride) + pb);
+        incr touched
+      end
+    done;
+    st.sc_delta_terms <- st.sc_delta_terms + (2 * !touched);
+    !d
+  end
 
 (* Delta scorer: integer base sums [fsum]/[esum] once per decision, then
    each candidate (p1,p2) only revisits the pair slots whose logical
-   qubits currently sit on p1 or p2 ([Incidence]), rebuilding
-   [score_flat]'s value bit-identically from the updated integer sums
-   (see Heuristic's exactness argument). Same edge-id scan order, same
-   first-strictly-better tie-break as [choose_full]. *)
+   qubits currently sit on p1 or p2 ([Incidence], [delta_over]),
+   rebuilding [score_flat]'s value bit-identically from the updated
+   integer sums (see Heuristic's exactness argument). Same edge-id scan
+   order, same first-strictly-better tie-break and same result as
+   [choose_full]. *)
 let choose_delta st di stamp =
   (* Defence in depth: the index must describe the live front.
      [choose_and_apply_swap] rebuilds stale caches before scoring, so
@@ -578,51 +636,22 @@ let choose_delta st di stamp =
   in
   st.sc_delta_terms <- st.sc_delta_terms + st.flen + st.elen;
   let per_candidate_full = st.flen + st.elen in
-  let touched = ref 0 in
-  let best_p1 = ref (-1) and best_p2 = ref (-1) in
-  let best_score = ref infinity in
-  let have_best = ref false in
-  for e = 0 to Coupling.n_edges st.coupling - 1 do
+  let { Coupling.edge_a; edge_b; _ } = st.cflat in
+  let best = ref (-1) and best_score = ref infinity in
+  for e = 0 to Array.length edge_a - 1 do
     if st.cand_mark.(e) = stamp then begin
-      let p1, p2 = Coupling.edge_endpoints st.coupling e in
+      let p1 = edge_a.(e) and p2 = edge_b.(e) in
       let l1 = Mapping.to_logical st.mapping p1
       and l2 = Mapping.to_logical st.mapping p2 in
-      touched := 0;
-      (* Σ over pair slots incident to logical qubit [l] of
-         (term after the candidate SWAP − term before). Slots whose
-         pair also contains [skip] are omitted: when walking l2's
-         slots, pairs containing l1 were already counted in l1's
-         walk. The new physical position is the transposition (p1 p2)
-         applied to the current one — no l2p mutation needed. *)
-      let delta_over inc q1a q2a l skip =
-        if l < 0 then 0
-        else begin
-          let d = ref 0 in
-          Incidence.iter inc l (fun k ->
-              let a = q1a.(k) and b = q2a.(k) in
-              if a <> skip && b <> skip then begin
-                let pa = l2p.(a) and pb = l2p.(b) in
-                let pa' =
-                  if pa = p1 then p2 else if pa = p2 then p1 else pa
-                in
-                let pb' =
-                  if pb = p1 then p2 else if pb = p2 then p1 else pb
-                in
-                d := !d + di.((pa' * stride) + pb') - di.((pa * stride) + pb);
-                incr touched
-              end);
-          !d
-        end
-      in
       let df =
-        delta_over st.finc st.fq1 st.fq2 l1 (-1)
-        + delta_over st.finc st.fq1 st.fq2 l2 l1
+        delta_over st st.finc st.fq1 st.fq2 di p1 p2 l1 (-1)
+        + delta_over st st.finc st.fq1 st.fq2 di p1 p2 l2 l1
       in
       let de =
         if st.elen = 0 then 0
         else
-          delta_over st.einc st.eq1 st.eq2 l1 (-1)
-          + delta_over st.einc st.eq1 st.eq2 l2 l1
+          delta_over st st.einc st.eq1 st.eq2 di p1 p2 l1 (-1)
+          + delta_over st st.einc st.eq1 st.eq2 di p1 p2 l2 l1
       in
       let s =
         Heuristic.score_of_sums_int ~heuristic:st.config.heuristic
@@ -630,32 +659,30 @@ let choose_delta st di stamp =
           ~weight:st.config.extended_set_weight ~decay:st.decay ~p1 ~p2
       in
       st.sc_candidates <- st.sc_candidates + 1;
-      st.sc_delta_terms <- st.sc_delta_terms + (2 * !touched);
       st.sc_full_terms <- st.sc_full_terms + per_candidate_full;
-      if (not !have_best) || s < !best_score then begin
-        have_best := true;
-        best_score := s;
-        best_p1 := p1;
-        best_p2 := p2
+      if !best < 0 || s < !best_score then begin
+        best := e;
+        best_score := s
       end
     end
   done;
-  (!have_best, !best_p1, !best_p2)
+  !best
 
 let choose_and_apply_swap st =
   if st.cache_gen <> st.front_gen then rebuild_front_caches st;
   let stamp = mark_candidates st in
   st.sc_decisions <- st.sc_decisions + 1;
-  let have_best, p1, p2 =
+  let e =
     match st.dist_int with
     | Some di -> choose_delta st di stamp
     | None -> choose_full st stamp
   in
-  if not have_best then
+  if e < 0 then
     (* Cannot happen on a connected graph with a non-empty front: every
        occupied qubit has neighbours. *)
     invalid_arg "Routing_pass: no SWAP candidates (disconnected device?)";
-  apply_swap st ~fallback:false (p1, p2);
+  let p1 = st.cflat.edge_a.(e) and p2 = st.cflat.edge_b.(e) in
+  apply_swap st ~fallback:false p1 p2;
   st.search_steps <- st.search_steps + 1;
   st.stall <- st.stall + 1;
   (* decay bookkeeping (Section IV-C3 / V "Algorithm Configuration") *)
@@ -681,7 +708,7 @@ let fallback_route st =
     in
     let rec walk = function
       | a :: (b :: (_ :: _ as rest)) ->
-        apply_swap st ~fallback:true (a, b);
+        apply_swap st ~fallback:true a b;
         walk (b :: rest)
       | _ -> ()
     in
@@ -750,11 +777,13 @@ let scoring_of st =
     full_terms = st.sc_full_terms;
   }
 
-(* The traversal driver behind both entry points (Algorithm 1): execute
+(* The traversal driver behind every entry point (Algorithm 1): execute
    what the front layer allows, otherwise apply the best-scoring SWAP —
    or, after [stall_limit] SWAPs without progress, the fallback — until
    the front is empty. Validates the inputs, resets [scratch]'s per-run
-   state and builds the search state over it; returns the final state. *)
+   state and builds the search state over it; returns the final state.
+   Without a [sink] no physical gate is built, and a hook sees
+   [depth_lb = 0]. *)
 let traverse ~scratch ~dist ~dist_int ~scoring ~hook ~sink config coupling
     nodes initial =
   (match Config.validate config with
@@ -785,19 +814,21 @@ let traverse ~scratch ~dist ~dist_int ~scoring ~hook ~sink config coupling
   Incidence.invalidate scratch.Scratch.finc;
   Incidence.invalidate scratch.Scratch.einc;
   let sink, depth_lb =
-    match hook with
-    | None -> (sink, fun () -> 0)
-    | Some _ ->
+    match (hook, sink) with
+    | Some _, Some sink ->
       let note, current = depth_tracker n_physical in
-      ( (fun g ->
-          note g;
-          sink g),
+      ( Some
+          (fun g ->
+            note g;
+            sink g),
         current )
+    | _ -> (sink, fun () -> 0)
   in
   let st =
     {
       config;
       coupling;
+      cflat = Coupling.flat coupling;
       dist;
       dist_int;
       stride = n_physical;
@@ -820,6 +851,7 @@ let traverse ~scratch ~dist ~dist_int ~scoring ~hook ~sink config coupling
       cand_mark = scratch.Scratch.cand_mark;
       cand_gen = scratch.Scratch.cand_gen;
       l2p_scratch = scratch.Scratch.l2p;
+      to_physical = Array.get scratch.Scratch.l2p;
       finc = scratch.Scratch.finc;
       einc = scratch.Scratch.einc;
       sink;
@@ -875,10 +907,11 @@ let traverse ~scratch ~dist ~dist_int ~scoring ~hook ~sink config coupling
       done;
       st)
 
-let run ?scratch ?dist ?dist_int ?(scoring = Delta) ?hook config coupling dag
-    initial =
-  let circuit = Dag.circuit dag in
-  if Mapping.n_logical initial <> Circuit.n_qubits circuit then
+(* [traverse] over a materialised DAG, whose predecessor counts and BFS
+   stamps live in the scratch. *)
+let traverse_dag ~scratch ~dist ~dist_int ~scoring ~hook ~sink config coupling
+    dag initial =
+  if Mapping.n_logical initial <> Circuit.n_qubits (Dag.circuit dag) then
     invalid_arg "Routing_pass.run: mapping arity mismatch";
   let scratch =
     match scratch with Some s -> s | None -> Scratch.create coupling
@@ -890,25 +923,49 @@ let run ?scratch ?dist ?dist_int ?(scoring = Delta) ?hook config coupling dag
   for i = 0 to n - 1 do
     remaining.(i) <- Dag.in_degree dag i
   done;
+  traverse ~scratch ~dist ~dist_int ~scoring ~hook ~sink config coupling
+    (Eager
+       {
+         dag;
+         flat = Dag.flat dag;
+         remaining;
+         visit_stamp = scratch.Scratch.visit_stamp;
+       })
+    initial
+
+let run ?scratch ?dist ?dist_int ?(scoring = Delta) ?hook config coupling dag
+    initial =
   let out_rev = ref [] in
   let st =
-    traverse ~scratch ~dist ~dist_int ~scoring ~hook
-      ~sink:(fun g -> out_rev := g :: !out_rev)
-      config coupling
-      (Eager { dag; remaining; visit_stamp = scratch.Scratch.visit_stamp })
-      initial
+    traverse_dag ~scratch ~dist ~dist_int ~scoring ~hook
+      ~sink:(Some (fun g -> out_rev := g :: !out_rev))
+      config coupling dag initial
   in
   {
     physical =
       Circuit.create
         ~n_qubits:(Coupling.n_qubits coupling)
-        ~n_clbits:(Circuit.n_clbits circuit)
+        ~n_clbits:(Circuit.n_clbits (Dag.circuit dag))
         (List.rev !out_rev);
     final_mapping = st.mapping;
     n_swaps = st.n_swaps;
     search_steps = st.search_steps;
     fallback_swaps = st.fallback_swaps;
     scoring = scoring_of st;
+  }
+
+let run_mapping ?scratch ?dist ?dist_int ?(scoring = Delta) ?hook config
+    coupling dag initial =
+  let st =
+    traverse_dag ~scratch ~dist ~dist_int ~scoring ~hook ~sink:None config
+      coupling dag initial
+  in
+  {
+    m_final_mapping = st.mapping;
+    m_n_swaps = st.n_swaps;
+    m_search_steps = st.search_steps;
+    m_fallback_swaps = st.fallback_swaps;
+    m_scoring = scoring_of st;
   }
 
 (* Single forward traversal over a gate stream, emitting routed gates
@@ -925,9 +982,11 @@ let run_streaming ?dist ?dist_int ?(scoring = Delta) ?retire ~sink config
   let st =
     traverse ~scratch:(Scratch.create coupling) ~dist ~dist_int ~scoring
       ~hook:None
-      ~sink:(fun g ->
-        incr gates_out;
-        sink g)
+      ~sink:
+        (Some
+           (fun g ->
+             incr gates_out;
+             sink g))
       config coupling (Streamed w) initial
   in
   if not (Dag.Window.exhausted w && Dag.Window.live_count w = 0) then

@@ -8,7 +8,9 @@ module Coupling = Hardware.Coupling
     The pass consumes a circuit DAG and an initial mapping and produces
     the physical circuit: original gates remapped through the evolving π,
     interleaved with inserted SWAP gates on coupling-graph edges. The
-    bidirectional driver {!Compiler} calls this once per traversal. *)
+    bidirectional driver (the engine's SABRE router, behind {!Compiler})
+    runs every traversal of a trial but the last through {!run_mapping},
+    which builds no circuit, and the last through {!run}. *)
 
 type scoring_mode =
   | Delta
@@ -45,7 +47,8 @@ type progress = {
       (** ASAP depth (Swap weight 3, Barrier 0, else 1 — the
           {!Depth.depth_swap3} metric) of the physical prefix emitted so
           far. Finish times only grow as gates are appended, so this is
-          a monotone lower bound on the finished traversal's depth. *)
+          a monotone lower bound on the finished traversal's depth. 0
+          under {!run_mapping}, which emits nothing. *)
 }
 
 type hook = {
@@ -71,9 +74,14 @@ type result = {
 (** Reusable search-state arena: every array the traversal loop touches
     (front deque, candidate stamps, BFS ring buffer, decay, front-pair
     and extended-set caches), allocated once per device and reset per
-    run, so the steady-state hot path of a driver that routes many
-    circuits is allocation-free. A scratch belongs to one domain at a
-    time — never share one across concurrent runs. *)
+    run, so a driver that routes many circuits allocates no arrays per
+    run once the arena has grown. The loop itself allocates little
+    besides: on a warmed scratch, {!run_mapping} takes about 160 words
+    per run plus the boxed float score of each candidate (4 words per
+    candidate under [Delta], 8 under [Full]; 57 and 114 words per
+    decision on the Table II suite), and {!run} adds the routed circuit
+    it builds. A scratch belongs to one domain at a time — never share
+    one across concurrent runs. *)
 module Scratch : sig
   type t
 
@@ -112,8 +120,10 @@ module Incidence : sig
   val degree : t -> int -> int
   (** Number of pair slots containing logical qubit [q]. *)
 
-  val iter : t -> int -> (int -> unit) -> unit
-  (** Apply to each slot id containing logical qubit [q]. *)
+  val slot : t -> int -> int -> int
+  (** [slot t q j] is the [j]-th slot id containing logical qubit [q],
+      for [0 <= j < degree t q]: the closure-free walk the delta scorer
+      makes. *)
 end
 
 val run :
@@ -157,6 +167,32 @@ val run :
     another shape (qubit or edge count), [dist]/[dist_int] have the
     wrong size or disagree, or the coupling graph is disconnected while
     the circuit requires interaction across components. *)
+
+(** {2 Mapping-only entry point} *)
+
+type mapping_result = {
+  m_final_mapping : Mapping.t;  (** π after the last gate *)
+  m_n_swaps : int;
+  m_search_steps : int;
+  m_fallback_swaps : int;
+  m_scoring : Stats.scoring;
+}
+
+val run_mapping :
+  ?scratch:Scratch.t ->
+  ?dist:float array ->
+  ?dist_int:int array ->
+  ?scoring:scoring_mode ->
+  ?hook:hook ->
+  Config.t -> Coupling.t -> Dag.t -> Mapping.t -> mapping_result
+(** {!run} without the physical circuit: the same traversal, decisions,
+    final mapping and counters, but no gate is remapped, built or
+    collected. For the reverse traversals of the bidirectional search
+    (paper Section IV-C2), whose only product is the mapping they end
+    on. A [hook] is honoured at the same decisions as under {!run}, but
+    sees [depth_lb = 0] — a sound lower bound, and the only one a
+    traversal that emits nothing can certify. Arguments and exceptions
+    are those of {!run}. *)
 
 (** {2 Streaming entry point} *)
 

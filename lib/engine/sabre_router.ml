@@ -31,7 +31,9 @@ let scratch_for coupling =
 
 (* Traversal i (1-based) routes forward when i is odd, backward when
    even; the traversal count is odd so the last one is forward and its
-   input mapping is the reverse-traversal-optimised initial mapping. *)
+   input mapping is the reverse-traversal-optimised initial mapping.
+   Traversals before the last are wanted only for the mapping they end
+   on (Section IV-C2), so they run mapping-only and build no circuit. *)
 let route (ctx : Context.t) ~initial =
   let forward = dag_exn ctx.dag_forward in
   let total = ctx.config.Config.traversals in
@@ -40,37 +42,49 @@ let route (ctx : Context.t) ~initial =
   let hook =
     Option.map (fun r -> Race.hook r) ctx.Context.race
   in
-  let rec go i mapping first steps fallbacks scoring =
-    let oriented = if i mod 2 = 1 then forward else backward in
-    (* only the last (forward) traversal's counters certify a pruning
-       bound — its result is the one the trial reports *)
-    (match ctx.Context.race with
+  (* only the last (forward) traversal's counters certify a pruning
+     bound — its result is the one the trial reports *)
+  let note_traversal i =
+    match ctx.Context.race with
     | Some r -> Race.note_traversal r ~final:(i = total)
-    | None -> ());
-    let r =
-      Routing.run ~scratch ~dist:ctx.dist ?dist_int:ctx.dist_int
-        ~scoring:ctx.scoring_mode ?hook ctx.config ctx.coupling oriented
-        mapping
-    in
-    let first = match first with None -> Some r.Routing.n_swaps | s -> s in
-    let steps = steps + r.Routing.search_steps in
-    let fallbacks = fallbacks + r.Routing.fallback_swaps in
-    let scoring = Sabre_core.Stats.scoring_add scoring r.Routing.scoring in
-    if i = total then
-      {
-        Router.physical = r.Routing.physical;
-        trial_initial = mapping;
-        final_mapping = r.Routing.final_mapping;
-        n_swaps = r.Routing.n_swaps;
-        first_swaps = Option.get first;
-        search_steps = steps;
-        fallback_swaps = fallbacks;
-        traversals = total;
-        scoring;
-      }
-    else go (i + 1) r.Routing.final_mapping first steps fallbacks scoring
+    | None -> ()
   in
-  go 1 initial None 0 0 Sabre_core.Stats.scoring_zero
+  let rec reverse i mapping first steps fallbacks scoring =
+    if i = total then (mapping, first, steps, fallbacks, scoring)
+    else begin
+      note_traversal i;
+      let r =
+        Routing.run_mapping ~scratch ~dist:ctx.dist ?dist_int:ctx.dist_int
+          ~scoring:ctx.scoring_mode ?hook ctx.config ctx.coupling
+          (if i mod 2 = 1 then forward else backward)
+          mapping
+      in
+      reverse (i + 1) r.Routing.m_final_mapping
+        (match first with None -> Some r.Routing.m_n_swaps | s -> s)
+        (steps + r.Routing.m_search_steps)
+        (fallbacks + r.Routing.m_fallback_swaps)
+        (Sabre_core.Stats.scoring_add scoring r.Routing.m_scoring)
+    end
+  in
+  let mapping, first, steps, fallbacks, scoring =
+    reverse 1 initial None 0 0 Sabre_core.Stats.scoring_zero
+  in
+  note_traversal total;
+  let r =
+    Routing.run ~scratch ~dist:ctx.dist ?dist_int:ctx.dist_int
+      ~scoring:ctx.scoring_mode ?hook ctx.config ctx.coupling forward mapping
+  in
+  {
+    Router.physical = r.Routing.physical;
+    trial_initial = mapping;
+    final_mapping = r.Routing.final_mapping;
+    n_swaps = r.Routing.n_swaps;
+    first_swaps = Option.value first ~default:r.Routing.n_swaps;
+    search_steps = steps + r.Routing.search_steps;
+    fallback_swaps = fallbacks + r.Routing.fallback_swaps;
+    traversals = total;
+    scoring = Sabre_core.Stats.scoring_add scoring r.Routing.scoring;
+  }
 
 let router : Router.t =
   (module struct

@@ -1,3 +1,11 @@
+type flat = {
+  adj_off : int array;
+  adj_idx : int array;
+  edge_a : int array;
+  edge_b : int array;
+  edge_ids : int array;
+}
+
 type t = {
   n : int;
   adj : int list array;
@@ -80,13 +88,6 @@ let edges g = g.edge_list
 let n_edges g = Array.length g.edge_a
 let neighbors g i = g.adj.(i)
 let degree g i = g.adj_off.(i + 1) - g.adj_off.(i)
-let connected g a b = List.mem b g.adj.(a)
-
-let neighbors_iter g i f =
-  for k = g.adj_off.(i) to g.adj_off.(i + 1) - 1 do
-    f g.adj_idx.(k)
-  done
-
 let edge_endpoints g e = (g.edge_a.(e), g.edge_b.(e))
 
 (* Flat (min,max)-packed pair -> edge-id table, built on first use like
@@ -106,7 +107,23 @@ let edge_id_table g =
     g.edge_ids <- Some t;
     t
 
-let edge_id g a b = (edge_id_table g).((a * g.n) + b)
+(* An unchecked [b] would read another pair's slot: (0, n) lands on
+   (1, 0)'s. *)
+let edge_id g a b =
+  if a < 0 || a >= g.n then
+    invalid_arg (Printf.sprintf "Coupling: qubit %d out of range" a);
+  if b < 0 || b >= g.n then -1 else (edge_id_table g).((a * g.n) + b)
+
+let connected g a b = edge_id g a b >= 0
+
+let flat g : flat =
+  {
+    adj_off = g.adj_off;
+    adj_idx = g.adj_idx;
+    edge_a = g.edge_a;
+    edge_b = g.edge_b;
+    edge_ids = edge_id_table g;
+  }
 
 let is_connected_graph g =
   if g.n = 0 then true

@@ -26,22 +26,40 @@ val degree : t -> int -> int
 
 val connected : t -> int -> int -> bool
 (** [connected g a b] is true when {a,b} is an edge — i.e. a CNOT between
-    them is directly executable. *)
-
-val neighbors_iter : t -> int -> (int -> unit) -> unit
-(** [neighbors_iter g i f] applies [f] to each neighbour of [i] in
-    ascending order, allocation-free (CSR adjacency). *)
+    them is directly executable. O(1) through {!edge_id}; [false] when
+    [b] is out of range, [Invalid_argument] when [a] is. *)
 
 val edge_id : t -> int -> int -> int
 (** [edge_id g a b] is the index of undirected edge {a,b} in {!edges}
-    (symmetric in [a]/[b]), or [-1] when not an edge. O(1) via a flat
-    n²-entry table built on first use and cached, like
+    (symmetric in [a]/[b]), or [-1] when not an edge, [b] included out
+    of range; [Invalid_argument] when [a] is out of range. O(1) via a
+    flat n²-entry table built on first use and cached, like
     {!distance_matrix}. Edge ids enumerate edges in the canonical sorted
     [(min, max)] order. *)
 
 val edge_endpoints : t -> int -> int * int
 (** [edge_endpoints g e] is the normalised [(min, max)] endpoint pair of
     edge id [e]. *)
+
+type flat = private {
+  adj_off : int array;
+      (** CSR offsets: the neighbours of [i] are [adj_idx.(k)] for
+          [adj_off.(i) <= k < adj_off.(i + 1)], ascending *)
+  adj_idx : int array;
+  edge_a : int array;
+      (** edge [e] is [(edge_a.(e), edge_b.(e))], smaller endpoint first *)
+  edge_b : int array;
+  edge_ids : int array;
+      (** [edge_ids.((a * n_qubits) + b)] is {!edge_id}[ g a b] for
+          in-range [a] and [b] *)
+}
+(** The arrays behind {!neighbors}, {!edge_endpoints} and {!edge_id},
+    for loops that can afford neither a closure per row nor a tuple per
+    edge. *)
+
+val flat : t -> flat
+(** The graph's own arrays (building the {!edge_id} table if needed),
+    not copies: read them, never write them. *)
 
 val is_connected_graph : t -> bool
 (** Whether the whole graph is one connected component (required for a

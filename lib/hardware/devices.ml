@@ -110,24 +110,52 @@ let squarish n =
   let cols = (n + rows - 1) / rows in
   (rows, cols)
 
+let max_qubits = 1024
+
+(* The qubit count [heavy_hex d] builds: [d] chains of [2d+1] plus the
+   bridges between consecutive rows. *)
+let heavy_hex_qubits d =
+  let width = (2 * d) + 1 in
+  let bridges = ref 0 in
+  for r = 0 to d - 2 do
+    let offset = if r mod 2 = 0 then 0 else 2 in
+    bridges := !bridges + ((width - offset + 3) / 4)
+  done;
+  (d * width) + !bridges
+
 let by_name name size =
-  let need () =
+  (* Every sized family has at least [n] qubits, so an [n] above the
+     bound is refused before its exact count is computed, and the count
+     before anything is built. *)
+  let sized ~qubits build =
     match size with
-    | Some n -> n
     | None -> invalid_arg (Printf.sprintf "device %S needs a size" name)
+    | Some n ->
+      let q = if n > max_qubits then n else qubits n in
+      if q > max_qubits then
+        invalid_arg
+          (Printf.sprintf
+             "device %S of size %d has %d qubits, above the %d-qubit limit"
+             name n q max_qubits);
+      build n
   in
   match String.lowercase_ascii name with
   | "tokyo" | "ibm_q20" | "q20" -> ibm_q20_tokyo ()
   | "yorktown" | "qx2" | "q5" -> ibm_q5_yorktown ()
   | "qx5" | "rueschlikon" | "q16" -> ibm_qx5 ()
-  | "linear" | "line" | "chain" -> linear (need ())
-  | "ring" | "cycle" -> ring (need ())
+  | "linear" | "line" | "chain" -> sized ~qubits:Fun.id linear
+  | "ring" | "cycle" -> sized ~qubits:Fun.id ring
   | "grid" | "lattice" ->
-    let rows, cols = squarish (need ()) in
-    grid ~rows ~cols
-  | "star" -> star (need ())
-  | "complete" | "full" -> complete (need ())
-  | "heavy_hex" | "heavyhex" -> heavy_hex (need ())
+    sized
+      ~qubits:(fun n ->
+        let rows, cols = squarish n in
+        rows * cols)
+      (fun n ->
+        let rows, cols = squarish n in
+        grid ~rows ~cols)
+  | "star" -> sized ~qubits:Fun.id star
+  | "complete" | "full" -> sized ~qubits:Fun.id complete
+  | "heavy_hex" | "heavyhex" -> sized ~qubits:heavy_hex_qubits heavy_hex
   | _ -> invalid_arg (Printf.sprintf "unknown device %S" name)
 
 let all_named =

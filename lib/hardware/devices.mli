@@ -37,11 +37,18 @@ val heavy_hex : int -> Coupling.t
 (** [heavy_hex d]: an IBM heavy-hex-style sparse lattice of code distance
     [d] (odd, >= 3), the topology of IBM's post-Tokyo devices. *)
 
+val max_qubits : int
+(** The largest device {!by_name} builds: 1024 qubits, 2.5× the largest
+    grid the bench routes on. *)
+
 val by_name : string -> int option -> Coupling.t
 (** Look up a device by CLI name ("tokyo", "yorktown", "qx5", "linear",
     "ring", "grid", "star", "complete", "heavy_hex"); the [int option]
     supplies the size parameter where one is needed (grid is squarish).
-    Raises [Invalid_argument] on unknown names or missing sizes. *)
+    The size is untrusted input, so the device's qubit count is computed
+    first: above {!max_qubits} nothing is built. Raises
+    [Invalid_argument] on unknown names, missing sizes and sizes whose
+    device would exceed {!max_qubits}. *)
 
 val all_named : (string * Coupling.t) list
 (** Fixed-size showcase instances of every topology, for surveys/tests. *)

@@ -1,3 +1,10 @@
+type flat = {
+  succ_off : int array;
+  succ_idx : int array;
+  pair_q1 : int array;
+  pair_q2 : int array;
+}
+
 type t = {
   circuit : Circuit.t;
   gates : Gate.t array;  (* cached copy of the circuit's gates *)
@@ -163,6 +170,14 @@ let pred_iter d i f =
   for k = d.pred_off.(i) to d.pred_off.(i + 1) - 1 do
     f d.pred_idx.(k)
   done
+
+let flat d : flat =
+  {
+    succ_off = d.succ_off;
+    succ_idx = d.succ_idx;
+    pair_q1 = d.pair_q1;
+    pair_q2 = d.pair_q2;
+  }
 
 let pair_q1 d i = d.pair_q1.(i)
 let pair_q2 d i = d.pair_q2.(i)

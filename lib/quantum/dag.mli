@@ -78,6 +78,20 @@ val two_qubit_pair : t -> int -> (int * int) option
 (** Allocating convenience over {!pair_q1}/{!pair_q2}; agrees with
     {!Gate.two_qubit_pair} on {!gate}[ d i]. *)
 
+type flat = private {
+  succ_off : int array;
+      (** the successors of [i] are [succ_idx.(k)] for
+          [succ_off.(i) <= k < succ_off.(i + 1)], ascending *)
+  succ_idx : int array;
+  pair_q1 : int array;  (** [pair_q1.(i)] is {!pair_q1}[ d i] *)
+  pair_q2 : int array;
+}
+(** The arrays behind {!succ_iter} and {!pair_q1}/{!pair_q2}, for loops
+    that cannot afford a closure per node. *)
+
+val flat : t -> flat
+(** The DAG's own arrays, not copies: read them, never write them. *)
+
 val initial_front : t -> int list
 (** Nodes with no predecessors, in program order: the initial front layer
     F of Algorithm 1 (before filtering out non-two-qubit gates). *)

@@ -32,6 +32,28 @@ let test_neighbors_degree () =
   check Alcotest.bool "symmetric" true (Coupling.connected g 1 0);
   check Alcotest.bool "not connected" false (Coupling.connected g 0 3)
 
+(* [connected] and [edge_id] read a flat n·n edge-id table, where the
+   unchecked pair (0, n) would land on (1, 0)'s slot: an out-of-range
+   second qubit is never an edge, and an out-of-range first one
+   raises. *)
+let test_connected_out_of_range () =
+  let g = square () in
+  check Alcotest.bool "(1, 0) is an edge" true (Coupling.connected g 1 0);
+  check Alcotest.int "edge_id (0, n) is not (1, 0)'s" (-1)
+    (Coupling.edge_id g 0 4);
+  check Alcotest.bool "(0, n) is not (1, 0)" false (Coupling.connected g 0 4);
+  check Alcotest.bool "(0, -1)" false (Coupling.connected g 0 (-1));
+  check Alcotest.bool "(1, -4) is not (0, 0)" false
+    (Coupling.connected g 1 (-4));
+  check Alcotest.bool "(0, 2n) is not (2, 0)" false (Coupling.connected g 0 8);
+  let raises a =
+    match Coupling.connected g a 0 with
+    | exception Invalid_argument _ -> true
+    | _ -> false
+  in
+  check Alcotest.bool "(n, 0) raises" true (raises 4);
+  check Alcotest.bool "(-1, 0) raises" true (raises (-1))
+
 let test_distance_matrix_square () =
   let g = square () in
   let d = Coupling.distance_matrix g in
@@ -106,6 +128,7 @@ let suite =
     tc "create normalises" `Quick test_create_normalises;
     tc "create rejects invalid" `Quick test_create_rejects;
     tc "neighbors/degree" `Quick test_neighbors_degree;
+    tc "connected out of range" `Quick test_connected_out_of_range;
     tc "distances on square" `Quick test_distance_matrix_square;
     tc "distance symmetry (Tokyo)" `Quick test_distance_symmetry;
     tc "triangle inequality (Tokyo)" `Quick test_distance_triangle_inequality;

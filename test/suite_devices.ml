@@ -83,6 +83,40 @@ let test_by_name () =
   check Alcotest.bool "missing size" true
     (raises (fun () -> Devices.by_name "linear" None))
 
+(* A size is untrusted input: the device's qubit count is computed and
+   bounded before anything is built. Building a 200,000-qubit complete
+   graph would abort the process in the minor GC; refusing it is a typed
+   error that allocates next to nothing. *)
+let test_by_name_size_bound () =
+  let raises f = match f () with exception Invalid_argument _ -> true | _ -> false in
+  let w0 = Gc.minor_words () in
+  check Alcotest.bool "complete 200000" true
+    (raises (fun () -> Devices.by_name "complete" (Some 200_000)));
+  check Alcotest.bool "rejected before building" true
+    (Gc.minor_words () -. w0 < 1000.0);
+  check Alcotest.bool "max_int" true
+    (raises (fun () -> Devices.by_name "grid" (Some max_int)));
+  check Alcotest.bool "linear one past the bound" true
+    (raises (fun () ->
+         Devices.by_name "linear" (Some (Devices.max_qubits + 1))));
+  check Alcotest.int "linear at the bound" Devices.max_qubits
+    (Coupling.n_qubits (Devices.by_name "linear" (Some Devices.max_qubits)));
+  check Alcotest.int "grid at the bound" Devices.max_qubits
+    (Coupling.n_qubits (Devices.by_name "grid" (Some Devices.max_qubits)));
+  (* heavy_hex's size is a code distance, not a qubit count *)
+  check Alcotest.int "heavy_hex 19" 921
+    (Coupling.n_qubits (Devices.by_name "heavy_hex" (Some 19)));
+  check Alcotest.bool "heavy_hex 21 has 1123 qubits" true
+    (raises (fun () -> Devices.by_name "heavy_hex" (Some 21)));
+  List.iter
+    (fun d ->
+      check Alcotest.bool
+        (Printf.sprintf "heavy_hex %d builds" d)
+        true
+        (Coupling.n_qubits (Devices.by_name "heavy_hex" (Some d))
+        = Coupling.n_qubits (Devices.heavy_hex d)))
+    [ 3; 5; 7; 9 ]
+
 let test_all_named_connected () =
   List.iter
     (fun (name, g) ->
@@ -102,5 +136,6 @@ let suite =
     tc "complete" `Quick test_complete;
     tc "heavy hex" `Quick test_heavy_hex;
     tc "by_name" `Quick test_by_name;
+    tc "by_name bounds the device size" `Quick test_by_name_size_bound;
     tc "all named devices connected" `Quick test_all_named_connected;
   ]

@@ -127,6 +127,44 @@ let prop_delta_equivalence =
       | Ok () -> true
       | Error msg -> QCheck.Test.fail_reportf "%s" msg)
 
+(* The reverse traversals run through [Routing_pass.run_mapping], which
+   builds no circuit, so the bidirectional search is unchanged only if
+   that entry ends on [run]'s final mapping with [run]'s counters — in
+   both scoring modes, through the fallback (the generated configs reach
+   it) and from a random placement. *)
+let prop_mapping_only_matches_run =
+  let module Routing = Sabre.Routing_pass in
+  QCheck.Test.make ~count:60 ~name:"mapping-only traversal matches run"
+    instance_arb (fun i ->
+      let { Generators.circuit; coupling; config } = i in
+      let dag = Quantum.Dag.of_circuit circuit in
+      let initial =
+        Mapping.random
+          ~state:(Random.State.make [| config.Sabre.Config.seed |])
+          ~n_logical:(Circuit.n_qubits circuit)
+          ~n_physical:(Coupling.n_qubits coupling)
+      in
+      List.for_all
+        (fun (mode, scoring) ->
+          let r = Routing.run ~scoring config coupling dag initial in
+          let m = Routing.run_mapping ~scoring config coupling dag initial in
+          (Mapping.equal r.Routing.final_mapping m.Routing.m_final_mapping
+          && r.Routing.n_swaps = m.Routing.m_n_swaps
+          && r.Routing.search_steps = m.Routing.m_search_steps
+          && r.Routing.fallback_swaps = m.Routing.m_fallback_swaps
+          && r.Routing.scoring = m.Routing.m_scoring)
+          || QCheck.Test.fail_reportf
+               "%s scoring: run ended on %s after %d swaps, %d steps, %d \
+                fallback; mapping-only on %s after %d, %d, %d"
+               mode
+               (Format.asprintf "%a" Mapping.pp r.Routing.final_mapping)
+               r.Routing.n_swaps r.Routing.search_steps
+               r.Routing.fallback_swaps
+               (Format.asprintf "%a" Mapping.pp m.Routing.m_final_mapping)
+               m.Routing.m_n_swaps m.Routing.m_search_steps
+               m.Routing.m_fallback_swaps)
+        [ ("delta", Routing.Delta); ("full", Routing.Full) ])
+
 (* Scorer-level: reconstructing a candidate's score from delta-updated
    integer sums is bit-for-bit equal ([Float.equal], not ≈) to
    [Heuristic.score_flat] on the tentatively swapped π — for all three
@@ -191,14 +229,16 @@ let prop_delta_score_bit_identical =
       let delta_over inc q1a q2a l skip =
         let d = ref 0 in
         if l >= 0 then
-          Routing.Incidence.iter inc l (fun k ->
-              let a = q1a.(k) and b = q2a.(k) in
-              if a <> skip && b <> skip then begin
-                let pa = l2p.(a) and pb = l2p.(b) in
-                let pa' = if pa = p1 then p2 else if pa = p2 then p1 else pa in
-                let pb' = if pb = p1 then p2 else if pb = p2 then p1 else pb in
-                d := !d + dist_int.((pa' * n) + pb') - dist_int.((pa * n) + pb)
-              end);
+          for j = 0 to Routing.Incidence.degree inc l - 1 do
+            let k = Routing.Incidence.slot inc l j in
+            let a = q1a.(k) and b = q2a.(k) in
+            if a <> skip && b <> skip then begin
+              let pa = l2p.(a) and pb = l2p.(b) in
+              let pa' = if pa = p1 then p2 else if pa = p2 then p1 else pa in
+              let pb' = if pb = p1 then p2 else if pb = p2 then p1 else pb in
+              d := !d + dist_int.((pa' * n) + pb') - dist_int.((pa * n) + pb)
+            end
+          done;
         !d
       in
       let fsum =
@@ -594,4 +634,5 @@ let suite =
       prop_alap_slack_nonnegative;
       prop_directed_fix_sound;
       prop_noise_metric_consistent;
+      prop_mapping_only_matches_run;
     ]

@@ -92,6 +92,61 @@ let test_hook_stop_raises_cancelled () =
   | _ -> Alcotest.fail "Stop verdict did not abort the run"
   | exception Routing_pass.Cancelled -> ()
 
+(* The mapping-only entry honours the hook exactly where [run] does: the
+   same progress sequence (but for [depth_lb], which it reports as 0),
+   and a hook that stops at decision k cancels both entries there. *)
+let test_hook_same_decisions_both_entries () =
+  let initial = fixed_initial ring busy_circuit in
+  let dag = Dag.of_circuit busy_circuit in
+  let observe ~stop_at entry =
+    let seen = ref [] in
+    let hook =
+      {
+        Routing_pass.every = 1;
+        notify =
+          (fun p ->
+            seen := p :: !seen;
+            if p.Routing_pass.decisions >= stop_at then Routing_pass.Stop
+            else Routing_pass.Continue);
+      }
+    in
+    let cancelled =
+      match entry hook with
+      | () -> false
+      | exception Routing_pass.Cancelled -> true
+    in
+    (cancelled, List.rev !seen)
+  in
+  let via_run hook =
+    ignore (Routing_pass.run ~hook Config.default ring dag initial)
+  and via_mapping hook =
+    ignore (Routing_pass.run_mapping ~hook Config.default ring dag initial)
+  in
+  let steps =
+    (route_fresh ring busy_circuit initial).Routing_pass.search_steps
+  in
+  check Alcotest.bool "instance takes over 20 decisions" true (steps > 20);
+  List.iter
+    (fun stop_at ->
+      let run_cancelled, run_seen = observe ~stop_at via_run in
+      let map_cancelled, map_seen = observe ~stop_at via_mapping in
+      let label = Printf.sprintf "stop at %d" stop_at in
+      check Alcotest.bool (label ^ ": run cancelled") (stop_at <= steps)
+        run_cancelled;
+      check Alcotest.bool (label ^ ": mapping-only cancelled") run_cancelled
+        map_cancelled;
+      let counters (p : Routing_pass.progress) =
+        (p.Routing_pass.swaps, p.Routing_pass.decisions)
+      in
+      check
+        (Alcotest.list (Alcotest.pair Alcotest.int Alcotest.int))
+        (label ^ ": same progress sequence")
+        (List.map counters run_seen)
+        (List.map counters map_seen);
+      check Alcotest.bool (label ^ ": mapping-only depth_lb is 0") true
+        (List.for_all (fun p -> p.Routing_pass.depth_lb = 0) map_seen))
+    [ 1; 7; 20; max_int ]
+
 let test_cancelled_scratch_reusable () =
   (* cancel a run mid-route at several depths, then reuse the same
      arena: the next run must be byte-identical to a fresh-arena run *)
@@ -483,6 +538,8 @@ let suite =
     tc "hook: counters are monotone and observation is neutral" `Quick
       test_hook_counters_monotone;
     tc "hook: Stop raises Cancelled" `Quick test_hook_stop_raises_cancelled;
+    tc "hook: Stop cancels both entries at the same decision" `Quick
+      test_hook_same_decisions_both_entries;
     tc "cancelled run leaves the scratch arena byte-reusable" `Quick
       test_cancelled_scratch_reusable;
     tc "token: hard cancel latches and skips at claim" `Quick

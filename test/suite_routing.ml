@@ -348,11 +348,7 @@ let test_incidence_index () =
   List.iteri
     (fun q d -> check Alcotest.int (Printf.sprintf "degree of %d" q) d (I.degree idx q))
     [ 2; 2; 1; 1; 0 ];
-  let slots q =
-    let acc = ref [] in
-    I.iter idx q (fun k -> acc := k :: !acc);
-    List.sort compare !acc
-  in
+  let slots q = List.sort compare (List.init (I.degree idx q) (I.slot idx q)) in
   check (Alcotest.list Alcotest.int) "slots of qubit 0" [ 0; 2 ] (slots 0);
   check (Alcotest.list Alcotest.int) "slots of qubit 1" [ 0; 1 ] (slots 1);
   check (Alcotest.list Alcotest.int) "slots of qubit 2" [ 1 ] (slots 2);
@@ -368,9 +364,8 @@ let test_incidence_rebuild_invalidation () =
   check Alcotest.int "generation bumped" 8 (I.generation idx);
   check Alcotest.int "stale qubit cleared" 0 (I.degree idx 0);
   check Alcotest.int "fresh qubit indexed" 1 (I.degree idx 4);
-  let acc = ref [] in
-  I.iter idx 5 (fun k -> acc := k :: !acc);
-  check (Alcotest.list Alcotest.int) "fresh slot id" [ 0 ] !acc;
+  check (Alcotest.list Alcotest.int) "fresh slot id" [ 0 ]
+    (List.init (I.degree idx 5) (I.slot idx 5));
   I.invalidate idx;
   check Alcotest.int "invalidated" (-1) (I.generation idx)
 
@@ -492,6 +487,69 @@ let test_mismatched_dist_int_rejected () =
     | exception Invalid_argument _ -> true
     | _ -> false)
 
+(* The traversal loop's allocation budget: on a warmed scratch, with
+   the distance matrices shared as the engine shares them, a mapping-only
+   traversal allocates at most 16 minor words per scored candidate (the
+   boxed float score is most of it; a closure per candidate would cost
+   far more). [Gc.minor_words] counts this domain only, so the reading
+   is deterministic. *)
+let test_mapping_only_allocation_budget () =
+  let device = Devices.ibm_q20_tokyo () in
+  let scratch = Routing_pass.Scratch.create device in
+  let dist = Hardware.Dist_cache.hop_distances device
+  and dist_int = Hardware.Dist_cache.hop_distances_int device in
+  List.iter
+    (fun name ->
+      let c = Lazy.force (Workloads.Suite.find name).Workloads.Suite.circuit in
+      let dag = Dag.of_circuit c in
+      let m =
+        Mapping.identity ~n_logical:(Circuit.n_qubits c)
+          ~n_physical:(Coupling.n_qubits device)
+      in
+      List.iter
+        (fun (mode, scoring) ->
+          let walk () =
+            Routing_pass.run_mapping ~scratch ~dist ~dist_int ~scoring
+              Config.default device dag m
+          in
+          ignore (walk ());
+          let w0 = Gc.minor_words () in
+          let r = walk () in
+          let words = Gc.minor_words () -. w0 in
+          let candidates = r.Routing_pass.m_scoring.Sabre.Stats.candidates in
+          check Alcotest.bool (name ^ " scores enough candidates") true
+            (candidates > 500);
+          let per = words /. float_of_int candidates in
+          check Alcotest.bool
+            (Printf.sprintf "%s, %s: %.1f words per candidate <= 16" name mode
+               per)
+            true (per <= 16.0))
+        [ ("delta", Routing_pass.Delta); ("full", Routing_pass.Full) ])
+    [ "qft_16"; "ising_model_16"; "cycle10_2_110" ];
+  (* and it builds no gate: 10,000 gates that need no SWAP cost only the
+     per-run set-up, where building them would take 60,000 words *)
+  let edges = Array.of_list (Coupling.edges device) in
+  let c =
+    Circuit.create ~n_qubits:20
+      (List.init 10_000 (fun i ->
+           let a, b = edges.(i mod Array.length edges) in
+           if i mod 3 = 0 then Gate.Single (Gate.H, a) else Gate.Cnot (a, b)))
+  in
+  let dag = Dag.of_circuit c in
+  let m = Mapping.identity ~n_logical:20 ~n_physical:20 in
+  let walk () =
+    Routing_pass.run_mapping ~scratch ~dist ~dist_int Config.default device dag
+      m
+  in
+  ignore (walk ());
+  let w0 = Gc.minor_words () in
+  let r = walk () in
+  let words = Gc.minor_words () -. w0 in
+  check Alcotest.int "no SWAP needed" 0 r.Routing_pass.m_n_swaps;
+  check Alcotest.bool
+    (Printf.sprintf "10,000 executed gates: %.0f words < 1,000" words)
+    true (words < 1000.0)
+
 let suite =
   [
     tc "executable circuit untouched" `Quick test_executable_circuit_untouched;
@@ -535,4 +593,6 @@ let suite =
     tc "non-integer metric falls back to full" `Quick
       test_non_integer_metric_falls_back_to_full;
     tc "mismatched dist_int rejected" `Quick test_mismatched_dist_int_rejected;
+    tc "mapping-only allocation budget" `Quick
+      test_mapping_only_allocation_budget;
   ]

@@ -689,6 +689,18 @@ let test_typed_errors () =
         s.P.errored;
       check Alcotest.int "nothing served" 0 s.P.served)
 
+(* An oversized device size is refused in the admission cache probe and
+   in the worker alike, and the daemon answers the next request. *)
+let test_oversized_device () =
+  with_server ~domains:1 (fun path server ->
+      expect_error P.Invalid
+        (rpc path
+           (compile_req ~device:"complete" ~device_size:200_000 small_qasm));
+      (match rpc path (compile_req ~id:"next" small_qasm) with
+      | P.Ok_compiled _ -> ()
+      | r -> Alcotest.failf "next request: %s" (P.encode_response r));
+      check Alcotest.int "one served" 1 (Server.stats server).P.served)
+
 let test_oversized_request () =
   with_server ~domains:1 ~max_request_bytes:4096 (fun path _server ->
       expect_error P.Oversized
@@ -1377,6 +1389,8 @@ let suite =
     tc "netline tolerates a vanished peer" `Quick test_netline_peer_gone;
     tc "ping and stats" `Quick test_ping_and_stats;
     tc "server-side failures are typed" `Quick test_typed_errors;
+    tc "oversized device refused, daemon answers on" `Quick
+      test_oversized_device;
     tc "oversized request answered and connection dropped" `Quick
       test_oversized_request;
     tc "responses byte-identical to Engine.Batch (3 routers x zoo)" `Slow
