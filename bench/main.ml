@@ -11,8 +11,11 @@
    Speed floors (run only when named; each exits 2 when its floor is
    missed):
      scoring     — delta scoring >= 1.3x full recompute on the largest
-                   device of the scaling sweep, with identical routes;
-                   prints each mode's minor words per decision too
+                   device of the scaling sweep, and full recompute
+                   >= 1.2x delta on a width-10 circuit on Tokyo, with
+                   identical routes; prints each row's width, the scorer
+                   the width rule picks, and each mode's minor words per
+                   decision
      throughput  — 2-domain batch >= 0.6x sequential with equal SWAP
                    totals; warm distance cache >= 10x cheaper than cold
      racing      — incumbent-bound pruning >= 1.3x on the best circuit
@@ -439,16 +442,70 @@ let scaling () =
      with hundreds of qubits remain in seconds.@."
 
 (* ------------------------------------------------------------------ *)
-(* Delta scoring: incremental vs full-recompute decision loop           *)
+(* Candidate scoring: delta vs full recompute, both sides of the rule    *)
 (* ------------------------------------------------------------------ *)
 
 let scoring () =
   Format.printf
-    "@.== Delta scoring: O(Δ) incremental SWAP-candidate evaluation vs \
-     full recompute ==@.@.";
-  Format.printf "%-10s %7s %7s %7s | %9s %9s %8s | %9s %9s | %11s %11s@."
-    "device" "qubits" "gates" "swaps" "full_s" "delta_s" "speedup" "full_w/d"
-    "delta_w/d" "delta_terms" "full_terms";
+    "@.== Candidate scoring: O(Δ) incremental evaluation vs full recompute, \
+     and the width rule's pick ==@.@.";
+  Format.printf
+    "%-10s %7s %6s %7s %7s %7s | %9s %9s %8s | %9s %9s | %11s %11s@."
+    "device" "qubits" "width" "default" "gates" "swaps" "full_s" "delta_s"
+    "speedup" "full_w/d" "delta_w/d" "delta_terms" "full_terms";
+  (* route [circuit] on [dev] under each mode from the identity; print
+     the row and return delta's speedup over full recompute *)
+  let row name dev circuit =
+    let n = Circuit.n_qubits circuit in
+    let dag = Quantum.Dag.of_circuit circuit in
+    let m0 =
+      Mapping.identity ~n_logical:n ~n_physical:(Coupling.n_qubits dev)
+    in
+    let config = Sabre.Config.default in
+    (* minor words the timed call allocates: deterministic on one
+       domain, so every repeat reads the same *)
+    let words = ref 0.0 in
+    let route mode () =
+      let w0 = Gc.minor_words () in
+      let r = Sabre.Routing_pass.run ~scoring:mode config dev dag m0 in
+      words := Gc.minor_words () -. w0;
+      r
+    in
+    let full, t_full = time_min (route Sabre.Routing_pass.Full) in
+    let full_words = !words in
+    let delta, t_delta = time_min (route Sabre.Routing_pass.Delta) in
+    let delta_words = !words in
+    let per_decision w (r : Sabre.Routing_pass.result) =
+      w /. float_of_int (max 1 r.scoring.Sabre.Stats.decisions)
+    in
+    (* both modes must make byte-identical decisions: this is the
+       exactness guarantee the delta scorer is built on — a mismatch
+       is a correctness bug, not a benchmark artefact *)
+    if
+      (not (Circuit.equal full.physical delta.physical))
+      || full.n_swaps <> delta.n_swaps
+      || Mapping.l2p_array full.final_mapping
+         <> Mapping.l2p_array delta.final_mapping
+    then
+      fatal "scoring: delta and full modes diverged on %s (%d vs %d swaps)"
+        name delta.n_swaps full.n_swaps;
+    let { Sabre.Stats.delta_terms; full_terms; _ } = delta.scoring in
+    if delta_terms > full_terms then
+      fatal "scoring: delta touched %d terms on %s, full only %d" delta_terms
+        name full_terms;
+    let speedup = t_full /. t_delta in
+    Format.printf
+      "%-10s %7d %6d %7s %7d %7d | %8.3fs %8.3fs %7.2fx | %9.0f %9.0f | %11d \
+       %11d@.%!"
+      name (Coupling.n_qubits dev) n
+      (Sabre.Routing_pass.scoring_mode_name
+         (Sabre.Routing_pass.default_scoring ~n_logical:n))
+      (Circuit.length circuit) delta.n_swaps t_full t_delta speedup
+      (per_decision full_words full)
+      (per_decision delta_words delta)
+      delta_terms full_terms;
+    speedup
+  in
   let largest = ref (0, nan) in
   List.iter
     (fun n_physical ->
@@ -456,61 +513,24 @@ let scoring () =
       let cols = (n_physical + rows - 1) / rows in
       let dev = Devices.grid ~rows ~cols in
       let n = Coupling.n_qubits dev / 2 in
-      let gates = 20 * n in
       let circuit =
         Workloads.Random_reversible.circuit ~seed:n_physical ~hot_bias:0.0 ~n
-          ~gates ()
+          ~gates:(20 * n) ()
       in
-      let dag = Quantum.Dag.of_circuit circuit in
-      let m0 =
-        Mapping.identity ~n_logical:n ~n_physical:(Coupling.n_qubits dev)
-      in
-      let config = Sabre.Config.default in
-      (* minor words the timed call allocates: deterministic on one
-         domain, so every repeat reads the same *)
-      let words = ref 0.0 in
-      let route mode () =
-        let w0 = Gc.minor_words () in
-        let r = Sabre.Routing_pass.run ~scoring:mode config dev dag m0 in
-        words := Gc.minor_words () -. w0;
-        r
-      in
-      let full, t_full = time_min (route Sabre.Routing_pass.Full) in
-      let full_words = !words in
-      let delta, t_delta = time_min (route Sabre.Routing_pass.Delta) in
-      let delta_words = !words in
-      let per_decision w (r : Sabre.Routing_pass.result) =
-        w /. float_of_int (max 1 r.scoring.Sabre.Stats.decisions)
-      in
-      let name = Printf.sprintf "grid%dx%d" rows cols in
-      (* both modes must make byte-identical decisions: this is the
-         exactness guarantee the delta scorer is built on — a mismatch
-         is a correctness bug, not a benchmark artefact *)
-      if
-        (not (Circuit.equal full.physical delta.physical))
-        || full.n_swaps <> delta.n_swaps
-        || Mapping.l2p_array full.final_mapping
-           <> Mapping.l2p_array delta.final_mapping
-      then
-        fatal "scoring: delta and full modes diverged on %s (%d vs %d swaps)"
-          name delta.n_swaps full.n_swaps;
-      let { Sabre.Stats.delta_terms; full_terms; _ } = delta.scoring in
-      if delta_terms > full_terms then
-        fatal "scoring: delta touched %d terms on %s, full only %d"
-          delta_terms name full_terms;
-      let speedup = t_full /. t_delta in
+      let speedup = row (Printf.sprintf "grid%dx%d" rows cols) dev circuit in
       if Coupling.n_qubits dev > fst !largest then
-        largest := (Coupling.n_qubits dev, speedup);
-      Format.printf
-        "%-10s %7d %7d %7d | %8.3fs %8.3fs %7.2fx | %9.0f %9.0f | %11d %11d@.%!"
-        name (Coupling.n_qubits dev) gates delta.n_swaps t_full t_delta
-        speedup
-        (per_decision full_words full)
-        (per_decision delta_words delta)
-        delta_terms full_terms)
+        largest := (Coupling.n_qubits dev, speedup))
     !scaling_sizes;
+  (* the narrow side of the width rule: a Table II-sized circuit *)
+  let narrow =
+    row "tokyo" device
+      (Workloads.Random_reversible.circuit ~seed:10 ~hot_bias:0.0 ~n:10
+         ~gates:2000 ())
+  in
   check_floor "scoring (delta over full, largest device)" ~bound:1.3
-    (snd !largest)
+    (snd !largest);
+  check_floor "scoring (full over delta, width 10 on tokyo)" ~bound:1.2
+    (1.0 /. narrow)
 
 (* ------------------------------------------------------------------ *)
 (* Batch throughput: Scheduler domain pool + device-keyed dist cache    *)

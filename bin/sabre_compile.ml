@@ -15,10 +15,12 @@ let ( let* ) = Result.bind
 (* Input acquisition                                                    *)
 (* ------------------------------------------------------------------ *)
 
-let load_circuit input workload size =
+(* [max_qubits] (the device's width) bounds a file's declared registers
+   before any gate is expanded *)
+let load_circuit ~max_qubits input workload size =
   match (input, workload) with
   | Some path, None -> (
-    try Ok (Quantum.Qasm.of_file path) with
+    try Ok (Quantum.Qasm.of_file ~max_qubits path) with
     | Quantum.Qasm.Parse_error { line; column; message } ->
       Error (Printf.sprintf "%s:%d:%d: %s" path line column message)
     | Sys_error msg -> Error msg)
@@ -264,7 +266,9 @@ let run_batch manifest router_name config device ~portfolio ~race ~cache
       let parsed =
         List.map
           (fun path ->
-            match Quantum.Qasm.of_file path with
+            match
+              Quantum.Qasm.of_file ~max_qubits:(Coupling.n_qubits device) path
+            with
             | circuit -> Ok { Engine.Batch.name = path; circuit }
             | exception Quantum.Qasm.Parse_error { line; column; message } ->
               Error
@@ -602,7 +606,6 @@ let run_main input workload size device_name device_size directed router
         ~portfolio:(Option.map (fun s -> (s, objective)) portfolio)
         ~race:portfolio_race ~cache ~domains ~verify:true ~quiet
     | None ->
-    let* circuit = load_circuit input workload size in
     let* directed_device =
       match directed with
       | None -> Ok None
@@ -616,6 +619,9 @@ let run_main input workload size device_name device_size directed router
       | None -> (
         try Ok (Devices.by_name device_name device_size)
         with Invalid_argument msg -> Error msg)
+    in
+    let* circuit =
+      load_circuit ~max_qubits:(Coupling.n_qubits device) input workload size
     in
     let config =
       {

@@ -4,6 +4,17 @@ module Dag = Quantum.Dag
 module Coupling = Hardware.Coupling
 
 type scoring_mode = Delta | Full
+
+(* Below this many logical qubits the front and extended sets are short
+   enough that recomputing a candidate's whole sum beats delta's
+   incidence walk; from here up delta wins (DESIGN §10 has the sweep). *)
+let delta_min_width = 48
+
+let default_scoring ~n_logical =
+  if n_logical < delta_min_width then Full else Delta
+
+let scoring_mode_name = function Delta -> "delta" | Full -> "full"
+
 type verdict = Continue | Stop
 type progress = { swaps : int; decisions : int; depth_lb : int }
 type hook = { every : int; notify : progress -> verdict }
@@ -738,10 +749,10 @@ let grown arr len = if Array.length arr >= len then arr else Array.make len 0
 (* Shared metric validation/derivation for the materialised and
    streaming entry points. Delta scoring needs an integer view of the
    metric. A caller-provided one is validated against [dist] entry for
-   entry (the delta scorer's exactness argument assumes they agree);
-   otherwise one is derived, which quietly fails — falling back to full
-   recompute — for non-integer metrics such as noise-weighted
-   distances. *)
+   entry under either scorer (the delta scorer's exactness argument
+   assumes they agree); otherwise one is derived, which quietly fails —
+   falling back to full recompute — for non-integer metrics such as
+   noise-weighted distances. *)
 let resolve_metric ~coupling ~scoring ~dist ~dist_int =
   let n_physical = Coupling.n_qubits coupling in
   let dist =
@@ -752,20 +763,20 @@ let resolve_metric ~coupling ~scoring ~dist ~dist_int =
       d
     | None -> flat_hop_distances coupling
   in
+  Option.iter
+    (fun di ->
+      if Array.length di <> n_physical * n_physical then
+        invalid_arg "Routing_pass.run: flat dist_int has wrong dimension";
+      for i = 0 to Array.length di - 1 do
+        if dist.(i) <> float_of_int di.(i) then
+          invalid_arg "Routing_pass.run: dist_int disagrees with dist"
+      done)
+    dist_int;
   let dist_int =
-    match scoring with
-    | Full -> None
-    | Delta -> (
-      match dist_int with
-      | Some di ->
-        if Array.length di <> n_physical * n_physical then
-          invalid_arg "Routing_pass.run: flat dist_int has wrong dimension";
-        for i = 0 to Array.length di - 1 do
-          if dist.(i) <> float_of_int di.(i) then
-            invalid_arg "Routing_pass.run: dist_int disagrees with dist"
-        done;
-        Some di
-      | None -> Heuristic.dist_int_of_flat dist)
+    match (scoring, dist_int) with
+    | Full, _ -> None
+    | Delta, Some _ -> dist_int
+    | Delta, None -> Heuristic.dist_int_of_flat dist
   in
   (dist, dist_int)
 
@@ -803,6 +814,9 @@ let traverse ~scratch ~dist ~dist_int ~scoring ~hook ~sink config coupling
     scratch.Scratch.n_physical <> n_physical
     || scratch.Scratch.n_edges <> Coupling.n_edges coupling
   then invalid_arg "Routing_pass.run: scratch built for a different device";
+  let scoring =
+    match scoring with Some s -> s | None -> default_scoring ~n_logical
+  in
   let dist, dist_int = resolve_metric ~coupling ~scoring ~dist ~dist_int in
   (* per-run reset of the reused arena *)
   scratch.Scratch.l2p <- grown scratch.Scratch.l2p n_logical;
@@ -933,8 +947,7 @@ let traverse_dag ~scratch ~dist ~dist_int ~scoring ~hook ~sink config coupling
        })
     initial
 
-let run ?scratch ?dist ?dist_int ?(scoring = Delta) ?hook config coupling dag
-    initial =
+let run ?scratch ?dist ?dist_int ?scoring ?hook config coupling dag initial =
   let out_rev = ref [] in
   let st =
     traverse_dag ~scratch ~dist ~dist_int ~scoring ~hook
@@ -954,8 +967,8 @@ let run ?scratch ?dist ?dist_int ?(scoring = Delta) ?hook config coupling dag
     scoring = scoring_of st;
   }
 
-let run_mapping ?scratch ?dist ?dist_int ?(scoring = Delta) ?hook config
-    coupling dag initial =
+let run_mapping ?scratch ?dist ?dist_int ?scoring ?hook config coupling dag
+    initial =
   let st =
     traverse_dag ~scratch ~dist ~dist_int ~scoring ~hook ~sink:None config
       coupling dag initial
@@ -973,8 +986,8 @@ let run_mapping ?scratch ?dist ?dist_int ?(scoring = Delta) ?hook config
    window, which [retire] (per-qubit last-use stream positions, e.g.
    from [Qasm_stream.survey]) keeps proportional to the circuit's
    qubit-inactivity span rather than its length. *)
-let run_streaming ?dist ?dist_int ?(scoring = Delta) ?retire ~sink config
-    coupling source initial =
+let run_streaming ?dist ?dist_int ?scoring ?retire ~sink config coupling
+    source initial =
   let w =
     Dag.Window.create ?retire ~n_qubits:(Mapping.n_logical initial) source
   in

@@ -19,11 +19,28 @@ type scoring_mode =
           candidate. Requires an integer-valued metric — when the matrix
           is not integer-valued (noise-weighted metrics), the run
           silently degrades to [Full]. Bit-identical output to [Full]
-          (see {!Heuristic}'s exactness argument). The default. *)
+          (see {!Heuristic}'s exactness argument). The default from
+          {!delta_min_width} logical qubits up. *)
   | Full
-      (** Full |F|+|E| recompute per candidate — the pre-delta scorer,
-          kept as the equivalence baseline and for custom float
-          metrics. *)
+      (** Full |F|+|E| recompute per candidate: cheaper than [Delta]
+          on narrow circuits, whose front and extended sets are short,
+          and the only scorer for custom float metrics. The default
+          below {!delta_min_width} logical qubits. *)
+
+val delta_min_width : int
+(** The width rule's crossover, 48 logical qubits: below it full
+    recompute routes faster than delta on every device measured (up to
+    400 qubits), above it delta pulls ahead (1.45× at width 100, 2.8×
+    at 400). The two are within noise of each other from 40 to 64. *)
+
+val default_scoring : n_logical:int -> scoring_mode
+(** The width rule: [Full] below {!delta_min_width} logical qubits,
+    [Delta] at or above it. Every entry point not given [~scoring]
+    uses it, so this is the one place a scorer is chosen. *)
+
+val scoring_mode_name : scoring_mode -> string
+(** ["delta"] or ["full"]: the exact spelling compile-cache keys and
+    reports use. *)
 
 (** {2 Cooperative budget/cancel hook}
 
@@ -147,8 +164,12 @@ val run :
     [dist_int] is the integer view of the same matrix for the delta
     scorer (e.g. {!Hardware.Dist_cache.lookup_all}'s second component);
     it must agree with [dist] entry for entry. When omitted under
-    [~scoring:Delta] (the default mode) an integer view is derived from
-    [dist] when possible, else the run degrades to full recompute.
+    [Delta] an integer view is derived from [dist] when possible, else
+    the run degrades to full recompute.
+
+    [scoring] forces a scorer; without it the run picks one by the
+    circuit's width ({!default_scoring}). Both give bit-identical
+    output.
 
     [scratch] is reused instead of allocating a fresh arena. The output
     is bit-identical to a fresh-scratch run: per-run state is reset on

@@ -30,10 +30,6 @@ type stats = {
 (* Key derivation                                                      *)
 (* ------------------------------------------------------------------ *)
 
-let scoring_mode_name = function
-  | Sabre_core.Routing_pass.Delta -> "delta"
-  | Sabre_core.Routing_pass.Full -> "full"
-
 let key ~circuit ~coupling ~config ~scoring ~spec =
   (* every component is itself a canonical digest (or a short exact
      string), so the composite is collision-resistant iff MD5 is *)
@@ -44,7 +40,7 @@ let key ~circuit ~coupling ~config ~scoring ~spec =
             Circuit.digest circuit;
             Coupling.digest coupling;
             Config.digest config;
-            scoring_mode_name scoring;
+            Sabre_core.Routing_pass.scoring_mode_name scoring;
             spec;
           ]))
 

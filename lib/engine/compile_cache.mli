@@ -45,11 +45,12 @@ val key :
   spec:string ->
   string
 (** Canonical cache key: digest of [Circuit.digest] (strict program
-    order) × [Coupling.digest] × [Config.digest] (hex-float exact,
-    seed included) × scoring mode × [spec]. [spec] names the route
-    recipe — a router name ("sabre") or a portfolio entry name
+    order, bit-exact) × [Coupling.digest] × [Config.digest] (hex-float
+    exact, seed included) × scoring mode × [spec]. [spec] names the
+    route recipe — a router name ("sabre") or a portfolio entry name
     ("hail/iso:trials=1"), which already encodes seeder and per-entry
-    overrides. *)
+    overrides. [scoring] must be the mode the route actually uses;
+    [Context.cache_key] resolves it the way [Context.create] does. *)
 
 val find : string -> routed option
 (** Read-only probe. Never blocks and never claims the flight. Returns

@@ -50,14 +50,26 @@ let check_device coupling circuit =
   if Circuit.n_qubits circuit > 1 && not (Coupling.is_connected_graph coupling)
   then invalid_arg "Engine.Context: disconnected coupling graph"
 
+(* The mode the router will use: the caller's, else the width rule. *)
+let resolve_scoring scoring circuit =
+  match scoring with
+  | Some s -> s
+  | None ->
+    Sabre_core.Routing_pass.default_scoring
+      ~n_logical:(Circuit.n_qubits circuit)
+
+let cache_key ?scoring ~config ~spec coupling circuit =
+  Compile_cache.key ~circuit ~coupling ~config
+    ~scoring:(resolve_scoring scoring circuit) ~spec
+
 let create ?(config = Config.default) ?dist ?noise
     ?(trial_domains = 1) ?race ?initial
-    ?(instrument = Instrument.null)
-    ?(scoring = Sabre_core.Routing_pass.Delta) ?cache_spec coupling circuit =
+    ?(instrument = Instrument.null) ?scoring ?cache_spec coupling circuit =
   (match Config.validate config with
   | Ok () -> ()
   | Error msg -> invalid_arg ("Engine.Context: " ^ msg));
   check_device coupling circuit;
+  let scoring = resolve_scoring scoring circuit in
   let custom_metric = Option.is_some dist in
   let dist, dist_int, cache_counters =
     match dist with
@@ -93,7 +105,7 @@ let create ?(config = Config.default) ?dist ?noise
     | Some spec
       when Compile_cache.enabled () && noise = None && (not custom_metric)
            && initial = None ->
-      let key = Compile_cache.key ~circuit ~coupling ~config ~scoring ~spec in
+      let key = cache_key ~scoring ~config ~spec coupling circuit in
       let emit name v =
         instrument.Instrument.emit
           (Instrument.Counter { pass = "context"; name; value = v })

@@ -63,8 +63,9 @@ type t = {
           [None] when the metric is not integer-valued (e.g.
           noise-weighted), which forces full recompute scoring *)
   scoring_mode : Sabre_core.Routing_pass.scoring_mode;
-      (** candidate-scoring strategy handed to the router (default
-          [Delta]; output is bit-identical either way) *)
+      (** candidate-scoring strategy handed to the router: the caller's
+          [~scoring], else {!Sabre_core.Routing_pass.default_scoring}
+          of the circuit's width; output is bit-identical either way *)
   trial_domains : int;
       (** domains the routing pass spreads trials over ({!Scheduler.run});
           1, the default, routes them on the calling domain *)
@@ -111,9 +112,11 @@ val create :
     also visible in {!counters}). The integer hop matrix rides along as
     [dist_int] (shared from the same cache entry, or derived from a
     custom [dist] when it happens to be integer-valued) so the router
-    can score candidates incrementally. [scoring] selects the router's
-    candidate-scoring strategy — [Delta] (default) and [Full] produce
-    bit-identical output; [Full] exists as the equivalence baseline.
+    can score candidates incrementally. [scoring] forces the router's
+    candidate-scoring strategy; without it the width rule
+    ({!Sabre_core.Routing_pass.default_scoring}) picks [Full] below 48
+    logical qubits and [Delta] from 48 up. Both produce bit-identical
+    output, and [scoring_mode] records the resolved one.
     [initial] is copied. Raises [Invalid_argument] on an invalid config,
     a circuit wider than the device, or a disconnected coupling
     graph.
@@ -131,6 +134,18 @@ val create :
     [context.compile_cache_miss]. Omitting [cache_spec] (the default
     everywhere except the CLI / batch / portfolio / serve entry points)
     keeps the pipeline byte-for-byte on its pre-cache behaviour. *)
+
+val cache_key :
+  ?scoring:Sabre_core.Routing_pass.scoring_mode ->
+  config:Config.t ->
+  spec:string ->
+  Coupling.t ->
+  Circuit.t ->
+  string
+(** The {!Compile_cache.key} that {!create} probes with the same
+    arguments, the scoring mode resolved as {!create} resolves it. Any
+    probe made outside a context (serve admission) must use this, so
+    that its key and the worker's agree. *)
 
 val add_metric : t -> string -> float -> t
 val add_counter : t -> pass:string -> string -> int -> t

@@ -72,7 +72,8 @@ let reverse c =
   { c with gates = Array.of_list reversed }
 
 let filter p c =
-  { c with gates = Array.of_list (List.filter p (Array.to_list c.gates)) }
+  if Array.for_all p c.gates then c
+  else { c with gates = Array.of_list (List.filter p (Array.to_list c.gates)) }
 
 let two_qubit_interactions c =
   Array.to_list c.gates |> List.filter_map Gate.two_qubit_pair
@@ -86,23 +87,19 @@ let used_qubits c =
    order: the dependency DAG has an edge between consecutive gates on each
    qubit, so equal sequences on every qubit imply the same DAG with the
    same labels, and any two topological orders of one DAG yield the same
-   sequences. *)
+   sequences. Each qubit's section is length-prefixed, and gate
+   encodings are prefix-free, so the hashed bytes parse one way. *)
 let canonical_key c =
   let buffers = Array.init c.n_qubits (fun _ -> Buffer.create 64) in
   Array.iter
     (fun g ->
-      let s = Gate.digest_string g in
-      List.iter
-        (fun q ->
-          Buffer.add_string buffers.(q) s;
-          Buffer.add_char buffers.(q) '\n')
-        (Gate.qubits g))
+      List.iter (fun q -> Gate.add_binary buffers.(q) g) (Gate.qubits g))
     c.gates;
   let whole = Buffer.create 256 in
-  Buffer.add_string whole (string_of_int c.n_qubits);
-  Array.iteri
-    (fun q b ->
-      Buffer.add_string whole (Printf.sprintf "#q%d:" q);
+  Buffer.add_int64_le whole (Int64.of_int c.n_qubits);
+  Array.iter
+    (fun b ->
+      Buffer.add_int64_le whole (Int64.of_int (Buffer.length b));
       Buffer.add_buffer whole b)
     buffers;
   Digest.to_hex (Digest.string (Buffer.contents whole))
@@ -111,23 +108,57 @@ let canonical_key c =
    commuting-gate interleaving (front-layer FIFO order follows gate
    indices), so memoization keys must hash the exact array order —
    canonical_key would conflate circuits that route differently. Gates
-   serialise via [Gate.digest_string] (hex-float parameters): %g's 6
-   significant digits would collide rotation angles differing only in
-   lower bits, and a cache hit is trusted without re-verification. *)
+   serialise with [Gate.add_binary], parameters by their bits: a
+   rounded spelling would collide rotation angles differing only in
+   lower bits, and a cache key that conflates two circuits serves one
+   the other's route. *)
 let digest c =
-  let whole = Buffer.create 256 in
-  Buffer.add_string whole (string_of_int c.n_qubits);
-  Buffer.add_char whole '/';
-  Buffer.add_string whole (string_of_int c.n_clbits);
-  Array.iter
-    (fun g ->
-      Buffer.add_char whole '\n';
-      Buffer.add_string whole (Gate.digest_string g))
-    c.gates;
+  let whole = Buffer.create (16 + (17 * Array.length c.gates)) in
+  Buffer.add_int64_le whole (Int64.of_int c.n_qubits);
+  Buffer.add_int64_le whole (Int64.of_int c.n_clbits);
+  Array.iter (Gate.add_binary whole) c.gates;
   Digest.to_hex (Digest.string (Buffer.contents whole))
 
+(* The relation [canonical_key] hashes, checked directly: index [a]'s
+   gates per qubit in CSR form, then walk [b] in program order with one
+   cursor per qubit, matching each gate against the next one [a] has
+   on every qubit it touches. Equal iff every match succeeds and every
+   cursor ends at its row's end. *)
 let equal_up_to_reordering a b =
-  a.n_qubits = b.n_qubits && String.equal (canonical_key a) (canonical_key b)
+  a.n_qubits = b.n_qubits
+  &&
+  let n = a.n_qubits in
+  let off = Array.make (n + 1) 0 in
+  Array.iter
+    (fun g ->
+      List.iter (fun q -> off.(q + 1) <- off.(q + 1) + 1) (Gate.qubits g))
+    a.gates;
+  for q = 0 to n - 1 do
+    off.(q + 1) <- off.(q + 1) + off.(q)
+  done;
+  let row = Array.make off.(n) 0 in
+  let cursor = Array.sub off 0 n in
+  Array.iteri
+    (fun i g ->
+      List.iter
+        (fun q ->
+          row.(cursor.(q)) <- i;
+          cursor.(q) <- cursor.(q) + 1)
+        (Gate.qubits g))
+    a.gates;
+  Array.blit off 0 cursor 0 n;
+  let matches g q =
+    let k = cursor.(q) in
+    if k < off.(q + 1) && Gate.equal a.gates.(row.(k)) g then begin
+      cursor.(q) <- k + 1;
+      true
+    end
+    else false
+  in
+  Array.for_all (fun g -> List.for_all (matches g) (Gate.qubits g)) b.gates
+  &&
+  let rec drained q = q = n || (cursor.(q) = off.(q + 1) && drained (q + 1)) in
+  drained 0
 
 let equal a b =
   a.n_qubits = b.n_qubits

@@ -69,27 +69,33 @@ val used_qubits : t -> int list
 (** Sorted list of qubit indices touched by at least one gate. *)
 
 val canonical_key : t -> string
-(** A canonical digest of the circuit's per-qubit gate sequences: two
-    circuits have equal keys iff they are equal as partial orders of
-    gates, i.e. one can be reordered into the other by commuting
-    independent gates. Used to verify that a routed circuit preserves the
-    original program's semantics after un-mapping. *)
+(** A canonical digest of the circuit's per-qubit gate sequences, each
+    gate written with {!Gate.add_binary}: two circuits have equal keys
+    iff (up to MD5 collisions) they have the same width and are equal
+    as partial orders of gates, i.e. one can be reordered into the
+    other by commuting independent gates. {!equal_up_to_reordering}
+    decides the same relation exactly, without hashing. *)
 
 val equal_up_to_reordering : t -> t -> bool
-(** [equal_up_to_reordering a b] compares {!canonical_key}s. *)
+(** [equal_up_to_reordering a b] holds iff [a] and [b] have the same
+    width and the same gate sequence on every qubit, gates compared
+    with {!Gate.equal} (floats by their bits). It walks [b] once
+    against a per-qubit (CSR) index of [a], with no hashing. Used to
+    verify that a routed circuit preserves the original program's
+    semantics after un-mapping. *)
 
 val digest : t -> string
 (** Strict content digest over the gates in program order (plus register
     sizes). Unlike {!canonical_key} this distinguishes circuits that
     differ only by commuting-gate interleavings — necessary for
     memoizing routing results, whose output depends on the exact gate
-    order. Gate parameters are serialised bit-exactly
-    ({!Gate.digest_string}), so equal digests imply {!equal} circuits
-    (modulo MD5 collisions, and with all NaN parameter payloads
-    conflated); the converse holds exactly. *)
+    order. Gates are written with {!Gate.add_binary}, parameters by
+    their bits, so equal digests imply {!equal} circuits (modulo MD5
+    collisions); the converse holds exactly. *)
 
 val equal : t -> t -> bool
-(** Strict structural equality (same gates, same order). *)
+(** Strict structural equality: same width, same gates in the same
+    order, compared with {!Gate.equal} (floats by their bits). *)
 
 val pp : Format.formatter -> t -> unit
 (** Multi-line listing of the circuit. *)

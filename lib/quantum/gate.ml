@@ -129,23 +129,89 @@ let pp ppf g =
 
 let to_string g = Format.asprintf "%a" pp g
 
-(* Float parameters go through %h (hex-float) so bit-distinct angles —
-   including ones that agree to %g's 6 significant digits, NaN, signed
-   zero and subnormals — never serialise alike. Gates without float
-   parameters render exactly under [to_string] already. *)
-let digest_string g =
-  match g with
-  | Single (k, q) -> (
-    match single_kind_params k with
-    | [] -> to_string g
-    | ps ->
-      Printf.sprintf "%s(%s) q[%d]" (single_kind_name k)
-        (String.concat "," (List.map (Printf.sprintf "%h") ps))
-        q)
-  | Cnot _ | Cz _ | Swap _ | Barrier _ | Measure _ -> to_string g
+(* Floats compare by their bits: -0.0 is not 0.0 (Qasm prints them
+   apart) and a NaN equals itself, payload for payload. *)
+let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
 
-let equal (a : t) (b : t) = a = b
-let compare (a : t) (b : t) = Stdlib.compare a b
+let single_kind_tag = function
+  | I -> 0
+  | H -> 1
+  | X -> 2
+  | Y -> 3
+  | Z -> 4
+  | S -> 5
+  | Sdg -> 6
+  | T -> 7
+  | Tdg -> 8
+  | Rx _ -> 9
+  | Ry _ -> 10
+  | Rz _ -> 11
+  | U1 _ -> 12
+  | U2 _ -> 13
+  | U3 _ -> 14
+
+let single_kind_equal k1 k2 =
+  match (k1, k2) with
+  | Rx a, Rx b | Ry a, Ry b | Rz a, Rz b | U1 a, U1 b -> same_bits a b
+  | U2 (a, b), U2 (c, d) -> same_bits a c && same_bits b d
+  | U3 (a, b, c), U3 (d, e, f) ->
+    same_bits a d && same_bits b e && same_bits c f
+  | _ -> single_kind_tag k1 = single_kind_tag k2
+
+let equal a b =
+  match (a, b) with
+  | Single (k1, q1), Single (k2, q2) -> q1 = q2 && single_kind_equal k1 k2
+  | Cnot (a1, b1), Cnot (a2, b2)
+  | Cz (a1, b1), Cz (a2, b2)
+  | Swap (a1, b1), Swap (a2, b2)
+  | Measure (a1, b1), Measure (a2, b2) ->
+    a1 = a2 && b1 = b2
+  | Barrier l1, Barrier l2 -> List.equal Int.equal l1 l2
+  | _ -> false
+
+(* The binary identity: a constructor tag byte, then each operand and
+   each parameter's IEEE bits as 8 little-endian bytes. Every field has
+   a fixed width, or a count in front (barriers), so the encoding is
+   prefix-free: concatenated gates never parse two ways, and two gates
+   encode alike iff they are [equal]. *)
+let add_word buf n = Buffer.add_int64_le buf (Int64.of_int n)
+let add_bits buf x = Buffer.add_int64_le buf (Int64.bits_of_float x)
+
+let add_pair buf tag a b =
+  Buffer.add_char buf tag;
+  add_word buf a;
+  add_word buf b
+
+let add_binary buf = function
+  | Single (k, q) -> (
+    Buffer.add_char buf (Char.unsafe_chr (single_kind_tag k));
+    add_word buf q;
+    match k with
+    | Rx a | Ry a | Rz a | U1 a -> add_bits buf a
+    | U2 (a, b) ->
+      add_bits buf a;
+      add_bits buf b
+    | U3 (a, b, c) ->
+      add_bits buf a;
+      add_bits buf b;
+      add_bits buf c
+    | I | H | X | Y | Z | S | Sdg | T | Tdg -> ())
+  | Cnot (a, b) -> add_pair buf '\x0f' a b
+  | Cz (a, b) -> add_pair buf '\x10' a b
+  | Swap (a, b) -> add_pair buf '\x11' a b
+  | Measure (q, c) -> add_pair buf '\x12' q c
+  | Barrier qs ->
+    Buffer.add_char buf '\x13';
+    add_word buf (List.length qs);
+    List.iter (add_word buf) qs
+
+let compare a b =
+  let encode g =
+    let buf = Buffer.create 32 in
+    add_binary buf g;
+    Buffer.contents buf
+  in
+  String.compare (encode a) (encode b)
 
 let validate ~n_qubits g =
   let in_range q = q >= 0 && q < n_qubits in

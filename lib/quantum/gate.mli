@@ -58,10 +58,23 @@ val name : t -> string
     OpenQASM 2.0 gate name where one exists. *)
 
 val equal : t -> t -> bool
-(** Structural equality; float parameters are compared exactly. *)
+(** Structural equality with float parameters compared by their IEEE
+    bits: [rz(0.0)] and [rz(-0.0)] differ (OpenQASM prints them apart),
+    and a gate with a NaN parameter equals itself. Two gates are equal
+    iff their {!add_binary} encodings are. *)
 
 val compare : t -> t -> int
-(** Total order consistent with {!equal}. *)
+(** Total order consistent with {!equal}: the byte order of the
+    {!add_binary} encodings (not numeric on operands). *)
+
+val add_binary : Buffer.t -> t -> unit
+(** Append the gate's binary identity: a constructor tag byte, then
+    every operand and every parameter's [Int64.bits_of_float] as 8
+    little-endian bytes (a barrier's operand count first). The
+    encoding is prefix-free and injective up to {!equal}, so a
+    concatenation of encodings identifies a gate sequence exactly. This
+    is the serialisation behind {!Circuit.digest} and
+    {!Circuit.canonical_key}. *)
 
 val pp : Format.formatter -> t -> unit
 (** Pretty-printer in OpenQASM-like syntax, e.g. [cx q[0], q[3]]. *)
@@ -69,15 +82,8 @@ val pp : Format.formatter -> t -> unit
 val to_string : t -> string
 (** [to_string g] is {!pp} rendered to a string. Float parameters are
     printed with [%g] (6 significant digits) — human-readable, but NOT
-    injective; use {!digest_string} wherever distinct gates must never
+    injective; use {!add_binary} wherever distinct gates must never
     serialise alike. *)
-
-val digest_string : t -> string
-(** Like {!to_string} but bit-exact: float parameters are rendered as
-    hex-floats ([%h]), so two gates share a digest string iff they are
-    {!equal} (with all NaN payloads conflated, matching the hex-float
-    convention of [Config.digest]). This is the serialisation behind
-    {!Circuit.digest} and {!Circuit.canonical_key}. *)
 
 val single_kind_name : single_kind -> string
 (** OpenQASM mnemonic of a single-qubit kind (without parameters). *)

@@ -4,7 +4,10 @@ exception Parse_error = Qasm_stream.Parse_error
 (* Eager reader: drain the incremental frontend                        *)
 (* ------------------------------------------------------------------ *)
 
-let of_stream st =
+(* A [Qreg] event arrives before the next statement is parsed, so an
+   oversized declaration stops the parse before a broadcast over it can
+   expand. *)
+let of_stream ?(max_qubits = max_int) st =
   let gates = ref [] in
   let rec drain () =
     match Qasm_stream.next_event st with
@@ -12,6 +15,18 @@ let of_stream st =
     | Some (Qasm_stream.Gate g) ->
       gates := g :: !gates;
       drain ()
+    | Some (Qasm_stream.Qreg _) when Qasm_stream.n_qubits st > max_qubits ->
+      let line, column = Qasm_stream.position st in
+      raise
+        (Parse_error
+           {
+             line;
+             column;
+             message =
+               Printf.sprintf
+                 "qreg takes the circuit to %d qubits, above the limit of %d"
+                 (Qasm_stream.n_qubits st) max_qubits;
+           })
     | Some (Qasm_stream.Qreg _ | Qasm_stream.Creg _) -> drain ()
   in
   drain ();
@@ -20,13 +35,14 @@ let of_stream st =
     ~n_clbits:(max (Qasm_stream.n_clbits st) 1)
     (List.rev !gates)
 
-let of_string src = of_stream (Qasm_stream.of_string src)
+let of_string ?max_qubits src =
+  of_stream ?max_qubits (Qasm_stream.of_string src)
 
-let of_file path =
+let of_file ?max_qubits path =
   let ic = open_in_bin path in
   Fun.protect
     ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> of_stream (Qasm_stream.of_channel ic))
+    (fun () -> of_stream ?max_qubits (Qasm_stream.of_channel ic))
 
 (* ------------------------------------------------------------------ *)
 (* Writer                                                              *)

@@ -28,13 +28,18 @@ exception Parse_error of { line : int; column : int; message : string }
 (** Alias of {!Qasm_stream.Parse_error}; [line] and [column] are
     1-based. *)
 
-val of_string : string -> Circuit.t
-(** Parse a full OpenQASM 2.0 program. Raises {!Parse_error}. *)
+val of_string : ?max_qubits:int -> string -> Circuit.t
+(** Parse a full OpenQASM 2.0 program. Raises {!Parse_error}. With
+    [max_qubits] (a device's qubit count), a [qreg] that takes the
+    declared width past it raises {!Parse_error} at that declaration,
+    before any later statement is read: a broadcast over a huge
+    register never expands. *)
 
-val of_file : string -> Circuit.t
+val of_file : ?max_qubits:int -> string -> Circuit.t
 (** Parse from a file path, reading the channel incrementally. The
     channel is closed on all exits, including parse errors. Raises
-    {!Parse_error} or [Sys_error]. *)
+    {!Parse_error} or [Sys_error]; [max_qubits] is as in
+    {!of_string}. *)
 
 val add_gate : Buffer.t -> Gate.t -> unit
 (** Append one gate line, terminated by a newline, e.g.

@@ -764,6 +764,7 @@ let rec next_event t =
 
 let n_qubits t = t.env.n_qubits
 let n_clbits t = t.env.n_clbits
+let position t = (t.ts.last_line, t.ts.last_col)
 
 (* ------------------------------------------------------------------ *)
 (* Survey pass                                                         *)

@@ -65,6 +65,10 @@ val n_qubits : t -> int
 val n_clbits : t -> int
 (** Total classical bits declared by the events pulled so far. *)
 
+val position : t -> int * int
+(** Line and column of the last token consumed: after a [Qreg] event,
+    the [;] that ends its declaration. *)
+
 type survey = {
   sv_n_qubits : int;
   sv_n_clbits : int;

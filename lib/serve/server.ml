@@ -242,11 +242,13 @@ let error_id id kind fmt =
 
 let error (c : Protocol.compile) kind fmt = error_id c.Protocol.id kind fmt
 
-let parse_source id source =
+(* [device] bounds the declared width before any gate is expanded *)
+let parse_source ~device id source =
+  let max_qubits = Hardware.Coupling.n_qubits device in
   match
     match source with
-    | Protocol.Inline text -> Qasm.of_string text
-    | Protocol.Path path -> Qasm.of_file path
+    | Protocol.Inline text -> Qasm.of_string ~max_qubits text
+    | Protocol.Path path -> Qasm.of_file ~max_qubits path
   with
   | exception Qasm.Parse_error { line; column; message } ->
     Error (error_id id Protocol.Qasm_error "%d:%d: %s" line column message)
@@ -283,7 +285,7 @@ let compile_request t ?should_stop (c : Protocol.compile) : Protocol.response =
   with
   | Error resp -> resp
   | Ok (config, router, device) -> (
-    match parse_source c.id c.source with
+    match parse_source ~device c.id c.source with
     | Error resp -> resp
     | Ok circuit ->
       let t0 = wall () in
@@ -359,7 +361,7 @@ let portfolio_request t ?should_stop (p : Protocol.portfolio) :
   with
   | Error resp -> resp
   | Ok (config, entries, objective, device) -> (
-    match parse_source p.id p.source with
+    match parse_source ~device p.id p.source with
     | Error resp -> resp
     | Ok circuit -> (
       let names =
@@ -537,12 +539,11 @@ let admission_cache_hit t (c : Protocol.compile) : Protocol.response option =
         match Devices.by_name c.device c.device_size with
         | exception Invalid_argument _ -> None
         | coupling -> (
-          match parse_source c.id c.source with
+          match parse_source ~device:coupling c.id c.source with
           | Error _ -> None
           | Ok circuit ->
             let key =
-              Engine.Compile_cache.key ~circuit ~coupling ~config
-                ~scoring:Sabre_core.Routing_pass.Delta ~spec:c.router
+              Engine.Context.cache_key ~config ~spec:c.router coupling circuit
             in
             (* hit-only probe: a miss here is re-probed (and counted)
                by the worker pipeline *)

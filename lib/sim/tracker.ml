@@ -37,7 +37,7 @@ let unroute ~initial ~n_logical physical =
     if l < 0 && !error = None then error := Some (Unmapped_qubit (g, q));
     l
   in
-  List.iter
+  Array.iter
     (fun g ->
       if !error = None then
         match g with
@@ -49,7 +49,7 @@ let unroute ~initial ~n_logical physical =
         | _ ->
           let g' = Gate.remap (to_logical g) g in
           if !error = None then logical_gates := g' :: !logical_gates)
-    (Circuit.gates physical);
+    physical.Circuit.gates;
   match !error with
   | Some e -> Error e
   | None ->
@@ -64,12 +64,12 @@ let unroute ~initial ~n_logical physical =
 
 let check_compliance ~coupling physical =
   let bad =
-    List.find_opt
-      (fun g ->
-        match Gate.two_qubit_pair g with
-        | Some (a, b) -> not (Coupling.connected coupling a b)
-        | None -> false)
-      (Circuit.gates physical)
+    Array.find_opt
+      (function
+        | Gate.Cnot (a, b) | Gate.Cz (a, b) | Gate.Swap (a, b) ->
+          not (Coupling.connected coupling a b)
+        | Gate.Single _ | Gate.Barrier _ | Gate.Measure _ -> false)
+      physical.Circuit.gates
   in
   match bad with Some g -> Error (Not_on_edge g) | None -> Ok ()
 
@@ -81,11 +81,10 @@ let check ~coupling ~initial ?final ~logical ~physical () =
   let* recovered, tracked_final =
     unroute ~initial ~n_logical:(Circuit.n_qubits logical) physical
   in
+  (* [unroute] already dropped the physical circuit's barriers *)
   let* () =
-    if
-      Circuit.equal_up_to_reordering (strip_barriers recovered)
-        (strip_barriers logical)
-    then Ok ()
+    if Circuit.equal_up_to_reordering recovered (strip_barriers logical) then
+      Ok ()
     else Error Semantics_mismatch
   in
   match final with

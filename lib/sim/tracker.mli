@@ -13,7 +13,11 @@ module Coupling = Hardware.Coupling
     - {b compliance}: every two-qubit gate acts on a coupling-graph edge;
     - {b semantics}: stripping the inserted SWAPs and un-mapping the
       remaining gates recovers a circuit equal to the original up to
-      reordering of independent gates (see {!Circuit.canonical_key}).
+      reordering of independent gates: the per-qubit gate sequences
+      match gate for gate, floats by their bits
+      ({!Circuit.equal_up_to_reordering}; no hash is involved, so a
+      collision cannot pass a wrong circuit). Barriers on either side
+      are ignored.
 
     Inserted SWAPs are identified structurally: any [Swap] gate in the
     physical circuit is treated as routing (the workloads in this

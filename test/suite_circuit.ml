@@ -160,6 +160,50 @@ let test_digest_bit_exact_params () =
   check Alcotest.bool "subnormal distinguishes from zero" false
     (String.equal (Circuit.digest (circ subnormal)) (Circuit.digest (circ 0.0)))
 
+(* Gate and circuit equality compare floats by their bits: what Qasm
+   prints apart ([rz(0)] and [rz(-0)]) is unequal, a NaN angle equals
+   itself as it digests alike, and [Gate.compare] agrees with both. *)
+let test_equality_bit_exact () =
+  let rz a = Gate.Single (Rz a, 0) in
+  let circ g = Circuit.create ~n_qubits:1 [ g ] in
+  check Alcotest.bool "rz(0.0) <> rz(-0.0)" false
+    (Gate.equal (rz 0.0) (rz (-0.0)));
+  check Alcotest.bool "circuits too" false
+    (Circuit.equal (circ (rz 0.0)) (circ (rz (-0.0))));
+  check Alcotest.bool "rz(nan) = rz(nan)" true
+    (Gate.equal (rz Float.nan) (rz Float.nan));
+  check Alcotest.bool "circuits too" true
+    (Circuit.equal (circ (rz Float.nan)) (circ (rz Float.nan)));
+  check Alcotest.bool "last bit counts" false
+    (Gate.equal (rz 0.1) (rz (Float.succ 0.1)));
+  let gates =
+    [
+      rz 0.0; rz (-0.0); rz Float.nan; rz 0.1; rz (Float.succ 0.1);
+      Gate.Single (U1 0.0, 0); Gate.Single (U2 (0.0, -0.0), 0);
+      Gate.Single (U3 (1.0, 2.0, 3.0), 0); Gate.Single (H, 0);
+      Gate.Single (H, 1); Gate.Cnot (0, 1); Gate.Cnot (1, 0); Gate.Cz (0, 1);
+      Gate.Swap (0, 1); Gate.Measure (0, 1); Gate.Barrier [ 0; 1 ];
+      Gate.Barrier [ 0 ]; Gate.Barrier [];
+    ]
+  in
+  List.iter
+    (fun a ->
+      List.iter
+        (fun b ->
+          let label = Gate.to_string a ^ " vs " ^ Gate.to_string b in
+          check Alcotest.bool (label ^ ": compare agrees with equal")
+            (Gate.equal a b) (Gate.compare a b = 0);
+          check Alcotest.bool (label ^ ": compare antisymmetric") true
+            (Int.compare (Gate.compare a b) 0
+            = -Int.compare (Gate.compare b a) 0);
+          check Alcotest.bool (label ^ ": digest agrees with equal")
+            (Gate.equal a b)
+            (String.equal
+               (Circuit.digest (Circuit.create ~n_qubits:2 [ a ]))
+               (Circuit.digest (Circuit.create ~n_qubits:2 [ b ]))))
+        gates)
+    gates
+
 let suite =
   [
     tc "create and counts" `Quick test_create_and_counts;
@@ -178,4 +222,5 @@ let suite =
     tc "canonical key: order sensitive" `Quick test_canonical_key_order_sensitive;
     tc "canonical key: gate identity" `Quick test_canonical_key_distinguishes_gates;
     tc "digest: bit-exact float params" `Quick test_digest_bit_exact_params;
+    tc "equality: floats by their bits" `Quick test_equality_bit_exact;
   ]

@@ -146,7 +146,8 @@ let test_lru_eviction_under_byte_budget () =
   let device = Devices.ibm_q20_tokyo () in
   let circuit = Workloads.Qft.circuit 5 in
   let key seed =
-    Cache.key ~circuit ~coupling:device ~config:(config seed) ~scoring:RP.Delta
+    Cache.key ~circuit ~coupling:device ~config:(config seed)
+      ~scoring:(RP.default_scoring ~n_logical:(Circuit.n_qubits circuit))
       ~spec:"sabre"
   in
   with_cache
@@ -197,7 +198,8 @@ let test_poisoned_route_not_cached () =
       let circuit = Workloads.Qft.circuit 4 in
       let key =
         Cache.key ~circuit ~coupling:device ~config:Config.default
-          ~scoring:RP.Delta ~spec:"sabre"
+          ~scoring:(RP.default_scoring ~n_logical:(Circuit.n_qubits circuit))
+          ~spec:"sabre"
       in
       (* a failing route under the same cache key aborts its flight:
          the failure is not cached and the slot is not wedged *)
@@ -256,7 +258,8 @@ let test_inflight_probe_counts_once () =
       ignore (route ~cache_spec:"sabre" ~router device circuit);
       let donor_key =
         Cache.key ~circuit ~coupling:device ~config:Config.default
-          ~scoring:RP.Delta ~spec:"sabre"
+          ~scoring:(RP.default_scoring ~n_logical:(Circuit.n_qubits circuit))
+          ~spec:"sabre"
       in
       let routed =
         match Cache.find donor_key with

@@ -92,13 +92,13 @@ let goldens =
     ("tokyo", "ising10", "sabre", "one-shot", "ce71ab1a48991dba88be397b46cf5504");
   ]
 
-let route ~router ~config device circuit =
+let route ?scoring ~router ~config device circuit =
   let r =
     match Engine.Router.find router with
     | Some r -> r
     | None -> Alcotest.failf "router %s not registered" router
   in
-  let ctx = Engine.Context.create ~config device circuit in
+  let ctx = Engine.Context.create ~config ?scoring device circuit in
   let ctx = Engine.Pipeline.run (Engine.Pipeline.default ~router:r ()) ctx in
   Engine.Context.routed_exn ctx
 
@@ -141,10 +141,32 @@ let test_ref_router_agrees () =
       end)
     goldens
 
+(* The width rule picks full recompute for every golden row (all are
+   narrower than [delta_min_width]), so the default run above no longer
+   exercises delta: route the sabre rows under each scorer forced, and
+   both must reproduce the same literal digests. *)
+let test_goldens_both_scorers () =
+  List.iter
+    (fun (dname, wname, router, cname, expected) ->
+      if router = "sabre" then
+        List.iter
+          (fun scoring ->
+            let r =
+              route ~scoring ~router ~config:(config_of_name cname)
+                (device_of_name dname) (workload_of_name wname)
+            in
+            check Alcotest.string
+              (Printf.sprintf "%s/%s/%s under %s unchanged" dname wname cname
+                 (Sabre_core.Routing_pass.scoring_mode_name scoring))
+              expected (fingerprint r))
+          Sabre_core.Routing_pass.[ Delta; Full ])
+    goldens
+
 let suite =
   [
     tc "golden equivalence: pre-refactor digests, 3 routers" `Quick
       test_goldens;
     tc "sabre-ref reproduces flat-core output on goldens" `Quick
       test_ref_router_agrees;
+    tc "sabre goldens under both scorers" `Quick test_goldens_both_scorers;
   ]

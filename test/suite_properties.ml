@@ -513,6 +513,75 @@ let prop_canonical_key_stable_under_dag_relinearisation =
       in
       Circuit.equal_up_to_reordering c relinearised)
 
+(* [equal_up_to_reordering] checks per-qubit sequences directly; it
+   must agree with comparing the [canonical_key] digests of the same
+   relation, on a circuit against itself, against a random topological
+   relinearisation of its DAG, and against a one-gate mutation (a gate
+   dropped, an Rz angle's last bit flipped, or two neighbours
+   exchanged, which may or may not commute). *)
+let prop_reordering_agrees_with_canonical_key =
+  QCheck.Test.make ~count:300
+    ~name:"equal_up_to_reordering agrees with canonical keys"
+    QCheck.(pair circuit_arb small_nat)
+    (fun (c, seed) ->
+      let st = Random.State.make [| seed |] in
+      let gates = Circuit.gate_array c in
+      let n = Array.length gates in
+      let rebuild gs =
+        Circuit.create ~n_qubits:(Circuit.n_qubits c)
+          ~n_clbits:(Circuit.n_clbits c) gs
+      in
+      let relinearised =
+        let dag = Quantum.Dag.of_circuit c in
+        let remaining = Array.init n (Quantum.Dag.in_degree dag) in
+        let ready = ref (Quantum.Dag.initial_front dag) and out = ref [] in
+        while !ready <> [] do
+          let i = List.nth !ready (Random.State.int st (List.length !ready)) in
+          ready := List.filter (( <> ) i) !ready;
+          out := gates.(i) :: !out;
+          Quantum.Dag.succ_iter dag i (fun j ->
+              remaining.(j) <- remaining.(j) - 1;
+              if remaining.(j) = 0 then ready := j :: !ready)
+        done;
+        rebuild (List.rev !out)
+      in
+      let mutated =
+        if n = 0 then c
+        else
+          let i = Random.State.int st n in
+          let gs = Array.to_list gates in
+          match (Random.State.int st 3, gates.(i)) with
+          | 1, Gate.Single (Rz a, q) ->
+            rebuild
+              (List.mapi
+                 (fun j g ->
+                   if j = i then
+                     Gate.Single
+                       ( Rz
+                           (Int64.float_of_bits
+                              (Int64.logxor (Int64.bits_of_float a) 1L)),
+                         q )
+                   else g)
+                 gs)
+          | 2, _ when i + 1 < n ->
+            rebuild
+              (List.mapi
+                 (fun j g ->
+                   if j = i then gates.(i + 1)
+                   else if j = i + 1 then gates.(i)
+                   else g)
+                 gs)
+          | _ -> rebuild (List.filteri (fun j _ -> j <> i) gs)
+      in
+      let agree a b =
+        Circuit.equal_up_to_reordering a b
+        = String.equal (Circuit.canonical_key a) (Circuit.canonical_key b)
+      in
+      Circuit.equal_up_to_reordering c relinearised
+      && List.for_all
+           (fun (a, b) -> agree a b && agree b a)
+           [ (c, c); (c, relinearised); (c, mutated); (relinearised, mutated) ])
+
 let prop_sabre_no_swaps_on_complete_graph =
   QCheck.Test.make ~count:60 ~name:"no swaps needed on complete coupling"
     circuit_arb (fun c ->
@@ -635,4 +704,5 @@ let suite =
       prop_directed_fix_sound;
       prop_noise_metric_consistent;
       prop_mapping_only_matches_run;
+      prop_reordering_agrees_with_canonical_key;
     ]

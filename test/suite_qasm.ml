@@ -354,6 +354,48 @@ let prop_add_gate_matches_format =
       Qasm.add_gate b g;
       Buffer.contents b = reference_gate_line g)
 
+(* A four-line file declares 10^8 qubits and broadcasts H over them.
+   With the device's width as the bound, the parse stops at the qreg
+   (line 3) before the broadcast expands: well under a megabyte
+   allocated, where the expansion would take gigabytes. *)
+let huge_register =
+  "OPENQASM 2.0;\ninclude \"qelib1.inc\";\nqreg q[100000000];\nh q;\n"
+
+let test_max_qubits_bounds_before_expansion () =
+  let path = Filename.temp_file "qasm_huge" ".qasm" in
+  Out_channel.with_open_bin path (fun oc -> output_string oc huge_register);
+  let parse_line f =
+    let before = Gc.allocated_bytes () in
+    let line =
+      match f () with
+      | exception Qasm.Parse_error { line; _ } -> Some line
+      | _ -> None
+    in
+    (line, Gc.allocated_bytes () -. before)
+  in
+  List.iter
+    (fun (label, f) ->
+      let line, bytes = parse_line f in
+      check Alcotest.(option int)
+        (label ^ ": refused at the qreg")
+        (Some 3) line;
+      check Alcotest.bool
+        (Printf.sprintf "%s: %.0f bytes allocated < 1 MB" label bytes)
+        true (bytes < 1e6))
+    [
+      ("of_file", fun () -> Qasm.of_file ~max_qubits:20 path);
+      ("of_string", fun () -> Qasm.of_string ~max_qubits:20 huge_register);
+    ];
+  Sys.remove path;
+  (* the bound counts every register, and a program at the bound parses *)
+  check Alcotest.bool "second register crosses the bound" true
+    (match Qasm.of_string ~max_qubits:4 "qreg a[3]; qreg b[2]; h a[0];" with
+    | exception Qasm.Parse_error { line = 1; _ } -> true
+    | _ -> false);
+  check Alcotest.int "at the bound" 4
+    (Circuit.n_qubits
+       (Qasm.of_string ~max_qubits:4 "qreg a[2]; qreg b[2]; h b;"))
+
 let suite =
   [
     tc "parse basic program" `Quick test_parse_basic;
@@ -375,4 +417,6 @@ let suite =
     tc "repeated qubits rejected" `Quick test_repeated_qubits_rejected;
     tc "integers must convert exactly" `Quick test_integer_bounds;
     QCheck_alcotest.to_alcotest prop_add_gate_matches_format;
+    tc "max_qubits refuses a huge qreg before expanding" `Quick
+      test_max_qubits_bounds_before_expansion;
   ]

@@ -550,6 +550,60 @@ let test_mapping_only_allocation_budget () =
     (Printf.sprintf "10,000 executed gates: %.0f words < 1,000" words)
     true (words < 1000.0)
 
+(* The width rule: a run not told a mode scores in full below
+   [delta_min_width] logical qubits and by deltas from it up, through
+   every entry point and through [Engine.Context.create]. The scorer
+   counters tell the modes apart (delta skips terms full recompute
+   pays) and are deterministic, so each default run must reproduce the
+   forced run of the mode the rule picks. *)
+let test_width_rule_picks_scorer () =
+  let w = Routing_pass.delta_min_width in
+  let device = Devices.grid ~rows:7 ~cols:7 in
+  List.iter
+    (fun (width, expected) ->
+      check Alcotest.bool
+        (Printf.sprintf "default_scoring at width %d" width)
+        true
+        (Routing_pass.default_scoring ~n_logical:width = expected);
+      let c =
+        Workloads.Random_reversible.circuit ~seed:width ~hot_bias:0.0
+          ~n:width ~gates:400 ()
+      in
+      let dag = Dag.of_circuit c in
+      let m = Mapping.identity ~n_logical:width ~n_physical:49 in
+      let scored ?scoring () =
+        (Routing_pass.run ?scoring single_pass device dag m).scoring
+      in
+      let forced = scored ~scoring:expected () in
+      let other =
+        scored
+          ~scoring:
+            (if expected = Routing_pass.Full then Routing_pass.Delta
+             else Routing_pass.Full)
+          ()
+      in
+      let label entry = Printf.sprintf "width %d, %s" width entry in
+      check Alcotest.bool (label "the modes count apart") true
+        (forced <> other);
+      check Alcotest.bool (label "run") true (scored () = forced);
+      check Alcotest.bool (label "run_mapping") true
+        ((Routing_pass.run_mapping single_pass device dag m).m_scoring
+        = forced);
+      let rest = ref (Circuit.gates c) in
+      let source () =
+        match !rest with
+        | [] -> None
+        | g :: tl ->
+          rest := tl;
+          Some g
+      in
+      check Alcotest.bool (label "run_streaming") true
+        ((Routing_pass.run_streaming ~sink:ignore single_pass device source m)
+           .s_scoring = forced);
+      check Alcotest.bool (label "Context.create") true
+        ((Sabre.Engine.Context.create device c).scoring_mode = expected))
+    [ (w - 1, Routing_pass.Full); (w, Routing_pass.Delta) ]
+
 let suite =
   [
     tc "executable circuit untouched" `Quick test_executable_circuit_untouched;
@@ -595,4 +649,5 @@ let suite =
     tc "mismatched dist_int rejected" `Quick test_mismatched_dist_int_rejected;
     tc "mapping-only allocation budget" `Quick
       test_mapping_only_allocation_budget;
+    tc "width rule picks the scorer" `Quick test_width_rule_picks_scorer;
   ]

@@ -701,6 +701,22 @@ let test_oversized_device () =
       | r -> Alcotest.failf "next request: %s" (P.encode_response r));
       check Alcotest.int "one served" 1 (Server.stats server).P.served)
 
+(* A 130-byte request declaring 10^8 qubits and broadcasting H over
+   them gets a typed qasm_error: the admission probe and the worker
+   both parse with the device's width as the bound, so the broadcast
+   never expands, and the daemon answers the next request. *)
+let test_oversized_register () =
+  with_server ~domains:1 (fun path server ->
+      expect_error P.Qasm_error
+        (rpc path
+           (compile_req
+              "OPENQASM 2.0;\ninclude \"qelib1.inc\";\n\
+               qreg q[100000000];\nh q;\n"));
+      (match rpc path (compile_req ~id:"next" small_qasm) with
+      | P.Ok_compiled _ -> ()
+      | r -> Alcotest.failf "next request: %s" (P.encode_response r));
+      check Alcotest.int "one served" 1 (Server.stats server).P.served)
+
 let test_oversized_request () =
   with_server ~domains:1 ~max_request_bytes:4096 (fun path _server ->
       expect_error P.Oversized
@@ -1423,4 +1439,6 @@ let suite =
     tc "sync_collector under concurrent emitters" `Quick
       test_sync_collector_concurrent;
     tc "sync_collector as a Batch sink" `Quick test_sync_collector_with_batch;
+    tc "oversized register refused, daemon answers on" `Quick
+      test_oversized_register;
   ]

@@ -110,6 +110,50 @@ let test_invalid_initial_mapping_rejected () =
   check Alcotest.bool "out of range" true
     (raises (fun () -> Tracker.unroute ~initial:[| 0; 7 |] ~n_logical:2 c))
 
+(* The semantic check compares per-qubit gate sequences directly, with
+   floats by their bits: a routed circuit whose un-routed gates differ
+   from the original in one angle's last bit, in the sign of a zero
+   angle, or in the order of two gates sharing a qubit is rejected; a
+   reordering of gates on disjoint qubits is accepted. *)
+let test_check_is_bit_exact () =
+  let logical =
+    [
+      Gate.Single (H, 0); Gate.Single (Rz 0.1, 1); Gate.Cnot (0, 1);
+      Gate.Single (Rz 0.0, 2); Gate.Cnot (2, 3); Gate.Single (T, 3);
+    ]
+  in
+  let verdict physical =
+    Tracker.check ~coupling:square ~initial:identity4 ~final:identity4
+      ~logical:(Circuit.create ~n_qubits:4 logical)
+      ~physical:(Circuit.create ~n_qubits:4 physical)
+      ()
+  in
+  let replace i g = List.mapi (fun j g' -> if j = i then g else g') logical in
+  let swap i j =
+    List.mapi
+      (fun k g ->
+        if k = i then List.nth logical j
+        else if k = j then List.nth logical i
+        else g)
+      logical
+  in
+  let rejected label physical =
+    match verdict physical with
+    | Error Tracker.Semantics_mismatch -> ()
+    | Ok () -> Alcotest.failf "%s: accepted" label
+    | Error e -> Alcotest.failf "%s: wrong error %a" label Tracker.pp_error e
+  in
+  (match verdict logical with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "unchanged: %a" Tracker.pp_error e);
+  rejected "last bit of an angle"
+    (replace 1 (Gate.Single (Rz (Float.succ 0.1), 1)));
+  rejected "0.0 became -0.0" (replace 3 (Gate.Single (Rz (-0.0), 2)));
+  rejected "dependent gates swapped" (swap 0 2);
+  match verdict (swap 0 1) with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "disjoint reordering: %a" Tracker.pp_error e
+
 let suite =
   [
     tc "Fig. 3 roundtrip" `Quick test_fig3_roundtrip;
@@ -120,4 +164,5 @@ let suite =
     tc "unmapped qubit detected" `Quick test_unmapped_qubit_detected;
     tc "swap through unmapped qubit ok" `Quick test_swap_through_unmapped_ok;
     tc "invalid initial mapping rejected" `Quick test_invalid_initial_mapping_rejected;
+    tc "check is bit-exact and order-aware" `Quick test_check_is_bit_exact;
   ]
