@@ -20,8 +20,9 @@
                    totals; warm distance cache >= 10x cheaper than cold
      racing      — incumbent-bound pruning >= 1.3x on the best circuit
                    of the zoo, with at least one entry pruned
-     cache       — every compile-cache hit >= 10x faster than its cold
-                   route, byte-identical to it and verified
+     cache       — every compile-cache hit, checked as every hit is,
+                   >= 10x faster than its cold route and byte-identical
+                   to it
 
    Flags: --repeat K reports min-of-K wall time per timed row,
    --max-qubits N caps the scaling and scoring sweeps. Every argument is
@@ -692,11 +693,7 @@ let cache () =
   Fun.protect ~finally:(fun () -> Cache.set_capacity_bytes saved) @@ fun () ->
   Cache.set_capacity_mb 256;
   let route circuit =
-    let ctx = Engine.Context.create ~cache_spec:"sabre" device circuit in
-    let ctx =
-      Engine.Pipeline.run (Engine.Pipeline.default ~router ~verify:true ()) ctx
-    in
-    Engine.Context.routed_exn ctx
+    (Engine.Pipeline.compile ~router ~cache_spec:"sabre" device circuit).routed
   in
   Format.printf "%-16s %10s %10s %9s@." "circuit" "cold_ms" "warm_ms" "speedup";
   let worst = ref infinity in

@@ -116,18 +116,17 @@ def racing_equivalence():
 
 
 def batch_replay():
-    # duplicated manifest rows come back byte-identical and --no-cache gives
-    # the same output. Manifest-level dedup folds the duplicates before they
-    # reach the compile cache, so the cache sees one miss per distinct
-    # circuit and no hits
-    manifest = out("cache-manifest.txt")
+    # duplicated manifest rows come back byte-identical, and -j 2 gives the
+    # rows of -j 1 (README: parallelism across circuits changes no routed
+    # byte)
+    manifest = out("batch-manifest.txt")
     with open(manifest, "w") as f:
         f.write("circuits/cuccaro_adder_2bit.qasm\ncircuits/qpe_3bit.qasm\n" * 2
                 + "circuits/cuccaro_adder_2bit.qasm\n")
     base = [COMPILE, "--batch", manifest, "-d", "tokyo"]
-    cached = run(base, "batch-cached.log")
-    nocache = run(base + ["--no-cache"], "batch-nocache.log")
-    lines = cached.stdout.splitlines()
+    seq = run(base + ["-j", "1"], "batch-j1.log")
+    par = run(base + ["-j", "2"], "batch-j2.log")
+    lines = seq.stdout.splitlines()
     rows = [json.loads(line) for line in lines]
     assert len(rows) == 5, rows
     assert all(r["status"] == "ok" for r in rows), rows
@@ -141,12 +140,8 @@ def batch_replay():
         return [{k: v for k, v in json.loads(l).items() if k != "time_s"}
                 for l in stdout.splitlines()]
 
-    assert routed(cached.stdout) == routed(nocache.stdout), "--no-cache changed the batch output"
-    assert "compile-cache 0 hits / 2 misses" in cached.stderr, \
-        f"unexpected compile-cache counters: {cached.stderr}"
-    assert "compile-cache" not in nocache.stderr.replace("compile-cache 0 hits / 0 misses", ""), \
-        "--no-cache still probed the compile cache"
-    return cached.stderr.strip().splitlines()[-1]
+    assert routed(seq.stdout) == routed(par.stdout), "-j 2 changed the batch output"
+    return par.stderr.strip().splitlines()[-1]
 
 
 # ---------------------------------------------------------------- daemon

@@ -60,53 +60,40 @@ type routed = {
 }
 
 (* Route and verify with the pass pipeline: every router — SABRE or a
-   baseline — runs behind the same [Engine.Router] interface, and the
-   [Verify_pass] replaces the hand-rolled verification this binary used
-   to carry. Returns the per-pass wall times for [--stats-json]. *)
-let route router_name config device circuit ~domains ~cache ~instrument =
+   baseline — runs behind the same [Engine.Router] interface. Returns
+   the per-pass wall times for [--stats-json]. *)
+let route router_name config device circuit ~domains ~instrument =
   Baseline.Routers.register ();
-  match Engine.Router.find_suggest router_name with
-  | Error msg -> Error msg
-  | Ok router -> (
-    let t0 = Unix.gettimeofday () in
-    let cache_spec =
-      (* key with the canonical registry name, so a hit is shared with
-         batch mode and the serve daemon *)
-      if cache then Some (Engine.Router.name router) else None
-    in
-    match
-      Engine.Context.create ~config ~trial_domains:domains ?cache_spec device
-        circuit
-      |> Engine.Pipeline.run ~instrument
-           (Engine.Pipeline.default ~router ~verify:true ())
-    with
-    | ctx ->
-      let r = Engine.Context.routed_exn ctx in
-      let stats =
-        Engine.Context.stats ctx ~time_s:(Unix.gettimeofday () -. t0)
-      in
-      Ok
-        ( {
-            physical = r.Engine.Context.physical;
-            initial = Mapping.l2p_array r.Engine.Context.trial_initial;
-            final = Mapping.l2p_array r.Engine.Context.final_mapping;
-            n_swaps = r.Engine.Context.n_swaps;
-          },
-          (if router_name = "sabre" then Some stats else None),
-          Engine.Context.metrics ctx )
-    | exception Engine.Router.Route_failed msg -> Error msg
-    | exception Engine.Verify_pass.Verify_failed msg -> Error msg)
+  let* router = Engine.Router.find_suggest router_name in
+  match
+    Engine.Pipeline.compile ~config ~router ~trial_domains:domains ~instrument
+      device circuit
+  with
+  | { Engine.Pipeline.routed = r; stats; metrics } ->
+    Ok
+      ( {
+          physical = r.Engine.Context.physical;
+          initial = Mapping.l2p_array r.Engine.Context.trial_initial;
+          final = Mapping.l2p_array r.Engine.Context.final_mapping;
+          n_swaps = r.Engine.Context.n_swaps;
+        },
+        (if router_name = "sabre" then Some stats else None),
+        metrics )
+  | exception
+      (Engine.Router.Route_failed msg | Engine.Verify_pass.Verify_failed msg)
+    ->
+    Error msg
 
 (* Best-of-K: route once per portfolio entry, keep the winner. The
    returned router label is the winner's entry name so the reports say
    which member actually produced the circuit. *)
 let route_portfolio spec objective_name config device circuit ~domains ~race
-    ~cache ~instrument ~quiet =
+    ~instrument ~quiet =
   Baseline.Routers.register ();
   let* entries = Engine.Portfolio.parse_spec spec in
   let* objective = Engine.Portfolio.objective_of_string objective_name in
   match
-    Engine.Portfolio.run ~domains ~objective ~config ~verify:true ~race ~cache
+    Engine.Portfolio.run ~domains ~objective ~config ~verify:true ~race
       ~instrument device circuit entries
   with
   | report ->
@@ -151,8 +138,20 @@ let route_portfolio spec objective_name config device circuit ~domains ~race
   | exception Invalid_argument msg -> Error msg
 
 (* ------------------------------------------------------------------ *)
-(* --list-routers                                                       *)
+(* --list-routers, --list-seeders                                       *)
 (* ------------------------------------------------------------------ *)
+
+let print_seeders header =
+  print_endline header;
+  List.iter
+    (fun name ->
+      match Sabre.Initial_mapping.Seeder.find name with
+      | Some s ->
+        Printf.printf "  %-18s %s\n" name
+          s.Sabre.Initial_mapping.Seeder.description
+      | None -> ())
+    (Sabre.Initial_mapping.Seeder.names ());
+  0
 
 let run_list_routers () =
   Baseline.Routers.register ();
@@ -168,28 +167,7 @@ let run_list_routers () =
       | None -> ())
     (Engine.Router.names ());
   print_endline "";
-  print_endline "seeders (for --portfolio ROUTER/SEEDER):";
-  List.iter
-    (fun name ->
-      match Sabre.Initial_mapping.Seeder.find name with
-      | Some s ->
-        Printf.printf "  %-18s %s\n" name
-          s.Sabre.Initial_mapping.Seeder.description
-      | None -> ())
-    (Sabre.Initial_mapping.Seeder.names ());
-  0
-
-let run_list_seeders () =
-  print_endline "seeders:";
-  List.iter
-    (fun name ->
-      match Sabre.Initial_mapping.Seeder.find name with
-      | Some s ->
-        Printf.printf "  %-18s %s\n" name
-          s.Sabre.Initial_mapping.Seeder.description
-      | None -> ())
-    (Sabre.Initial_mapping.Seeder.names ());
-  0
+  print_seeders "seeders (for --portfolio ROUTER/SEEDER):"
 
 (* ------------------------------------------------------------------ *)
 (* Batch mode                                                           *)
@@ -243,8 +221,8 @@ let batch_json_line = function
       (json_escape e.Engine.Batch.name)
       (json_escape e.Engine.Batch.message)
 
-let run_batch manifest router_name config device ~portfolio ~race ~cache
-    ~domains ~verify ~quiet =
+let run_batch manifest router_name config device ~portfolio ~race ~domains
+    ~verify ~quiet =
   Baseline.Routers.register ();
   let* router, portfolio =
     match portfolio with
@@ -285,8 +263,8 @@ let run_batch manifest router_name config device ~portfolio ~race ~cache
           (List.filter_map Result.to_option parsed)
       in
       let report =
-        Engine.Batch.compile_many ~config ~router ?portfolio ~race ~cache
-          ~domains ~verify device jobs
+        Engine.Batch.compile_many ~config ~router ?portfolio ~race ~domains
+          ~verify device jobs
       in
       (* re-merge compile outcomes with parse failures, manifest order *)
       let outcomes = Queue.create () in
@@ -307,11 +285,9 @@ let run_batch manifest router_name config device ~portfolio ~race ~cache
         outcomes;
       if not quiet then begin
         let dist = Hardware.Dist_cache.stats () in
-        let cc = Engine.Compile_cache.stats () in
         Format.eprintf
           "batch: %d circuits (%d failed), %d domain%s, %.3fs wall, %.1f \
-           circuits/s; dist-cache %d hit%s / %d miss%s; compile-cache %d \
-           hit%s / %d miss%s@."
+           circuits/s; dist-cache %d hit%s / %d miss%s@."
           (List.length parsed) !failures report.Engine.Batch.domains
           (if report.Engine.Batch.domains = 1 then "" else "s")
           report.Engine.Batch.wall_s
@@ -320,10 +296,6 @@ let run_batch manifest router_name config device ~portfolio ~race ~cache
           (if dist.Hardware.Dist_cache.hits = 1 then "" else "s")
           dist.Hardware.Dist_cache.misses
           (if dist.Hardware.Dist_cache.misses = 1 then "" else "es")
-          cc.Engine.Compile_cache.hits
-          (if cc.Engine.Compile_cache.hits = 1 then "" else "s")
-          cc.Engine.Compile_cache.misses
-          (if cc.Engine.Compile_cache.misses = 1 then "" else "es")
       end;
       if !failures > 0 then Error (Printf.sprintf "%d circuits failed" !failures)
       else Ok ())
@@ -512,26 +484,32 @@ let directed_of_name = function
 let run_main input workload size device_name device_size directed router
     portfolio objective portfolio_race list_routers list_seeders trials
     traversals delta weight extended_size seed commutation output expand quiet
-    json trace stats_json parallel batch stream gen_stream gates cache_mb
-    no_cache dist_cache_entries =
+    json trace stats_json parallel batch stream gen_stream gates =
   if list_routers then run_list_routers ()
-  else if list_seeders then run_list_seeders ()
+  else if list_seeders then print_seeders "seeders:"
   else begin
-  let cache = (not no_cache) && cache_mb > 0 in
-  let result =
-    (* cache capacities are process-wide knobs; set them before any
-       routing (0 MB disables the compile cache entirely) *)
-    let* () =
-      if cache_mb < 0 then
-        Error (Printf.sprintf "--cache-mb must be >= 0, got %d" cache_mb)
-      else if dist_cache_entries < 1 then
-        Error
-          (Printf.sprintf "--dist-cache-entries must be >= 1, got %d"
-             dist_cache_entries)
-      else Ok ()
+  let resolve_device () =
+    try Ok (Devices.by_name device_name device_size)
+    with Invalid_argument msg -> Error msg
+  in
+  let build_config ~trials ~traversals =
+    let config =
+      {
+        Sabre.Config.default with
+        trials;
+        traversals;
+        decay_increment = delta;
+        extended_set_weight = weight;
+        extended_set_size = extended_size;
+        seed;
+        commutation_aware = commutation;
+      }
     in
-    Engine.Compile_cache.set_capacity_mb (if no_cache then 0 else cache_mb);
-    Hardware.Dist_cache.set_capacity dist_cache_entries;
+    Result.map_error (fun m -> "config: " ^ m) (Sabre.Config.validate config)
+    |> Result.map (fun () -> config)
+  in
+  let domains = match parallel with None -> 1 | Some n -> max 1 n in
+  let result =
     match (gen_stream, stream) with
     | Some path, _ -> run_gen_stream path size gates seed ~quiet
     | None, true ->
@@ -548,27 +526,10 @@ let run_main input workload size device_name device_size directed router
              admission needs the whole circuit)"
         else Ok ()
       in
-      let* device =
-        try Ok (Devices.by_name device_name device_size)
-        with Invalid_argument msg -> Error msg
-      in
+      let* device = resolve_device () in
       (* single forward traversal from the identity placement: the
          trial/traversal knobs need the materialised circuit *)
-      let config =
-        {
-          Sabre.Config.default with
-          trials = 1;
-          traversals = 1;
-          decay_increment = delta;
-          extended_set_weight = weight;
-          extended_set_size = extended_size;
-          seed;
-        }
-      in
-      let* () =
-        Result.map_error (fun m -> "config: " ^ m)
-          (Sabre.Config.validate config)
-      in
+      let* config = build_config ~trials:1 ~traversals:1 in
       run_stream input output device config ~quiet ~json
     | None, false ->
     match batch with
@@ -581,30 +542,11 @@ let run_main input workload size device_name device_size directed router
           Error "--batch does not support directed devices yet"
         else Ok ()
       in
-      let* device =
-        try Ok (Devices.by_name device_name device_size)
-        with Invalid_argument msg -> Error msg
-      in
-      let config =
-        {
-          Sabre.Config.default with
-          trials;
-          traversals;
-          decay_increment = delta;
-          extended_set_weight = weight;
-          extended_set_size = extended_size;
-          seed;
-          commutation_aware = commutation;
-        }
-      in
-      let* () =
-        Result.map_error (fun m -> "config: " ^ m)
-          (Sabre.Config.validate config)
-      in
-      let domains = match parallel with None -> 1 | Some n -> max 1 n in
+      let* device = resolve_device () in
+      let* config = build_config ~trials ~traversals in
       run_batch manifest router config device
         ~portfolio:(Option.map (fun s -> (s, objective)) portfolio)
-        ~race:portfolio_race ~cache ~domains ~verify:true ~quiet
+        ~race:portfolio_race ~domains ~verify:true ~quiet
     | None ->
     let* directed_device =
       match directed with
@@ -616,28 +558,12 @@ let run_main input workload size device_name device_size directed router
     let* device =
       match directed_device with
       | Some d -> Ok (Hardware.Directed.underlying d)
-      | None -> (
-        try Ok (Devices.by_name device_name device_size)
-        with Invalid_argument msg -> Error msg)
+      | None -> resolve_device ()
     in
     let* circuit =
       load_circuit ~max_qubits:(Coupling.n_qubits device) input workload size
     in
-    let config =
-      {
-        Sabre.Config.default with
-        trials;
-        traversals;
-        decay_increment = delta;
-        extended_set_weight = weight;
-        extended_set_size = extended_size;
-        seed;
-        commutation_aware = commutation;
-      }
-    in
-    let* () =
-      Result.map_error (fun m -> "config: " ^ m) (Sabre.Config.validate config)
-    in
+    let* config = build_config ~trials ~traversals in
     let* () =
       if Circuit.n_qubits circuit > Coupling.n_qubits device then
         Error
@@ -645,7 +571,6 @@ let run_main input workload size device_name device_size directed router
              (Circuit.n_qubits circuit) (Coupling.n_qubits device))
       else Ok ()
     in
-    let domains = match parallel with None -> 1 | Some n -> max 1 n in
     let instrument =
       if trace then Engine.Instrument.stderr_trace else Engine.Instrument.null
     in
@@ -653,7 +578,7 @@ let run_main input workload size device_name device_size directed router
       match portfolio with
       | None ->
         let* r, stats, passes =
-          route router config device circuit ~domains ~cache ~instrument
+          route router config device circuit ~domains ~instrument
         in
         Ok (r, stats, passes, router, None)
       | Some spec ->
@@ -661,7 +586,7 @@ let run_main input workload size device_name device_size directed router
            sequential inside each entry, so results are unchanged) *)
         let* r, winner, report =
           route_portfolio spec objective config device circuit ~domains
-            ~race:portfolio_race ~cache ~instrument ~quiet
+            ~race:portfolio_race ~instrument ~quiet
         in
         Ok (r, None, [], winner, Some report)
     in
@@ -891,30 +816,6 @@ let gates =
        & info [ "gates" ] ~docv:"G"
            ~doc:"Gate count for --gen-stream (default 1000000).")
 
-let cache_mb =
-  Arg.(value & opt int 256
-       & info [ "cache-mb" ] ~docv:"MB"
-           ~doc:"Compile-cache byte budget in megabytes (default 256). The \
-                 cache memoizes complete routing results keyed by the \
-                 circuit, device, config and router, so re-routing an \
-                 identical job later in the same process returns the \
-                 byte-identical result without re-searching. (Duplicate \
-                 --batch rows are already folded by manifest-level dedup \
-                 before they reach the cache.) 0 disables it.")
-
-let no_cache =
-  Arg.(value & flag
-       & info [ "no-cache" ]
-           ~doc:"Disable the compile cache: every job routes from scratch \
-                 even when an identical result is already memoized.")
-
-let dist_cache_entries =
-  Arg.(value & opt int 16
-       & info [ "dist-cache-entries" ] ~docv:"N"
-           ~doc:"Distance-matrix cache capacity in devices (default 16): \
-                 how many per-device all-pairs distance matrices stay \
-                 resident before the least-recently-used one is evicted.")
-
 let cmd =
   let doc = "map a quantum circuit onto a NISQ device with SABRE" in
   let man =
@@ -941,7 +842,6 @@ let cmd =
       $ directed $ router $ portfolio $ objective $ portfolio_race
       $ list_routers $ list_seeders $ trials $ traversals $ delta $ weight
       $ extended_size $ seed $ commutation $ output $ expand $ quiet $ json
-      $ trace $ stats_json $ parallel $ batch $ stream $ gen_stream $ gates
-      $ cache_mb $ no_cache $ dist_cache_entries)
+      $ trace $ stats_json $ parallel $ batch $ stream $ gen_stream $ gates)
 
 let () = exit (Cmd.eval' cmd)

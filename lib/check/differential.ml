@@ -19,12 +19,11 @@ type routed = {
 }
 
 let route ?initial ?scoring ?cache_spec ~config coupling circuit router =
-  let ctx =
-    Engine.Context.create ~config ?initial ?scoring ?cache_spec coupling
-      circuit
+  let r =
+    (Engine.Pipeline.compile ~config ~router ?initial ?scoring ~verify:false
+       ?cache_spec coupling circuit)
+      .routed
   in
-  let ctx = Engine.Pipeline.run (Engine.Pipeline.default ~router ()) ctx in
-  let r = Engine.Context.routed_exn ctx in
   {
     physical = r.Engine.Context.physical;
     initial = Mapping.l2p_array r.Engine.Context.trial_initial;

@@ -34,12 +34,14 @@ val route :
   Router.t ->
   routed
 (** Run one router through the engine pipeline (decompose → DAG → initial
-    mapping → routing). [scoring] selects the SABRE candidate-scoring
-    strategy (delta vs full recompute; ignored by other routers).
-    [cache_spec] opts the run into the process-wide
-    {!Engine.Compile_cache} under that route-recipe name. Raises
-    whatever the pipeline raises ([Router.Route_failed],
-    [Invalid_argument]). *)
+    mapping → routing), unverified: the oracle judges the result.
+    [scoring] selects the SABRE candidate-scoring strategy (delta vs
+    full recompute; ignored by other routers). [cache_spec] compiles
+    through the process-wide {!Engine.Compile_cache} under that
+    route-recipe name ({!Engine.Pipeline.compile}, which verifies a
+    cached compile). Raises whatever the pipeline raises
+    ([Router.Route_failed], [Invalid_argument], and with [cache_spec]
+    [Engine.Verify_pass.Verify_failed]). *)
 
 type verdict =
   | Pass

@@ -27,39 +27,34 @@ type report = {
 
 let wall = Unix.gettimeofday
 
-let compile_one ~config ~router_name ~pipeline ~cache ~instrument coupling job
-    =
-  let t0 = wall () in
-  let cache_spec = if cache then Some router_name else None in
-  match
-    Context.create ~config ~instrument ?cache_spec coupling job.circuit
-    |> Pipeline.run ~instrument pipeline
-  with
-  | ctx ->
-    let r = Context.routed_exn ctx in
+let compile_one ~config ~router ~verify ~instrument coupling job =
+  match Pipeline.compile ~config ~router ~verify ~instrument coupling job.circuit with
+  | c ->
+    let r = c.Pipeline.routed in
     Ok
       {
         name = job.name;
-        router = router_name;
+        router = Router.name router;
         physical = r.Context.physical;
         initial = r.Context.trial_initial;
         final = r.Context.final_mapping;
-        stats = Context.stats ctx ~time_s:(wall () -. t0);
+        stats = c.Pipeline.stats;
       }
-  | exception Router.Route_failed msg -> Error { name = job.name; message = msg }
-  | exception Verify_pass.Verify_failed msg ->
+  | exception
+      ( Router.Route_failed msg
+      | Verify_pass.Verify_failed msg
+      | Invalid_argument msg ) ->
     Error { name = job.name; message = msg }
-  | exception Invalid_argument msg -> Error { name = job.name; message = msg }
 
 (* a portfolio job: entries race sequentially inside the job (parallelism
    stays across jobs), the winner becomes the job's success and its
    entry label the [router] field *)
-let compile_portfolio ~config ~entries ~objective ~verify ~race ~cache
-    ~instrument coupling job =
+let compile_portfolio ~config ~entries ~objective ~verify ~race ~instrument
+    coupling job =
   let t0 = wall () in
   match
-    Portfolio.run ~domains:1 ~objective ~config ~verify ~race ~cache
-      ~instrument coupling job.circuit entries
+    Portfolio.run ~domains:1 ~objective ~config ~verify ~race ~instrument
+      coupling job.circuit entries
   with
   | report ->
     let m = Portfolio.winner_member report in
@@ -72,10 +67,11 @@ let compile_portfolio ~config ~entries ~objective ~verify ~race ~cache
         final = m.Portfolio.final;
         stats = { m.Portfolio.stats with Stats.time_s = wall () -. t0 };
       }
-  | exception Router.Route_failed msg -> Error { name = job.name; message = msg }
-  | exception Verify_pass.Verify_failed msg ->
+  | exception
+      ( Router.Route_failed msg
+      | Verify_pass.Verify_failed msg
+      | Invalid_argument msg ) ->
     Error { name = job.name; message = msg }
-  | exception Invalid_argument msg -> Error { name = job.name; message = msg }
 
 (* Manifest-level deduplication: identical rows (same circuit, same
    device/config/router for the whole batch) route once; every duplicate
@@ -118,7 +114,7 @@ let rename name : outcome -> outcome = function
 
 let compile_many ?(config = Config.default) ?(router = Sabre_router.router)
     ?portfolio ?(domains = 1) ?(verify = false) ?(race = false)
-    ?(cache = false) ?(instrument = Instrument.null) coupling jobs =
+    ?(instrument = Instrument.null) coupling jobs =
   (match Config.validate config with
   | Ok () -> ()
   | Error msg -> invalid_arg ("Engine.Batch: " ^ msg));
@@ -131,16 +127,13 @@ let compile_many ?(config = Config.default) ?(router = Sabre_router.router)
     | Some (entries, objective) ->
       Array.map
         (fun job () ->
-          compile_portfolio ~config ~entries ~objective ~verify ~race ~cache
+          compile_portfolio ~config ~entries ~objective ~verify ~race
             ~instrument coupling job)
         unique_jobs
     | None ->
-      let pipeline = Pipeline.default ~router ~verify () in
-      let router_name = Router.name router in
       Array.map
         (fun job () ->
-          compile_one ~config ~router_name ~pipeline ~cache ~instrument
-            coupling job)
+          compile_one ~config ~router ~verify ~instrument coupling job)
         unique_jobs
   in
   let t0 = wall () in

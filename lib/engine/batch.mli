@@ -51,7 +51,6 @@ val compile_many :
   ?domains:int ->
   ?verify:bool ->
   ?race:bool ->
-  ?cache:bool ->
   ?instrument:Instrument.t ->
   Coupling.t ->
   job array ->
@@ -67,19 +66,17 @@ val compile_many :
     {!Verify_pass} to each job's pipeline. [race] (default [false])
     arms {!Portfolio.run}'s incumbent-bound pruning inside each
     portfolio job — the per-job winner is unchanged, losing entries
-    just stop early (no effect without [portfolio]).
-
-    [cache] (default [false]) opts every job into the content-addressed
-    {!Compile_cache}: results previously routed for the same
-    [(circuit, device, config, router/entry, scoring)] key — in this
-    batch, an earlier batch, or any other entry point — come back as
-    O(1) hits, byte-identical to a fresh route.
+    just stop early (no effect without [portfolio]). Each job is one
+    {!Pipeline.compile} (or {!Portfolio.run}) without the compile
+    cache.
 
     Rows with byte-identical circuits are always collapsed before
     scheduling: the representative routes once and every duplicate
     receives the same outcome (success or error) under its own name, in
     the original order — [domain_stats] counts scheduled unique jobs,
-    not manifest rows.
+    not manifest rows. That is how a batch routes each distinct circuit
+    once; the compile cache, which single-flights concurrent duplicates
+    across requests, is the daemon's mechanism.
 
     [instrument] receives every
     job's pass events and must be domain-safe when [domains > 1]

@@ -4,7 +4,7 @@ module Config = Sabre_core.Config
 module Mapping = Sabre_core.Mapping
 module Stats = Sabre_core.Stats
 
-type routed = {
+type routed = Context.routed = {
   physical : Circuit.t;
   trial_initial : Mapping.t;
   final_mapping : Mapping.t;

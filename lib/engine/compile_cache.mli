@@ -17,13 +17,17 @@
     the same result) or {!abort}s it (one waiter inherits the flight).
     Failures are never cached.
 
+    {!Pipeline.compile} (and its admission probe {!Pipeline.cached}) is
+    the one caller of the lookup and fill protocol. It verifies a
+    result before it fills and checks every hit again before returning
+    it, so an entry this store hands back is never trusted unchecked.
     Correctness contract: a cached result is byte-identical to the
     fresh route (enforced by the [cache-equivalence] fuzz property and
-    the bench FATAL gate), and semantic verification runs on {e insert}
-    (in {!Routing_pass}), not on hit. Mappings are copied on both sides
-    of the cache boundary; circuits are immutable and shared. *)
+    the bench [cache] floor's equality gate). Mappings are copied on
+    both sides of the cache boundary; circuits are immutable and
+    shared. *)
 
-type routed = {
+type routed = Context.routed = {
   physical : Quantum.Circuit.t;
   trial_initial : Sabre_core.Mapping.t;
   final_mapping : Sabre_core.Mapping.t;
@@ -34,8 +38,7 @@ type routed = {
   traversals_run : int;
   scoring : Sabre_core.Stats.scoring;
 }
-(** The complete routing result, structurally identical to
-    [Context.routed] (which re-exports this type). *)
+(** The complete routing result, re-exported from {!Context.routed}. *)
 
 val key :
   circuit:Quantum.Circuit.t ->
@@ -49,8 +52,8 @@ val key :
     exact, seed included) × scoring mode × [spec]. [spec] names the
     route recipe — a router name ("sabre") or a portfolio entry name
     ("hail/iso:trials=1"), which already encodes seeder and per-entry
-    overrides. [scoring] must be the mode the route actually uses;
-    [Context.cache_key] resolves it the way [Context.create] does. *)
+    overrides. [scoring] must be the mode the route actually uses
+    (the context's [scoring_mode]). *)
 
 val find : string -> routed option
 (** Read-only probe. Never blocks and never claims the flight. Returns
@@ -61,8 +64,9 @@ val find : string -> routed option
 
 val peek : string -> routed option
 (** {!find} that counts hits only. For early fast paths (serve
-    admission) whose miss is re-probed by the worker pipeline: counting
-    there instead keeps one request at one hit {e or} one miss. *)
+    admission, through {!Pipeline.cached}) whose miss is re-probed by
+    the worker's {!Pipeline.compile}: counting there instead keeps one
+    request at one hit {e or} one miss. *)
 
 type acquired =
   | Hit of routed * bool

@@ -6,7 +6,7 @@ module Config = Sabre_core.Config
 module Mapping = Sabre_core.Mapping
 module Stats = Sabre_core.Stats
 
-type routed = Compile_cache.routed = {
+type routed = {
   physical : Circuit.t;
   trial_initial : Mapping.t;
   final_mapping : Mapping.t;
@@ -17,11 +17,6 @@ type routed = Compile_cache.routed = {
   traversals_run : int;
   scoring : Stats.scoring;
 }
-
-type cache_status =
-  | Cache_off  (** no [cache_spec], cache disabled, or inputs not keyed *)
-  | Cache_hit  (** [routed]/[verified] filled from the cache at create *)
-  | Cache_probe of string  (** probe missed; the key to fill after routing *)
 
 type t = {
   config : Config.t;
@@ -38,8 +33,6 @@ type t = {
   dag_backward : Dag.t option;
   trial_mappings : Mapping.t array option;
   routed : routed option;
-  verified : bool option;
-  cache_status : cache_status;
   metrics : (string * float) list;
   counters : (string * int) list;
 }
@@ -58,20 +51,15 @@ let resolve_scoring scoring circuit =
     Sabre_core.Routing_pass.default_scoring
       ~n_logical:(Circuit.n_qubits circuit)
 
-let cache_key ?scoring ~config ~spec coupling circuit =
-  Compile_cache.key ~circuit ~coupling ~config
-    ~scoring:(resolve_scoring scoring circuit) ~spec
-
 let create ?(config = Config.default) ?dist ?noise
     ?(trial_domains = 1) ?race ?initial
-    ?(instrument = Instrument.null) ?scoring ?cache_spec coupling circuit =
+    ?(instrument = Instrument.null) ?scoring coupling circuit =
   (match Config.validate config with
   | Ok () -> ()
   | Error msg -> invalid_arg ("Engine.Context: " ^ msg));
   check_device coupling circuit;
   let scoring = resolve_scoring scoring circuit in
-  let custom_metric = Option.is_some dist in
-  let dist, dist_int, cache_counters =
+  let dist, dist_int, dist_counters =
     match dist with
     | Some d ->
       (* custom metric: integer-valued ones (hop-like) still get delta
@@ -95,35 +83,6 @@ let create ?(config = Config.default) ?dist ?noise
         [ ("context.dist_cache_hit", hit); ("context.dist_cache_miss", miss) ]
       )
   in
-  (* Read-only compile-cache probe. Only fully keyed compilations
-     participate: a noise model changes trial ranking without entering
-     the key, a custom metric replaces the digested hop distances, and
-     a caller-supplied initial mapping replaces the seeded trials — all
-     three force [Cache_off] (route normally, cache nothing). *)
-  let cache_status, routed, verified, cache_counters =
-    match cache_spec with
-    | Some spec
-      when Compile_cache.enabled () && noise = None && (not custom_metric)
-           && initial = None ->
-      let key = cache_key ~scoring ~config ~spec coupling circuit in
-      let emit name v =
-        instrument.Instrument.emit
-          (Instrument.Counter { pass = "context"; name; value = v })
-      in
-      let counters_with hit miss =
-        emit "compile_cache_hit" hit;
-        emit "compile_cache_miss" miss;
-        cache_counters
-        @ [
-            ("context.compile_cache_hit", hit);
-            ("context.compile_cache_miss", miss);
-          ]
-      in
-      (match Compile_cache.find key with
-      | Some r -> (Cache_hit, Some r, Some true, counters_with 1 0)
-      | None -> (Cache_probe key, None, None, counters_with 0 1))
-    | _ -> (Cache_off, None, None, cache_counters)
-  in
   {
     config;
     coupling;
@@ -138,11 +97,9 @@ let create ?(config = Config.default) ?dist ?noise
     dag_forward = None;
     dag_backward = None;
     trial_mappings = None;
-    routed;
-    verified;
-    cache_status;
+    routed = None;
     metrics = [];
-    counters = List.rev cache_counters;  (* stored newest-first *)
+    counters = List.rev dist_counters;  (* stored newest-first *)
   }
 
 let add_metric ctx name v = { ctx with metrics = (name, v) :: ctx.metrics }
@@ -158,9 +115,10 @@ let routed_exn ctx =
   | Some r -> r
   | None -> invalid_arg "Engine.Context: no routing pass has run"
 
-let stats ctx ~time_s =
-  let r = routed_exn ctx in
-  Stats.summary ~original:ctx.circuit ~routed:r.physical ~n_swaps:r.n_swaps
+let summary circuit r ~time_s =
+  Stats.summary ~original:circuit ~routed:r.physical ~n_swaps:r.n_swaps
     ~search_steps:r.search_steps ~fallback_swaps:r.fallback_swaps
     ~traversals_run:r.traversals_run ~time_s
     ~first_traversal_swaps:r.first_swaps ~scoring:r.scoring
+
+let stats ctx ~time_s = summary ctx.circuit (routed_exn ctx) ~time_s

@@ -15,7 +15,7 @@ module Stats = Sabre_core.Stats
     {e once} here and reused by every traversal of every trial instead
     of being rebuilt per routing pass. *)
 
-type routed = Compile_cache.routed = {
+type routed = {
   physical : Circuit.t;  (** hardware-compliant output circuit *)
   trial_initial : Mapping.t;
       (** mapping that seeded the winning trial's last forward pass
@@ -29,21 +29,6 @@ type routed = Compile_cache.routed = {
   scoring : Stats.scoring;
       (** inner-loop scorer accounting summed over all trials *)
 }
-
-(** Compile-cache participation, decided once at {!create}. *)
-type cache_status =
-  | Cache_off
-      (** no [cache_spec] was supplied, the cache is disabled, or the
-          compilation is not fully keyed (noise model, custom metric,
-          or fixed initial mapping) — the pipeline behaves exactly as
-          it did before the cache existed *)
-  | Cache_hit
-      (** the probe at {!create} found a verified result: [routed] and
-          [verified] are already filled, and the DAG / initial-mapping /
-          routing / verify passes all reduce to counter emission *)
-  | Cache_probe of string
-      (** the probe missed; the payload is the composite cache key that
-          {!Routing_pass} will acquire (single-flight) and fill *)
 
 type t = {
   config : Config.t;
@@ -79,11 +64,7 @@ type t = {
       (** set by {!Dag_pass} when the config runs reverse traversals *)
   trial_mappings : Mapping.t array option;
       (** set by {!Initial_mapping_pass}: one seed mapping per trial *)
-  routed : routed option;  (** set by {!Routing_pass} (or a cache hit) *)
-  verified : bool option;
-      (** set by {!Verify_pass}, or [Some true] when the result came
-          from (or was verified into) the compile cache *)
-  cache_status : cache_status;
+  routed : routed option;  (** set by {!Routing_pass} *)
   metrics : (string * float) list;
       (** per-pass wall seconds, newest first (see {!metrics}) *)
   counters : (string * int) list;  (** per-pass counters, newest first *)
@@ -98,7 +79,6 @@ val create :
   ?initial:Mapping.t ->
   ?instrument:Instrument.t ->
   ?scoring:Sabre_core.Routing_pass.scoring_mode ->
-  ?cache_spec:string ->
   Coupling.t ->
   Circuit.t ->
   t
@@ -119,33 +99,7 @@ val create :
     output, and [scoring_mode] records the resolved one.
     [initial] is copied. Raises [Invalid_argument] on an invalid config,
     a circuit wider than the device, or a disconnected coupling
-    graph.
-
-    [cache_spec] opts this compilation into the content-addressed
-    {!Compile_cache}: it names the route recipe (router name or
-    portfolio entry name) and completes the composite key alongside the
-    circuit, coupling, config and scoring-mode digests. When supplied
-    (and the cache is enabled, and the compilation is fully keyed — no
-    noise model, custom metric or fixed initial mapping), [create]
-    performs a read-only probe: a hit pre-fills [routed] and [verified]
-    so downstream passes skip, a miss records the key in
-    [cache_status] for {!Routing_pass} to fill after routing. The
-    outcome is emitted as [context.compile_cache_hit] /
-    [context.compile_cache_miss]. Omitting [cache_spec] (the default
-    everywhere except the CLI / batch / portfolio / serve entry points)
-    keeps the pipeline byte-for-byte on its pre-cache behaviour. *)
-
-val cache_key :
-  ?scoring:Sabre_core.Routing_pass.scoring_mode ->
-  config:Config.t ->
-  spec:string ->
-  Coupling.t ->
-  Circuit.t ->
-  string
-(** The {!Compile_cache.key} that {!create} probes with the same
-    arguments, the scoring mode resolved as {!create} resolves it. Any
-    probe made outside a context (serve admission) must use this, so
-    that its key and the worker's agree. *)
+    graph. *)
 
 val add_metric : t -> string -> float -> t
 val add_counter : t -> pass:string -> string -> int -> t
@@ -160,6 +114,9 @@ val routed_exn : t -> routed
 (** The routing result; raises [Invalid_argument] if no routing pass has
     run. *)
 
+val summary : Circuit.t -> routed -> time_s:float -> Stats.t
+(** The classic {!Sabre_core.Stats.t} summary of [routed] as a routing
+    of the given logical circuit. *)
+
 val stats : t -> time_s:float -> Stats.t
-(** Assemble the classic {!Sabre_core.Stats.t} summary from the routed
-    result. *)
+(** [summary] of the context's circuit and routed result. *)

@@ -6,11 +6,6 @@ let name = "dag"
 
 let pass =
   Pass.make name (fun ~instrument (ctx : Context.t) ->
-      if ctx.cache_status = Context.Cache_hit then
-        (* routed result already in hand: nothing downstream needs the
-           DAG, and skipping its construction is most of the hit's win *)
-        Pass.count instrument ~pass:name ctx "cached" 1
-      else
       let build =
         if ctx.config.Config.commutation_aware then Dag.of_circuit_commuting
         else Dag.of_circuit

@@ -1,32 +1,9 @@
 module Decompose = Quantum.Decompose
 
-type level = Keep | Swaps | All
-
 let name = "decompose"
 
-let pass ?(level = Keep) () =
+let pass () =
   Pass.make name (fun ~instrument (ctx : Context.t) ->
-      let before = Decompose.elementary_gate_count ctx.circuit in
-      let circuit =
-        match level with
-        | Keep -> ctx.circuit
-        | Swaps -> Decompose.expand_swaps ctx.circuit
-        | All -> Decompose.expand_all ctx.circuit
-      in
-      let ctx =
-        (* rewriting the circuit invalidates the create-time cache
-           probe (it digested the pre-decompose gates): fall back to an
-           uncached route rather than serve or store a mismatched key *)
-        if level <> Keep && ctx.cache_status <> Context.Cache_off then
-          {
-            ctx with
-            circuit;
-            cache_status = Context.Cache_off;
-            routed = None;
-            verified = None;
-          }
-        else { ctx with circuit }
-      in
-      let ctx = Pass.count instrument ~pass:name ctx "gates_in" before in
-      Pass.count instrument ~pass:name ctx "gates_out"
-        (Decompose.elementary_gate_count circuit))
+      let gates = Decompose.elementary_gate_count ctx.circuit in
+      let ctx = Pass.count instrument ~pass:name ctx "gates_in" gates in
+      Pass.count instrument ~pass:name ctx "gates_out" gates)

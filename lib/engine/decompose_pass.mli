@@ -1,12 +1,8 @@
-(** Circuit preprocessing: optional gate lowering before routing.
+(** Circuit preprocessing before routing.
 
-    [Keep] (the default) leaves the circuit untouched — the routing
-    passes handle SWAP/CZ natively, and that is the paper's flow.
-    [Swaps] lowers explicit SWAP gates to 3 CNOTs; [All] additionally
-    lowers CZ, controlled-phase and Toffoli so the router only ever sees
-    1- and 2-qubit elementary gates. Either way the pass reports the
-    pre/post elementary gate counts to the instrument sink. *)
+    The routing passes handle SWAP/CZ natively, so the paper's flow
+    leaves the circuit untouched; the pass reports the circuit's
+    elementary gate count to the instrument sink (counters [gates_in]
+    and [gates_out], equal). *)
 
-type level = Keep | Swaps | All
-
-val pass : ?level:level -> unit -> Pass.t
+val pass : unit -> Pass.t

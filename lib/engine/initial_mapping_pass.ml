@@ -2,14 +2,7 @@ module Circuit = Quantum.Circuit
 module Coupling = Hardware.Coupling
 module Config = Sabre_core.Config
 module Mapping = Sabre_core.Mapping
-module Initial_mapping = Sabre_core.Initial_mapping
-
-type strategy =
-  | Random_trials
-  | Trivial
-  | Degree
-  | Interaction
-  | Seeded of Initial_mapping.Seeder.t
+module Seeder = Sabre_core.Initial_mapping.Seeder
 
 let name = "initial_mapping"
 
@@ -28,31 +21,17 @@ let random_trials (ctx : Context.t) =
   done;
   ms
 
-let pass ?(strategy = Random_trials) () =
+let pass ?seeder () =
   Pass.make name (fun ~instrument (ctx : Context.t) ->
-      if ctx.cache_status = Context.Cache_hit then
-        Pass.count instrument ~pass:name ctx "cached" 1
-      else
+      let derived =
+        match (ctx.fixed_initial, seeder) with
+        | (Some _ as m), _ -> m
+        | None, Some s ->
+          s.Seeder.derive ~seed:ctx.config.Config.seed ctx.coupling ctx.circuit
+        | None, None -> None
+      in
       let mappings =
-        match ctx.fixed_initial with
-        | Some m -> [| m |]
-        | None -> (
-          match strategy with
-          | Random_trials -> random_trials ctx
-          | Trivial -> [| Initial_mapping.trivial ctx.coupling ctx.circuit |]
-          | Degree ->
-            [| Initial_mapping.degree_matching ctx.coupling ctx.circuit |]
-          | Interaction ->
-            [| Initial_mapping.interaction_greedy ctx.coupling ctx.circuit |]
-          | Seeded s -> (
-            match
-              s.Initial_mapping.Seeder.derive
-                ~seed:ctx.config.Config.seed ctx.coupling ctx.circuit
-            with
-            | Some m -> [| m |]
-            | None ->
-              (* router-native seeding: the paper's random-trials flow *)
-              random_trials ctx))
+        match derived with Some m -> [| m |] | None -> random_trials ctx
       in
       let ctx = { ctx with trial_mappings = Some mappings } in
       Pass.count instrument ~pass:name ctx "trials" (Array.length mappings))

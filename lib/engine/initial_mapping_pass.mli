@@ -1,25 +1,14 @@
-module Mapping = Sabre_core.Mapping
-
 (** Trial seeding (paper Section IV-A initial mapping).
 
     Populates [trial_mappings], one seed mapping per trial. When the
     context carries a caller-fixed initial mapping it is the single
-    trial regardless of strategy. Otherwise [Random_trials] (the
-    paper's flow) draws [config.trials] injective placements from a
-    deterministic stream seeded with [config.seed] — trial [i] always
-    receives the [i]-th mapping of that stream, so sequential and
-    Domain-parallel runs see identical seeds. The static strategies
-    from the paper's Section VII comparison produce one deterministic
-    trial each. *)
+    trial. Otherwise, without a [seeder] (the paper's flow), the pass
+    draws [config.trials] injective placements from a deterministic
+    stream seeded with [config.seed] — trial [i] always receives the
+    [i]-th mapping of that stream, so sequential and Domain-parallel
+    runs see identical seeds. A registered [seeder] whose [derive]
+    returns [Some m] pins one trial to [m]; [derive = None]
+    (router-native seeding, e.g. ["reverse-traversal"]) falls through
+    to the random trials. *)
 
-type strategy =
-  | Random_trials
-  | Trivial  (** logical qubit q on physical qubit q *)
-  | Degree  (** Siraichi-style degree matching *)
-  | Interaction  (** greedy beginning-of-circuit placement *)
-  | Seeded of Sabre_core.Initial_mapping.Seeder.t
-      (** a registered seeder: [derive = Some m] pins one trial to [m];
-          [derive = None] (router-native seeding, e.g.
-          ["reverse-traversal"]) falls through to [Random_trials] *)
-
-val pass : ?strategy:strategy -> unit -> Pass.t
+val pass : ?seeder:Sabre_core.Initial_mapping.Seeder.t -> unit -> Pass.t

@@ -347,20 +347,16 @@ let run ?(domains = 1) ?(objective = Swaps) ?(config = Config.default) ?noise
     let t0 = wall () in
     (* the entry name encodes router, seeder and overrides, so it is
        exactly the spec component of the compile-cache key; a cached
-       entry returns instantly and its Race.complete below becomes an
-       unbeatable incumbent that prunes the rest of the race *)
+       entry returns after one check and its Race.complete below becomes
+       an unbeatable incumbent that prunes the rest of the race *)
     let cache_spec = if cache then Some (entry_name e) else None in
     let outcome =
       match
-        Context.create ~config ?noise ?race:tokens.(i) ~instrument
-          ?cache_spec coupling circuit
-        |> Pipeline.run ~instrument
-             (Pipeline.default ~router
-                ~initial_strategy:(Initial_mapping_pass.Seeded seeder) ~verify
-                ())
+        Pipeline.compile ~config ~router ~seeder ?noise ?race:tokens.(i)
+          ~instrument ~verify ?cache_spec coupling circuit
       with
-      | ctx ->
-        let r = Context.routed_exn ctx in
+      | c ->
+        let r = c.Pipeline.routed in
         let physical = r.Context.physical in
         let m =
           {
@@ -374,7 +370,7 @@ let run ?(domains = 1) ?(objective = Swaps) ?(config = Config.default) ?noise
               Option.map
                 (fun n -> Noise.circuit_success_probability n physical)
                 noise;
-            stats = Context.stats ctx ~time_s:0.0;
+            stats = { c.Pipeline.stats with Stats.time_s = 0.0 };
           }
         in
         (match tokens.(i) with
@@ -382,9 +378,11 @@ let run ?(domains = 1) ?(objective = Swaps) ?(config = Config.default) ?noise
         | None -> ());
         Ok m
       | exception Routing.Cancelled -> Error cancelled_msg
-      | exception Router.Route_failed msg -> Error msg
-      | exception Verify_pass.Verify_failed msg -> Error msg
-      | exception Invalid_argument msg -> Error msg
+      | exception
+          ( Router.Route_failed msg
+          | Verify_pass.Verify_failed msg
+          | Invalid_argument msg ) ->
+        Error msg
     in
     entry_walls.(i) <- wall () -. t0;
     outcome

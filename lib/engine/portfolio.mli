@@ -139,10 +139,10 @@ val run :
     — see {!Race} for the argument. [Success_prob] has no monotone
     bound and silently runs unpruned.
 
-    [cache] (default [false]) opts each entry into the
-    content-addressed {!Compile_cache}, keyed per entry by
-    {!entry_name} (router, seeder and overrides all enter the key). A
-    cached entry completes in O(1) and — under [race] — its
+    [cache] (default [false]) compiles each entry through
+    {!Pipeline.compile} with [~cache_spec:(entry_name e)] (router,
+    seeder and overrides all enter the key). A cached entry completes
+    after one check of the hit and — under [race] — its
     [Race.complete] lands immediately, so the hit becomes an instant
     incumbent that prunes every entry it renders unbeatable. Entries
     running with a noise model ([Success_prob], or explicit [noise])

@@ -100,46 +100,5 @@ let route ~instrument ~router (ctx : Context.t) =
   Pass.count instrument ~pass:name ctx "scoring_full_terms"
     scoring.Sabre_core.Stats.full_terms
 
-(* Cache integration. [Cache_off] is the exact pre-cache pipeline.
-   [Cache_hit] means Context.create already installed the routed
-   result. [Cache_probe key] is a create-time miss: acquire the key
-   single-flight — either someone routed it while we got here (use
-   their result), or we own the in-flight slot, route, verify, and
-   publish. Verification runs on insert so hits never pay it; a route
-   or verify failure aborts the flight (waiters recompute) and is
-   never cached. *)
-let hit_counters ~instrument ~waited (ctx : Context.t) =
-  let r = Context.routed_exn ctx in
-  let ctx = Pass.count instrument ~pass:name ctx "cache_hit" 1 in
-  let ctx =
-    if waited then Pass.count instrument ~pass:name ctx "cache_wait" 1 else ctx
-  in
-  Pass.count instrument ~pass:name ctx "swaps" r.Context.n_swaps
-
 let pass ?(router = Sabre_router.router) () =
-  Pass.make name (fun ~instrument (ctx : Context.t) ->
-      match ctx.cache_status with
-      | Context.Cache_off -> route ~instrument ~router ctx
-      | Context.Cache_hit -> hit_counters ~instrument ~waited:false ctx
-      | Context.Cache_probe key -> (
-        match Compile_cache.acquire key with
-        | Compile_cache.Hit (r, waited) ->
-          let ctx = { ctx with routed = Some r; verified = Some true } in
-          hit_counters ~instrument ~waited ctx
-        | Compile_cache.Compute ->
-          let ctx =
-            match route ~instrument ~router ctx with
-            | ctx -> ctx
-            | exception e ->
-              Compile_cache.abort key;
-              raise e
-          in
-          let r = Context.routed_exn ctx in
-          (match Verify_pass.check ctx r with
-          | () -> ()
-          | exception e ->
-            Compile_cache.abort key;
-            raise e);
-          Compile_cache.fill key r;
-          let ctx = { ctx with verified = Some true } in
-          Pass.count instrument ~pass:name ctx "cache_insert" 1))
+  Pass.make name (route ~router)

@@ -9,19 +9,8 @@
     BKA) run a single trial. *)
 
 val pass : ?router:Router.t -> unit -> Pass.t
-(** Defaults to the SABRE router.
-
-    Compile-cache integration rides on [Context.cache_status]:
-    [Cache_off] routes exactly as before the cache existed; [Cache_hit]
-    only emits counters (the result was installed at context creation);
-    [Cache_probe key] performs the single-flight acquire — a
-    second-chance hit (counter [routing.cache_hit], plus
-    [routing.cache_wait] when it blocked on another caller's in-flight
-    route) installs the shared result, otherwise this caller owns the
-    flight: it routes, verifies ({!Verify_pass.check} — on insert, so
-    hits skip it), publishes (counter [routing.cache_insert]), and on
-    any exception (including racing cancellation) aborts the flight
-    without caching the failure. *)
+(** Defaults to the SABRE router. The pass always routes; memoising a
+    route is {!Pipeline.compile}'s job, not the pass's. *)
 
 val better :
   noise:Hardware.Noise.t option -> Router.outcome -> Router.outcome -> bool

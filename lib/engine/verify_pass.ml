@@ -10,12 +10,12 @@ let name = "verify"
 
 let fail fmt = Format.kasprintf (fun s -> raise (Verify_failed s)) fmt
 
-let check_strict (ctx : Context.t) (r : Context.routed) =
+let check_strict coupling circuit (r : Context.routed) =
   match
-    Tracker.check ~coupling:ctx.coupling
+    Tracker.check ~coupling
       ~initial:(Mapping.l2p_array r.trial_initial)
       ~final:(Mapping.l2p_array r.final_mapping)
-      ~logical:ctx.circuit ~physical:r.physical ()
+      ~logical:circuit ~physical:r.physical ()
   with
   | Ok () -> ()
   | Error e -> fail "verification failed: %a" Tracker.pp_error e
@@ -23,40 +23,34 @@ let check_strict (ctx : Context.t) (r : Context.routed) =
 (* Commutation-aware routing may reorder commuting gates, breaking the
    per-qubit-sequence equality the tracker checks; verify compliance
    plus linearisation of the commuting DAG instead. *)
-let check_commuting (ctx : Context.t) (r : Context.routed) =
-  (match Tracker.check_compliance ~coupling:ctx.coupling r.physical with
+let check_commuting ?dag coupling circuit (r : Context.routed) =
+  (match Tracker.check_compliance ~coupling r.physical with
   | Ok () -> ()
   | Error e -> fail "verification failed: %a" Tracker.pp_error e);
   match
     Tracker.unroute
       ~initial:(Mapping.l2p_array r.trial_initial)
-      ~n_logical:(Circuit.n_qubits ctx.circuit)
+      ~n_logical:(Circuit.n_qubits circuit)
       r.physical
   with
   | Error e -> fail "verification failed: %a" Tracker.pp_error e
   | Ok (recovered, _) ->
     let dag =
-      match ctx.dag_forward with
-      | Some d when ctx.config.Config.commutation_aware -> d
-      | _ -> Dag.of_circuit_commuting ctx.circuit
+      match dag with
+      | Some d -> d
+      | None -> Dag.of_circuit_commuting circuit
     in
     if not (Dag.matches_linearization dag recovered) then
       fail "verification failed: not a commuting linearisation"
 
-let check ctx r =
-  if ctx.Context.config.Config.commutation_aware then check_commuting ctx r
-  else check_strict ctx r
+let check ?dag ~config coupling circuit r =
+  if config.Config.commutation_aware then check_commuting ?dag coupling circuit r
+  else check_strict coupling circuit r
 
 let pass =
   Pass.make name (fun ~instrument (ctx : Context.t) ->
-      (* a compile-cache result was verified on insert (Routing_pass
-         runs [check] before [Compile_cache.fill]); re-checking a hit
-         would defeat the point of the cache *)
-      if ctx.verified = Some true then
-        Pass.count instrument ~pass:name ctx "cached" 1
-      else begin
-        let r = Context.routed_exn ctx in
-        check ctx r;
-        let ctx = { ctx with verified = Some true } in
-        Pass.count instrument ~pass:name ctx "ok" 1
-      end)
+      (* the forward DAG is the commuting one exactly when the config
+         is commutation-aware *)
+      check ?dag:ctx.dag_forward ~config:ctx.config ctx.coupling ctx.circuit
+        (Context.routed_exn ctx);
+      Pass.count instrument ~pass:name ctx "ok" 1)

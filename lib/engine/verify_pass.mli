@@ -5,20 +5,24 @@
     of the logical circuit under the evolving π. When the config is
     commutation-aware, reordering of commuting gates is legal, so the
     pass instead checks compliance plus that the unrouted circuit is a
-    linearisation of the commuting DAG.
-
-    Sets [verified = Some true] on success. *)
+    linearisation of the commuting DAG. *)
 
 exception Verify_failed of string
 
-val check : Context.t -> Context.routed -> unit
-(** Run the appropriate check (strict tracker, or compliance +
-    commuting linearisation) and raise {!Verify_failed} on any
-    violation. Used by the pass below and by {!Routing_pass} to verify
-    results {e before} inserting them into the compile cache
-    (verify-on-insert: a hit never pays verification again). *)
+val check :
+  ?dag:Quantum.Dag.t ->
+  config:Sabre_core.Config.t ->
+  Hardware.Coupling.t ->
+  Quantum.Circuit.t ->
+  Context.routed ->
+  unit
+(** [check ~config coupling circuit routed] runs the appropriate check
+    (strict tracker, or compliance + commuting linearisation under a
+    commutation-aware [config]) of [routed] as a routing of the logical
+    [circuit] on [coupling], and raises {!Verify_failed} on any
+    violation. [dag], the circuit's commuting DAG when the caller has
+    one, saves rebuilding it. {!Pipeline.compile} also runs it on every
+    compile-cache hit. *)
 
 val pass : Pass.t
-(** Skips (counter [verify.cached]) when the context is already
-    verified — i.e. the result came from, or was just verified into,
-    the compile cache. *)
+(** Runs {!check} on the context's routed result (counter [verify.ok]). *)

@@ -16,29 +16,26 @@ let validate config =
   | Ok () -> ()
   | Error msg -> invalid_arg ("Sabre.Compiler: " ^ msg)
 
-let finish t0 ctx =
-  let time_s = Unix.gettimeofday () -. t0 in
-  let r = Engine.Context.routed_exn ctx in
+let finish (c : Engine.Pipeline.compiled) =
+  let r = c.routed in
   {
     physical = r.Engine.Context.physical;
     initial_mapping = r.Engine.Context.trial_initial;
     final_mapping = r.Engine.Context.final_mapping;
-    stats = Engine.Context.stats ctx ~time_s;
+    stats = c.stats;
   }
 
 let run ?(config = Config.default) ?dist ?noise coupling circuit =
   validate config;
-  let t0 = Unix.gettimeofday () in
-  Engine.Context.create ~config ?dist ?noise coupling circuit
-  |> Engine.Pipeline.run (Engine.Pipeline.default ())
-  |> finish t0
+  finish
+    (Engine.Pipeline.compile ~config ?dist ?noise ~verify:false coupling
+       circuit)
 
 let route_with_initial ?(config = Config.default) ?dist coupling circuit
     initial =
   validate config;
-  let t0 = Unix.gettimeofday () in
   (* the historical contract: exactly one forward traversal, no trials *)
   let config = { config with Config.trials = 1; traversals = 1 } in
-  Engine.Context.create ~config ?dist ~initial coupling circuit
-  |> Engine.Pipeline.run (Engine.Pipeline.default ())
-  |> finish t0
+  finish
+    (Engine.Pipeline.compile ~config ?dist ~initial ~verify:false coupling
+       circuit)

@@ -8,7 +8,7 @@ module Stats = Sabre_core.Stats
     traversal) qubit mapping (paper Section IV).
 
     Since the pass-pipeline refactor this is a thin wrapper over
-    {!Engine.Pipeline.run} with the default pass list; build a custom
+    {!Engine.Pipeline.compile} (unverified); build a custom
     pipeline with {!Engine} directly for pluggable routers, per-pass
     instrumentation or Domain-parallel trials.
 

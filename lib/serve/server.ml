@@ -255,11 +255,35 @@ let parse_source ~device id source =
   | exception Sys_error msg -> Error (error_id id Protocol.Invalid "%s" msg)
   | circuit -> Ok circuit
 
-(* Route one request. This is deliberately the same pipeline as
-   [Engine.Batch.compile_one] / the [sabre_compile] single-circuit
-   path — sequential trials, [Verify_pass] on — so the QASM we answer
-   with is byte-identical to the CLI's output for the same inputs. *)
+(* A compiled request, and the typed error for each exception
+   [Pipeline.compile] raises. The worker and the admission probe both
+   answer through these, so a request gets the same reply on either
+   path. *)
 let cancelled_message = "cancelled mid-route: deadline expired or client gone"
+
+let ok_compiled (c : Protocol.compile) (k : Engine.Pipeline.compiled) =
+  let r = k.routed and stats = k.stats in
+  Protocol.Ok_compiled
+    {
+      id = c.id;
+      qasm = Qasm.to_string r.Engine.Context.physical;
+      initial = Mapping.l2p_array r.Engine.Context.trial_initial;
+      final = Mapping.l2p_array r.Engine.Context.final_mapping;
+      n_swaps = stats.Sabre_core.Stats.n_swaps;
+      original_gates = stats.Sabre_core.Stats.original_gates;
+      total_gates = stats.Sabre_core.Stats.total_gates;
+      routed_depth = stats.Sabre_core.Stats.routed_depth;
+      time_s = stats.Sabre_core.Stats.time_s;
+    }
+
+let compile_error (c : Protocol.compile) = function
+  | Sabre_core.Routing_pass.Cancelled ->
+    error c Protocol.Route_error "%s" cancelled_message
+  | Engine.Router.Route_failed msg -> error c Protocol.Route_error "%s" msg
+  | Engine.Verify_pass.Verify_failed msg ->
+    error c Protocol.Route_error "verification: %s" msg
+  | Invalid_argument msg -> error c Protocol.Invalid "%s" msg
+  | e -> raise e
 
 let compile_request t ?should_stop (c : Protocol.compile) : Protocol.response =
   match
@@ -288,45 +312,24 @@ let compile_request t ?should_stop (c : Protocol.compile) : Protocol.response =
     match parse_source ~device c.id c.source with
     | Error resp -> resp
     | Ok circuit ->
-      let t0 = wall () in
       let race =
         Option.map (fun f -> Engine.Race.token ~should_stop:f ()) should_stop
       in
       let cache_spec =
         (* [Router.find] is an exact-name lookup, so [c.router] is the
-           canonical name [Engine.Batch] keys with — hits are shared
-           with the CLI and batch entry points *)
+           canonical router name the cache keys with *)
         if t.cache && c.cache then Some c.router else None
       in
+      (* sequential trials and verification on: the same compile as
+         [Engine.Batch] and [sabre_compile], so the QASM we answer with
+         is byte-identical to theirs for the same inputs *)
       let resp =
         match
-          Engine.Context.create ~config ?race ?cache_spec
+          Engine.Pipeline.compile ~config ~router ?race ?cache_spec
             ~instrument:t.instrument device circuit
-          |> Engine.Pipeline.run ~instrument:t.instrument
-               (Engine.Pipeline.default ~router ~verify:true ())
         with
-        | exception Sabre_core.Routing_pass.Cancelled ->
-          error c Protocol.Route_error "%s" cancelled_message
-        | exception Engine.Router.Route_failed msg ->
-          error c Protocol.Route_error "%s" msg
-        | exception Engine.Verify_pass.Verify_failed msg ->
-          error c Protocol.Route_error "verification: %s" msg
-        | exception Invalid_argument msg -> error c Protocol.Invalid "%s" msg
-        | ctx ->
-          let r = Engine.Context.routed_exn ctx in
-          let stats = Engine.Context.stats ctx ~time_s:(wall () -. t0) in
-          Protocol.Ok_compiled
-            {
-              id = c.id;
-              qasm = Qasm.to_string r.Engine.Context.physical;
-              initial = Mapping.l2p_array r.Engine.Context.trial_initial;
-              final = Mapping.l2p_array r.Engine.Context.final_mapping;
-              n_swaps = stats.Sabre_core.Stats.n_swaps;
-              original_gates = stats.Sabre_core.Stats.original_gates;
-              total_gates = stats.Sabre_core.Stats.total_gates;
-              routed_depth = stats.Sabre_core.Stats.routed_depth;
-              time_s = stats.Sabre_core.Stats.time_s;
-            }
+        | k -> ok_compiled c k
+        | exception e -> compile_error c e
       in
       bump_router t c.router
         (match resp with Protocol.Ok_compiled _ -> `Ok | _ -> `Err);
@@ -510,27 +513,26 @@ let admit t ~conn_fd work deadline_s =
 
 (* Admission-time cache fast path: a compile request whose complete
    result is already memoized is answered on the connection thread,
-   bypassing the worker queue entirely — a hit costs one QASM parse and
-   one digest, never a queue slot. Strictly best-effort: any parse or
-   validation failure falls through to the normal admission path, which
-   produces the proper typed error. A request whose deadline is already
-   expired is NOT probed — it must time out exactly as before, whatever
-   the cache holds. A draining server is NOT probed either: the request
-   falls through to [admit], whose closed-queue push rejects it with
-   [Shutting_down] like every other request path. *)
+   bypassing the worker queue entirely — a hit costs one QASM parse, one
+   digest and one check of the hit, never a queue slot. A hit that fails
+   its check is answered with the worker's typed verification error.
+   Strictly best-effort otherwise: any parse or validation failure falls
+   through to the normal admission path, which produces the proper typed
+   error. A request whose deadline is already expired is NOT probed — it
+   must time out exactly as before, whatever the cache holds. A draining
+   server is NOT probed either: the request falls through to [admit],
+   whose closed-queue push rejects it with [Shutting_down] like every
+   other request path. *)
 let admission_cache_hit t (c : Protocol.compile) : Protocol.response option =
   let pre_expired =
     match (c.Protocol.deadline_s, t.default_deadline_s) with
     | Some d, _ | None, Some d -> d <= 0.0
     | None, None -> false
   in
-  if
-    Rqueue.is_closed t.queue || (not t.cache) || (not c.Protocol.cache)
-    || pre_expired
-    || not (Engine.Compile_cache.enabled ())
+  if Rqueue.is_closed t.queue || (not t.cache) || (not c.Protocol.cache)
+     || pre_expired
   then None
   else
-    let t0 = wall () in
     let probe =
       let config = config_of_overrides c.overrides in
       match Config.validate config with
@@ -541,49 +543,28 @@ let admission_cache_hit t (c : Protocol.compile) : Protocol.response option =
         | coupling -> (
           match parse_source ~device:coupling c.id c.source with
           | Error _ -> None
-          | Ok circuit ->
-            let key =
-              Engine.Context.cache_key ~config ~spec:c.router coupling circuit
-            in
-            (* hit-only probe: a miss here is re-probed (and counted)
-               by the worker pipeline *)
-            Option.map
-              (fun r -> (circuit, r))
-              (Engine.Compile_cache.peek key)))
+          | Ok circuit -> (
+            (* a miss here is re-probed, and counted, by the worker *)
+            match
+              Engine.Pipeline.cached ~config ~spec:c.router coupling circuit
+            with
+            | hit -> Option.map (ok_compiled c) hit
+            | exception e -> Some (compile_error c e))))
     in
-    match probe with
-    | None -> None
-    | Some (circuit, r) ->
-      (* same [Stats.summary] call as [Context.stats], so the response
-         is field-identical to the worker path answering the same hit *)
-      let stats =
-        Sabre_core.Stats.summary ~original:circuit
-          ~routed:r.Engine.Context.physical ~n_swaps:r.Engine.Context.n_swaps
-          ~search_steps:r.Engine.Context.search_steps
-          ~fallback_swaps:r.Engine.Context.fallback_swaps
-          ~traversals_run:r.Engine.Context.traversals_run
-          ~time_s:(wall () -. t0)
-          ~first_traversal_swaps:r.Engine.Context.first_swaps
-          ~scoring:r.Engine.Context.scoring
-      in
-      bump t t.served "served";
-      t.instrument.Instrument.emit
-        (Instrument.Counter
-           { pass = "serve"; name = "cache_admission_hit"; value = 1 });
-      bump_router t c.router `Ok;
-      Some
-        (Protocol.Ok_compiled
-           {
-             id = c.id;
-             qasm = Qasm.to_string r.Engine.Context.physical;
-             initial = Mapping.l2p_array r.Engine.Context.trial_initial;
-             final = Mapping.l2p_array r.Engine.Context.final_mapping;
-             n_swaps = stats.Sabre_core.Stats.n_swaps;
-             original_gates = stats.Sabre_core.Stats.original_gates;
-             total_gates = stats.Sabre_core.Stats.total_gates;
-             routed_depth = stats.Sabre_core.Stats.routed_depth;
-             time_s = stats.Sabre_core.Stats.time_s;
-           })
+    Option.map
+      (fun resp ->
+        t.instrument.Instrument.emit
+          (Instrument.Counter
+             { pass = "serve"; name = "cache_admission_hit"; value = 1 });
+        (match resp with
+        | Protocol.Ok_compiled _ ->
+          bump t t.served "served";
+          bump_router t c.router `Ok
+        | _ ->
+          bump t t.errored "errored";
+          bump_router t c.router `Err);
+        resp)
+      probe
 
 let handle_request t ~conn_fd (req : Protocol.request) : Protocol.response =
   match req with

@@ -32,9 +32,9 @@ let with_cache bytes f =
       f ())
 
 let route ?config ?cache_spec ~router device circuit =
-  let ctx = Engine.Context.create ?config ?cache_spec device circuit in
-  let ctx = Engine.Pipeline.run (Engine.Pipeline.default ~router ()) ctx in
-  Engine.Context.routed_exn ctx
+  (Engine.Pipeline.compile ?config ?cache_spec ~router ~verify:false device
+     circuit)
+    .routed
 
 let same_routed label (a : Engine.Context.routed) (b : Engine.Context.routed) =
   check Alcotest.bool (label ^ ": physical circuit") true
@@ -86,20 +86,27 @@ let test_context_reports_cache_status () =
       let device = Devices.ibm_q20_tokyo () in
       let circuit = Workloads.Qft.circuit 4 in
       let counters spec =
-        let ctx = Engine.Context.create ?cache_spec:spec device circuit in
-        let ctx = Engine.Pipeline.run (Engine.Pipeline.default ~router ()) ctx in
-        Engine.Context.counters ctx
+        let sink, events = Engine.Instrument.collector () in
+        ignore
+          (Engine.Pipeline.compile ?cache_spec:spec ~router ~verify:false
+             ~instrument:sink device circuit);
+        List.filter_map
+          (function
+            | Engine.Instrument.Counter { pass; name; value } ->
+              Some (pass ^ "." ^ name, value)
+            | _ -> None)
+          (events ())
       in
       let cold = counters (Some "sabre") in
-      check Alcotest.int "cold create counts a compile-cache miss" 1
-        (List.assoc "context.compile_cache_miss" cold);
+      check Alcotest.int "cold compile counts a compile-cache miss" 1
+        (List.assoc "compile.cache_miss" cold);
       let warm = counters (Some "sabre") in
-      check Alcotest.int "warm create counts a compile-cache hit" 1
-        (List.assoc "context.compile_cache_hit" warm);
+      check Alcotest.int "warm compile counts a compile-cache hit" 1
+        (List.assoc "compile.cache_hit" warm);
       let off = counters None in
       check Alcotest.bool "no cache_spec emits no compile-cache counters" true
-        (not (List.mem_assoc "context.compile_cache_hit" off)
-        && not (List.mem_assoc "context.compile_cache_miss" off)))
+        (not (List.mem_assoc "compile.cache_hit" off)
+        && not (List.mem_assoc "compile.cache_miss" off)))
 
 let test_disabled_cache_routes_normally () =
   let router = sabre () in
@@ -368,6 +375,49 @@ let test_clear_and_capacity () =
         | () -> false
         | exception Invalid_argument _ -> true))
 
+(* A cached result that no longer routes its circuit — here the routed
+   circuit lost its last gate — must fail the check every hit gets, with
+   the error a failing fresh route raises, and its bytes must never come
+   back. *)
+let test_poisoned_entry_fails_its_check () =
+  let router = sabre () in
+  with_cache
+    (64 * 1024 * 1024)
+    (fun () ->
+      let device = Devices.ibm_q20_tokyo () in
+      let circuit = Workloads.Qft.circuit 5 in
+      let key =
+        Cache.key ~circuit ~coupling:device ~config:Config.default
+          ~scoring:(RP.default_scoring ~n_logical:(Circuit.n_qubits circuit))
+          ~spec:"sabre"
+      in
+      let good = route ~router device circuit in
+      let gates = Circuit.gates good.physical in
+      let poisoned =
+        {
+          good with
+          physical =
+            Circuit.create
+              ~n_qubits:(Circuit.n_qubits good.physical)
+              (List.filteri (fun i _ -> i < List.length gates - 1) gates);
+        }
+      in
+      (match Cache.acquire key with
+      | Cache.Compute -> Cache.fill key poisoned
+      | Cache.Hit _ -> Alcotest.fail "fresh key cannot hit");
+      let refused label compile =
+        match compile () with
+        | _ -> Alcotest.failf "%s returned the poisoned entry" label
+        | exception Engine.Verify_pass.Verify_failed _ -> ()
+      in
+      refused "compile" (fun () ->
+          Engine.Pipeline.compile ~router ~verify:false ~cache_spec:"sabre"
+            device circuit);
+      refused "admission probe" (fun () ->
+          Engine.Pipeline.cached ~config:Config.default ~spec:"sabre" device
+            circuit);
+      check Alcotest.int "both probes were hits" 2 (Cache.stats ()).Cache.hits)
+
 let suite =
   [
     tc "hit round trip is byte-identical" `Quick test_hit_round_trip;
@@ -389,4 +439,6 @@ let suite =
     tc "key is sensitive to every component" `Quick
       test_key_component_sensitivity;
     tc "clear and capacity validation" `Quick test_clear_and_capacity;
+    tc "poisoned entry fails the check every hit gets" `Quick
+      test_poisoned_entry_fails_its_check;
   ]

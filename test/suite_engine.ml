@@ -157,7 +157,7 @@ let test_per_pass_timing_recorded () =
       ctx
   in
   check Alcotest.bool "verified" true
-    Engine.Context.(ctx.verified = Some true);
+    (List.assoc_opt "verify.ok" (Engine.Context.counters ctx) = Some 1);
   let expected = [ "decompose"; "dag"; "initial_mapping"; "routing"; "verify" ] in
   let metrics = Engine.Context.metrics ctx in
   check
@@ -205,7 +205,7 @@ let test_baseline_routers_via_engine () =
           ctx
       in
       check Alcotest.bool (rname ^ " verified") true
-        Engine.Context.(ctx.verified = Some true))
+        (List.assoc_opt "verify.ok" (Engine.Context.counters ctx) = Some 1))
     [ "sabre"; "greedy"; "bka" ]
 
 let test_greedy_router_matches_baseline () =

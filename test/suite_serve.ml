@@ -1228,6 +1228,57 @@ let test_serve_compile_cache () =
       in
       check Alcotest.int "admission hit bypassed the worker queue" 3 jobs)
 
+(* A resident entry that does not route its circuit (here the routed
+   circuit lost its last gate) is refused with the verification error a
+   failing fresh route gets, at admission and in a portfolio entry, and
+   its bytes are never sent. *)
+let test_poisoned_cache_entry_refused () =
+  Engine.Compile_cache.clear ();
+  let device = Devices.ibm_q20_tokyo () in
+  let circuit = Qasm.of_string small_qasm in
+  let key =
+    Engine.Compile_cache.key ~circuit ~coupling:device ~config:Config.default
+      ~scoring:
+        (Sabre_core.Routing_pass.default_scoring
+           ~n_logical:(Quantum.Circuit.n_qubits circuit))
+      ~spec:"sabre"
+  in
+  let good =
+    (Engine.Pipeline.compile ~config:Config.default device circuit).routed
+  in
+  let gates = Quantum.Circuit.gates good.Engine.Context.physical in
+  let poisoned =
+    {
+      good with
+      Engine.Context.physical =
+        Quantum.Circuit.create
+          ~n_qubits:(Quantum.Circuit.n_qubits good.Engine.Context.physical)
+          (List.filteri (fun i _ -> i < List.length gates - 1) gates);
+    }
+  in
+  (match Engine.Compile_cache.acquire key with
+  | Engine.Compile_cache.Compute -> Engine.Compile_cache.fill key poisoned
+  | Engine.Compile_cache.Hit _ -> Alcotest.fail "fresh key cannot hit");
+  Fun.protect ~finally:Engine.Compile_cache.clear (fun () ->
+      with_server ~domains:1 ~cache:true (fun path server ->
+          let refused label resp =
+            match resp with
+            | P.Error_resp { kind = P.Route_error; message; _ } ->
+              check Alcotest.bool (label ^ ": verification error") true
+                (Helpers.contains ~sub:"verification" message)
+            | r ->
+              Alcotest.failf "%s: poisoned entry answered %s" label
+                (P.encode_response r)
+          in
+          refused "admission" (rpc path (compile_req ~id:"p1" small_qasm));
+          let s = Server.stats server in
+          check Alcotest.int "answered at admission, no job" 0
+            (Array.fold_left (fun acc d -> acc + d.P.jobs_run) 0 s.P.per_domain);
+          check Alcotest.int "counted as an error" 1 s.P.errored;
+          (* the portfolio entry "sabre" keys like the compile above *)
+          refused "portfolio entry"
+            (rpc path (portfolio_req ~id:"p2" ~spec:"sabre" small_qasm))))
+
 (* ------------------------------------------------------------------ *)
 (* Lifecycle: drain and signals                                        *)
 (* ------------------------------------------------------------------ *)
@@ -1441,4 +1492,6 @@ let suite =
     tc "sync_collector as a Batch sink" `Quick test_sync_collector_with_batch;
     tc "oversized register refused, daemon answers on" `Quick
       test_oversized_register;
+    tc "poisoned cache entry refused at admission and in the worker" `Quick
+      test_poisoned_cache_entry_refused;
   ]
