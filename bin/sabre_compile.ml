@@ -61,7 +61,7 @@ type routed = {
 
 (* Route and verify with the pass pipeline: every router — SABRE or a
    baseline — runs behind the same [Engine.Router] interface. Returns
-   the per-pass wall times for [--stats-json]. *)
+   each pass's wall time and minor words for [--stats-json]. *)
 let route router_name config device circuit ~domains ~instrument =
   Baseline.Routers.register ();
   let* router = Engine.Router.find_suggest router_name in
@@ -69,7 +69,7 @@ let route router_name config device circuit ~domains ~instrument =
     Engine.Pipeline.compile ~config ~router ~trial_domains:domains ~instrument
       device circuit
   with
-  | { Engine.Pipeline.routed = r; stats; metrics } ->
+  | { Engine.Pipeline.routed = r; stats; metrics; minor_words } ->
     Ok
       ( {
           physical = r.Engine.Context.physical;
@@ -78,7 +78,8 @@ let route router_name config device circuit ~domains ~instrument =
           n_swaps = r.Engine.Context.n_swaps;
         },
         (if router_name = "sabre" then Some stats else None),
-        metrics )
+        List.map2 (fun (name, wall_s) (_, words) -> (name, wall_s, words))
+          metrics minor_words )
   | exception
       (Engine.Router.Route_failed msg | Engine.Verify_pass.Verify_failed msg)
     ->
@@ -434,13 +435,15 @@ let report_json ?passes ?portfolio device circuit (r : routed) stats
   | None -> ());
   (match passes with
   | Some metrics ->
-    (* per-pass wall time for every pipeline stage, in pipeline order *)
+    (* per-pass wall time and minor words (calling domain) for every
+       pipeline stage, in pipeline order *)
     Buffer.add_string b "  \"passes\": [\n";
     List.iteri
-      (fun i (name, wall_s) ->
+      (fun i (name, wall_s, minor_words) ->
         Buffer.add_string b
-          (Printf.sprintf "    {\"name\": \"%s\", \"wall_s\": %.6f}%s\n"
-             (json_escape name) wall_s
+          (Printf.sprintf
+             "    {\"name\": \"%s\", \"wall_s\": %.6f, \"minor_words\": %.0f}%s\n"
+             (json_escape name) wall_s minor_words
              (if i = List.length metrics - 1 then "" else ",")))
       metrics;
     Buffer.add_string b "  ],\n"

@@ -269,10 +269,13 @@ let route (ctx : Context.t) ~initial =
       | _ -> ());
       emit (Gate.remap (Mapping.to_physical mapping) g))
     gates;
+  let physical =
+    Circuit.create ~n_qubits:n_physical ~n_clbits:(Circuit.n_clbits circuit)
+      (List.rev !out)
+  in
   {
-    Router.physical =
-      Circuit.create ~n_qubits:n_physical ~n_clbits:(Circuit.n_clbits circuit)
-        (List.rev !out);
+    Router.physical = Lazy.from_val physical;
+    depth = Quantum.Depth.depth_swap3 physical;
     trial_initial;
     final_mapping = mapping;
     n_swaps = !n_swaps;

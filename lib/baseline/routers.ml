@@ -13,7 +13,8 @@ let greedy : Router.t =
           ctx.Context.circuit
       in
       {
-        Router.physical = r.physical;
+        Router.physical = Lazy.from_val r.physical;
+        depth = Quantum.Depth.depth_swap3 r.physical;
         trial_initial = r.initial_mapping;
         final_mapping = r.final_mapping;
         n_swaps = r.n_swaps;
@@ -35,7 +36,8 @@ let bka : Router.t =
       match Bka.run ctx.Context.coupling ctx.Context.circuit with
       | Ok r ->
         {
-          Router.physical = r.physical;
+          Router.physical = Lazy.from_val r.physical;
+          depth = Quantum.Depth.depth_swap3 r.physical;
           trial_initial = r.initial_mapping;
           final_mapping = r.final_mapping;
           n_swaps = r.n_swaps;

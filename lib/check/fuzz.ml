@@ -87,7 +87,8 @@ let broken_router : Router.t =
     let route ctx ~initial =
       let (module Sabre : Router.S) = Engine.Sabre_router.router in
       let o = Sabre.route ctx ~initial in
-      let gates = Circuit.gates o.Router.physical in
+      let physical = Lazy.force o.Router.physical in
+      let gates = Circuit.gates physical in
       let last_swap =
         List.fold_left
           (fun (i, found) g ->
@@ -98,11 +99,13 @@ let broken_router : Router.t =
       match last_swap with
       | None -> o
       | Some at ->
+        let physical =
+          rebuild physical (List.filteri (fun i _ -> i <> at) gates)
+        in
         {
           o with
-          Router.physical =
-            rebuild o.Router.physical
-              (List.filteri (fun i _ -> i <> at) gates);
+          Router.physical = Lazy.from_val physical;
+          depth = Quantum.Depth.depth_swap3 physical;
         }
   end)
 

@@ -30,6 +30,16 @@ type result = {
   scoring : Stats.scoring;
 }
 
+type logged = {
+  l_physical : Circuit.t Lazy.t;
+  l_depth : int;
+  l_final_mapping : Mapping.t;
+  l_n_swaps : int;
+  l_search_steps : int;
+  l_fallback_swaps : int;
+  l_scoring : Stats.scoring;
+}
+
 type mapping_result = {
   m_final_mapping : Mapping.t;
   m_n_swaps : int;
@@ -174,6 +184,8 @@ module Scratch = struct
     einc : Incidence.t;  (* extended-set incidence, delta scoring *)
     ready : Intq.t;
     bfs : Intq.t;
+    mutable log : int array;  (* emission log of a logged run *)
+    finish : int array;  (* per physical qubit: swap3 ASAP finish time *)
   }
 
   let create coupling =
@@ -196,8 +208,22 @@ module Scratch = struct
       einc = Incidence.create ();
       ready = Intq.create 64;
       bfs = Intq.create 64;
+      log = Array.make 64 0;
+      finish = Array.make (Coupling.n_qubits coupling) 0;
     }
 end
+
+(* What a traversal does with the gates it emits. [Silent] builds
+   nothing (reverse traversals). [Logged] appends each emission to the
+   scratch's int log — a node id, or a SWAP as [swap_code] of its
+   ordered physical pair — and keeps the swap3 ASAP depth of the
+   emitted prefix, so a trial that loses is never turned into gates.
+   [Sink] hands every remapped gate to a consumer (streaming). *)
+type output = Silent | Logged | Sink of (Gate.t -> unit)
+
+(* A SWAP on (p1, p2) as one negative log entry; node ids are >= 0. The
+   pair stays ordered: fallback SWAPs follow their path's direction. *)
+let swap_code ~stride p1 p2 = -1 - ((p1 * stride) + p2)
 
 (* The circuit a traversal walks. [Eager] is a materialised DAG, read
    through its flat arrays, with its predecessor counts and BFS stamps
@@ -264,8 +290,13 @@ type state = {
      pair slots, rebuilt with the front caches *)
   finc : Incidence.t;
   einc : Incidence.t;
-  sink : (Gate.t -> unit) option;
-      (* receives emitted physical gates in order; [None] builds none *)
+  output : output;
+  mutable log : int array;  (* [Logged]: the emission log, grown here *)
+  mutable log_len : int;
+  finish : int array;
+      (* [Logged]: per physical qubit, the ASAP finish time of the last
+         emitted gate on it under {!Depth.depth_swap3} weights *)
+  mutable depth : int;  (* [Logged]: the emitted prefix's swap3 depth *)
   decay : float array;  (* per physical qubit; 1.0 at rest *)
   mutable steps_since_reset : int;
   mutable stall : int;  (* swaps since the last gate execution *)
@@ -310,26 +341,55 @@ let release st i =
   | Streamed w -> Dag.Window.execute w i (push_ready st)
 
 (* Prefix ASAP depth under {!Depth.depth_swap3} weights (Swap 3,
-   Barrier 0, else 1), maintained gate by gate over the emitted
-   physical stream. ASAP finish times only ever grow as gates are
-   appended, so the depth of the emitted prefix is a lower bound on the
-   depth of every extension — the monotonicity that makes it usable as
-   a pruning bound. Engaged only when a progress hook is installed; the
-   hookless hot path never pays for it. *)
-let depth_tracker n_physical =
-  let ready = Array.make n_physical 0 in
-  let depth = ref 0 in
-  let note g =
-    let w =
-      match g with Gate.Swap _ -> 3 | Gate.Barrier _ -> 0 | _ -> 1
-    in
-    let qs = Gate.qubits g in
-    let start = List.fold_left (fun acc q -> max acc ready.(q)) 0 qs in
-    let finish = start + w in
-    List.iter (fun q -> ready.(q) <- finish) qs;
-    if finish > depth.contents then depth := finish
-  in
-  (note, fun () -> depth.contents)
+   Barrier 0, else 1), kept over ints as a logged run emits: [finish]
+   holds each physical qubit's last finish time, and a gate on logical
+   operands reads them through the live π. ASAP finish times only ever
+   grow as gates are appended, so the depth of the emitted prefix is a
+   lower bound on the depth of every extension — the monotonicity that
+   makes it a pruning bound for race hooks — and at the end of the run
+   it is the routed circuit's depth, which ranks trials. *)
+let rec barrier_start finish l2p acc = function
+  | [] -> acc
+  | q :: rest ->
+    let f = finish.(l2p.(q)) in
+    barrier_start finish l2p (if f > acc then f else acc) rest
+
+let rec barrier_set finish l2p t = function
+  | [] -> ()
+  | q :: rest ->
+    finish.(l2p.(q)) <- t;
+    barrier_set finish l2p t rest
+
+let note_pair st pa pb w =
+  let fa = st.finish.(pa) and fb = st.finish.(pb) in
+  let t = (if fa > fb then fa else fb) + w in
+  st.finish.(pa) <- t;
+  st.finish.(pb) <- t;
+  if t > st.depth then st.depth <- t
+
+let note_gate st g =
+  let l2p = st.l2p_scratch in
+  match g with
+  | Gate.Single (_, q) | Gate.Measure (q, _) ->
+    let p = l2p.(q) in
+    let t = st.finish.(p) + 1 in
+    st.finish.(p) <- t;
+    if t > st.depth then st.depth <- t
+  | Gate.Cnot (a, b) | Gate.Cz (a, b) -> note_pair st l2p.(a) l2p.(b) 1
+  | Gate.Swap (a, b) -> note_pair st l2p.(a) l2p.(b) 3
+  | Gate.Barrier qs ->
+    let t = barrier_start st.finish l2p 0 qs in
+    barrier_set st.finish l2p t qs;
+    if t > st.depth then st.depth <- t
+
+let log_push st x =
+  if st.log_len = Array.length st.log then begin
+    let log = Array.make (2 * st.log_len) 0 in
+    Array.blit st.log 0 log 0 st.log_len;
+    st.log <- log
+  end;
+  st.log.(st.log_len) <- x;
+  st.log_len <- st.log_len + 1
 
 (* Every-N-decisions progress check for the traversal loop below.
    Raising [Cancelled] from inside the [Fun.protect]ed loop is safe for
@@ -371,9 +431,12 @@ let front_push st i =
    and release its successors. A window may reuse [i]'s slot once it is
    released, so the node is read first. *)
 let execute_node st i =
-  (match st.sink with
-  | Some sink -> sink (Gate.remap st.to_physical (node_gate st i))
-  | None -> ());
+  (match st.output with
+  | Silent -> ()
+  | Logged ->
+    log_push st i;
+    note_gate st (node_gate st i)
+  | Sink sink -> sink (Gate.remap st.to_physical (node_gate st i)));
   let two = pair_q1 st i >= 0 in
   release st i;
   st.stall <- 0;
@@ -543,7 +606,12 @@ let mark_candidates st =
   stamp
 
 let apply_swap st ~fallback p1 p2 =
-  (match st.sink with Some sink -> sink (Gate.Swap (p1, p2)) | None -> ());
+  (match st.output with
+  | Silent -> ()
+  | Logged ->
+    log_push st (swap_code ~stride:st.stride p1 p2);
+    note_pair st p1 p2 3
+  | Sink sink -> sink (Gate.Swap (p1, p2)));
   let l1 = Mapping.to_logical st.mapping p1
   and l2 = Mapping.to_logical st.mapping p2 in
   Mapping.swap_physical_inplace st.mapping p1 p2;
@@ -555,14 +623,41 @@ let apply_swap st ~fallback p1 p2 =
   st.n_swaps <- st.n_swaps + 1;
   if fallback then st.fallback_swaps <- st.fallback_swaps + 1
 
+(* A candidate's score from its front and extended sums: the shape of
+   {!Heuristic.score_flat} (and of [score_of_sums_int], given the
+   integer sums as floats): average of each set, [front +. (weight *.
+   extended)], times the larger decay of the two swapped qubits. Both
+   scorers call it from inside their candidate loop and it is inlined
+   there, so no score is boxed. The decay entries start at 1.0 and only
+   grow by a non-negative, non-NaN increment ({!Config.validate}), and
+   on such values [Float.max] is the comparison below. *)
+let[@inline] combine heuristic ~weight ~decay ~p1 ~p2 ~fsum ~flen ~esum ~elen
+    =
+  match (heuristic : Config.heuristic) with
+  | Basic -> fsum
+  | Lookahead | Decay ->
+    let favg = if flen = 0 then 0.0 else fsum /. float_of_int flen in
+    let eavg = if elen = 0 then 0.0 else esum /. float_of_int elen in
+    let v = favg +. (weight *. eavg) in
+    if heuristic = Lookahead then v
+    else
+      let d1 = decay.(p1) and d2 = decay.(p2) in
+      (if d2 > d1 then d2 else d1) *. v
+
 (* Full-recompute scorer: every candidate pays |F|+|E| distance terms,
-   scored with the SWAP tentatively applied to the scratch π. Scans
-   edge ids in order — same enumeration as the old sorted candidate
-   list, same first-strictly-better tie-break. Returns the best edge id,
-   or -1 when no edge is marked. *)
+   scored with the SWAP tentatively applied to the scratch π. The sums
+   are [Heuristic.basic_flat]'s, in its index order, spelled out in the
+   loop to keep them unboxed. Scans edge ids in order — same
+   enumeration as the old sorted candidate list, same
+   first-strictly-better tie-break. Returns the best edge id, or -1
+   when no edge is marked. *)
 let choose_full st stamp =
-  let l2p = st.l2p_scratch in
-  let per_candidate = st.flen + st.elen in
+  let l2p = st.l2p_scratch and dist = st.dist and stride = st.stride in
+  let fq1 = st.fq1 and fq2 = st.fq2 and flen = st.flen in
+  let eq1 = st.eq1 and eq2 = st.eq2 and elen = st.elen in
+  let heuristic = st.config.heuristic in
+  let weight = st.config.extended_set_weight and decay = st.decay in
+  let per_candidate = flen + elen in
   let { Coupling.edge_a; edge_b; _ } = st.cflat in
   let best = ref (-1) and best_score = ref infinity in
   for e = 0 to Array.length edge_a - 1 do
@@ -572,11 +667,18 @@ let choose_full st stamp =
       and l2 = Mapping.to_logical st.mapping p2 in
       if l1 >= 0 then l2p.(l1) <- p2;
       if l2 >= 0 then l2p.(l2) <- p1;
+      let fsum = ref 0.0 in
+      for k = 0 to flen - 1 do
+        fsum := !fsum +. dist.((l2p.(fq1.(k)) * stride) + l2p.(fq2.(k)))
+      done;
+      let esum = ref 0.0 in
+      if heuristic <> Config.Basic then
+        for k = 0 to elen - 1 do
+          esum := !esum +. dist.((l2p.(eq1.(k)) * stride) + l2p.(eq2.(k)))
+        done;
       let s =
-        Heuristic.score_flat ~heuristic:st.config.heuristic ~dist:st.dist
-          ~stride:st.stride ~l2p ~fq1:st.fq1 ~fq2:st.fq2 ~flen:st.flen
-          ~eq1:st.eq1 ~eq2:st.eq2 ~elen:st.elen
-          ~weight:st.config.extended_set_weight ~decay:st.decay ~p1 ~p2
+        combine heuristic ~weight ~decay ~p1 ~p2 ~fsum:!fsum ~flen
+          ~esum:!esum ~elen
       in
       if l1 >= 0 then l2p.(l1) <- p1;
       if l2 >= 0 then l2p.(l2) <- p2;
@@ -622,7 +724,7 @@ let delta_over st inc q1a q2a di p1 p2 l skip =
    each candidate (p1,p2) only revisits the pair slots whose logical
    qubits currently sit on p1 or p2 ([Incidence], [delta_over]),
    rebuilding [score_flat]'s value bit-identically from the updated
-   integer sums (see Heuristic's exactness argument). Same edge-id scan
+   integer sums with [combine] (see Heuristic's exactness argument). Same edge-id scan
    order, same first-strictly-better tie-break and same result as
    [choose_full]. *)
 let choose_delta st di stamp =
@@ -647,6 +749,8 @@ let choose_delta st di stamp =
   in
   st.sc_delta_terms <- st.sc_delta_terms + st.flen + st.elen;
   let per_candidate_full = st.flen + st.elen in
+  let heuristic = st.config.heuristic in
+  let weight = st.config.extended_set_weight and decay = st.decay in
   let { Coupling.edge_a; edge_b; _ } = st.cflat in
   let best = ref (-1) and best_score = ref infinity in
   for e = 0 to Array.length edge_a - 1 do
@@ -665,9 +769,9 @@ let choose_delta st di stamp =
           + delta_over st st.einc st.eq1 st.eq2 di p1 p2 l2 l1
       in
       let s =
-        Heuristic.score_of_sums_int ~heuristic:st.config.heuristic
-          ~fsum:(fsum + df) ~flen:st.flen ~esum:(esum + de) ~elen:st.elen
-          ~weight:st.config.extended_set_weight ~decay:st.decay ~p1 ~p2
+        combine heuristic ~weight ~decay ~p1 ~p2
+          ~fsum:(float_of_int (fsum + df)) ~flen:st.flen
+          ~esum:(float_of_int (esum + de)) ~elen:st.elen
       in
       st.sc_candidates <- st.sc_candidates + 1;
       st.sc_full_terms <- st.sc_full_terms + per_candidate_full;
@@ -793,9 +897,9 @@ let scoring_of st =
    or, after [stall_limit] SWAPs without progress, the fallback — until
    the front is empty. Validates the inputs, resets [scratch]'s per-run
    state and builds the search state over it; returns the final state.
-   Without a [sink] no physical gate is built, and a hook sees
-   [depth_lb = 0]. *)
-let traverse ~scratch ~dist ~dist_int ~scoring ~hook ~sink config coupling
+   [output] says what becomes of the emitted gates; only a [Logged] run
+   tracks depth, so under any other a hook sees [depth_lb = 0]. *)
+let traverse ~scratch ~dist ~dist_int ~scoring ~hook ~output config coupling
     nodes initial =
   (match Config.validate config with
   | Ok () -> ()
@@ -827,17 +931,9 @@ let traverse ~scratch ~dist ~dist_int ~scoring ~hook ~sink config coupling
      from a previous run could alias a fresh generation — invalidate *)
   Incidence.invalidate scratch.Scratch.finc;
   Incidence.invalidate scratch.Scratch.einc;
-  let sink, depth_lb =
-    match (hook, sink) with
-    | Some _, Some sink ->
-      let note, current = depth_tracker n_physical in
-      ( Some
-          (fun g ->
-            note g;
-            sink g),
-        current )
-    | _ -> (sink, fun () -> 0)
-  in
+  (match output with
+  | Logged -> Array.fill scratch.Scratch.finish 0 n_physical 0
+  | Silent | Sink _ -> ());
   let st =
     {
       config;
@@ -868,7 +964,11 @@ let traverse ~scratch ~dist ~dist_int ~scoring ~hook ~sink config coupling
       to_physical = Array.get scratch.Scratch.l2p;
       finc = scratch.Scratch.finc;
       einc = scratch.Scratch.einc;
-      sink;
+      output;
+      log = scratch.Scratch.log;
+      log_len = 0;
+      finish = scratch.Scratch.finish;
+      depth = 0;
       decay = scratch.Scratch.decay;
       steps_since_reset = 0;
       stall = 0;
@@ -900,17 +1000,22 @@ let traverse ~scratch ~dist ~dist_int ~scoring ~hook ~sink config coupling
     scratch.Scratch.eq1 <- st.eq1;
     scratch.Scratch.eq2 <- st.eq2;
     scratch.Scratch.visit_gen <- st.visit_gen;
-    scratch.Scratch.cand_gen <- st.cand_gen
+    scratch.Scratch.cand_gen <- st.cand_gen;
+    scratch.Scratch.log <- st.log
   in
   let check =
     progress_check ~hook
       ~decisions:(fun () -> st.sc_decisions)
       ~swaps:(fun () -> st.n_swaps)
-      ~depth_lb
+      ~depth_lb:(fun () -> st.depth)
   in
   Fun.protect ~finally:sync (fun () ->
       (match nodes with
-      | Eager { dag; _ } -> List.iter (push_ready st) (Dag.initial_front dag)
+      | Eager { dag; remaining; _ } ->
+        (* the initial front: no predecessors, in program order *)
+        for i = 0 to Dag.n_nodes dag - 1 do
+          if remaining.(i) = 0 then push_ready st i
+        done
       | Streamed w -> Dag.Window.saturate w (push_ready st));
       advance st;
       while st.front_len > 0 do
@@ -923,8 +1028,8 @@ let traverse ~scratch ~dist ~dist_int ~scoring ~hook ~sink config coupling
 
 (* [traverse] over a materialised DAG, whose predecessor counts and BFS
    stamps live in the scratch. *)
-let traverse_dag ~scratch ~dist ~dist_int ~scoring ~hook ~sink config coupling
-    dag initial =
+let traverse_dag ~scratch ~dist ~dist_int ~scoring ~hook ~output config
+    coupling dag initial =
   if Mapping.n_logical initial <> Circuit.n_qubits (Dag.circuit dag) then
     invalid_arg "Routing_pass.run: mapping arity mismatch";
   let scratch =
@@ -937,7 +1042,7 @@ let traverse_dag ~scratch ~dist ~dist_int ~scoring ~hook ~sink config coupling
   for i = 0 to n - 1 do
     remaining.(i) <- Dag.in_degree dag i
   done;
-  traverse ~scratch ~dist ~dist_int ~scoring ~hook ~sink config coupling
+  traverse ~scratch ~dist ~dist_int ~scoring ~hook ~output config coupling
     (Eager
        {
          dag;
@@ -947,30 +1052,75 @@ let traverse_dag ~scratch ~dist ~dist_int ~scoring ~hook ~sink config coupling
        })
     initial
 
-let run ?scratch ?dist ?dist_int ?scoring ?hook config coupling dag initial =
-  let out_rev = ref [] in
+(* The physical circuit of a logged run, rebuilt from its emission log.
+   The walk runs backwards from the final mapping, undoing each SWAP
+   (a transposition, its own inverse) as it passes it, so every node is
+   remapped through the π it executed under and the gate list comes out
+   in program order without a reversal. *)
+let replay ~n_physical ~n_clbits dag ~final_l2p:l2p log =
+  let p2l = Array.make n_physical (-1) in
+  Array.iteri (fun l p -> p2l.(p) <- l) l2p;
+  let to_physical = Array.get l2p in
+  let gates = ref [] in
+  for k = Array.length log - 1 downto 0 do
+    let x = log.(k) in
+    if x >= 0 then gates := Gate.remap to_physical (Dag.gate dag x) :: !gates
+    else begin
+      let code = -1 - x in
+      let p1 = code / n_physical and p2 = code mod n_physical in
+      gates := Gate.Swap (p1, p2) :: !gates;
+      let l1 = p2l.(p1) and l2 = p2l.(p2) in
+      p2l.(p1) <- l2;
+      p2l.(p2) <- l1;
+      if l1 >= 0 then l2p.(l1) <- p2;
+      if l2 >= 0 then l2p.(l2) <- p1
+    end
+  done;
+  Circuit.create ~n_qubits:n_physical ~n_clbits !gates
+
+let run_logged ?scratch ?dist ?dist_int ?scoring ?hook config coupling dag
+    initial =
   let st =
-    traverse_dag ~scratch ~dist ~dist_int ~scoring ~hook
-      ~sink:(Some (fun g -> out_rev := g :: !out_rev))
-      config coupling dag initial
+    traverse_dag ~scratch ~dist ~dist_int ~scoring ~hook ~output:Logged config
+      coupling dag initial
+  in
+  (* the scratch's log is overwritten by the next run on this domain, so
+     the outcome keeps its own copy: one int per emitted gate *)
+  let log = Array.sub st.log 0 st.log_len
+  and final_l2p = Mapping.l2p_array st.mapping in
+  {
+    l_physical =
+      lazy
+        (replay
+           ~n_physical:(Coupling.n_qubits coupling)
+           ~n_clbits:(Circuit.n_clbits (Dag.circuit dag))
+           dag ~final_l2p log);
+    l_depth = st.depth;
+    l_final_mapping = st.mapping;
+    l_n_swaps = st.n_swaps;
+    l_search_steps = st.search_steps;
+    l_fallback_swaps = st.fallback_swaps;
+    l_scoring = scoring_of st;
+  }
+
+let run ?scratch ?dist ?dist_int ?scoring ?hook config coupling dag initial =
+  let r =
+    run_logged ?scratch ?dist ?dist_int ?scoring ?hook config coupling dag
+      initial
   in
   {
-    physical =
-      Circuit.create
-        ~n_qubits:(Coupling.n_qubits coupling)
-        ~n_clbits:(Circuit.n_clbits (Dag.circuit dag))
-        (List.rev !out_rev);
-    final_mapping = st.mapping;
-    n_swaps = st.n_swaps;
-    search_steps = st.search_steps;
-    fallback_swaps = st.fallback_swaps;
-    scoring = scoring_of st;
+    physical = Lazy.force r.l_physical;
+    final_mapping = r.l_final_mapping;
+    n_swaps = r.l_n_swaps;
+    search_steps = r.l_search_steps;
+    fallback_swaps = r.l_fallback_swaps;
+    scoring = r.l_scoring;
   }
 
 let run_mapping ?scratch ?dist ?dist_int ?scoring ?hook config coupling dag
     initial =
   let st =
-    traverse_dag ~scratch ~dist ~dist_int ~scoring ~hook ~sink:None config
+    traverse_dag ~scratch ~dist ~dist_int ~scoring ~hook ~output:Silent config
       coupling dag initial
   in
   {
@@ -995,8 +1145,8 @@ let run_streaming ?dist ?dist_int ?scoring ?retire ~sink config coupling
   let st =
     traverse ~scratch:(Scratch.create coupling) ~dist ~dist_int ~scoring
       ~hook:None
-      ~sink:
-        (Some
+      ~output:
+        (Sink
            (fun g ->
              incr gates_out;
              sink g))

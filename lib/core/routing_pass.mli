@@ -10,7 +10,8 @@ module Coupling = Hardware.Coupling
     interleaved with inserted SWAP gates on coupling-graph edges. The
     bidirectional driver (the engine's SABRE router, behind {!Compiler})
     runs every traversal of a trial but the last through {!run_mapping},
-    which builds no circuit, and the last through {!run}. *)
+    which builds no circuit, and the last through {!run_logged}, which
+    defers the circuit until the trial is known to win. *)
 
 type scoring_mode =
   | Delta
@@ -63,8 +64,9 @@ type progress = {
   depth_lb : int;
       (** ASAP depth (Swap weight 3, Barrier 0, else 1 — the
           {!Depth.depth_swap3} metric) of the physical prefix emitted so
-          far. Finish times only grow as gates are appended, so this is
-          a monotone lower bound on the finished traversal's depth. 0
+          far, kept over ints as the traversal logs its emissions.
+          Finish times only grow as gates are appended, so this is a
+          monotone lower bound on the finished traversal's depth. 0
           under {!run_mapping}, which emits nothing. *)
 }
 
@@ -92,13 +94,14 @@ type result = {
     (front deque, candidate stamps, BFS ring buffer, decay, front-pair
     and extended-set caches), allocated once per device and reset per
     run, so a driver that routes many circuits allocates no arrays per
-    run once the arena has grown. The loop itself allocates little
-    besides: on a warmed scratch, {!run_mapping} takes about 160 words
-    per run plus the boxed float score of each candidate (4 words per
-    candidate under [Delta], 8 under [Full]; 57 and 114 words per
-    decision on the Table II suite), and {!run} adds the routed circuit
-    it builds. A scratch belongs to one domain at a time — never share
-    one across concurrent runs. *)
+    run once the arena has grown. The loop itself allocates nothing per
+    candidate or per gate: both scorers compute each candidate's score
+    in their own loop, so no float is boxed, and on a warmed scratch
+    {!run_mapping} takes about 160 words per run whatever the circuit's
+    length. {!run_logged} adds a copy of its emission log (one int per
+    emitted gate), and forcing its circuit (or calling {!run}) builds
+    the routed circuit. A scratch belongs to one domain at a time —
+    never share one across concurrent runs. *)
 module Scratch : sig
   type t
 
@@ -188,6 +191,37 @@ val run :
     another shape (qubit or edge count), [dist]/[dist_int] have the
     wrong size or disagree, or the coupling graph is disconnected while
     the circuit requires interaction across components. *)
+
+(** {2 Deferred-circuit entry point} *)
+
+type logged = {
+  l_physical : Circuit.t Lazy.t;
+      (** the routed circuit, replayed from the run's emission log when
+          first forced; [Lazy.force] it on one domain at a time *)
+  l_depth : int;
+      (** {!Quantum.Depth.depth_swap3} of [l_physical], tracked during the
+          traversal, so ranking a trial does not force it *)
+  l_final_mapping : Mapping.t;
+  l_n_swaps : int;
+  l_search_steps : int;
+  l_fallback_swaps : int;
+  l_scoring : Stats.scoring;
+}
+
+val run_logged :
+  ?scratch:Scratch.t ->
+  ?dist:float array ->
+  ?dist_int:int array ->
+  ?scoring:scoring_mode ->
+  ?hook:hook ->
+  Config.t -> Coupling.t -> Dag.t -> Mapping.t -> logged
+(** {!run} with the circuit deferred. The traversal appends each emitted
+    gate to an int log in the scratch — a node id, or a SWAP as its
+    ordered physical pair — and tracks the emitted prefix's depth; the
+    result keeps a copy of the log, and [l_physical] rebuilds exactly
+    {!run}'s circuit from it (through {!Circuit.create}). {!run} is this
+    plus [Lazy.force]. A [hook] sees the logged prefix's depth as
+    [depth_lb]. Arguments and exceptions are those of {!run}. *)
 
 (** {2 Mapping-only entry point} *)
 

@@ -215,6 +215,20 @@ let fill key routed =
         Condition.broadcast s.cond)
   end
 
+(* An entry handed out by [find]/[acquire]/[peek] is a snapshot of the
+   stored one: fresh mappings around the same, shared circuit. The
+   circuit's identity is therefore what ties a snapshot to the entry it
+   came from; a newer fill of the key stores another circuit. *)
+let remove key (r : routed) =
+  let s = shard_of key in
+  Mutex.protect s.lock (fun () ->
+      match Hashtbl.find_opt s.table key with
+      | Some (Ready e) when e.routed.physical == r.physical ->
+        Hashtbl.remove s.table key;
+        s.used <- s.used - e.cost;
+        Atomic.incr evictions
+      | Some (Ready _) | Some Pending | None -> ())
+
 let set_capacity_bytes n =
   if n < 0 then invalid_arg "Compile_cache.set_capacity_bytes: negative";
   Atomic.set capacity n;

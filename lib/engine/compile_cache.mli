@@ -94,6 +94,14 @@ val abort : string -> unit
     them inherits the flight and recomputes. The failure is not
     cached. *)
 
+val remove : string -> routed -> unit
+(** [remove key r] evicts the resident entry that [r] was read from —
+    for a hit that failed its check, so the next request for [key]
+    routes afresh instead of meeting the same bad entry. It removes
+    nothing else: not a pending flight, and not a newer fill of the same
+    key (entries are told apart by their shared circuit). Counted in
+    [evictions]. *)
+
 val enabled : unit -> bool
 val capacity_bytes : unit -> int
 

@@ -34,6 +34,7 @@ type t = {
   trial_mappings : Mapping.t array option;
   routed : routed option;
   metrics : (string * float) list;
+  minor_words : (string * float) list;
   counters : (string * int) list;
 }
 
@@ -99,15 +100,22 @@ let create ?(config = Config.default) ?dist ?noise
     trial_mappings = None;
     routed = None;
     metrics = [];
+    minor_words = [];
     counters = List.rev dist_counters;  (* stored newest-first *)
   }
 
-let add_metric ctx name v = { ctx with metrics = (name, v) :: ctx.metrics }
+let add_metric ctx name ~minor_words v =
+  {
+    ctx with
+    metrics = (name, v) :: ctx.metrics;
+    minor_words = (name, minor_words) :: ctx.minor_words;
+  }
 
 let add_counter ctx ~pass name v =
   { ctx with counters = (pass ^ "." ^ name, v) :: ctx.counters }
 
 let metrics ctx = List.rev ctx.metrics
+let minor_words ctx = List.rev ctx.minor_words
 let counters ctx = List.rev ctx.counters
 
 let routed_exn ctx =

@@ -67,6 +67,8 @@ type t = {
   routed : routed option;  (** set by {!Routing_pass} *)
   metrics : (string * float) list;
       (** per-pass wall seconds, newest first (see {!metrics}) *)
+  minor_words : (string * float) list;
+      (** per-pass minor words, newest first (see {!minor_words}) *)
   counters : (string * int) list;  (** per-pass counters, newest first *)
 }
 
@@ -101,11 +103,19 @@ val create :
     a circuit wider than the device, or a disconnected coupling
     graph. *)
 
-val add_metric : t -> string -> float -> t
+val add_metric : t -> string -> minor_words:float -> float -> t
+(** [add_metric ctx pass ~minor_words wall_s] records one pass's wall
+    seconds and the minor-heap words it allocated. *)
+
 val add_counter : t -> pass:string -> string -> int -> t
 
 val metrics : t -> (string * float) list
 (** Per-pass wall seconds in pipeline order. *)
+
+val minor_words : t -> (string * float) list
+(** Per-pass minor-heap words allocated on the calling domain, in
+    pipeline order ({!Pipeline.run} reads [Gc.minor_words] around each
+    pass; deterministic on one domain). *)
 
 val counters : t -> (string * int) list
 (** Counters in emission order, keys ["pass.counter"]. *)

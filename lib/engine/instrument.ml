@@ -1,6 +1,6 @@
 type event =
   | Pass_start of { pass : string }
-  | Pass_end of { pass : string; wall_s : float }
+  | Pass_end of { pass : string; wall_s : float; minor_words : float }
   | Counter of { pass : string; name : string; value : int }
 
 type t = { emit : event -> unit }
@@ -9,8 +9,9 @@ let null = { emit = ignore }
 
 let pp_event ppf = function
   | Pass_start { pass } -> Format.fprintf ppf "pass %s: start" pass
-  | Pass_end { pass; wall_s } ->
-    Format.fprintf ppf "pass %s: done in %.3f ms" pass (1000.0 *. wall_s)
+  | Pass_end { pass; wall_s; minor_words } ->
+    Format.fprintf ppf "pass %s: done in %.3f ms, %.0f minor words" pass
+      (1000.0 *. wall_s) minor_words
   | Counter { pass; name; value } ->
     Format.fprintf ppf "pass %s: %s = %d" pass name value
 

@@ -9,9 +9,10 @@
 
 type event =
   | Pass_start of { pass : string }
-  | Pass_end of { pass : string; wall_s : float }
+  | Pass_end of { pass : string; wall_s : float; minor_words : float }
       (** emitted by {!Pipeline.run} after each pass, with the pass's
-          wall-clock duration in seconds *)
+          wall-clock duration in seconds and the words it allocated in
+          the calling domain's minor heap *)
   | Counter of { pass : string; name : string; value : int }
       (** emitted by passes themselves: gate counts, trial counts,
           inserted SWAPs, search steps, ... *)

@@ -3,15 +3,20 @@ module Coupling = Hardware.Coupling
 module Config = Sabre_core.Config
 module Stats = Sabre_core.Stats
 
+(* [Gc.minor_words] counts the calling domain's allocation only: a pass
+   that fans trials out to other domains reports what it allocated
+   here, and on one domain the reading is deterministic. *)
 let run ?(instrument = Instrument.null) passes ctx =
   List.fold_left
     (fun ctx (p : Pass.t) ->
       instrument.Instrument.emit (Instrument.Pass_start { pass = p.name });
-      let t0 = Unix.gettimeofday () in
+      let t0 = Unix.gettimeofday () and w0 = Gc.minor_words () in
       let ctx = p.run ~instrument ctx in
+      let minor_words = Gc.minor_words () -. w0 in
       let wall_s = Unix.gettimeofday () -. t0 in
-      instrument.Instrument.emit (Instrument.Pass_end { pass = p.name; wall_s });
-      Context.add_metric ctx p.name wall_s)
+      instrument.Instrument.emit
+        (Instrument.Pass_end { pass = p.name; wall_s; minor_words });
+      Context.add_metric ctx p.name ~minor_words wall_s)
     ctx passes
 
 let default ?router ?seeder ?(verify = false) () =
@@ -27,17 +32,24 @@ type compiled = {
   routed : Context.routed;
   stats : Stats.t;
   metrics : (string * float) list;
+  minor_words : (string * float) list;
 }
 
 (* Every result taken from the cache is checked against the circuit it
    claims to route before it is returned: the key is a digest, and a
-   digest can be wrong. *)
-let checked ~config coupling circuit ~t0 r =
-  Verify_pass.check ~config coupling circuit r;
+   digest can be wrong. A hit that fails is evicted before the error is
+   raised, so one request gets the error and the next routes afresh. *)
+let checked_hit ~key ~config coupling circuit ~t0 r =
+  (match Verify_pass.check ~config coupling circuit r with
+  | () -> ()
+  | exception (Verify_pass.Verify_failed _ as e) ->
+    Compile_cache.remove key r;
+    raise e);
   {
     routed = r;
     stats = Context.summary circuit r ~time_s:(Unix.gettimeofday () -. t0);
     metrics = [];
+    minor_words = [];
   }
 
 let compile ?config ?router ?seeder ?dist ?noise ?initial ?trial_domains
@@ -54,6 +66,7 @@ let compile ?config ?router ?seeder ?dist ?noise ?initial ?trial_domains
       routed = Context.routed_exn ctx;
       stats = Context.stats ctx ~time_s:(Unix.gettimeofday () -. t0);
       metrics = Context.metrics ctx;
+      minor_words = Context.minor_words ctx;
     }
   in
   match cache_spec with
@@ -75,7 +88,7 @@ let compile ?config ?router ?seeder ?dist ?noise ?initial ?trial_domains
     in
     let hit r =
       count "cache_hit";
-      checked ~config coupling circuit ~t0 r
+      checked_hit ~key ~config coupling circuit ~t0 r
     in
     (match Compile_cache.find key with
     | Some r -> hit r
@@ -104,6 +117,6 @@ let cached ~config ~spec coupling circuit =
       Sabre_core.Routing_pass.default_scoring
         ~n_logical:(Circuit.n_qubits circuit)
     in
-    Compile_cache.peek
-      (Compile_cache.key ~circuit ~coupling ~config ~scoring ~spec)
-    |> Option.map (checked ~config coupling circuit ~t0)
+    let key = Compile_cache.key ~circuit ~coupling ~config ~scoring ~spec in
+    Compile_cache.peek key
+    |> Option.map (checked_hit ~key ~config coupling circuit ~t0)

@@ -6,9 +6,12 @@ module Stats = Sabre_core.Stats
 (** Running pass pipelines, and the one compile entry point.
 
     [run passes ctx] threads the context through every pass in order,
-    timing each one: the pass's wall-clock duration is appended to the
-    context's metrics and emitted as [Pass_start] / [Pass_end] events on
-    the instrument sink, so frontends get per-stage timing for free. *)
+    timing each one: the pass's wall-clock duration and the minor-heap
+    words it allocated on the calling domain ([Gc.minor_words], exact
+    and repeatable on one domain) are appended to the context
+    ({!Context.metrics}, {!Context.minor_words}) and carried by the
+    [Pass_end] event that follows each [Pass_start] on the instrument
+    sink, so frontends get per-stage timing and allocation for free. *)
 
 val run : ?instrument:Instrument.t -> Pass.t list -> Context.t -> Context.t
 
@@ -29,6 +32,9 @@ type compiled = {
   metrics : (string * float) list;
       (** per-pass wall seconds in pipeline order; [[]] for a result
           taken from the compile cache *)
+  minor_words : (string * float) list;
+      (** per-pass minor words on the calling domain, in pipeline order;
+          [[]] for a result taken from the compile cache *)
 }
 
 val compile :
@@ -65,15 +71,17 @@ val compile :
     key; a failure aborts the flight and is not cached. Concurrent
     callers of one cold key wait for the first (single flight). Every
     hit passes {!Verify_pass.check} before it is returned, and a hit
-    that fails it raises {!Verify_pass.Verify_failed} like a failing
-    fresh route. The outcome is emitted on [instrument] as counter
-    [compile.cache_hit] or [compile.cache_miss]. *)
+    that fails it is evicted ({!Compile_cache.remove}) and raises
+    {!Verify_pass.Verify_failed} like a failing fresh route: that
+    request gets the error, the next one routes afresh. The outcome is
+    emitted on [instrument] as counter [compile.cache_hit] or
+    [compile.cache_miss]. *)
 
 val cached :
   config:Config.t -> spec:string -> Coupling.t -> Circuit.t -> compiled option
 (** The hit-only probe that serve admission makes before queueing a
     request: the result {!compile} [~config ~cache_spec:spec] would take
-    from the cache without routing, checked like every hit (raising
-    {!Verify_pass.Verify_failed} if it fails), or [None] on a miss or a
-    disabled cache. A miss counts nothing ({!Compile_cache.peek}): the
+    from the cache without routing, checked like every hit (evicting
+    the entry and raising {!Verify_pass.Verify_failed} if it fails), or
+    [None] on a miss or a disabled cache. A miss counts nothing ({!Compile_cache.peek}): the
     request's {!compile} counts it. [config] must be valid. *)

@@ -365,7 +365,7 @@ let run ?(domains = 1) ?(objective = Swaps) ?(config = Config.default) ?noise
             initial = r.Context.trial_initial;
             final = r.Context.final_mapping;
             n_swaps = r.Context.n_swaps;
-            depth = Quantum.Depth.depth_swap3 physical;
+            depth = c.Pipeline.stats.Stats.routed_depth;
             success_prob =
               Option.map
                 (fun n -> Noise.circuit_success_probability n physical)

@@ -90,7 +90,8 @@ val note_trial : t -> last:bool -> unit
 val note_trial_done : t -> swaps:int -> depth:int -> unit
 (** The trial completed with these reported values; folds into the
     completed-trials minimum. [depth] may be 0 when {!needs_depth} is
-    false. *)
+    false; the routing pass passes the trial's {!Router.outcome}
+    [depth], known without building its circuit. *)
 
 val note_traversal : t -> final:bool -> unit
 (** The in-flight trial starts a traversal; [final] marks the last

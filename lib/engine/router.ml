@@ -2,7 +2,8 @@ module Circuit = Quantum.Circuit
 module Mapping = Sabre_core.Mapping
 
 type outcome = {
-  physical : Circuit.t;
+  physical : Circuit.t Lazy.t;
+  depth : int;
   trial_initial : Mapping.t;
   final_mapping : Mapping.t;
   n_swaps : int;

@@ -10,7 +10,15 @@ module Mapping = Sabre_core.Mapping
     interchangeable from the CLI and from custom pipelines. *)
 
 type outcome = {
-  physical : Circuit.t;
+  physical : Circuit.t Lazy.t;
+      (** the routed circuit. SABRE defers it: a trial keeps its final
+          traversal's emission log, and the circuit is replayed from it
+          only when forced — by the routing pass, for the trial it
+          returns. Routers that build the circuit anyway wrap it in
+          [Lazy.from_val]. Force it on one domain at a time. *)
+  depth : int;
+      (** {!Quantum.Depth.depth_swap3} of [physical], known without
+          forcing it: the trial ranking's tie-break *)
   trial_initial : Mapping.t;
       (** the mapping that seeded the final forward traversal *)
   final_mapping : Mapping.t;

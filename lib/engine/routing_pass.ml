@@ -1,22 +1,21 @@
-module Depth = Quantum.Depth
 module Noise = Hardware.Noise
 
 let name = "routing"
 
-(* Default trial ranking: fewest SWAPs, then lowest depth. With a noise
-   model, rank by estimated success probability instead — equally cheap
-   routings then resolve toward reliable couplers (variability-aware
-   mapping, the Section VI extension). *)
+(* Default trial ranking: fewest SWAPs, then lowest depth, both known
+   without building a trial's circuit. With a noise model, rank by
+   estimated success probability instead — equally cheap routings then
+   resolve toward reliable couplers (variability-aware mapping, the
+   Section VI extension) — which forces every trial's circuit. *)
 let better ~noise (a : Router.outcome) (b : Router.outcome) =
   match noise with
   | Some model ->
-    Noise.circuit_success_probability model a.Router.physical
-    > Noise.circuit_success_probability model b.Router.physical
+    Noise.circuit_success_probability model (Lazy.force a.Router.physical)
+    > Noise.circuit_success_probability model (Lazy.force b.Router.physical)
   | None ->
     if a.Router.n_swaps <> b.Router.n_swaps then
       a.Router.n_swaps < b.Router.n_swaps
-    else
-      Depth.depth_swap3 a.Router.physical < Depth.depth_swap3 b.Router.physical
+    else a.Router.depth < b.Router.depth
 
 let route ~instrument ~router (ctx : Context.t) =
   let (module R : Router.S) = router in
@@ -44,17 +43,21 @@ let route ~instrument ~router (ctx : Context.t) =
         let o = R.route ctx ~initial:m in
         (match race with
         | Some r ->
-          let depth =
-            if Race.needs_depth r then Depth.depth_swap3 o.Router.physical
-            else 0
-          in
-          Race.note_trial_done r ~swaps:o.Router.n_swaps ~depth
+          Race.note_trial_done r ~swaps:o.Router.n_swaps ~depth:o.Router.depth
         | None -> ());
         o)
       mappings
   in
+  (* every lazy circuit is forced here, on the calling domain, once the
+     trials' domains have been joined *)
   let outcomes = Scheduler.run ~domains:ctx.trial_domains jobs in
   let best = Scheduler.best ~better:(better ~noise:ctx.noise) outcomes in
+  let physical = Lazy.force best.Router.physical in
+  let materialized =
+    Array.fold_left
+      (fun acc o -> if Lazy.is_val o.Router.physical then acc + 1 else acc)
+      0 outcomes
+  in
   let sum f = Array.fold_left (fun acc o -> acc + f o) 0 outcomes in
   let scoring =
     Array.fold_left
@@ -63,7 +66,7 @@ let route ~instrument ~router (ctx : Context.t) =
   in
   let routed =
     {
-      Context.physical = best.Router.physical;
+      Context.physical = physical;
       trial_initial = best.Router.trial_initial;
       final_mapping = best.Router.final_mapping;
       n_swaps = best.Router.n_swaps;
@@ -78,6 +81,7 @@ let route ~instrument ~router (ctx : Context.t) =
   let ctx =
     Pass.count instrument ~pass:name ctx "trials" (Array.length outcomes)
   in
+  let ctx = Pass.count instrument ~pass:name ctx "materialized" materialized in
   let ctx = Pass.count instrument ~pass:name ctx "swaps" routed.n_swaps in
   let ctx =
     Pass.count instrument ~pass:name ctx "search_steps" routed.search_steps

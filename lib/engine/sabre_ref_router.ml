@@ -37,7 +37,8 @@ let route (ctx : Context.t) ~initial =
     let fallbacks = fallbacks + r.Routing.fallback_swaps in
     if i = total then
       {
-        Router.physical = r.Routing.physical;
+        Router.physical = Lazy.from_val r.Routing.physical;
+        depth = Quantum.Depth.depth_swap3 r.Routing.physical;
         trial_initial = mapping;
         final_mapping = r.Routing.final_mapping;
         n_swaps = r.Routing.n_swaps;

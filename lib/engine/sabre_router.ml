@@ -33,7 +33,9 @@ let scratch_for coupling =
    even; the traversal count is odd so the last one is forward and its
    input mapping is the reverse-traversal-optimised initial mapping.
    Traversals before the last are wanted only for the mapping they end
-   on (Section IV-C2), so they run mapping-only and build no circuit. *)
+   on (Section IV-C2), so they run mapping-only and build no circuit;
+   the last one logs what it emits, and the trial's circuit is replayed
+   from that log only if the routing pass keeps this trial. *)
 let route (ctx : Context.t) ~initial =
   let forward = dag_exn ctx.dag_forward in
   let total = ctx.config.Config.traversals in
@@ -71,19 +73,20 @@ let route (ctx : Context.t) ~initial =
   in
   note_traversal total;
   let r =
-    Routing.run ~scratch ~dist:ctx.dist ?dist_int:ctx.dist_int
+    Routing.run_logged ~scratch ~dist:ctx.dist ?dist_int:ctx.dist_int
       ~scoring:ctx.scoring_mode ?hook ctx.config ctx.coupling forward mapping
   in
   {
-    Router.physical = r.Routing.physical;
+    Router.physical = r.Routing.l_physical;
+    depth = r.Routing.l_depth;
     trial_initial = mapping;
-    final_mapping = r.Routing.final_mapping;
-    n_swaps = r.Routing.n_swaps;
-    first_swaps = Option.value first ~default:r.Routing.n_swaps;
-    search_steps = steps + r.Routing.search_steps;
-    fallback_swaps = fallbacks + r.Routing.fallback_swaps;
+    final_mapping = r.Routing.l_final_mapping;
+    n_swaps = r.Routing.l_n_swaps;
+    first_swaps = Option.value first ~default:r.Routing.l_n_swaps;
+    search_steps = steps + r.Routing.l_search_steps;
+    fallback_swaps = fallbacks + r.Routing.l_fallback_swaps;
     traversals = total;
-    scoring = Sabre_core.Stats.scoring_add scoring r.Routing.scoring;
+    scoring = Sabre_core.Stats.scoring_add scoring r.Routing.l_scoring;
   }
 
 let router : Router.t =

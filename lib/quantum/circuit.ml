@@ -65,11 +65,20 @@ let map_qubits f c =
 
 let reverse c =
   let unitary =
-    Array.to_list c.gates
-    |> List.filter (function Gate.Measure _ -> false | _ -> true)
+    Array.fold_left
+      (fun acc g -> match g with Gate.Measure _ -> acc | _ -> acc + 1)
+      0 c.gates
   in
-  let reversed = List.rev_map Gate.dagger unitary in
-  { c with gates = Array.of_list reversed }
+  let reversed = Array.make unitary (Gate.Barrier []) in
+  let k = ref 0 in
+  for i = Array.length c.gates - 1 downto 0 do
+    match c.gates.(i) with
+    | Gate.Measure _ -> ()
+    | g ->
+      reversed.(!k) <- Gate.dagger g;
+      incr k
+  done;
+  { c with gates = reversed }
 
 let filter p c =
   if Array.for_all p c.gates then c

@@ -80,9 +80,10 @@ val equal_up_to_reordering : t -> t -> bool
 (** [equal_up_to_reordering a b] holds iff [a] and [b] have the same
     width and the same gate sequence on every qubit, gates compared
     with {!Gate.equal} (floats by their bits). It walks [b] once
-    against a per-qubit (CSR) index of [a], with no hashing. Used to
-    verify that a routed circuit preserves the original program's
-    semantics after un-mapping. *)
+    against a per-qubit (CSR) index of [a], with no hashing. This is
+    the relation [Sim.Tracker.check] decides between a routed circuit,
+    un-mapped, and its source — in one pass, without building the
+    un-mapped circuit. *)
 
 val digest : t -> string
 (** Strict content digest over the gates in program order (plus register

@@ -7,12 +7,11 @@ type flat = {
 
 type t = {
   circuit : Circuit.t;
-  gates : Gate.t array;  (* cached copy of the circuit's gates *)
-  succ : int list array;  (* distinct successors, ascending *)
-  pred : int list array;  (* distinct predecessors, ascending *)
-  (* CSR (compressed-sparse-row) view of the same adjacency: row [i]
-     spans [off.(i) .. off.(i+1) - 1] of [idx], ascending within a row.
-     The hot routing loops traverse these instead of the lists. *)
+  gates : Gate.t array;  (* the circuit's own gate array, never written *)
+  (* CSR (compressed-sparse-row) adjacency: row [i] spans
+     [off.(i) .. off.(i+1) - 1] of [idx], ascending and distinct within
+     a row. [idx] may be longer than [off.(n)]; entries past it are
+     unused. *)
   succ_off : int array;
   succ_idx : int array;
   pred_off : int array;
@@ -23,76 +22,131 @@ type t = {
   pair_q2 : int array;
 }
 
-let csr_of_lists n rows =
-  let off = Array.make (n + 1) 0 in
-  for i = 0 to n - 1 do
-    off.(i + 1) <- off.(i) + List.length rows.(i)
-  done;
-  let idx = Array.make off.(n) 0 in
-  for i = 0 to n - 1 do
-    List.iteri (fun k j -> idx.(off.(i) + k) <- j) rows.(i)
-  done;
-  (off, idx)
-
-let finalize circuit gates succ pred =
+(* Successor rows are the transpose of the predecessor rows: count each
+   node's out-degree, prefix-sum the counts into offsets, then walk the
+   nodes in ascending order appending each to its predecessors' rows —
+   which leaves every row ascending. *)
+let finalize circuit gates pred_off pred_idx =
   let n = Array.length gates in
-  let succ_off, succ_idx = csr_of_lists n succ in
-  let pred_off, pred_idx = csr_of_lists n pred in
+  let succ_off = Array.make (n + 1) 0 in
+  let m = pred_off.(n) in
+  for k = 0 to m - 1 do
+    let p = pred_idx.(k) in
+    succ_off.(p + 1) <- succ_off.(p + 1) + 1
+  done;
+  for i = 0 to n - 1 do
+    succ_off.(i + 1) <- succ_off.(i + 1) + succ_off.(i)
+  done;
+  let succ_idx = Array.make m 0 in
+  (* [succ_off.(p)] serves as p's fill cursor, then is shifted back *)
+  for j = 0 to n - 1 do
+    for k = pred_off.(j) to pred_off.(j + 1) - 1 do
+      let p = pred_idx.(k) in
+      succ_idx.(succ_off.(p)) <- j;
+      succ_off.(p) <- succ_off.(p) + 1
+    done
+  done;
+  for i = n downto 1 do
+    succ_off.(i) <- succ_off.(i - 1)
+  done;
+  succ_off.(0) <- 0;
   let pair_q1 = Array.make n (-1) and pair_q2 = Array.make n (-1) in
   for i = 0 to n - 1 do
-    match Gate.two_qubit_pair gates.(i) with
-    | Some (q1, q2) ->
+    match gates.(i) with
+    | Gate.Cnot (q1, q2) | Gate.Cz (q1, q2) | Gate.Swap (q1, q2) ->
       pair_q1.(i) <- q1;
       pair_q2.(i) <- q2
-    | None -> ()
+    | Gate.Single _ | Gate.Barrier _ | Gate.Measure _ -> ()
   done;
-  {
-    circuit;
-    gates;
-    succ;
-    pred;
-    succ_off;
-    succ_idx;
-    pred_off;
-    pred_idx;
-    pair_q1;
-    pair_q2;
-  }
+  { circuit; gates; succ_off; succ_idx; pred_off; pred_idx; pair_q1; pair_q2 }
 
-let of_circuit circuit =
-  let gates = Circuit.gate_array circuit in
-  let n = Array.length gates in
-  let succ = Array.make n [] and pred = Array.make n [] in
-  (* last.(q) is the most recent node touching qubit q *)
-  let last = Array.make (Circuit.n_qubits circuit) (-1) in
-  for i = 0 to n - 1 do
-    let deps =
-      Gate.qubits gates.(i)
-      |> List.filter_map (fun q ->
-             let p = last.(q) in
-             if p >= 0 then Some p else None)
-      |> List.sort_uniq Int.compare
+let rec arity_sum gates i acc =
+  if i = Array.length gates then acc
+  else
+    let a =
+      match gates.(i) with
+      | Gate.Single _ | Gate.Measure _ -> 1
+      | Gate.Cnot _ | Gate.Cz _ | Gate.Swap _ -> 2
+      | Gate.Barrier qs -> List.length qs
     in
-    pred.(i) <- deps;
-    List.iter (fun p -> succ.(p) <- i :: succ.(p)) deps;
-    List.iter (fun q -> last.(q) <- i) (Gate.qubits gates.(i))
+    arity_sum gates (i + 1) (acc + a)
+
+(* Append predecessor [p] to the row being built, which starts at
+   [lo]: skip it if absent (-1) or already present, else insert it in
+   ascending position. Rows are as short as the gate's arity. *)
+let add_pred idx lo len p =
+  if p < 0 then len
+  else begin
+    let dup = ref false in
+    for k = lo to lo + len - 1 do
+      if idx.(k) = p then dup := true
+    done;
+    if !dup then len
+    else begin
+      let k = ref (lo + len) in
+      while !k > lo && idx.(!k - 1) > p do
+        idx.(!k) <- idx.(!k - 1);
+        decr k
+      done;
+      idx.(!k) <- p;
+      len + 1
+    end
+  end
+
+let rec add_barrier_preds idx last lo len = function
+  | [] -> len
+  | q :: rest -> add_barrier_preds idx last lo (add_pred idx lo len last.(q)) rest
+
+let rec set_last last i = function
+  | [] -> ()
+  | q :: rest ->
+    last.(q) <- i;
+    set_last last i rest
+
+(* The plain dependency DAG, straight into CSR: node [i]'s predecessors
+   are the last writers of its qubits ([last.(q)], the most recent node
+   touching qubit [q]), deduplicated and sorted; no list is built. *)
+let of_circuit circuit =
+  let gates = circuit.Circuit.gates in
+  let n = Array.length gates in
+  let last = Array.make (max 1 (Circuit.n_qubits circuit)) (-1) in
+  let pred_off = Array.make (n + 1) 0 in
+  let pred_idx = Array.make (arity_sum gates 0 0) 0 in
+  for i = 0 to n - 1 do
+    let lo = pred_off.(i) in
+    let len =
+      match gates.(i) with
+      | Gate.Single (_, q) | Gate.Measure (q, _) ->
+        let len = add_pred pred_idx lo 0 last.(q) in
+        last.(q) <- i;
+        len
+      | Gate.Cnot (a, b) | Gate.Cz (a, b) | Gate.Swap (a, b) ->
+        let len = add_pred pred_idx lo (add_pred pred_idx lo 0 last.(a)) last.(b) in
+        last.(a) <- i;
+        last.(b) <- i;
+        len
+      | Gate.Barrier qs ->
+        let len = add_barrier_preds pred_idx last lo 0 qs in
+        set_last last i qs;
+        len
+    in
+    pred_off.(i + 1) <- lo + len
   done;
-  (* successor lists were built in reverse; deduplicate and sort *)
-  Array.iteri (fun i l -> succ.(i) <- List.sort_uniq Int.compare l) succ;
-  finalize circuit gates succ pred
+  finalize circuit gates pred_off pred_idx
 
 (* Commutation-aware construction. Per qubit we keep two gate groups:
    [current] — the most recent gates that pairwise commute with each
    other's successors on this qubit — and [previous], the group every
    [current] member depends on. A new gate joins [current] when it
    commutes with all its members; otherwise [current] becomes its
-   dependency set and starts over. *)
+   dependency set and starts over. The predecessor lists are then
+   packed into CSR rows. *)
 let of_circuit_commuting circuit =
-  let gates = Circuit.gate_array circuit in
+  let gates = circuit.Circuit.gates in
   let n = Array.length gates in
   let nq = Circuit.n_qubits circuit in
   let previous = Array.make nq [] and current = Array.make nq [] in
-  let pred = Array.make n [] and succ = Array.make n [] in
+  let pred = Array.make n [] in
   for i = 0 to n - 1 do
     let deps = ref [] in
     List.iter
@@ -111,18 +165,23 @@ let of_circuit_commuting circuit =
           current.(q) <- [ i ]
         end)
       (Gate.qubits gates.(i));
-    let deps = List.sort_uniq Int.compare !deps in
-    pred.(i) <- deps;
-    List.iter (fun p -> succ.(p) <- i :: succ.(p)) deps
+    pred.(i) <- List.sort_uniq Int.compare !deps
   done;
-  Array.iteri (fun i l -> succ.(i) <- List.sort_uniq Int.compare l) succ;
-  finalize circuit gates succ pred
+  let pred_off = Array.make (n + 1) 0 in
+  for i = 0 to n - 1 do
+    pred_off.(i + 1) <- pred_off.(i) + List.length pred.(i)
+  done;
+  let pred_idx = Array.make pred_off.(n) 0 in
+  Array.iteri
+    (fun i row -> List.iteri (fun k p -> pred_idx.(pred_off.(i) + k) <- p) row)
+    pred;
+  finalize circuit gates pred_off pred_idx
 
 let matches_linearization d c =
   let n = Array.length d.gates in
   if Circuit.length c <> n then false
   else begin
-    let remaining = Array.init n (fun i -> List.length d.pred.(i)) in
+    let remaining = Array.init n (fun i -> d.pred_off.(i + 1) - d.pred_off.(i)) in
     let consumed = Array.make n false in
     (* ready nodes indexed by gate value for O(1)-ish matching *)
     let ready : (Gate.t, int list) Hashtbl.t = Hashtbl.create 64 in
@@ -143,21 +202,28 @@ let matches_linearization d c =
             (if rest = [] then Hashtbl.remove ready g
              else Hashtbl.replace ready g rest);
             consumed.(i) <- true;
-            List.iter
-              (fun j ->
-                remaining.(j) <- remaining.(j) - 1;
-                if remaining.(j) = 0 then add_ready j)
-              d.succ.(i)
+            for k = d.succ_off.(i) to d.succ_off.(i + 1) - 1 do
+              let j = d.succ_idx.(k) in
+              remaining.(j) <- remaining.(j) - 1;
+              if remaining.(j) = 0 then add_ready j
+            done
           | Some [] | None -> ok := false)
       (Circuit.gates c);
     !ok && Array.for_all Fun.id consumed
   end
 
+let row off idx i =
+  let acc = ref [] in
+  for k = off.(i + 1) - 1 downto off.(i) do
+    acc := idx.(k) :: !acc
+  done;
+  !acc
+
 let circuit d = d.circuit
-let n_nodes d = Array.length d.succ
+let n_nodes d = Array.length d.gates
 let gate d i = d.gates.(i)
-let successors d i = d.succ.(i)
-let predecessors d i = d.pred.(i)
+let successors d i = row d.succ_off d.succ_idx i
+let predecessors d i = row d.pred_off d.pred_idx i
 let in_degree d i = d.pred_off.(i + 1) - d.pred_off.(i)
 let out_degree d i = d.succ_off.(i + 1) - d.succ_off.(i)
 
@@ -205,21 +271,20 @@ let topological_order d =
   while not (Q.is_empty q) do
     let i = Q.pop q in
     order := i :: !order;
-    List.iter
-      (fun j ->
-        indeg.(j) <- indeg.(j) - 1;
-        if indeg.(j) = 0 then Q.add j q)
-      d.succ.(i)
+    for k = d.succ_off.(i) to d.succ_off.(i + 1) - 1 do
+      let j = d.succ_idx.(k) in
+      indeg.(j) <- indeg.(j) - 1;
+      if indeg.(j) = 0 then Q.add j q
+    done
   done;
   let order = List.rev !order in
   assert (List.length order = n);
   order
 
 let two_qubit_nodes d =
-  let gates = Circuit.gate_array d.circuit in
   let acc = ref [] in
-  for i = Array.length gates - 1 downto 0 do
-    if Gate.is_two_qubit gates.(i) then acc := i :: !acc
+  for i = n_nodes d - 1 downto 0 do
+    if d.pair_q1.(i) >= 0 then acc := i :: !acc
   done;
   !acc
 

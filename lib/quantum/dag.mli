@@ -7,11 +7,20 @@
     constraints. Unlike the paper's exposition, single-qubit gates,
     barriers and measurements are kept as nodes so that a routed circuit
     can carry them along; the routing algorithms treat any non-two-qubit
-    node as always executable. Construction is O(g). *)
+    node as always executable. Construction is O(g).
+
+    The adjacency is stored only in compressed-sparse-row form:
+    contiguous [int array] rows behind O(1) offsets, ascending and
+    distinct within each row. *)
 
 type t
 
 val of_circuit : Circuit.t -> t
+(** Built straight into CSR rows: node [i]'s predecessor row holds the
+    last writers of its qubits (the most recent earlier node touching
+    each), deduplicated and sorted, found with a per-qubit last-writer
+    array; successor rows are their transpose, derived by counting. No
+    list is built, and the DAG shares the circuit's gate array. *)
 
 val of_circuit_commuting : Circuit.t -> t
 (** Commutation-aware construction: on each qubit a gate depends on the
@@ -20,7 +29,9 @@ val of_circuit_commuting : Circuit.t -> t
     gate. Every edge of this DAG is also an ordering of the plain DAG, so
     any linearisation of the plain DAG is a linearisation of this one —
     but not vice versa: routers get strictly more freedom (e.g. CNOTs
-    fanning out of one control may execute in any order). *)
+    fanning out of one control may execute in any order). The groups
+    are kept as lists while building; the result is packed into the
+    same CSR rows as {!of_circuit}'s. *)
 
 val matches_linearization : t -> Circuit.t -> bool
 (** [matches_linearization dag c] — is [c] a topological linearisation of
@@ -38,10 +49,12 @@ val gate : t -> int -> Gate.t
 (** [gate dag i] is the gate at node [i]. *)
 
 val successors : t -> int -> int list
-(** Direct successors of node [i], each listed once. *)
+(** Direct successors of node [i], each listed once, ascending: a fresh
+    list read from the CSR row (use {!succ_iter} in loops). *)
 
 val predecessors : t -> int -> int list
-(** Direct predecessors of node [i], each listed once. *)
+(** Direct predecessors of node [i], each listed once, ascending: a
+    fresh list read from the CSR row (use {!pred_iter} in loops). *)
 
 val in_degree : t -> int -> int
 (** Number of distinct predecessors. O(1) via the CSR offsets. *)
@@ -51,10 +64,9 @@ val out_degree : t -> int -> int
 
 (** {2 Flat (CSR) view}
 
-    The adjacency is additionally stored compressed-sparse-row:
-    contiguous [int array] rows behind O(1) offsets. The iterators below
-    traverse it without allocating; they visit exactly the nodes of
-    {!successors}/{!predecessors} in the same (ascending) order. *)
+    The iterators below traverse the CSR rows without allocating; they
+    visit exactly the nodes of {!successors}/{!predecessors} in the
+    same (ascending) order. *)
 
 val succ_iter : t -> int -> (int -> unit) -> unit
 (** [succ_iter d i f] applies [f] to each successor of [i], ascending,

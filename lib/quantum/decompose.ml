@@ -48,10 +48,10 @@ let expand_all c =
     c
 
 let elementary_gate_count c =
-  List.fold_left
+  Array.fold_left
     (fun acc g ->
       match g with
       | Gate.Swap _ | Gate.Cz _ -> acc + 3
       | Gate.Barrier _ | Gate.Measure _ -> acc
       | Gate.Single _ | Gate.Cnot _ -> acc + 1)
-    0 (Circuit.gates c)
+    0 c.Circuit.gates

@@ -39,15 +39,51 @@ let slack ?(weight = default_weight) c =
   let late = (alap ~weight c).levels in
   Array.init (Array.length early) (fun i -> late.(i) - early.(i))
 
-let depth c = (asap c).depth
+(* [asap]'s makespan without its schedule: fold the per-qubit ready
+   times over the gates, matching on each gate for its operands instead
+   of listing them. Barriers weigh 0, SWAPs [swap_weight], every other
+   gate 1. Allocates only the ready array. *)
+let rec barrier_start ready acc = function
+  | [] -> acc
+  | q :: rest ->
+    barrier_start ready (if ready.(q) > acc then ready.(q) else acc) rest
 
-let depth_swap3 c =
-  let weight = function
-    | Gate.Swap _ -> 3
-    | Gate.Barrier _ -> 0
-    | _ -> 1
+let rec barrier_set ready t = function
+  | [] -> ()
+  | q :: rest ->
+    ready.(q) <- t;
+    barrier_set ready t rest
+
+let fold_depth ~swap_weight c =
+  let ready = Array.make (max 1 (Circuit.n_qubits c)) 0 in
+  let depth = ref 0 in
+  let pair a b w =
+    let t = (if ready.(a) > ready.(b) then ready.(a) else ready.(b)) + w in
+    ready.(a) <- t;
+    ready.(b) <- t;
+    t
   in
-  (asap ~weight c).depth
+  Array.iter
+    (fun g ->
+      let t =
+        match g with
+        | Gate.Single (_, q) | Gate.Measure (q, _) ->
+          let t = ready.(q) + 1 in
+          ready.(q) <- t;
+          t
+        | Gate.Cnot (a, b) | Gate.Cz (a, b) -> pair a b 1
+        | Gate.Swap (a, b) -> pair a b swap_weight
+        | Gate.Barrier qs ->
+          let t = barrier_start ready 0 qs in
+          barrier_set ready t qs;
+          t
+      in
+      if t > !depth then depth := t)
+    c.Circuit.gates;
+  !depth
+
+let depth c = fold_depth ~swap_weight:1 c
+let depth_swap3 c = fold_depth ~swap_weight:3 c
 
 let two_qubit_depth c =
   let weight g = if Gate.is_two_qubit g then 1 else 0 in

@@ -29,12 +29,15 @@ val slack : ?weight:(Gate.t -> int) -> Circuit.t -> int array
     SWAPs for free. *)
 
 val depth : Circuit.t -> int
-(** [depth c] is [(asap c).depth]. The empty circuit has depth 0. *)
+(** [depth c] is [(asap c).depth], folded over per-qubit ready times
+    without building [levels] or a qubit list per gate: it allocates one
+    array of the register's width. The empty circuit has depth 0. *)
 
 val depth_swap3 : Circuit.t -> int
 (** Depth with every SWAP weighted as 3 time steps (its CNOT
-    decomposition), all other unitaries as 1. This is the metric used to
-    compare routed circuits when SWAPs have not yet been decomposed. *)
+    decomposition), all other unitaries as 1 and barriers as 0 — the
+    same fold as {!depth}. This is the metric used to compare routed
+    circuits when SWAPs have not yet been decomposed. *)
 
 val two_qubit_depth : Circuit.t -> int
 (** Depth counting only two-qubit gates (single-qubit gates weigh 0):

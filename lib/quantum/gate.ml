@@ -63,12 +63,13 @@ let single_kind_dagger = function
   | U2 (phi, lam) -> U2 (-.lam -. Float.pi, -.phi +. Float.pi)
   | U3 (theta, phi, lam) -> U3 (-.theta, -.lam, -.phi)
 
+(* Self-inverse gates come back as the very same value, so reversing a
+   circuit allocates only for the gates that change. *)
 let dagger = function
+  | Single ((I | H | X | Y | Z), _) | Cnot _ | Cz _ | Swap _ | Barrier _ as g
+    ->
+    g
   | Single (k, q) -> Single (single_kind_dagger k, q)
-  | Cnot (a, b) -> Cnot (a, b)
-  | Cz (a, b) -> Cz (a, b)
-  | Swap (a, b) -> Swap (a, b)
-  | Barrier qs -> Barrier qs
   | Measure _ -> invalid_arg "Gate.dagger: measurement is not unitary"
 
 let single_kind_name = function
@@ -169,6 +170,18 @@ let equal a b =
   | Barrier l1, Barrier l2 -> List.equal Int.equal l1 l2
   | _ -> false
 
+let equal_mapped m a b =
+  match (a, b) with
+  | Single (k1, q1), Single (k2, q2) -> m.(q1) = q2 && single_kind_equal k1 k2
+  | Cnot (a1, b1), Cnot (a2, b2)
+  | Cz (a1, b1), Cz (a2, b2)
+  | Swap (a1, b1), Swap (a2, b2) ->
+    m.(a1) = a2 && m.(b1) = b2
+  | Measure (q1, c1), Measure (q2, c2) -> m.(q1) = q2 && c1 = c2
+  | Barrier l1, Barrier l2 ->
+    List.equal (fun q1 q2 -> m.(q1) = q2) l1 l2
+  | _ -> false
+
 (* The binary identity: a constructor tag byte, then each operand and
    each parameter's IEEE bits as 8 little-endian bytes. Every field has
    a fixed width, or a count in front (barriers), so the encoding is
@@ -213,24 +226,27 @@ let compare a b =
   in
   String.compare (encode a) (encode b)
 
+let out_of_range g q n_qubits =
+  Error
+    (Printf.sprintf "gate %s: qubit %d out of range [0,%d)" (name g) q n_qubits)
+
+(* Operands in declaration order, as [qubits] lists them: the first one
+   out of range is the one reported. A valid non-barrier gate allocates
+   nothing. *)
 let validate ~n_qubits g =
-  let in_range q = q >= 0 && q < n_qubits in
-  let check_range qs =
-    match List.find_opt (fun q -> not (in_range q)) qs with
-    | Some q ->
-      Error
-        (Printf.sprintf "gate %s: qubit %d out of range [0,%d)" (name g) q
-           n_qubits)
-    | None -> Ok ()
-  in
-  let qs = qubits g in
-  match check_range qs with
-  | Error _ as e -> e
-  | Ok () -> (
-    match g with
-    | Cnot (a, b) | Cz (a, b) | Swap (a, b) when a = b ->
-      Error
-        (Printf.sprintf "gate %s: identical operands q[%d]" (name g) a)
-    | Barrier qs when List.length (List.sort_uniq Int.compare qs) <> List.length qs
-      -> Error "barrier: duplicate qubit"
-    | _ -> Ok ())
+  match g with
+  | Single (_, q) | Measure (q, _) ->
+    if q < 0 || q >= n_qubits then out_of_range g q n_qubits else Ok ()
+  | Cnot (a, b) | Cz (a, b) | Swap (a, b) ->
+    if a < 0 || a >= n_qubits then out_of_range g a n_qubits
+    else if b < 0 || b >= n_qubits then out_of_range g b n_qubits
+    else if a = b then
+      Error (Printf.sprintf "gate %s: identical operands q[%d]" (name g) a)
+    else Ok ()
+  | Barrier qs -> (
+    match List.find_opt (fun q -> q < 0 || q >= n_qubits) qs with
+    | Some q -> out_of_range g q n_qubits
+    | None ->
+      if List.length (List.sort_uniq Int.compare qs) <> List.length qs then
+        Error "barrier: duplicate qubit"
+      else Ok ())

@@ -63,6 +63,12 @@ val equal : t -> t -> bool
     and a gate with a NaN parameter equals itself. Two gates are equal
     iff their {!add_binary} encodings are. *)
 
+val equal_mapped : int array -> t -> t -> bool
+(** [equal_mapped m a b] is [equal (remap (Array.get m) a) b] without
+    building the remapped gate: qubit [q] of [a] is compared as
+    [m.(q)]; classical bits and parameters are compared as in
+    {!equal}. *)
+
 val compare : t -> t -> int
 (** Total order consistent with {!equal}: the byte order of the
     {!add_binary} encodings (not numeric on operands). *)

@@ -378,7 +378,9 @@ let test_clear_and_capacity () =
 (* A cached result that no longer routes its circuit — here the routed
    circuit lost its last gate — must fail the check every hit gets, with
    the error a failing fresh route raises, and its bytes must never come
-   back. *)
+   back. A refused hit evicts its entry, so the entry is poisoned again
+   before each probe, and the compile after the last refusal misses,
+   routes and returns a verified result. *)
 let test_poisoned_entry_fails_its_check () =
   let router = sabre () in
   with_cache
@@ -402,10 +404,13 @@ let test_poisoned_entry_fails_its_check () =
               (List.filteri (fun i _ -> i < List.length gates - 1) gates);
         }
       in
-      (match Cache.acquire key with
-      | Cache.Compute -> Cache.fill key poisoned
-      | Cache.Hit _ -> Alcotest.fail "fresh key cannot hit");
+      let poison () =
+        match Cache.acquire key with
+        | Cache.Compute -> Cache.fill key poisoned
+        | Cache.Hit _ -> Alcotest.fail "fresh key cannot hit"
+      in
       let refused label compile =
+        poison ();
         match compile () with
         | _ -> Alcotest.failf "%s returned the poisoned entry" label
         | exception Engine.Verify_pass.Verify_failed _ -> ()
@@ -416,7 +421,40 @@ let test_poisoned_entry_fails_its_check () =
       refused "admission probe" (fun () ->
           Engine.Pipeline.cached ~config:Config.default ~spec:"sabre" device
             circuit);
-      check Alcotest.int "both probes were hits" 2 (Cache.stats ()).Cache.hits)
+      check Alcotest.int "both probes were hits" 2 (Cache.stats ()).Cache.hits;
+      let misses = (Cache.stats ()).Cache.misses in
+      let fresh =
+        Engine.Pipeline.compile ~router ~cache_spec:"sabre" device circuit
+      in
+      check Alcotest.int "the next compile misses" (misses + 1)
+        (Cache.stats ()).Cache.misses;
+      check Alcotest.bool "and routes the verified circuit" true
+        (Circuit.equal fresh.Engine.Pipeline.routed.physical good.physical))
+
+(* What a checked hit costs: key digest, probe, [Tracker.check] and the
+   [Stats] summary of a warm qft_10 hit on Tokyo stay within 5,545
+   minor words, a quarter of the 22,180 it took when the check rebuilt
+   the routed circuit and listed every gate's qubits, and the summary
+   built an ASAP schedule per depth. *)
+let test_checked_hit_allocation () =
+  let router = sabre () in
+  with_cache
+    (64 * 1024 * 1024)
+    (fun () ->
+      let device = Devices.ibm_q20_tokyo () in
+      let circuit = Workloads.Qft.circuit 10 in
+      let hit () =
+        Engine.Pipeline.compile ~router ~cache_spec:"sabre" device circuit
+      in
+      ignore (hit ());
+      ignore (hit ());
+      let w0 = Gc.minor_words () in
+      ignore (hit ());
+      let words = Gc.minor_words () -. w0 in
+      check Alcotest.int "two hits" 2 (Cache.stats ()).Cache.hits;
+      check Alcotest.bool
+        (Printf.sprintf "checked qft_10 hit: %.0f words <= 5,545" words)
+        true (words <= 5_545.0))
 
 let suite =
   [
@@ -441,4 +479,5 @@ let suite =
     tc "clear and capacity validation" `Quick test_clear_and_capacity;
     tc "poisoned entry fails the check every hit gets" `Quick
       test_poisoned_entry_fails_its_check;
+    tc "checked hit allocation budget" `Quick test_checked_hit_allocation;
   ]

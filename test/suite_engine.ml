@@ -286,6 +286,94 @@ let test_routed_exn_before_routing () =
   | _ -> Alcotest.fail "routed_exn succeeded on an unrouted context"
   | exception Invalid_argument _ -> ()
 
+(* A SABRE compile allocates little beyond what it returns: over the 26
+   Table II rows on Tokyo, on one domain and after one warm-up compile
+   (distance cache, routing scratch), [Pipeline.compile ~verify:false]
+   allocates at most 100 minor words per input gate. Scores stay
+   unboxed, losing trials never become circuits and DAGs are built
+   straight into CSR rows; the routed circuit itself costs about 6
+   words a gate. [Gc.minor_words] counts this domain only. *)
+let test_compile_allocation_budget () =
+  let device = Devices.ibm_q20_tokyo () in
+  let compile_all () =
+    List.fold_left
+      (fun (words, gates) (row : Workloads.Suite.row) ->
+        let c = Lazy.force row.Workloads.Suite.circuit in
+        let w0 = Gc.minor_words () in
+        ignore (Engine.Pipeline.compile ~verify:false device c);
+        (words +. (Gc.minor_words () -. w0), gates + Circuit.length c))
+      (0.0, 0) Workloads.Suite.all
+  in
+  ignore (compile_all ());
+  let words, gates = compile_all () in
+  check Alcotest.int "26 Table II rows" 26 (List.length Workloads.Suite.all);
+  let per = words /. float_of_int gates in
+  check Alcotest.bool
+    (Printf.sprintf "%.1f minor words per input gate <= 100" per)
+    true (per <= 100.0)
+
+(* [routing.materialized] counts the trials whose circuit was built:
+   only the winner's on a default 5-trial SABRE compile, every trial's
+   when a noise model ranks them by success probability. Like every
+   counter it is emitted on the instrument, which is what [--trace]
+   prints. *)
+let test_materialized_counter () =
+  let device = Devices.ibm_q20_tokyo () in
+  let c = Workloads.Qft.circuit 10 in
+  let materialized ?noise () =
+    let sink, events = Engine.Instrument.collector () in
+    ignore (Engine.Pipeline.compile ?noise ~instrument:sink device c);
+    List.filter_map
+      (function
+        | Engine.Instrument.Counter
+            { pass = "routing"; name = "materialized"; value } ->
+          Some value
+        | _ -> None)
+      (events ())
+  in
+  check Alcotest.int "default trial count" 5 Config.default.Config.trials;
+  check (Alcotest.list Alcotest.int) "default compile: the winner only" [ 1 ]
+    (materialized ());
+  let noise = Hardware.Noise.randomized ~seed:3 device in
+  check (Alcotest.list Alcotest.int) "noise model: every trial" [ 5 ]
+    (materialized ~noise ());
+  check Alcotest.bool "printed by the stderr trace's formatter" true
+    (Helpers.contains ~sub:"materialized = 1"
+       (Format.asprintf "%a" Engine.Instrument.pp_event
+          (Engine.Instrument.Counter
+             { pass = "routing"; name = "materialized"; value = 1 })))
+
+(* Every pass's minor words are recorded beside its wall time, in the
+   context, the compile result and the [Pass_end] event, and on one
+   domain they repeat exactly from one warm compile to the next. *)
+let test_per_pass_minor_words () =
+  let device = Devices.ibm_q20_tokyo () in
+  let c = Workloads.Qft.circuit 10 in
+  let compile () =
+    let sink, events = Engine.Instrument.collector () in
+    let r = Engine.Pipeline.compile ~instrument:sink device c in
+    let ends =
+      List.filter_map
+        (function
+          | Engine.Instrument.Pass_end { pass; minor_words; _ } ->
+            Some (pass, minor_words)
+          | _ -> None)
+        (events ())
+    in
+    (r, ends)
+  in
+  ignore (compile ());
+  let r, ends = compile () in
+  let r', _ = compile () in
+  let words = r.Engine.Pipeline.minor_words in
+  check (Alcotest.list Alcotest.string) "one reading per pass"
+    (List.map fst r.Engine.Pipeline.metrics) (List.map fst words);
+  check Alcotest.bool "Pass_end carries the same readings" true (ends = words);
+  check Alcotest.bool "every pass allocates something" true
+    (List.for_all (fun (_, w) -> w > 0.0) words);
+  check Alcotest.bool "repeatable on one domain" true
+    (words = r'.Engine.Pipeline.minor_words)
+
 let suite =
   [
     tc "golden equivalence: 5 workloads x 2 devices" `Quick
@@ -311,4 +399,10 @@ let suite =
     tc "routing pass without initial mapping fails" `Quick
       test_routing_pass_requires_initial_mapping;
     tc "routed_exn before routing raises" `Quick test_routed_exn_before_routing;
+    tc "compile allocation budget over Table II" `Quick
+      test_compile_allocation_budget;
+    tc "routing.materialized counts built trials" `Quick
+      test_materialized_counter;
+    tc "per-pass minor words recorded and repeatable" `Quick
+      test_per_pass_minor_words;
   ]

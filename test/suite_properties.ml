@@ -677,6 +677,258 @@ let prop_noise_metric_consistent =
       check_matrix (Hardware.Noise.swap_reliability_distance m)
       && check_matrix (Hardware.Noise.mixed_routing_distance m))
 
+(* ------------------------------------------------------------------ *)
+(* Logged traversals, CSR DAGs and depth folds                         *)
+(* ------------------------------------------------------------------ *)
+
+(* A generated circuit with barriers over random non-empty qubit
+   subsets and measurements sprinkled in, and with [swaps] also SWAP
+   gates: the gate kinds the depth and DAG code treat apart. *)
+let with_markers ?(swaps = false) c =
+  let open QCheck.Gen in
+  let n = Circuit.n_qubits c in
+  let qubit = int_bound (n - 1) in
+  let marker =
+    frequency
+      ([
+         (2, qubit >>= fun q -> qubit >|= fun b -> Gate.Measure (q, b));
+         ( 2,
+           list_size (int_range 1 n) qubit >|= fun qs ->
+           Gate.Barrier (List.sort_uniq Int.compare qs) );
+       ]
+      @
+      if swaps then
+        [ (1, qubit >>= fun a -> qubit >|= fun b -> Gate.Swap (a, (a + 1 + (b mod (n - 1))) mod n)) ]
+      else [])
+  in
+  let rec go = function
+    | [] -> frequency [ (3, return []); (1, marker >|= fun m -> [ m ]) ]
+    | g :: rest ->
+      frequency [ (3, return [ g ]); (1, marker >|= fun m -> [ m; g ]) ]
+      >>= fun h -> go rest >|= fun t -> h @ t
+  in
+  go (Circuit.gates c) >|= fun gates ->
+  Circuit.create ~n_qubits:n ~n_clbits:(Circuit.n_clbits c) gates
+
+let marked_circuit_arb ?swaps () =
+  QCheck.make ~print:Circuit.to_string
+    QCheck.Gen.(Generators.circuit () >>= with_markers ?swaps)
+
+let marked_instance_arb =
+  QCheck.make ~print:Generators.print_instance
+    QCheck.Gen.(
+      Generators.instance () >>= fun i ->
+      with_markers i.Generators.circuit >|= fun circuit ->
+      { i with Generators.circuit })
+
+(* A logged run's tracked depth is the swap3 depth of the circuit its
+   log replays into, that circuit is [run]'s, and a race hook sees the
+   emitted prefix's depth: never decreasing, never above the final
+   depth, and at least one SWAP's 3 at every decision (each notification
+   follows an emitted SWAP). Generated configs reach the fallback. *)
+let prop_logged_depth_matches_replay =
+  let module Routing = Sabre.Routing_pass in
+  QCheck.Test.make ~count:100
+    ~name:"logged traversal: tracked depth = depth_swap3 of the replay"
+    marked_instance_arb (fun i ->
+      let { Generators.circuit; coupling; config } = i in
+      let dag = Quantum.Dag.of_circuit circuit in
+      let initial =
+        Mapping.random
+          ~state:(Random.State.make [| config.Sabre.Config.seed |])
+          ~n_logical:(Circuit.n_qubits circuit)
+          ~n_physical:(Coupling.n_qubits coupling)
+      in
+      List.for_all
+        (fun (mode, scoring) ->
+          let seen = ref [] in
+          let hook =
+            {
+              Routing.every = 1;
+              notify =
+                (fun p ->
+                  seen := p.Routing.depth_lb :: !seen;
+                  Routing.Continue);
+            }
+          in
+          let r = Routing.run_logged ~scoring ~hook config coupling dag initial in
+          let physical = Lazy.force r.Routing.l_physical in
+          let depth = Quantum.Depth.depth_swap3 physical in
+          let plain = Routing.run ~scoring config coupling dag initial in
+          let lbs = List.rev !seen in
+          let rec nondecreasing = function
+            | a :: (b :: _ as rest) -> a <= b && nondecreasing rest
+            | _ -> true
+          in
+          (r.Routing.l_depth = depth
+          || QCheck.Test.fail_reportf "%s: tracked depth %d, replay's %d" mode
+               r.Routing.l_depth depth)
+          && (Circuit.equal physical plain.Routing.physical
+             || QCheck.Test.fail_reportf "%s: replay differs from run" mode)
+          && (nondecreasing lbs
+             && List.for_all (fun d -> d >= 3 && d <= depth) lbs
+             || QCheck.Test.fail_reportf "%s: hook depths [%s], final %d" mode
+                  (String.concat "; " (List.map string_of_int lbs))
+                  depth))
+        [ ("delta", Routing.Delta); ("full", Routing.Full) ])
+
+(* The CSR rows themselves, on circuits with barriers and measurements:
+   ascending and distinct, predecessor rows the transpose of successor
+   rows, the list accessors equal to the iterators, and — for the plain
+   DAG — every node's predecessors exactly the last writers of its
+   qubits. *)
+let prop_dag_csr_rows =
+  let module Dag = Quantum.Dag in
+  let row iter d i =
+    let acc = ref [] in
+    iter d i (fun j -> acc := j :: !acc);
+    List.rev !acc
+  in
+  let rec ascending = function
+    | a :: (b :: _ as rest) -> a < b && ascending rest
+    | _ -> true
+  in
+  let rows_ok d =
+    let n = Dag.n_nodes d in
+    let ok = ref true in
+    for i = 0 to n - 1 do
+      let succ = row Dag.succ_iter d i and pred = row Dag.pred_iter d i in
+      if not (ascending succ && ascending pred) then
+        QCheck.Test.fail_reportf "node %d: row not ascending/distinct" i;
+      if succ <> Dag.successors d i || pred <> Dag.predecessors d i then
+        QCheck.Test.fail_reportf "node %d: list accessors disagree" i;
+      List.iter
+        (fun j ->
+          if not (List.mem i (row Dag.pred_iter d j)) then
+            QCheck.Test.fail_reportf "edge %d->%d missing from pred row" i j)
+        succ;
+      List.iter
+        (fun p ->
+          if not (List.mem i (row Dag.succ_iter d p)) then
+            QCheck.Test.fail_reportf "edge %d->%d missing from succ row" p i)
+        pred
+    done;
+    !ok
+  in
+  QCheck.Test.make ~count:150
+    ~name:"DAG CSR rows: sorted, transposed, last writers" (marked_circuit_arb ())
+    (fun c ->
+      let d = Dag.of_circuit c in
+      let last = Array.make (Circuit.n_qubits c) (-1) in
+      Array.iteri
+        (fun j g ->
+          let expected =
+            List.filter_map
+              (fun q -> if last.(q) >= 0 then Some last.(q) else None)
+              (Gate.qubits g)
+            |> List.sort_uniq Int.compare
+          in
+          if row Dag.pred_iter d j <> expected then
+            QCheck.Test.fail_reportf "node %d: preds are not the last writers" j;
+          List.iter (fun q -> last.(q) <- j) (Gate.qubits g))
+        (Circuit.gate_array c);
+      rows_ok d && rows_ok (Dag.of_circuit_commuting c))
+
+(* [Depth.depth] and [depth_swap3] fold ready times instead of building
+   the schedule; they must equal the schedule's makespan. *)
+let prop_depth_folds_match_asap =
+  let swap3 = function Gate.Swap _ -> 3 | Gate.Barrier _ -> 0 | _ -> 1 in
+  QCheck.Test.make ~count:200 ~name:"depth folds equal the ASAP makespan"
+    (marked_circuit_arb ~swaps:true ()) (fun c ->
+      Quantum.Depth.depth c = (Quantum.Depth.asap c).depth
+      && Quantum.Depth.depth_swap3 c = (Quantum.Depth.asap ~weight:swap3 c).depth)
+
+(* [Tracker.check] walks the routed circuit against the logical one in
+   one pass; it must return exactly what its former definition did —
+   compliance, then [unroute], then [Circuit.equal_up_to_reordering]
+   against the barrier-free logical circuit, then the final mapping —
+   on sound routings and on mutated ones (a gate dropped, two adjacent
+   gates exchanged, a CNOT's operands swapped, a gate duplicated),
+   circuits with barriers and measurements included. *)
+let prop_tracker_check_matches_unroute =
+  let module Tracker = Sim.Tracker in
+  let ( let* ) = Result.bind in
+  let reference ~coupling ~initial ~final ~logical ~physical =
+    let* () = Tracker.check_compliance ~coupling physical in
+    let* recovered, tracked =
+      Tracker.unroute ~initial ~n_logical:(Circuit.n_qubits logical) physical
+    in
+    let stripped =
+      Circuit.filter (function Gate.Barrier _ -> false | _ -> true) logical
+    in
+    if not (Circuit.equal_up_to_reordering recovered stripped) then
+      Error Tracker.Semantics_mismatch
+    else
+      match
+        List.find_opt
+          (fun l -> tracked.(l) <> final.(l))
+          (List.init (Array.length final) Fun.id)
+      with
+      | Some l -> Error (Tracker.Final_mapping_mismatch l)
+      | None -> Ok ()
+  in
+  let gen =
+    QCheck.Gen.(
+      Generators.instance () >>= fun i ->
+      with_markers i.Generators.circuit >>= fun circuit ->
+      int_bound 4 >>= fun mutation ->
+      int_bound 1_000 >|= fun at -> ({ i with Generators.circuit }, mutation, at))
+  in
+  QCheck.Test.make ~count:300 ~name:"Tracker.check = unroute + reordering check"
+    (QCheck.make ~print:(fun (i, m, at) ->
+         Printf.sprintf "%s\nmutation %d at %d" (Generators.print_instance i) m at)
+       gen)
+    (fun (i, mutation, at) ->
+      let { Generators.circuit; coupling; config } = i in
+      let initial =
+        Mapping.random
+          ~state:(Random.State.make [| config.Sabre.Config.seed |])
+          ~n_logical:(Circuit.n_qubits circuit)
+          ~n_physical:(Coupling.n_qubits coupling)
+      in
+      let r =
+        Sabre.Routing_pass.run config coupling (Quantum.Dag.of_circuit circuit)
+          initial
+      in
+      let gates = Array.to_list r.Sabre.Routing_pass.physical.Circuit.gates in
+      let n = List.length gates in
+      let k = if n = 0 then 0 else at mod n in
+      let gates =
+        match mutation with
+        | 1 -> List.filteri (fun j _ -> j <> k) gates
+        | 2 when k + 1 < n ->
+          List.mapi
+            (fun j g ->
+              if j = k then List.nth gates (k + 1)
+              else if j = k + 1 then List.nth gates k
+              else g)
+            gates
+        | 3 ->
+          List.mapi
+            (fun j g ->
+              match g with Gate.Cnot (a, b) when j >= k -> Gate.Cnot (b, a) | g -> g)
+            gates
+        | 4 -> List.concat (List.mapi (fun j g -> if j = k then [ g; g ] else [ g ]) gates)
+        | _ -> gates
+      in
+      let physical =
+        Circuit.create ~n_qubits:(Coupling.n_qubits coupling)
+          ~n_clbits:(Circuit.n_clbits circuit) gates
+      in
+      let initial = Mapping.l2p_array initial
+      and final = Mapping.l2p_array r.Sabre.Routing_pass.final_mapping in
+      let got =
+        Tracker.check ~coupling ~initial ~final ~logical:circuit ~physical ()
+      and expected = reference ~coupling ~initial ~final ~logical:circuit ~physical in
+      got = expected
+      || QCheck.Test.fail_reportf "check: %s, reference: %s"
+           (match got with
+           | Ok () -> "ok"
+           | Error e -> Format.asprintf "%a" Tracker.pp_error e)
+           (match expected with
+           | Ok () -> "ok"
+           | Error e -> Format.asprintf "%a" Tracker.pp_error e))
+
 let suite =
   List.map QCheck_alcotest.to_alcotest
     [
@@ -705,4 +957,8 @@ let suite =
       prop_noise_metric_consistent;
       prop_mapping_only_matches_run;
       prop_reordering_agrees_with_canonical_key;
+      prop_logged_depth_matches_replay;
+      prop_dag_csr_rows;
+      prop_depth_folds_match_asap;
+      prop_tracker_check_matches_unroute;
     ]

@@ -1231,7 +1231,9 @@ let test_serve_compile_cache () =
 (* A resident entry that does not route its circuit (here the routed
    circuit lost its last gate) is refused with the verification error a
    failing fresh route gets, at admission and in a portfolio entry, and
-   its bytes are never sent. *)
+   its bytes are never sent. A refused hit evicts its entry, so the
+   entry is poisoned again before each probe, and the compile after the
+   last refusal misses, routes and answers the verified circuit. *)
 let test_poisoned_cache_entry_refused () =
   Engine.Compile_cache.clear ();
   let device = Devices.ibm_q20_tokyo () in
@@ -1256,9 +1258,12 @@ let test_poisoned_cache_entry_refused () =
           (List.filteri (fun i _ -> i < List.length gates - 1) gates);
     }
   in
-  (match Engine.Compile_cache.acquire key with
-  | Engine.Compile_cache.Compute -> Engine.Compile_cache.fill key poisoned
-  | Engine.Compile_cache.Hit _ -> Alcotest.fail "fresh key cannot hit");
+  let poison () =
+    match Engine.Compile_cache.acquire key with
+    | Engine.Compile_cache.Compute -> Engine.Compile_cache.fill key poisoned
+    | Engine.Compile_cache.Hit _ -> Alcotest.fail "fresh key cannot hit"
+  in
+  poison ();
   Fun.protect ~finally:Engine.Compile_cache.clear (fun () ->
       with_server ~domains:1 ~cache:true (fun path server ->
           let refused label resp =
@@ -1276,8 +1281,20 @@ let test_poisoned_cache_entry_refused () =
             (Array.fold_left (fun acc d -> acc + d.P.jobs_run) 0 s.P.per_domain);
           check Alcotest.int "counted as an error" 1 s.P.errored;
           (* the portfolio entry "sabre" keys like the compile above *)
+          poison ();
           refused "portfolio entry"
-            (rpc path (portfolio_req ~id:"p2" ~spec:"sabre" small_qasm))))
+            (rpc path (portfolio_req ~id:"p2" ~spec:"sabre" small_qasm));
+          let misses = (Engine.Compile_cache.stats ()).Engine.Compile_cache.misses in
+          (match rpc path (compile_req ~id:"p3" small_qasm) with
+          | P.Ok_compiled r ->
+            check Alcotest.string "the next compile answers the verified circuit"
+              (Qasm.to_string good.Engine.Context.physical)
+              r.P.qasm
+          | r ->
+            Alcotest.failf "compile after eviction answered %s"
+              (P.encode_response r));
+          check Alcotest.int "and was a miss" (misses + 1)
+            (Engine.Compile_cache.stats ()).Engine.Compile_cache.misses))
 
 (* ------------------------------------------------------------------ *)
 (* Lifecycle: drain and signals                                        *)

@@ -154,6 +154,81 @@ let test_check_is_bit_exact () =
   | Ok () -> ()
   | Error e -> Alcotest.failf "disjoint reordering: %a" Tracker.pp_error e
 
+(* The check walks the routed circuit against a per-qubit index of the
+   logical one and builds no gate, list or circuit per gate: checking a
+   10,000-gate routing and a 20,000-gate one allocates the same number
+   of minor words (the index arrays of either size live in the major
+   heap). The three mutations of a routing that the tests above use —
+   a dropped SWAP, swapped operands, reordered dependent gates — still
+   fail it. *)
+let test_check_allocation_independent_of_length () =
+  let device = Hardware.Devices.ibm_q20_tokyo () in
+  let edges = Array.of_list (Coupling.edges device) in
+  let routed n =
+    let logical =
+      Circuit.create ~n_qubits:20
+        (List.init n (fun i ->
+             let a, b = edges.(i * 7 mod Array.length edges) in
+             if i mod 3 = 0 then Gate.Single (Gate.H, a) else Gate.Cnot (a, b)))
+    in
+    let initial = Sabre.Mapping.random ~state:(Random.State.make [| n |])
+        ~n_logical:20 ~n_physical:20 in
+    let r =
+      Sabre.Routing_pass.run Sabre.Config.default device
+        (Quantum.Dag.of_circuit logical) initial
+    in
+    (logical, Sabre.Mapping.l2p_array initial,
+     Sabre.Mapping.l2p_array r.Sabre.Routing_pass.final_mapping,
+     r.Sabre.Routing_pass.physical)
+  in
+  let words (logical, initial, final, physical) =
+    let go () = Tracker.check ~coupling:device ~initial ~final ~logical ~physical () in
+    ignore (go ());
+    let w0 = Gc.minor_words () in
+    let r = go () in
+    let w = Gc.minor_words () -. w0 in
+    check Alcotest.bool "routing checks" true (r = Ok ());
+    w
+  in
+  let small = routed 10_000 and large = routed 20_000 in
+  let (_, _, _, physical) = small in
+  check Alcotest.bool "the routing inserted SWAPs" true
+    (Array.exists (function Gate.Swap _ -> true | _ -> false)
+       physical.Circuit.gates);
+  let ws = words small and wl = words large in
+  check Alcotest.bool
+    (Printf.sprintf "10,000 gates: %.0f words = 20,000 gates: %.0f words" ws wl)
+    true (ws = wl && ws < 1_000.0);
+  let logical, initial, final, physical = small in
+  let gates = Array.to_list physical.Circuit.gates in
+  let refuted label gates =
+    let physical = Circuit.create ~n_qubits:20 gates in
+    check Alcotest.bool label true
+      (Tracker.check ~coupling:device ~initial ~final ~logical ~physical ()
+      <> Ok ())
+  in
+  let first_swap =
+    let rec go i = function
+      | Gate.Swap _ :: _ -> i
+      | _ :: rest -> go (i + 1) rest
+      | [] -> -1
+    in
+    go 0 gates
+  in
+  refuted "dropped SWAP" (List.filteri (fun i _ -> i <> first_swap) gates);
+  refuted "swapped operands"
+    (List.map
+       (function Gate.Cnot (a, b) -> Gate.Cnot (b, a) | g -> g)
+       gates);
+  let rec reorder = function
+    | (Gate.Cnot (a, b) as g1) :: (Gate.Cnot (c, d) as g2) :: rest
+      when a = c || a = d || b = c || b = d ->
+      g2 :: g1 :: rest
+    | g :: rest -> g :: reorder rest
+    | [] -> []
+  in
+  refuted "reordered dependent gates" (reorder gates)
+
 let suite =
   [
     tc "Fig. 3 roundtrip" `Quick test_fig3_roundtrip;
@@ -165,4 +240,6 @@ let suite =
     tc "swap through unmapped qubit ok" `Quick test_swap_through_unmapped_ok;
     tc "invalid initial mapping rejected" `Quick test_invalid_initial_mapping_rejected;
     tc "check is bit-exact and order-aware" `Quick test_check_is_bit_exact;
+    tc "check allocation is independent of length" `Quick
+      test_check_allocation_independent_of_length;
   ]
