@@ -302,8 +302,11 @@ def stream_memory():
     # each file is routed in a fresh process, so peak_heap_words is the
     # process's. Resident state must track the qubit-inactivity span, not
     # the gate count: a fixed ceiling (observed ~252k words at 1M gates;
-    # 6M words = ~46 MiB leaves 20x headroom) and a flat 250k -> 1M ratio
+    # 6M words = ~46 MiB leaves 20x headroom) and a flat 250k -> 1M ratio.
+    # Allocation must stay with the gates routed: at most 20 minor words
+    # per input gate over both passes of the 1M-gate run (observed ~9.5)
     ceiling_words = 6_000_000
+    words_per_gate = 20
     reports = {}
     try:
         for name, gates in (("250k", 250_000), ("1m", 1_000_000)):
@@ -327,7 +330,12 @@ def stream_memory():
     ratio = large / small
     assert ratio <= 1.5, \
         f"peak heap grew {ratio:.2f}x on a 4x longer stream — memory is scaling with gate count"
-    return f"peak heap {small} -> {large} words, ratio {ratio:.2f}"
+    per_gate = reports["1m"]["minor_words"] / reports["1m"]["gates_in"]
+    assert per_gate <= words_per_gate, \
+        (f"1m: {per_gate:.1f} minor words per input gate, above {words_per_gate} — "
+         f"the stream path allocates per gate beyond the gates it routes")
+    return (f"peak heap {small} -> {large} words, ratio {ratio:.2f}; "
+            f"{per_gate:.1f} minor words per gate")
 
 
 # ---------------------------------------------------------------- bench

@@ -320,7 +320,10 @@ let run_stream input output device config ~quiet ~json =
         "--stream needs -o OUT.qasm (gates are written as routed, never \
          buffered)"
   in
+  (* minor words are per domain, and both passes run on this one *)
+  let words0 = Gc.minor_words () in
   let* rep = Engine.Stream_pass.route_file ~config device ~input:path ~output:out in
+  let minor_words = Gc.minor_words () -. words0 in
   let r = rep.Engine.Stream_pass.result in
   let heap_words = (Gc.quick_stat ()).Gc.top_heap_words in
   let gates_out = r.Sabre.Routing_pass.s_gates_out in
@@ -332,11 +335,12 @@ let run_stream input output device config ~quiet ~json =
          "{\"input\": \"%s\", \"output\": \"%s\", \"qubits\": %d, \
           \"device_qubits\": %d, \"gates_in\": %d, \"gates_out\": %d, \
           \"swaps\": %d, \"fallback_swaps\": %d, \"peak_window\": %d, \
-          \"peak_heap_words\": %d, \"wall_s\": %.6f, \"gates_per_s\": %.0f}"
+          \"peak_heap_words\": %d, \"minor_words\": %.0f, \"wall_s\": %.6f, \
+          \"gates_per_s\": %.0f}"
          (json_escape path) (json_escape out) rep.Engine.Stream_pass.n_qubits
          (Coupling.n_qubits device) gates_in gates_out
          r.Sabre.Routing_pass.s_n_swaps r.Sabre.Routing_pass.s_fallback_swaps
-         r.Sabre.Routing_pass.s_peak_window heap_words wall
+         r.Sabre.Routing_pass.s_peak_window heap_words minor_words wall
          (float_of_int gates_in /. wall))
   else if not quiet then begin
     Format.printf "streamed        : %s -> %s@." path out;

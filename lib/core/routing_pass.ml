@@ -229,7 +229,9 @@ let swap_code ~stride p1 p2 = -1 - ((p1 * stride) + p2)
    through its flat arrays, with its predecessor counts and BFS stamps
    borrowed from the scratch. [Streamed] is a window over a gate stream,
    read through its accessors: it releases successors, completes
-   successor sets for the lookahead and stamps visits itself. Both
+   successor sets for the lookahead and stamps visits itself; the
+   callbacks it takes (push a ready node, push a BFS node) are built
+   once per run, so passing them per node allocates nothing. Both
    release ready nodes in the same order (see [Dag.Window]), which is
    why one driver routes both byte for byte alike. *)
 type nodes =
@@ -239,7 +241,11 @@ type nodes =
       remaining : int array;
       visit_stamp : int array;
     }
-  | Streamed of Dag.Window.t
+  | Streamed of {
+      window : Dag.Window.t;
+      on_ready : int -> unit;  (* pushes onto the ready queue *)
+      on_bfs : int -> unit;  (* pushes onto the BFS queue *)
+    }
 
 (* Mutable search state for one traversal. *)
 type state = {
@@ -314,17 +320,17 @@ type state = {
 let node_gate st i =
   match st.nodes with
   | Eager e -> Dag.gate e.dag i
-  | Streamed w -> Dag.Window.gate w i
+  | Streamed s -> Dag.Window.gate s.window i
 
 let pair_q1 st i =
   match st.nodes with
   | Eager e -> e.flat.pair_q1.(i)
-  | Streamed w -> Dag.Window.pair_q1 w i
+  | Streamed s -> Dag.Window.pair_q1 s.window i
 
 let pair_q2 st i =
   match st.nodes with
   | Eager e -> e.flat.pair_q2.(i)
-  | Streamed w -> Dag.Window.pair_q2 w i
+  | Streamed s -> Dag.Window.pair_q2 s.window i
 
 let push_ready st i = Intq.push st.ready i
 
@@ -338,7 +344,7 @@ let release st i =
       remaining.(j) <- remaining.(j) - 1;
       if remaining.(j) = 0 then push_ready st j
     done
-  | Streamed w -> Dag.Window.execute w i (push_ready st)
+  | Streamed s -> Dag.Window.execute s.window i s.on_ready
 
 (* Prefix ASAP depth under {!Depth.depth_swap3} weights (Swap 3,
    Barrier 0, else 1), kept over ints as a logged run emits: [finish]
@@ -520,14 +526,13 @@ let extend_eager st (flat : Dag.flat) visit_stamp size =
     end
   done
 
-let extend_streamed st w size =
-  let enqueue j = Intq.push st.bfs j in
-  let expand i =
-    Dag.Window.ensure_successors w i (push_ready st);
-    Dag.Window.succ_iter_seq w i enqueue
-  in
+let expand_streamed w ~on_ready ~on_bfs i =
+  Dag.Window.ensure_successors w i on_ready;
+  Dag.Window.succ_iter_seq w i on_bfs
+
+let extend_streamed st w ~on_ready ~on_bfs size =
   for r = 0 to st.front_len - 1 do
-    expand st.front_buf.(r)
+    expand_streamed w ~on_ready ~on_bfs st.front_buf.(r)
   done;
   while st.elen < size && not (Intq.is_empty st.bfs) do
     let i = Intq.pop st.bfs in
@@ -537,7 +542,7 @@ let extend_streamed st w size =
         st.eq2.(st.elen) <- Dag.Window.pair_q2 w i;
         st.elen <- st.elen + 1
       end;
-      expand i
+      expand_streamed w ~on_ready ~on_bfs i
     end
   done
 
@@ -563,7 +568,8 @@ let rebuild_front_caches st =
     Intq.clear st.bfs;
     match st.nodes with
     | Eager { flat; visit_stamp; _ } -> extend_eager st flat visit_stamp size
-    | Streamed w -> extend_streamed st w size
+    | Streamed { window; on_ready; on_bfs } ->
+      extend_streamed st window ~on_ready ~on_bfs size
   end;
   (* Delta scoring: the incidence indices mirror the fq/eq slots just
      rebuilt. Logical-qubit keyed, so they survive applied SWAPs and
@@ -1016,7 +1022,7 @@ let traverse ~scratch ~dist ~dist_int ~scoring ~hook ~output config coupling
         for i = 0 to Dag.n_nodes dag - 1 do
           if remaining.(i) = 0 then push_ready st i
         done
-      | Streamed w -> Dag.Window.saturate w (push_ready st));
+      | Streamed s -> Dag.Window.saturate s.window s.on_ready);
       advance st;
       while st.front_len > 0 do
         if st.stall > st.stall_limit then fallback_route st
@@ -1052,31 +1058,27 @@ let traverse_dag ~scratch ~dist ~dist_int ~scoring ~hook ~output config
        })
     initial
 
-(* The physical circuit of a logged run, rebuilt from its emission log.
-   The walk runs backwards from the final mapping, undoing each SWAP
-   (a transposition, its own inverse) as it passes it, so every node is
-   remapped through the π it executed under and the gate list comes out
-   in program order without a reversal. *)
-let replay ~n_physical ~n_clbits dag ~final_l2p:l2p log =
+(* The physical circuit of a logged run, rebuilt from its emission log
+   straight into the circuit's gate array. The walk runs forwards from
+   the initial mapping, applying each SWAP as it passes it, so every
+   node is remapped through the π it executed under. *)
+let replay ~n_physical ~n_clbits dag ~initial_l2p:l2p log =
   let p2l = Array.make n_physical (-1) in
   Array.iteri (fun l p -> p2l.(p) <- l) l2p;
   let to_physical = Array.get l2p in
-  let gates = ref [] in
-  for k = Array.length log - 1 downto 0 do
-    let x = log.(k) in
-    if x >= 0 then gates := Gate.remap to_physical (Dag.gate dag x) :: !gates
-    else begin
-      let code = -1 - x in
-      let p1 = code / n_physical and p2 = code mod n_physical in
-      gates := Gate.Swap (p1, p2) :: !gates;
-      let l1 = p2l.(p1) and l2 = p2l.(p2) in
-      p2l.(p1) <- l2;
-      p2l.(p2) <- l1;
-      if l1 >= 0 then l2p.(l1) <- p2;
-      if l2 >= 0 then l2p.(l2) <- p1
-    end
-  done;
-  Circuit.create ~n_qubits:n_physical ~n_clbits !gates
+  Circuit.init ~n_qubits:n_physical ~n_clbits (Array.length log) (fun k ->
+      let x = log.(k) in
+      if x >= 0 then Gate.remap to_physical (Dag.gate dag x)
+      else begin
+        let code = -1 - x in
+        let p1 = code / n_physical and p2 = code mod n_physical in
+        let l1 = p2l.(p1) and l2 = p2l.(p2) in
+        p2l.(p1) <- l2;
+        p2l.(p2) <- l1;
+        if l1 >= 0 then l2p.(l1) <- p2;
+        if l2 >= 0 then l2p.(l2) <- p1;
+        Gate.Swap (p1, p2)
+      end)
 
 let run_logged ?scratch ?dist ?dist_int ?scoring ?hook config coupling dag
     initial =
@@ -1087,14 +1089,14 @@ let run_logged ?scratch ?dist ?dist_int ?scoring ?hook config coupling dag
   (* the scratch's log is overwritten by the next run on this domain, so
      the outcome keeps its own copy: one int per emitted gate *)
   let log = Array.sub st.log 0 st.log_len
-  and final_l2p = Mapping.l2p_array st.mapping in
+  and initial_l2p = Mapping.l2p_array initial in
   {
     l_physical =
       lazy
         (replay
            ~n_physical:(Coupling.n_qubits coupling)
            ~n_clbits:(Circuit.n_clbits (Dag.circuit dag))
-           dag ~final_l2p log);
+           dag ~initial_l2p log);
     l_depth = st.depth;
     l_final_mapping = st.mapping;
     l_n_swaps = st.n_swaps;
@@ -1141,16 +1143,24 @@ let run_streaming ?dist ?dist_int ?scoring ?retire ~sink config coupling
   let w =
     Dag.Window.create ?retire ~n_qubits:(Mapping.n_logical initial) source
   in
+  let scratch = Scratch.create coupling in
+  let ready = scratch.Scratch.ready and bfs = scratch.Scratch.bfs in
   let gates_out = ref 0 in
   let st =
-    traverse ~scratch:(Scratch.create coupling) ~dist ~dist_int ~scoring
-      ~hook:None
+    traverse ~scratch ~dist ~dist_int ~scoring ~hook:None
       ~output:
         (Sink
            (fun g ->
              incr gates_out;
              sink g))
-      config coupling (Streamed w) initial
+      config coupling
+      (Streamed
+         {
+           window = w;
+           on_ready = (fun i -> Intq.push ready i);
+           on_bfs = (fun i -> Intq.push bfs i);
+         })
+      initial
   in
   if not (Dag.Window.exhausted w && Dag.Window.live_count w = 0) then
     invalid_arg "Routing_pass.run_streaming: stream not drained";

@@ -108,6 +108,18 @@ let dedup_plan jobs =
   in
   (Array.of_list (List.rev !uniques), owner)
 
+(* Longest jobs first, by gate count: a pool that claims jobs in this
+   order does not end on one domain still routing a long job that was
+   claimed last while the others sit idle. The sort is stable, so equal
+   lengths keep their order. [order.(k)] is the k-th job to schedule. *)
+let longest_first (jobs : job array) =
+  let order = Array.init (Array.length jobs) Fun.id in
+  Array.stable_sort
+    (fun i j ->
+      Int.compare (Circuit.length jobs.(j).circuit) (Circuit.length jobs.(i).circuit))
+    order;
+  order
+
 let rename name : outcome -> outcome = function
   | Ok (s : success) -> Ok { s with name }
   | Error (e : error) -> Error { e with name }
@@ -122,25 +134,27 @@ let compile_many ?(config = Config.default) ?(router = Sabre_router.router)
      workers start from a hit instead of racing on the first miss. *)
   ignore (Hardware.Dist_cache.hop_distances coupling);
   let unique_jobs, owner = dedup_plan jobs in
-  let thunks =
+  let order = longest_first unique_jobs in
+  let compile =
     match portfolio with
     | Some (entries, objective) ->
-      Array.map
-        (fun job () ->
-          compile_portfolio ~config ~entries ~objective ~verify ~race
-            ~instrument coupling job)
-        unique_jobs
+      fun job () ->
+        compile_portfolio ~config ~entries ~objective ~verify ~race ~instrument
+          coupling job
     | None ->
-      Array.map
-        (fun job () ->
-          compile_one ~config ~router ~verify ~instrument coupling job)
-        unique_jobs
+      fun job () -> compile_one ~config ~router ~verify ~instrument coupling job
   in
+  let thunks = Array.map (fun u -> compile unique_jobs.(u)) order in
+  (* [rank.(u)] is where unique job [u] was scheduled *)
+  let rank = Array.make (Array.length order) 0 in
+  Array.iteri (fun k u -> rank.(u) <- k) order;
   let t0 = wall () in
   let domains = max 1 (min domains (max 1 (Array.length unique_jobs))) in
   let { Scheduler.results; stats } = Scheduler.run_report ~domains thunks in
   let outcomes =
-    Array.mapi (fun i (job : job) -> rename job.name results.(owner.(i))) jobs
+    Array.mapi
+      (fun i (job : job) -> rename job.name results.(rank.(owner.(i))))
+      jobs
   in
   {
     outcomes;

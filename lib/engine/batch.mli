@@ -78,6 +78,11 @@ val compile_many :
     once; the compile cache, which single-flights concurrent duplicates
     across requests, is the daemon's mechanism.
 
+    Unique jobs are scheduled longest first (by {!Circuit.length},
+    stable among equal lengths), so a pool does not finish on one domain
+    routing a long job claimed last; outcomes still come back in job
+    order, and [instrument] sees the jobs in the scheduled order.
+
     [instrument] receives every
     job's pass events and must be domain-safe when [domains > 1]
     ({!Instrument.null}, the default, {!Instrument.stderr_trace} and

@@ -64,7 +64,6 @@ let cancelled t =
   | _ -> false
 
 let was_cancelled t = Atomic.get t.cancelled
-let needs_depth t = t.group <> None && t.bound = Depth_bound
 
 let note_trial t ~last =
   t.in_last_trial <- last;

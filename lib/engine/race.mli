@@ -78,20 +78,15 @@ val was_cancelled : t -> bool
     Set by {!cancel}, a fired [should_stop] probe, or a {!hook} that
     stopped the run by incumbent-bound pruning. *)
 
-val needs_depth : t -> bool
-(** Whether {!note_trial_done}/{!complete} callers must supply a real
-    depth (the token prunes on [Depth_bound]); lets the trial loop skip
-    the per-trial depth computation otherwise. *)
-
 val note_trial : t -> last:bool -> unit
 (** The entry starts a trial; [last] marks the final one. Call only
     under sequential trial execution. *)
 
 val note_trial_done : t -> swaps:int -> depth:int -> unit
 (** The trial completed with these reported values; folds into the
-    completed-trials minimum. [depth] may be 0 when {!needs_depth} is
-    false; the routing pass passes the trial's {!Router.outcome}
-    [depth], known without building its circuit. *)
+    completed-trials minimum. [depth] is read only under [Depth_bound];
+    the routing pass passes the trial's {!Router.outcome} [depth], known
+    without building its circuit. *)
 
 val note_traversal : t -> final:bool -> unit
 (** The in-flight trial starts a traversal; [final] marks the last

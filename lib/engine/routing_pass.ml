@@ -6,16 +6,26 @@ let name = "routing"
    without building a trial's circuit. With a noise model, rank by
    estimated success probability instead — equally cheap routings then
    resolve toward reliable couplers (variability-aware mapping, the
-   Section VI extension) — which forces every trial's circuit. *)
-let better ~noise (a : Router.outcome) (b : Router.outcome) =
+   Section VI extension) — which forces every trial's circuit, and
+   estimates each trial once. Either way the reduction is
+   {!Scheduler.best}'s: strictly better wins, the earliest trial wins a
+   tie. *)
+let best ~noise (outcomes : Router.outcome array) =
   match noise with
-  | Some model ->
-    Noise.circuit_success_probability model (Lazy.force a.Router.physical)
-    > Noise.circuit_success_probability model (Lazy.force b.Router.physical)
   | None ->
-    if a.Router.n_swaps <> b.Router.n_swaps then
-      a.Router.n_swaps < b.Router.n_swaps
-    else a.Router.depth < b.Router.depth
+    Scheduler.best outcomes ~better:(fun (a : Router.outcome) b ->
+        if a.n_swaps <> b.n_swaps then a.n_swaps < b.n_swaps
+        else a.depth < b.depth)
+  | Some model ->
+    let estimate =
+      Array.map
+        (fun (o : Router.outcome) ->
+          Noise.circuit_success_probability model (Lazy.force o.physical))
+        outcomes
+    in
+    outcomes.(Scheduler.best
+                (Array.init (Array.length outcomes) Fun.id)
+                ~better:(fun i j -> estimate.(i) > estimate.(j)))
 
 let route ~instrument ~router (ctx : Context.t) =
   let (module R : Router.S) = router in
@@ -51,7 +61,7 @@ let route ~instrument ~router (ctx : Context.t) =
   (* every lazy circuit is forced here, on the calling domain, once the
      trials' domains have been joined *)
   let outcomes = Scheduler.run ~domains:ctx.trial_domains jobs in
-  let best = Scheduler.best ~better:(better ~noise:ctx.noise) outcomes in
+  let best = best ~noise:ctx.noise outcomes in
   let physical = Lazy.force best.Router.physical in
   let materialized =
     Array.fold_left

@@ -21,7 +21,8 @@ val pass : ?router:Router.t -> unit -> Pass.t
 (** Defaults to the SABRE router. The pass always routes; memoising a
     route is {!Pipeline.compile}'s job, not the pass's. *)
 
-val better :
-  noise:Hardware.Noise.t option -> Router.outcome -> Router.outcome -> bool
-(** [better ~noise a b] — is trial [a] strictly better than [b]? Exposed
-    for tests. *)
+val best : noise:Hardware.Noise.t option -> Router.outcome array -> Router.outcome
+(** The winning trial: the first of the fewest SWAPs, then of the lowest
+    depth — or, with a noise model, the first of the highest estimated
+    success probabilities, each trial's circuit estimated once. Raises
+    [Invalid_argument] on an empty array. Exposed for tests. *)

@@ -36,13 +36,6 @@ let run ?(config = Config.default) ?retire ~n_qubits ~sink coupling source =
     wall_s = Unix.gettimeofday () -. t0;
   }
 
-(* Gate events only; register declarations are handled by the survey. *)
-let rec next_gate stream () =
-  match Qasm_stream.next_event stream with
-  | None -> None
-  | Some (Qasm_stream.Gate g) -> Some g
-  | Some (Qasm_stream.Qreg _ | Qasm_stream.Creg _) -> next_gate stream ()
-
 let with_in path f =
   let ic = open_in_bin path in
   Fun.protect ~finally:(fun () -> close_in_noerr ic) (fun () -> f ic)
@@ -71,12 +64,16 @@ let route_file ?(config = Config.default) coupling ~input ~output =
       let result =
         with_in input (fun ic ->
             with_out output (fun oc ->
-                let source = next_gate (Qasm_stream.of_channel ic) in
+                let source = Qasm_stream.gates (Qasm_stream.of_channel ic) in
                 let n_clbits = max sv.Qasm_stream.sv_n_clbits 1 in
                 Qasm.output_prelude oc ~n_qubits:n_physical ~n_clbits;
-                run ~config ~retire:sv.Qasm_stream.sv_last_use
-                  ~n_qubits:sv.Qasm_stream.sv_n_qubits
-                  ~sink:(Qasm.output_gate oc) coupling source))
+                let sink, flush = Qasm.gate_writer oc in
+                let report =
+                  run ~config ~retire:sv.Qasm_stream.sv_last_use
+                    ~n_qubits:sv.Qasm_stream.sv_n_qubits ~sink coupling source
+                in
+                flush ();
+                report))
       in
       Ok
         {

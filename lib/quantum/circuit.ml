@@ -1,15 +1,26 @@
 type t = { n_qubits : int; n_clbits : int; gates : Gate.t array }
 
+let validated who ~n_qubits g =
+  match Gate.validate ~n_qubits g with
+  | Ok () -> g
+  | Error msg -> invalid_arg (who ^ msg)
+
 let create ?n_clbits ~n_qubits gate_list =
   if n_qubits < 0 then invalid_arg "Circuit.create: negative register size";
   let n_clbits = Option.value n_clbits ~default:n_qubits in
-  List.iter
-    (fun g ->
-      match Gate.validate ~n_qubits g with
-      | Ok () -> ()
-      | Error msg -> invalid_arg ("Circuit.create: " ^ msg))
-    gate_list;
+  List.iter (fun g -> ignore (validated "Circuit.create: " ~n_qubits g)) gate_list;
   { n_qubits; n_clbits; gates = Array.of_list gate_list }
+
+(* [Array.init] applies [f] to 0 .. n-1 in order *)
+let init ?n_clbits ~n_qubits n f =
+  if n_qubits < 0 then invalid_arg "Circuit.init: negative register size";
+  if n < 0 then invalid_arg "Circuit.init: negative length";
+  let n_clbits = Option.value n_clbits ~default:n_qubits in
+  {
+    n_qubits;
+    n_clbits;
+    gates = Array.init n (fun i -> validated "Circuit.init: " ~n_qubits (f i));
+  }
 
 let empty n = create ~n_qubits:n []
 let n_qubits c = c.n_qubits

@@ -17,6 +17,14 @@ val create : ?n_clbits:int -> n_qubits:int -> Gate.t list -> t
     size and builds a circuit. Raises [Invalid_argument] on an invalid
     gate or a negative register size. [n_clbits] defaults to [n_qubits]. *)
 
+val init : ?n_clbits:int -> n_qubits:int -> int -> (int -> Gate.t) -> t
+(** [init ~n_qubits n f] is the circuit of the gates [f 0], ...,
+    [f (n - 1)], filled into its gate array in place: [f] is called once
+    per index, in increasing order, and each gate is validated as
+    {!create} validates it. Raises [Invalid_argument] on an invalid
+    gate, a negative register size or a negative [n]. [n_clbits]
+    defaults to [n_qubits]. *)
+
 val empty : int -> t
 (** [empty n] is the gate-free circuit on [n] qubits. *)
 

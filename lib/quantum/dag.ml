@@ -330,6 +330,12 @@ let two_qubit_nodes d =
    happens mid-BFS), these demand-driven admissions never create ready
    nodes, so they cannot perturb the ready queue. *)
 module Window = struct
+  (* Per-slot storage, struct-of-arrays, reused with the slot: slot [s]
+     keeps its gate's operands in [ops.(s)] and the successor slot on
+     each operand (-1 until one is admitted) in [nxt.(s)], the first
+     [arity.(s)] entries of each. A slot's two arrays are allocated when
+     it first holds a gate, and again only for a gate wider than any it
+     held before. *)
   type t = {
     n_qubits : int;
     source : unit -> Gate.t option;
@@ -352,14 +358,18 @@ module Window = struct
     mutable remaining : int array;  (* unexecuted distinct predecessors *)
     mutable pq1 : int array;        (* two-qubit operands, -1 otherwise *)
     mutable pq2 : int array;
+    mutable arity : int array;      (* operand count *)
     mutable ops : int array array;  (* operand qubits *)
     mutable nxt : int array array;  (* successor slot per operand, -1 *)
     mutable stamp : int array;      (* visit stamps; cleared on alloc *)
     mutable free : int array;       (* free-list stack *)
     mutable free_len : int;
     mutable next_fresh : int;       (* first never-used slot *)
-    (* successor-collection scratch *)
+    (* successor-collection scratch: [succs] for [succ_iter_seq],
+       [released] for [execute], so a release callback that iterates
+       successors cannot clobber the batch being released *)
     mutable succs : int array;
+    mutable released : int array;
     (* counters *)
     mutable live : int;
     mutable peak_live : int;
@@ -398,6 +408,7 @@ module Window = struct
         remaining = Array.make cap 0;
         pq1 = Array.make cap (-1);
         pq2 = Array.make cap (-1);
+        arity = Array.make cap 0;
         ops = Array.make cap [||];
         nxt = Array.make cap [||];
         stamp = Array.make cap 0;
@@ -405,6 +416,7 @@ module Window = struct
         free_len = 0;
         next_fresh = 0;
         succs = Array.make 8 0;
+        released = Array.make 8 0;
         live = 0;
         peak_live = 0;
         admitted = 0;
@@ -436,6 +448,7 @@ module Window = struct
     t.remaining <- extend t.remaining 0;
     t.pq1 <- extend t.pq1 (-1);
     t.pq2 <- extend t.pq2 (-1);
+    t.arity <- extend t.arity 0;
     t.ops <- extend t.ops [||];
     t.nxt <- extend t.nxt [||];
     t.stamp <- extend t.stamp 0;
@@ -472,67 +485,96 @@ module Window = struct
       t.retire_cursor <- t.retire_cursor + 1
     done
 
+  let check_qubit t q =
+    if q < 0 || q >= t.n_qubits then
+      invalid_arg
+        (Printf.sprintf
+           "Dag.Window: gate qubit %d out of range (n_qubits = %d)" q
+           t.n_qubits)
+
+  (* The operand count of a gate the window can admit, its operands
+     checked in declaration order: a zero-operand gate (empty barrier)
+     has no qubit to make hungry, so its admission time — and hence its
+     position in the routed output — could not match the eager run's; a
+     two-qubit gate on one qubit would send the router searching forever
+     for a SWAP that makes the qubit adjacent to itself. *)
+  let admit_operands t gate =
+    match gate with
+    | Gate.Single (_, q) | Gate.Measure (q, _) ->
+      check_qubit t q;
+      1
+    | Gate.Cnot (a, b) | Gate.Cz (a, b) | Gate.Swap (a, b) ->
+      check_qubit t a;
+      check_qubit t b;
+      if a = b then
+        invalid_arg
+          (Printf.sprintf "Dag.Window: two-qubit gate on q[%d] twice" a);
+      2
+    | Gate.Barrier [] ->
+      invalid_arg "Dag.Window: zero-operand gates are not streamable"
+    | Gate.Barrier qs ->
+      List.iter (check_qubit t) qs;
+      List.length qs
+
+  let rec store_list ops k = function
+    | [] -> ()
+    | q :: rest ->
+      ops.(k) <- q;
+      store_list ops (k + 1) rest
+
+  (* slot [s]'s operands (and two-qubit pair) from its [m]-operand gate,
+     with no successor yet *)
+  let store_operands t s gate m =
+    if Array.length t.ops.(s) < m then begin
+      t.ops.(s) <- Array.make (max 2 m) (-1);
+      t.nxt.(s) <- Array.make (max 2 m) (-1)
+    end;
+    let ops = t.ops.(s) and nxt = t.nxt.(s) in
+    t.arity.(s) <- m;
+    for k = 0 to m - 1 do
+      nxt.(k) <- -1
+    done;
+    t.pq1.(s) <- -1;
+    t.pq2.(s) <- -1;
+    match gate with
+    | Gate.Single (_, q) | Gate.Measure (q, _) -> ops.(0) <- q
+    | Gate.Cnot (a, b) | Gate.Cz (a, b) | Gate.Swap (a, b) ->
+      ops.(0) <- a;
+      ops.(1) <- b;
+      t.pq1.(s) <- a;
+      t.pq2.(s) <- b
+    | Gate.Barrier qs -> store_list ops 0 qs
+
   (* admit the next stream gate as a window slot; push it on [on_ready]
      if all its predecessors have already executed *)
   let admit_one t on_ready =
     match t.source () with
     | None -> t.eof <- true
     | Some gate ->
-      let qubits = Gate.qubits gate in
-      (* a zero-operand gate (empty barrier) has no qubit to make
-         hungry, so its admission time — and hence its position in the
-         routed output — could not match the eager run's *)
-      if qubits = [] then
-        invalid_arg "Dag.Window: zero-operand gates are not streamable";
-      List.iter
-        (fun q ->
-          if q < 0 || q >= t.n_qubits then
-            invalid_arg
-              (Printf.sprintf
-                 "Dag.Window: gate qubit %d out of range (n_qubits = %d)" q
-                 t.n_qubits))
-        qubits;
-      (* the router would search forever for a SWAP that makes a qubit
-         adjacent to itself *)
-      (match Gate.two_qubit_pair gate with
-      | Some (a, b) when a = b ->
-        invalid_arg
-          (Printf.sprintf "Dag.Window: two-qubit gate on q[%d] twice" a)
-      | _ -> ());
+      let m = admit_operands t gate in
       let s = alloc t in
-      let qs = Array.of_list qubits in
-      let m = Array.length qs in
-      let nx = Array.make m (-1) in
       t.g.(s) <- gate;
       t.seq.(s) <- t.pos;
-      t.ops.(s) <- qs;
-      t.nxt.(s) <- nx;
-      (match Gate.two_qubit_pair gate with
-      | Some (q1, q2) ->
-        t.pq1.(s) <- q1;
-        t.pq2.(s) <- q2
-      | None ->
-        t.pq1.(s) <- -1;
-        t.pq2.(s) <- -1);
+      store_operands t s gate m;
       (* distinct live predecessors = in-degree; link their successor
          pointers to this slot *)
       let rem = ref 0 in
+      let ops = t.ops.(s) in
       for k = 0 to m - 1 do
-        let q = qs.(k) in
+        let q = ops.(k) in
         if t.tail_live.(q) then begin
           let p = t.tail_slot.(q) in
           (* point p's edge for qubit q at the new slot *)
-          let pops = t.ops.(p) and pnxt = t.nxt.(p) in
           let j = ref 0 in
-          while pops.(!j) <> q do
+          while t.ops.(p).(!j) <> q do
             incr j
           done;
-          pnxt.(!j) <- s;
+          t.nxt.(p).(!j) <- s;
           (* count p once even when it precedes us on several qubits *)
           let dup = ref false in
           for k' = 0 to k - 1 do
-            if t.tail_live.(qs.(k')) && t.tail_slot.(qs.(k')) = p then
-              dup := true
+            let q' = ops.(k') in
+            if t.tail_live.(q') && t.tail_slot.(q') = p then dup := true
           done;
           if not !dup then incr rem
         end
@@ -540,7 +582,7 @@ module Window = struct
       t.remaining.(s) <- !rem;
       (* the new slot becomes the tail on all its qubits *)
       for k = 0 to m - 1 do
-        let q = qs.(k) in
+        let q = ops.(k) in
         if (not t.tail_live.(q)) && not t.retired.(q) then
           t.hungry <- t.hungry - 1;
         t.tail_slot.(q) <- s;
@@ -565,12 +607,11 @@ module Window = struct
   (* collect the distinct successors of [s] into [t.succs], sorted by
      stream position; returns the count *)
   let collect_succs t s =
-    let nx = t.nxt.(s) in
-    let m = Array.length nx in
+    let m = t.arity.(s) and nxt = t.nxt.(s) in
     if m > Array.length t.succs then t.succs <- Array.make m 0;
     let c = ref 0 in
     for k = 0 to m - 1 do
-      let u = nx.(k) in
+      let u = nxt.(k) in
       if u >= 0 then begin
         let dup = ref false in
         for j = 0 to !c - 1 do
@@ -603,22 +644,22 @@ module Window = struct
      re-saturate so the invariant holds before the next pop *)
   let execute t s on_ready =
     let c = collect_succs t s in
-    let released = Array.sub t.succs 0 c in
-    Array.iter
-      (fun u ->
-        t.remaining.(u) <- t.remaining.(u) - 1;
-        if t.remaining.(u) = 0 then on_ready u)
-      released;
-    Array.iter
-      (fun q ->
-        if t.tail_slot.(q) = s then begin
-          t.tail_slot.(q) <- -1;
-          t.tail_live.(q) <- false;
-          if not t.retired.(q) then t.hungry <- t.hungry + 1
-        end)
-      t.ops.(s);
-    t.ops.(s) <- [||];
-    t.nxt.(s) <- [||];
+    if c > Array.length t.released then t.released <- Array.make c 0;
+    Array.blit t.succs 0 t.released 0 c;
+    for j = 0 to c - 1 do
+      let u = t.released.(j) in
+      t.remaining.(u) <- t.remaining.(u) - 1;
+      if t.remaining.(u) = 0 then on_ready u
+    done;
+    let ops = t.ops.(s) in
+    for k = 0 to t.arity.(s) - 1 do
+      let q = ops.(k) in
+      if t.tail_slot.(q) = s then begin
+        t.tail_slot.(q) <- -1;
+        t.tail_live.(q) <- false;
+        if not t.retired.(q) then t.hungry <- t.hungry + 1
+      end
+    done;
     if t.free_len >= Array.length t.free then begin
       let f' = Array.make (2 * Array.length t.free) 0 in
       Array.blit t.free 0 f' 0 t.free_len;
@@ -630,24 +671,17 @@ module Window = struct
     t.executed <- t.executed + 1;
     saturate t on_ready
 
-  (* admit until [s]'s successor set is provably complete: an operand
-     edge may still be missing only while [s] is the tail on that qubit
-     and the stream can still produce a later gate touching it *)
+  (* An operand edge of [s] may still be missing only while [s] is the
+     tail on that qubit and the stream can still produce a later gate
+     touching it. *)
+  let rec edge_missing t s k =
+    k < t.arity.(s)
+    && ((t.nxt.(s).(k) < 0 && t.pos <= t.retire.(t.ops.(s).(k)))
+       || edge_missing t s (k + 1))
+
+  (* admit until [s]'s successor set is provably complete *)
   let ensure_successors t s on_ready =
-    let missing () =
-      (not t.eof)
-      &&
-      let qs = t.ops.(s) and nx = t.nxt.(s) in
-      let m = Array.length qs in
-      let found = ref false in
-      let k = ref 0 in
-      while (not !found) && !k < m do
-        if nx.(!k) < 0 && t.pos <= t.retire.(qs.(!k)) then found := true;
-        incr k
-      done;
-      !found
-    in
-    while missing () do
+    while (not t.eof) && edge_missing t s 0 do
       admit_one t on_ready
     done
 

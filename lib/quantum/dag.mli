@@ -132,7 +132,13 @@ val descendant_count : t -> int -> int
     {!of_circuit}-based run: a consumer that pops ready nodes FIFO and
     calls {!Window.execute} observes exactly the node sequence the eager
     path observes, which is what makes streamed routing byte-identical
-    to materialised routing. *)
+    to materialised routing.
+
+    A slot's operands and successor links live in two arrays of the
+    slot's own, reused with the slot: they are allocated when the slot
+    first holds a gate and again only for a gate wider than any it held
+    before, so once the window has warmed up, admitting and executing a
+    gate allocate nothing. *)
 module Window : sig
   type t
 
@@ -161,7 +167,9 @@ module Window : sig
   (** [execute t s on_ready] retires slot [s] (which must be ready):
       releases its successors — passing newly-ready ones to [on_ready]
       in ascending stream position — frees the slot for reuse, and
-      re-saturates the window. *)
+      re-saturates the window. The callbacks of {!saturate}, {!execute}
+      and {!ensure_successors} are plain arguments: a caller that builds
+      them once per run passes them per node at no cost. *)
 
   val ensure_successors : t -> int -> (int -> unit) -> unit
   (** [ensure_successors t s on_ready] admits just enough of the stream

@@ -4,36 +4,29 @@ exception Parse_error = Qasm_stream.Parse_error
 (* Eager reader: drain the incremental frontend                        *)
 (* ------------------------------------------------------------------ *)
 
-(* A [Qreg] event arrives before the next statement is parsed, so an
-   oversized declaration stops the parse before a broadcast over it can
-   expand. *)
-let of_stream ?(max_qubits = max_int) st =
-  let gates = ref [] in
-  let rec drain () =
-    match Qasm_stream.next_event st with
-    | None -> ()
-    | Some (Qasm_stream.Gate g) ->
-      gates := g :: !gates;
-      drain ()
-    | Some (Qasm_stream.Qreg _) when Qasm_stream.n_qubits st > max_qubits ->
-      let line, column = Qasm_stream.position st in
-      raise
-        (Parse_error
-           {
-             line;
-             column;
-             message =
-               Printf.sprintf
-                 "qreg takes the circuit to %d qubits, above the limit of %d"
-                 (Qasm_stream.n_qubits st) max_qubits;
-           })
-    | Some (Qasm_stream.Qreg _ | Qasm_stream.Creg _) -> drain ()
-  in
-  drain ();
-  Circuit.create
+(* The gates land in a growable array, which [Circuit.init] copies into
+   the circuit's own: no list is built. [Qasm_stream.gates] refuses an
+   oversized [qreg] before the next statement is parsed, so a broadcast
+   over it never expands. *)
+let of_stream ?max_qubits st =
+  let next = Qasm_stream.gates ?max_qubits st in
+  let gates = ref [||] and n = ref 0 and go = ref true in
+  while !go do
+    match next () with
+    | None -> go := false
+    | Some g ->
+      if !n = Array.length !gates then begin
+        let grown = Array.make (max 64 (2 * !n)) g in
+        Array.blit !gates 0 grown 0 !n;
+        gates := grown
+      end;
+      !gates.(!n) <- g;
+      incr n
+  done;
+  Circuit.init
     ~n_qubits:(Qasm_stream.n_qubits st)
     ~n_clbits:(max (Qasm_stream.n_clbits st) 1)
-    (List.rev !gates)
+    !n (Array.get !gates)
 
 let of_string ?max_qubits src =
   of_stream ?max_qubits (Qasm_stream.of_string src)
@@ -53,7 +46,10 @@ let of_file ?max_qubits path =
    any IEEE-754 double exactly). *)
 external format_float : string -> float -> string = "caml_format_float"
 
-let add_param buf v = Buffer.add_string buf (format_float "%.17g" v)
+(* a parameter after its separator, '(' or ',' *)
+let add_param buf sep v =
+  Buffer.add_char buf sep;
+  Buffer.add_string buf (format_float "%.17g" v)
 
 let rec add_nat buf n =
   if n >= 10 then add_nat buf (n / 10);
@@ -73,26 +69,31 @@ let add_pair buf name a b =
   Buffer.add_char buf ',';
   add_qubit buf b
 
-let add_list buf add xs =
-  List.iteri
-    (fun i x ->
-      if i > 0 then Buffer.add_char buf ',';
-      add buf x)
-    xs
-
-let add_params buf ps =
-  Buffer.add_char buf '(';
-  add_list buf add_param ps;
-  Buffer.add_char buf ')'
+let rec add_qubits buf = function
+  | [] -> ()
+  | [ q ] -> add_qubit buf q
+  | q :: rest ->
+    add_qubit buf q;
+    Buffer.add_char buf ',';
+    add_qubits buf rest
 
 let add_gate buf g =
   (match g with
   | Gate.Single (k, q) ->
     Buffer.add_string buf (Gate.single_kind_name k);
     (match k with
-    | Gate.Rx a | Gate.Ry a | Gate.Rz a | Gate.U1 a -> add_params buf [ a ]
-    | Gate.U2 (a, b) -> add_params buf [ a; b ]
-    | Gate.U3 (a, b, c) -> add_params buf [ a; b; c ]
+    | Gate.Rx a | Gate.Ry a | Gate.Rz a | Gate.U1 a ->
+      add_param buf '(' a;
+      Buffer.add_char buf ')'
+    | Gate.U2 (a, b) ->
+      add_param buf '(' a;
+      add_param buf ',' b;
+      Buffer.add_char buf ')'
+    | Gate.U3 (a, b, c) ->
+      add_param buf '(' a;
+      add_param buf ',' b;
+      add_param buf ',' c;
+      Buffer.add_char buf ')'
     | Gate.I | Gate.H | Gate.X | Gate.Y | Gate.Z | Gate.S | Gate.Sdg | Gate.T
     | Gate.Tdg ->
       ());
@@ -103,7 +104,7 @@ let add_gate buf g =
   | Gate.Swap (a, b) -> add_pair buf "swap " a b
   | Gate.Barrier qs ->
     Buffer.add_string buf "barrier ";
-    add_list buf add_qubit qs
+    add_qubits buf qs
   | Gate.Measure (q, c) ->
     Buffer.add_string buf "measure ";
     add_qubit buf q;
@@ -127,12 +128,31 @@ let to_string c =
 let output_prelude oc ~n_qubits ~n_clbits =
   output_string oc (prelude_string ~n_qubits ~n_clbits)
 
-(* a fresh buffer per call: the streaming path writes from several
-   domains at once *)
+(* a fresh buffer per call: calls on different domains share nothing *)
 let output_gate oc g =
   let buf = Buffer.create 64 in
   add_gate buf g;
   Buffer.output_buffer oc buf
+
+(* Lines go into one buffer per writer, written to the channel whenever
+   it holds [flush_at] bytes and once at the end: a line allocates
+   nothing but its parameters' digits. *)
+let flush_at = 65536
+
+let gate_writer oc =
+  let buf = Buffer.create (2 * flush_at) in
+  let write g =
+    add_gate buf g;
+    if Buffer.length buf >= flush_at then begin
+      Buffer.output_buffer oc buf;
+      Buffer.clear buf
+    end
+  in
+  let flush () =
+    Buffer.output_buffer oc buf;
+    Buffer.clear buf
+  in
+  (write, flush)
 
 let to_file path c =
   let oc = open_out path in
@@ -141,4 +161,6 @@ let to_file path c =
     (fun () ->
       output_prelude oc ~n_qubits:(Circuit.n_qubits c)
         ~n_clbits:(Circuit.n_clbits c);
-      List.iter (output_gate oc) (Circuit.gates c))
+      let write, flush = gate_writer oc in
+      List.iter write (Circuit.gates c);
+      flush ())

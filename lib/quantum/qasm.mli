@@ -22,7 +22,10 @@
 
     Parsing is built on the incremental {!Qasm_stream} frontend:
     {!of_file} lexes from the channel chunk-by-chunk instead of slurping
-    the file, and parse errors carry both line and column. *)
+    the file, and parse errors carry both line and column. The gates
+    are collected in a growable array and copied into the circuit by
+    {!Circuit.init}: beyond the circuit, a parse allocates a few words
+    per gate. *)
 
 exception Parse_error of { line : int; column : int; message : string }
 (** Alias of {!Qasm_stream.Parse_error}; [line] and [column] are
@@ -45,8 +48,8 @@ val add_gate : Buffer.t -> Gate.t -> unit
 (** Append one gate line, terminated by a newline, e.g.
     [rz(0.78539816339744828) q[3];]. Parameters are printed with
     [%.17g], so they parse back to the same floats. This is the only
-    gate printer: {!to_string}, {!to_file} and {!output_gate} all use
-    it. *)
+    gate printer: {!to_string}, {!output_gate} and {!gate_writer} all
+    use it. *)
 
 val to_string : Circuit.t -> string
 (** Print a circuit as an OpenQASM 2.0 program over one register [q]. *)
@@ -61,7 +64,16 @@ val output_prelude : out_channel -> n_qubits:int -> n_clbits:int -> unit
 
 val output_gate : out_channel -> Gate.t -> unit
 (** Write one gate line, byte-identical to the corresponding line of
-    {!to_string}, with one channel write. [output_prelude] + repeated
-    [output_gate] lets the streaming path serialise a routed circuit
-    without materialising it; calls on different channels may run on
-    different domains at once. *)
+    {!to_string}, with one channel write. Each call builds its line in
+    a fresh buffer, so calls on different channels may run on different
+    domains at once. To write many lines, {!gate_writer} costs less. *)
+
+val gate_writer : out_channel -> (Gate.t -> unit) * (unit -> unit)
+(** [let write, flush = gate_writer oc]: [write g] adds [g]'s line,
+    byte-identical to the corresponding line of {!to_string}, to a
+    buffer of this writer's own, which goes to [oc] whenever it holds
+    64 KiB; [flush ()] writes what is left. A line allocates nothing
+    but its parameters' digits. [output_prelude] and a writer serialise
+    a routed circuit gate by gate without materialising it, as {!to_file}
+    and [Engine.Stream_pass.route_file] do; writers of different
+    channels may run on different domains at once. *)

@@ -9,6 +9,13 @@
     program. A token must be shorter than the buffer: one of 64 KiB or
     more is a {!Parse_error}.
 
+    Per gate, the frontend allocates only the gates it returns: names
+    of registers, gates and keywords are looked up by the token's slice
+    without building a string, parameter expressions evaluate over a
+    float array, and a statement that yields one gate hands it straight
+    to the caller. Only expansions (broadcasts, [ccx], user-defined
+    gates, whole-register measurements) wait in a buffer.
+
     The grammar accepted is exactly the subset documented in {!Qasm};
     indeed {!Qasm.of_string}/{!Qasm.of_file} are implemented by draining
     this stream. User-defined gates are expanded inline at the point of
@@ -59,6 +66,16 @@ val next_event : t -> event option
     per call). [None] means the input was fully consumed. Raises
     {!Parse_error}. *)
 
+val gates : ?max_qubits:int -> t -> unit -> Gate.t option
+(** [gates t] is a source of the stream's gates: each call returns the
+    gate {!next_event} would deliver next as [Some (Gate g)], consuming
+    register declarations on the way, and [None] at the end. With
+    [max_qubits], a [qreg] that takes the declared width past it raises
+    {!Parse_error} at the [;] ending that declaration, before any later
+    statement is read (so a broadcast over the register never expands).
+    Statements that yield one gate build just that gate; nothing else
+    is allocated per gate besides the [Some]. *)
+
 val n_qubits : t -> int
 (** Total qubits declared by the events pulled so far. *)
 
@@ -83,7 +100,11 @@ type survey = {
 val survey : ?max_qubits:int -> t -> survey
 (** Drain the stream in O(n_qubits) memory, recording only the counts
     and per-qubit last-use positions. Used as a cheap pre-pass over a
-    file before streaming it a second time for routing. With
+    file before streaming it a second time for routing. A statement
+    that yields one gate is folded in by its operands, without building
+    the gate; only expansions (broadcasts, [ccx], user gates, whole
+    register measurements) and barriers build theirs. Parse errors are
+    those of {!next_event}, at the same positions. With
     [max_qubits], the survey stops at the first register declaration
     that takes the qubit total past it: [sv_n_qubits] is then that
     total, [sv_n_gates] counts the gates before it and [sv_last_use] is

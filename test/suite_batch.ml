@@ -129,6 +129,39 @@ let test_dedup_respects_param_precision () =
   check (Alcotest.list (Alcotest.float 0.0)) "row 1 keeps its own angle"
     (rz_params b) (rz_params (physical 1))
 
+(* Unique jobs run longest first (stable among equal lengths), while
+   outcomes keep job order: on one domain the DAG pass reports each
+   job's node count in the scheduled order. *)
+let test_longest_first () =
+  let lengths = [ 10; 50; 30; 50; 5 ] in
+  let jobs =
+    jobs_of
+      (List.mapi
+         (fun i gates -> Helpers.random_circuit ~seed:(90 + i) ~n:6 ~gates)
+         lengths)
+  in
+  let sink, events = Engine.Instrument.collector () in
+  let report = Batch.compile_many ~instrument:sink device jobs in
+  let scheduled =
+    List.filter_map
+      (function
+        | Engine.Instrument.Counter { pass = "dag"; name = "nodes"; value } ->
+          Some value
+        | _ -> None)
+      (events ())
+  in
+  check (Alcotest.list Alcotest.int) "scheduled longest first"
+    [ 50; 50; 30; 10; 5 ] scheduled;
+  Array.iteri
+    (fun i -> function
+      | Ok (s : Batch.success) ->
+        check Alcotest.string "outcome in job order" jobs.(i).name s.name;
+        check Alcotest.int "its own circuit"
+          (Circuit.length jobs.(i).circuit)
+          (Circuit.length s.physical - s.stats.Sabre.Stats.n_swaps)
+      | Error (e : Batch.error) -> Alcotest.failf "%s: %s" e.name e.message)
+    report.outcomes
+
 let suite =
   [
     tc "routes and verifies a batch" `Quick test_routes_and_verifies;
@@ -138,4 +171,5 @@ let suite =
     tc "empty batch" `Quick test_empty_batch;
     tc "dedup respects float param precision" `Quick
       test_dedup_respects_param_precision;
+    tc "longest jobs are scheduled first" `Quick test_longest_first;
   ]

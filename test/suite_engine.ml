@@ -343,6 +343,63 @@ let test_materialized_counter () =
           (Engine.Instrument.Counter
              { pass = "routing"; name = "materialized"; value = 1 })))
 
+(* Under a noise model the trials are ranked by estimated success
+   probability: the winner is the first trial with the highest
+   estimate, and every trial's circuit is built. *)
+let test_noise_ranking () =
+  let device = Devices.ibm_q20_tokyo () in
+  let noise = Hardware.Noise.randomized ~seed:3 device in
+  let circuit gates = Circuit.create ~n_qubits:20 gates in
+  let circuits =
+    [|
+      circuit [ Cnot (0, 1); Cnot (1, 2) ];
+      circuit [];
+      circuit [ Cnot (1, 2) ];
+      circuit [];
+      circuit [ Cnot (0, 1); Cnot (1, 2); Cnot (0, 1) ];
+    |]
+  in
+  let outcome k c =
+    let m = Mapping.identity ~n_logical:20 ~n_physical:20 in
+    {
+      Engine.Router.physical = lazy c;
+      depth = 0;
+      trial_initial = m;
+      final_mapping = m;
+      n_swaps = k;
+      first_swaps = k;
+      search_steps = 0;
+      fallback_swaps = 0;
+      traversals = 1;
+      scoring = Sabre.Stats.scoring_zero;
+    }
+  in
+  let outcomes = Array.mapi (fun k c -> outcome (5 - k) c) circuits in
+  let estimates =
+    Array.map (Hardware.Noise.circuit_success_probability noise) circuits
+  in
+  let first_argmax = ref 0 in
+  Array.iteri (fun i p -> if p > estimates.(!first_argmax) then first_argmax := i) estimates;
+  check Alcotest.int "the tie at the top goes to the earlier trial" 1 !first_argmax;
+  let winner = Engine.Routing_pass.best ~noise:(Some noise) outcomes in
+  check Alcotest.bool "noise: the first argmax wins" true
+    (Lazy.force winner.Engine.Router.physical == circuits.(1));
+  let winner = Engine.Routing_pass.best ~noise:None outcomes in
+  check Alcotest.bool "no noise: the fewest SWAPs win" true
+    (Lazy.force winner.Engine.Router.physical == circuits.(4));
+  let sink, events = Engine.Instrument.collector () in
+  ignore
+    (Engine.Pipeline.compile ~noise ~instrument:sink device
+       (Workloads.Qft.circuit 10));
+  check (Alcotest.list Alcotest.int) "5 trials, all materialized" [ 5 ]
+    (List.filter_map
+       (function
+         | Engine.Instrument.Counter
+             { pass = "routing"; name = "materialized"; value } ->
+           Some value
+         | _ -> None)
+       (events ()))
+
 (* Every pass's minor words are recorded beside its wall time, in the
    context, the compile result and the [Pass_end] event, and on one
    domain they repeat exactly from one warm compile to the next. *)
@@ -405,4 +462,6 @@ let suite =
       test_materialized_counter;
     tc "per-pass minor words recorded and repeatable" `Quick
       test_per_pass_minor_words;
+    tc "noise ranking: first argmax of one estimate per trial" `Quick
+      test_noise_ranking;
   ]

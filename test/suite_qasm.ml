@@ -396,6 +396,55 @@ let test_max_qubits_bounds_before_expansion () =
     (Circuit.n_qubits
        (Qasm.of_string ~max_qubits:4 "qreg a[2]; qreg b[2]; h b;"))
 
+(* The frontend's outcome on every input of the committed corpus (see
+   [Qasm_corpus]): the events at 64 KiB and 1-, 7- and 61-byte
+   refills, the survey and the eager parse agree with the expectation
+   recorded for each input, error positions and messages included. *)
+let test_corpus_replays () =
+  let lines =
+    In_channel.with_open_bin "corpus/qasm_corpus.expected" In_channel.input_all
+    |> String.split_on_char '\n'
+    |> List.filter (fun l -> l <> "")
+  in
+  check Alcotest.bool "at least 1,000 inputs" true (List.length lines >= 1_000);
+  List.iter
+    (fun expected ->
+      let id = int_of_string (List.hd (String.split_on_char ' ' expected)) in
+      let actual = Qasm_corpus.line id in
+      if actual <> expected then
+        Alcotest.failf "input %d:\n%s\nexpected %s\nactual   %s" id
+          (Qasm_corpus.input id) expected actual)
+    lines
+
+(* The eager parse allocates little beyond the circuit it returns: at
+   most 10 minor words per gate over the Table II files, on one domain,
+   measured on a second pass (the first sizes the frontend's scratch). *)
+let test_eager_parse_allocation_budget () =
+  let files =
+    List.map
+      (fun (row : Workloads.Suite.row) ->
+        let c = Lazy.force row.Workloads.Suite.circuit in
+        let path = Filename.temp_file ("qasm_t2_" ^ row.Workloads.Suite.name) ".qasm" in
+        Qasm.to_file path c;
+        (path, Circuit.length c))
+      Workloads.Suite.all
+  in
+  Fun.protect
+    ~finally:(fun () -> List.iter (fun (p, _) -> Sys.remove p) files)
+    (fun () ->
+      let parse_all () =
+        List.iter (fun (p, _) -> ignore (Qasm.of_file p)) files
+      in
+      parse_all ();
+      let w0 = Gc.minor_words () in
+      parse_all ();
+      let words = Gc.minor_words () -. w0 in
+      let gates = List.fold_left (fun acc (_, n) -> acc + n) 0 files in
+      let per = words /. float_of_int gates in
+      check Alcotest.bool
+        (Printf.sprintf "%.1f minor words per gate <= 10" per)
+        true (per <= 10.0))
+
 let suite =
   [
     tc "parse basic program" `Quick test_parse_basic;
@@ -419,4 +468,7 @@ let suite =
     QCheck_alcotest.to_alcotest prop_add_gate_matches_format;
     tc "max_qubits refuses a huge qreg before expanding" `Quick
       test_max_qubits_bounds_before_expansion;
+    tc "corpus replays at every refill size" `Quick test_corpus_replays;
+    tc "eager parse allocation budget over Table II" `Quick
+      test_eager_parse_allocation_budget;
   ]

@@ -680,6 +680,76 @@ let test_stream_chain_contract () =
       check Alcotest.bool "qasm file round-trips the stream" true
         (Circuit.gates parsed = a))
 
+(* Per input gate, the streamed path allocates only the gates it routes,
+   deterministically on one domain (minor words are per domain): the
+   survey folds operands without building gates (at most 5 words per
+   gate), and [route_file] — survey, parse, window, router and writer —
+   stays within 20. The file is the stream-1m brickwork (16 qubits,
+   seed 7) cut to 200,000 gates; allocation per gate does not depend on
+   the length. A first call pays the one-time set-up (distance
+   matrices), so the second is measured. *)
+let test_stream_allocation_budget () =
+  let tokyo = Devices.ibm_q20_tokyo () in
+  let gates = 200_000 in
+  let input = temp "alloc_in" and output = temp "alloc_out" in
+  Fun.protect
+    ~finally:(fun () ->
+      Sys.remove input;
+      Sys.remove output)
+    (fun () ->
+      Workloads.Stream_chain.to_qasm_file ~seed:7 ~n:16 ~gates input;
+      let words f =
+        let w0 = Gc.minor_words () in
+        f ();
+        (Gc.minor_words () -. w0) /. float_of_int gates
+      in
+      let survey () =
+        let ic = open_in_bin input in
+        Fun.protect
+          ~finally:(fun () -> close_in_noerr ic)
+          (fun () ->
+            ignore (Qasm_stream.survey (Qasm_stream.of_channel ic)))
+      in
+      let route () =
+        match Engine.Stream_pass.route_file tokyo ~input ~output with
+        | Ok _ -> ()
+        | Error msg -> Alcotest.failf "route_file failed: %s" msg
+      in
+      route ();
+      let per = words survey in
+      check Alcotest.bool
+        (Printf.sprintf "survey: %.2f minor words per gate <= 5" per)
+        true (per <= 5.0);
+      let per = words route in
+      check Alcotest.bool
+        (Printf.sprintf "route_file: %.2f minor words per gate <= 20" per)
+        true (per <= 20.0))
+
+(* A window slot keeps its operand arrays from gate to gate and
+   reallocates them only for a wider gate: a stream whose barriers range
+   from one to all six qubits, among singles and CNOTs, reuses slots
+   across every width and still releases in the eager DAG's order. *)
+let test_window_slot_reuse_across_widths () =
+  let rng = Random.State.make [| 22 |] in
+  let gates =
+    List.init 600 (fun _ ->
+        match Random.State.int rng 3 with
+        | 0 -> Gate.Single (H, Random.State.int rng 6)
+        | 1 ->
+          let a = Random.State.int rng 6 in
+          Gate.Cnot (a, (a + 1 + Random.State.int rng 5) mod 6)
+        | _ ->
+          let first = Random.State.int rng 6 in
+          let width = 1 + Random.State.int rng 6 in
+          Gate.Barrier (List.init width (fun k -> (first + k) mod 6)))
+  in
+  let c = Circuit.create ~n_qubits:6 gates in
+  let expected = eager_fifo_order c in
+  check (Alcotest.list Alcotest.int) "unbounded release order" expected
+    (fst (window_fifo_order c));
+  check (Alcotest.list Alcotest.int) "retire-bounded release order" expected
+    (fst (window_fifo_order ~retire:(last_use_of c) c))
+
 let suite =
   [
     tc "window FIFO order = eager DAG FIFO order" `Quick
@@ -715,4 +785,8 @@ let suite =
     tc "route_file rejects bad input with typed errors" `Quick
       test_route_file_rejects_bad_input;
     tc "stream_chain generator contract" `Quick test_stream_chain_contract;
+    tc "stream allocation budget per input gate" `Quick
+      test_stream_allocation_budget;
+    tc "window slots are reused across gate widths" `Quick
+      test_window_slot_reuse_across_widths;
   ]
