@@ -560,7 +560,8 @@ let throughput () =
     let swaps =
       Array.fold_left
         (fun acc -> function
-          | Ok (s : Engine.Batch.success) -> acc + s.stats.n_swaps
+          | Ok (s : Engine.Batch.success) ->
+            acc + s.compiled.stats.Sabre.Stats.n_swaps
           | Error (e : Engine.Batch.error) ->
             fatal "throughput: %s failed: %s" e.name e.message)
         0 report.outcomes
@@ -573,9 +574,10 @@ let throughput () =
   let seq, seq_rate, seq_swaps = run 1 in
   Array.iteri
     (fun i -> function
-      | Ok (s : Engine.Batch.success) ->
-        verified ~logical:jobs.(i).Engine.Batch.circuit ~initial:s.initial
-          ~final:s.final ~physical:s.physical s.name
+      | Ok { Engine.Batch.name; compiled = { routed = r; _ }; _ } ->
+        verified ~logical:jobs.(i).Engine.Batch.circuit
+          ~initial:r.trial_initial ~final:r.final_mapping ~physical:r.physical
+          name
       | Error _ -> ())
     seq.outcomes;
   let _, par_rate, par_swaps = run 2 in
@@ -656,8 +658,9 @@ let racing () =
       let plain, t_off = time_min (run ~race:false) in
       let raced, t_on = time_min (run ~race:true) in
       let pw = Portfolio.winner_member plain in
-      verified ~logical:circuit ~initial:pw.Portfolio.initial
-        ~final:pw.Portfolio.final ~physical:pw.Portfolio.physical
+      let r = pw.Portfolio.compiled.routed in
+      verified ~logical:circuit ~initial:r.trial_initial
+        ~final:r.final_mapping ~physical:r.physical
         (Printf.sprintf "racing:%s" name);
       let cancelled =
         Array.fold_left
@@ -668,7 +671,7 @@ let racing () =
       best := Float.max !best (t_off /. t_on);
       pruned := !pruned + cancelled;
       Format.printf "%-16s %7d | %8.4fs %8.4fs %7.2fx %9d | %-16s@." name
-        pw.Portfolio.n_swaps t_off t_on (t_off /. t_on) cancelled
+        r.n_swaps t_off t_on (t_off /. t_on) cancelled
         (Portfolio.entry_name pw.Portfolio.entry))
     racing_zoo;
   if !pruned = 0 then fatal "racing: no entry was ever pruned";

@@ -14,6 +14,7 @@ well under one.
 import contextlib
 import json
 import os
+import shutil
 import signal
 import socket
 import subprocess
@@ -40,12 +41,13 @@ def out(name):
     return os.path.join(OUT, name)
 
 
-def run(args, log):
-    """Run a command, keep its output in OUT/log, fail on a non-zero exit."""
+def run(args, log, code=0):
+    """Run a command, keep its output in OUT/log, fail on an exit other
+    than code."""
     p = subprocess.run(args, capture_output=True, text=True)
     with open(out(log), "w") as f:
         f.write(p.stdout + p.stderr)
-    if p.returncode != 0:
+    if p.returncode != code:
         last = (p.stderr.strip().splitlines() or ["(no stderr)"])[-1]
         raise AssertionError(f"{' '.join(args)}: exit {p.returncode}: {last}")
     return p
@@ -118,18 +120,25 @@ def racing_equivalence():
 def batch_replay():
     # duplicated manifest rows come back byte-identical, and -j 2 gives the
     # rows of -j 1 (README: parallelism across circuits changes no routed
-    # byte)
+    # byte). Two more rows name paths holding a tab: a copy of a circuit
+    # and a missing file. Both rows must still be JSON, ok and error; the
+    # missing file makes the batch exit 1.
     manifest = out("batch-manifest.txt")
+    tab_copy, tab_missing = out("tab\tcopy.qasm"), out("tab\tmissing.qasm")
+    shutil.copyfile("circuits/qpe_3bit.qasm", tab_copy)
     with open(manifest, "w") as f:
         f.write("circuits/cuccaro_adder_2bit.qasm\ncircuits/qpe_3bit.qasm\n" * 2
-                + "circuits/cuccaro_adder_2bit.qasm\n")
+                + "circuits/cuccaro_adder_2bit.qasm\n"
+                + f"{tab_copy}\n{tab_missing}\n")
     base = [COMPILE, "--batch", manifest, "-d", "tokyo"]
-    seq = run(base + ["-j", "1"], "batch-j1.log")
-    par = run(base + ["-j", "2"], "batch-j2.log")
+    seq = run(base + ["-j", "1"], "batch-j1.log", code=1)
+    par = run(base + ["-j", "2"], "batch-j2.log", code=1)
     lines = seq.stdout.splitlines()
     rows = [json.loads(line) for line in lines]
-    assert len(rows) == 5, rows
-    assert all(r["status"] == "ok" for r in rows), rows
+    assert len(rows) == 7, rows
+    assert all(r["status"] == "ok" for r in rows[:5]), rows
+    assert (rows[5]["name"], rows[5]["status"]) == (tab_copy, "ok"), rows[5]
+    assert (rows[6]["name"], rows[6]["status"]) == (tab_missing, "error"), rows[6]
     by_name = {}
     for line, row in zip(lines, rows):
         assert by_name.get(row["name"], line) == line, f"{row['name']}: duplicated rows diverged"
@@ -141,7 +150,7 @@ def batch_replay():
                 for l in stdout.splitlines()]
 
     assert routed(seq.stdout) == routed(par.stdout), "-j 2 changed the batch output"
-    return par.stderr.strip().splitlines()[-1]
+    return next(l for l in par.stderr.splitlines() if l.startswith("batch:"))
 
 
 # ---------------------------------------------------------------- daemon
@@ -304,16 +313,18 @@ def stream_memory():
     # the gate count: a fixed ceiling (observed ~252k words at 1M gates;
     # 6M words = ~46 MiB leaves 20x headroom) and a flat 250k -> 1M ratio.
     # Allocation must stay with the gates routed: at most 20 minor words
-    # per input gate over both passes of the 1M-gate run (observed ~9.5)
+    # per input gate over both passes of the 1M-gate run (observed ~9.5).
+    # The output paths hold a tab, which the JSON report must escape.
     ceiling_words = 6_000_000
     words_per_gate = 20
     reports = {}
     try:
         for name, gates in (("250k", 250_000), ("1m", 1_000_000)):
-            src, dst = out(f"chain_{name}.qasm"), out(f"routed_{name}.qasm")
+            src, dst = out(f"chain_{name}.qasm"), out(f"routed\t{name}.qasm")
             run([COMPILE, "--gen-stream", src, "-n", "16", "--gates", str(gates),
                  "--seed", "7", "-q"], f"gen-{name}.log")
             r = compile_json([src, "--stream", "-o", dst], f"stream-{name}.log")
+            assert r["output"] == dst, f"{name}: report names {r['output']!r}, not {dst!r}"
             assert r["gates_in"] == gates, f"{name}: expected {gates} gates, routed {r['gates_in']}"
             assert r["gates_out"] in (r["gates_in"] + 3 * r["swaps"], r["gates_in"] + r["swaps"]), \
                 f"{name}: gate accounting broken"
@@ -323,7 +334,7 @@ def stream_memory():
             reports[name] = r
     finally:
         for name in ("250k", "1m"):
-            for path in (out(f"chain_{name}.qasm"), out(f"routed_{name}.qasm")):
+            for path in (out(f"chain_{name}.qasm"), out(f"routed\t{name}.qasm")):
                 with contextlib.suppress(FileNotFoundError):
                     os.unlink(path)
     small, large = reports["250k"]["peak_heap_words"], reports["1m"]["peak_heap_words"]

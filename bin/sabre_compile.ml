@@ -51,92 +51,69 @@ let load_circuit ~max_qubits input workload size =
 (* ------------------------------------------------------------------ *)
 
 module Engine = Sabre.Engine
-
-type routed = {
-  physical : Circuit.t;
-  initial : int array;
-  final : int array;
-  n_swaps : int;
-}
+module Jsonx = Serve.Jsonx
 
 (* Route and verify with the pass pipeline: every router — SABRE or a
-   baseline — runs behind the same [Engine.Router] interface. Returns
-   each pass's wall time and minor words for [--stats-json]. *)
+   baseline — runs behind the same [Engine.Router] interface. Like
+   [route_portfolio], returns the compile, the label the reports name
+   and the portfolio report if any, and raises what a compile raises
+   (see [compiling]). *)
 let route router_name config device circuit ~domains ~instrument =
-  Baseline.Routers.register ();
   let* router = Engine.Router.find_suggest router_name in
-  match
-    Engine.Pipeline.compile ~config ~router ~trial_domains:domains ~instrument
-      device circuit
-  with
-  | { Engine.Pipeline.routed = r; stats; metrics; minor_words } ->
-    Ok
-      ( {
-          physical = r.Engine.Context.physical;
-          initial = Mapping.l2p_array r.Engine.Context.trial_initial;
-          final = Mapping.l2p_array r.Engine.Context.final_mapping;
-          n_swaps = r.Engine.Context.n_swaps;
-        },
-        (if router_name = "sabre" then Some stats else None),
-        List.map2 (fun (name, wall_s) (_, words) -> (name, wall_s, words))
-          metrics minor_words )
-  | exception
-      (Engine.Router.Route_failed msg | Engine.Verify_pass.Verify_failed msg)
-    ->
-    Error msg
+  Ok
+    ( Engine.Pipeline.compile ~config ~router ~trial_domains:domains
+        ~instrument device circuit,
+      router_name,
+      None )
 
-(* Best-of-K: route once per portfolio entry, keep the winner. The
-   returned router label is the winner's entry name so the reports say
-   which member actually produced the circuit. *)
+(* Best-of-K: route once per portfolio entry, keep the winner's compile.
+   The label is the winner's entry name so the reports say which member
+   actually produced the circuit. *)
 let route_portfolio spec objective_name config device circuit ~domains ~race
     ~instrument ~quiet =
-  Baseline.Routers.register ();
-  let* entries = Engine.Portfolio.parse_spec spec in
-  let* objective = Engine.Portfolio.objective_of_string objective_name in
-  match
-    Engine.Portfolio.run ~domains ~objective ~config ~verify:true ~race
-      ~instrument device circuit entries
-  with
-  | report ->
-    let m = Engine.Portfolio.winner_member report in
-    let winner_name = Engine.Portfolio.entry_name m.Engine.Portfolio.entry in
-    let names =
-      Array.of_list (List.map Engine.Portfolio.entry_name entries)
-    in
-    if not quiet then begin
-      Format.eprintf "portfolio (%s objective%s):@."
-        (Engine.Portfolio.objective_name objective)
-        (if report.Engine.Portfolio.race then ", racing" else "");
-      Array.iteri
-        (fun i outcome ->
-          let es = report.Engine.Portfolio.entry_stats.(i) in
-          match outcome with
-          | Ok (m : Engine.Portfolio.member) ->
-            Format.eprintf "  %c %-22s %d swaps, depth %d%s (%.3fs)@."
-              (if i = report.Engine.Portfolio.winner then '*' else ' ')
-              names.(i) m.n_swaps m.depth
-              (match m.success_prob with
-              | Some p -> Printf.sprintf ", success %.4f" p
-              | None -> "")
-              es.Engine.Portfolio.e_wall_s
-          | Error msg ->
-            Format.eprintf "    %-22s %s: %s@." names.(i)
-              (if es.Engine.Portfolio.e_cancelled then "cancelled"
-               else "failed")
-              msg)
-        report.Engine.Portfolio.outcomes
-    end;
-    Ok
-      ( {
-          physical = m.Engine.Portfolio.physical;
-          initial = Mapping.l2p_array m.Engine.Portfolio.initial;
-          final = Mapping.l2p_array m.Engine.Portfolio.final;
-          n_swaps = m.Engine.Portfolio.n_swaps;
-        },
-        winner_name,
-        (report, names) )
-  | exception Engine.Router.Route_failed msg -> Error msg
-  | exception Invalid_argument msg -> Error msg
+  let module P = Engine.Portfolio in
+  let* entries = P.parse_spec spec in
+  let* objective = P.objective_of_string objective_name in
+  let report =
+    P.run ~domains ~objective ~config ~verify:true ~race ~instrument device
+      circuit entries
+  in
+  let names = Array.of_list (List.map P.entry_name entries) in
+  if not quiet then begin
+    Format.eprintf "portfolio (%s objective%s):@." (P.objective_name objective)
+      (if report.P.race then ", racing" else "");
+    Array.iteri
+      (fun i outcome ->
+        let es = report.P.entry_stats.(i) in
+        match outcome with
+        | Ok (m : P.member) ->
+          let s = m.compiled.Engine.Pipeline.stats in
+          Format.eprintf "  %c %-22s %d swaps, depth %d%s (%.3fs)@."
+            (if i = report.P.winner then '*' else ' ')
+            names.(i) s.Sabre.Stats.n_swaps s.routed_depth
+            (match m.success_prob with
+            | Some p -> Printf.sprintf ", success %.4f" p
+            | None -> "")
+            es.P.e_wall_s
+        | Error msg ->
+          Format.eprintf "    %-22s %s: %s@." names.(i)
+            (if es.P.e_cancelled then "cancelled" else "failed")
+            msg)
+      report.P.outcomes
+  end;
+  let m = P.winner_member report in
+  Ok (m.P.compiled, P.entry_name m.P.entry, Some (report, names))
+
+(* The one handler for what a compile raises, around router and
+   portfolio compiles alike. *)
+let compiling f =
+  match f () with
+  | result -> result
+  | exception
+      ( Engine.Router.Route_failed msg
+      | Engine.Verify_pass.Verify_failed msg
+      | Invalid_argument msg ) ->
+    Error msg
 
 (* ------------------------------------------------------------------ *)
 (* --list-routers, --list-seeders                                       *)
@@ -155,7 +132,6 @@ let print_seeders header =
   0
 
 let run_list_routers () =
-  Baseline.Routers.register ();
   print_endline "routers:";
   List.iter
     (fun name ->
@@ -173,19 +149,6 @@ let run_list_routers () =
 (* ------------------------------------------------------------------ *)
 (* Batch mode                                                           *)
 (* ------------------------------------------------------------------ *)
-
-(* Minimal JSON string escaping, shared by batch rows and reports. *)
-let json_escape s =
-  let buf = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
 
 (* One QASM path per manifest line; blank lines and #-comments are
    skipped. Paths are resolved relative to the process, not the
@@ -205,26 +168,26 @@ let read_manifest path =
     go []
   with Sys_error msg -> Error msg
 
-let batch_json_line = function
-  | Ok (s : Engine.Batch.success) ->
-    Printf.sprintf
-      "{\"name\": \"%s\", \"status\": \"ok\", \"router\": \"%s\", \
-       \"qubits\": %d, \"original_gates\": %d, \"routed_gates\": %d, \
-       \"swaps\": %d, \"depth\": %d, \"time_s\": %.6f}"
-      (json_escape s.Engine.Batch.name)
-      (json_escape s.Engine.Batch.router)
-      (Mapping.n_logical s.Engine.Batch.initial)
-      s.stats.Sabre.Stats.original_gates s.stats.Sabre.Stats.total_gates
-      s.stats.Sabre.Stats.n_swaps s.stats.Sabre.Stats.routed_depth
-      s.stats.Sabre.Stats.time_s
-  | Error (e : Engine.Batch.error) ->
-    Printf.sprintf "{\"name\": \"%s\", \"status\": \"error\", \"message\": \"%s\"}"
-      (json_escape e.Engine.Batch.name)
-      (json_escape e.Engine.Batch.message)
+let batch_row = function
+  | Ok { Engine.Batch.name; router; compiled = { routed; stats = s; _ } } ->
+    Jsonx.Obj
+      [
+        ("name", Str name);
+        ("status", Str "ok");
+        ("router", Str router);
+        ("qubits", Int (Mapping.n_logical routed.Engine.Context.trial_initial));
+        ("original_gates", Int s.Sabre.Stats.original_gates);
+        ("routed_gates", Int s.total_gates);
+        ("swaps", Int s.n_swaps);
+        ("depth", Int s.routed_depth);
+        ("time_s", Float s.time_s);
+      ]
+  | Error { Engine.Batch.name; message } ->
+    Obj
+      [ ("name", Str name); ("status", Str "error"); ("message", Str message) ]
 
 let run_batch manifest router_name config device ~portfolio ~race ~domains
     ~verify ~quiet =
-  Baseline.Routers.register ();
   let* router, portfolio =
     match portfolio with
     | None ->
@@ -282,7 +245,7 @@ let run_batch manifest router_name config device ~portfolio ~race ~domains
       Queue.iter
         (fun o ->
           (match o with Error _ -> incr failures | Ok _ -> ());
-          print_endline (batch_json_line o))
+          print_endline (Jsonx.to_string (batch_row o)))
         outcomes;
       if not quiet then begin
         let dist = Hardware.Dist_cache.stats () in
@@ -329,19 +292,29 @@ let run_stream input output device config ~quiet ~json =
   let gates_out = r.Sabre.Routing_pass.s_gates_out in
   let gates_in = r.Sabre.Routing_pass.s_gates_in in
   let wall = rep.Engine.Stream_pass.wall_s in
+  (* a clock that did not advance measures no rate *)
+  let gates_per_s =
+    if wall > 0.0 then Jsonx.Float (float_of_int gates_in /. wall) else Null
+  in
   if json then
     print_endline
-      (Printf.sprintf
-         "{\"input\": \"%s\", \"output\": \"%s\", \"qubits\": %d, \
-          \"device_qubits\": %d, \"gates_in\": %d, \"gates_out\": %d, \
-          \"swaps\": %d, \"fallback_swaps\": %d, \"peak_window\": %d, \
-          \"peak_heap_words\": %d, \"minor_words\": %.0f, \"wall_s\": %.6f, \
-          \"gates_per_s\": %.0f}"
-         (json_escape path) (json_escape out) rep.Engine.Stream_pass.n_qubits
-         (Coupling.n_qubits device) gates_in gates_out
-         r.Sabre.Routing_pass.s_n_swaps r.Sabre.Routing_pass.s_fallback_swaps
-         r.Sabre.Routing_pass.s_peak_window heap_words minor_words wall
-         (float_of_int gates_in /. wall))
+      (Jsonx.to_string
+         (Obj
+            [
+              ("input", Str path);
+              ("output", Str out);
+              ("qubits", Int rep.Engine.Stream_pass.n_qubits);
+              ("device_qubits", Int (Coupling.n_qubits device));
+              ("gates_in", Int gates_in);
+              ("gates_out", Int gates_out);
+              ("swaps", Int r.Sabre.Routing_pass.s_n_swaps);
+              ("fallback_swaps", Int r.Sabre.Routing_pass.s_fallback_swaps);
+              ("peak_window", Int r.Sabre.Routing_pass.s_peak_window);
+              ("peak_heap_words", Int heap_words);
+              ("minor_words", Int (Float.to_int minor_words));
+              ("wall_s", Float wall);
+              ("gates_per_s", gates_per_s);
+            ]))
   else if not quiet then begin
     Format.printf "streamed        : %s -> %s@." path out;
     Format.printf "gates           : %d in, %d out (+%d SWAPs)@." gates_in
@@ -369,98 +342,115 @@ let run_gen_stream path size gates seed ~quiet =
 (* Reporting                                                            *)
 (* ------------------------------------------------------------------ *)
 
-let report_json ?passes ?portfolio device circuit (r : routed) stats
-    router_name =
-  let mapping_json arr =
-    String.concat ","
-      (Array.to_list (Array.map string_of_int arr))
-  in
-  let b = Buffer.create 512 in
-  Buffer.add_string b "{\n";
-  Buffer.add_string b (Printf.sprintf "  \"router\": \"%s\",\n" (json_escape router_name));
-  (match portfolio with
-  | Some ((report : Sabre.Engine.Portfolio.report), (names : string array)) ->
-    let module P = Sabre.Engine.Portfolio in
-    Buffer.add_string b "  \"portfolio\": {\n";
-    Buffer.add_string b
-      (Printf.sprintf
-         "    \"objective\": \"%s\", \"race\": %b, \"domains\": %d, \
-          \"wall_s\": %.6f,\n"
-         (P.objective_name report.P.objective)
-         report.P.race report.P.domains report.P.wall_s);
-    Buffer.add_string b
-      (Printf.sprintf "    \"winner\": \"%s\",\n"
-         (json_escape names.(report.P.winner)));
-    Buffer.add_string b "    \"members\": [\n";
-    let n = Array.length report.P.outcomes in
-    Array.iteri
-      (fun i o ->
-        let es = report.P.entry_stats.(i) in
-        let fields =
-          match o with
-          | Ok (m : P.member) ->
-            Printf.sprintf
-              "\"swaps\": %d, \"depth\": %d, \"value\": %g" m.P.n_swaps
-              m.P.depth
-              (P.objective_value report.P.objective m)
-          | Error msg -> Printf.sprintf "\"error\": \"%s\"" (json_escape msg)
-        in
-        Buffer.add_string b
-          (Printf.sprintf
-             "      {\"entry\": \"%s\", %s, \"wall_s\": %.6f, \
-              \"cancelled\": %b}%s\n"
-             (json_escape names.(i))
-             fields es.P.e_wall_s es.P.e_cancelled
-             (if i = n - 1 then "" else ",")))
-      report.P.outcomes;
-    Buffer.add_string b "    ]\n  },\n"
-  | None -> ());
-  Buffer.add_string b
-    (Printf.sprintf "  \"device\": {\"qubits\": %d, \"couplers\": %d},\n"
-       (Coupling.n_qubits device) (Coupling.n_edges device));
-  Buffer.add_string b
-    (Printf.sprintf
-       "  \"logical\": {\"qubits\": %d, \"gates\": %d, \"depth\": %d},\n"
-       (Circuit.n_qubits circuit)
-       (Quantum.Decompose.elementary_gate_count circuit)
-       (Quantum.Depth.depth circuit));
-  Buffer.add_string b
-    (Printf.sprintf
-       "  \"routed\": {\"gates\": %d, \"depth\": %d, \"swaps\": %d, \"added_gates\": %d},\n"
-       (Quantum.Decompose.elementary_gate_count r.physical)
-       (Quantum.Depth.depth_swap3 r.physical)
-       r.n_swaps (3 * r.n_swaps));
-  (match stats with
-  | Some (s : Sabre.Stats.t) ->
-    Buffer.add_string b
-      (Printf.sprintf
-         "  \"sabre\": {\"first_traversal_swaps\": %d, \"search_steps\": %d, \"time_s\": %.6f},\n"
-         s.first_traversal_swaps s.search_steps s.time_s)
-  | None -> ());
-  (match passes with
-  | Some metrics ->
-    (* per-pass wall time and minor words (calling domain) for every
-       pipeline stage, in pipeline order *)
-    Buffer.add_string b "  \"passes\": [\n";
-    List.iteri
-      (fun i (name, wall_s, minor_words) ->
-        Buffer.add_string b
-          (Printf.sprintf
-             "    {\"name\": \"%s\", \"wall_s\": %.6f, \"minor_words\": %.0f}%s\n"
-             (json_escape name) wall_s minor_words
-             (if i = List.length metrics - 1 then "" else ",")))
-      metrics;
-    Buffer.add_string b "  ],\n"
-  | None -> ());
-  Buffer.add_string b
-    (Printf.sprintf "  \"initial_mapping\": [%s],\n" (mapping_json r.initial));
-  Buffer.add_string b
-    (Printf.sprintf "  \"final_mapping\": [%s],\n" (mapping_json r.final));
-  Buffer.add_string b "  \"verified\": true\n}";
-  print_endline (Buffer.contents b)
+let mapping_json m =
+  Jsonx.List
+    (Array.to_list (Array.map (fun p -> Jsonx.Int p) (Mapping.l2p_array m)))
 
-let report device circuit (r : routed) stats expand =
-  let out = if expand then Quantum.Decompose.expand_swaps r.physical else r.physical in
+let portfolio_json ((report : Engine.Portfolio.report), names) =
+  let module P = Engine.Portfolio in
+  let member i o =
+    let es = report.P.entry_stats.(i) in
+    let fields =
+      match o with
+      | Ok (m : P.member) ->
+        let s = m.compiled.Engine.Pipeline.stats in
+        [
+          ("swaps", Jsonx.Int s.Sabre.Stats.n_swaps);
+          ("depth", Int s.routed_depth);
+          ("value", Float (P.objective_value report.P.objective m));
+        ]
+      | Error msg -> [ ("error", Str msg) ]
+    in
+    Jsonx.Obj
+      ((("entry", Jsonx.Str names.(i)) :: fields)
+      @ [
+          ("wall_s", Float es.P.e_wall_s); ("cancelled", Bool es.P.e_cancelled);
+        ])
+  in
+  Jsonx.Obj
+    [
+      ("objective", Str (P.objective_name report.P.objective));
+      ("race", Bool report.P.race);
+      ("domains", Int report.P.domains);
+      ("wall_s", Float report.P.wall_s);
+      ("winner", Str names.(report.P.winner));
+      ("members", List (Array.to_list (Array.mapi member report.P.outcomes)));
+    ]
+
+(* [sabre] adds the SABRE counters of a single sabre route; [passes]
+   adds each pass's wall time and minor words (calling domain), in
+   pipeline order — for a portfolio, the winning entry's. *)
+let report_json ~sabre ~passes ?portfolio device circuit
+    (c : Engine.Pipeline.compiled) router_name =
+  let r = c.routed and s = c.stats in
+  let physical = r.Engine.Context.physical in
+  let pass (name, wall_s) (_, words) =
+    Jsonx.Obj
+      [
+        ("name", Str name);
+        ("wall_s", Float wall_s);
+        ("minor_words", Int (Float.to_int words));
+      ]
+  in
+  let fields =
+    Jsonx.(
+      [ ("router", Str router_name) ]
+      @ Option.to_list
+          (Option.map (fun p -> ("portfolio", portfolio_json p)) portfolio)
+      @ [
+          ( "device",
+            Obj
+              [
+                ("qubits", Int (Coupling.n_qubits device));
+                ("couplers", Int (Coupling.n_edges device));
+              ] );
+          ( "logical",
+            Obj
+              [
+                ("qubits", Int (Circuit.n_qubits circuit));
+                ( "gates",
+                  Int (Quantum.Decompose.elementary_gate_count circuit) );
+                ("depth", Int (Quantum.Depth.depth circuit));
+              ] );
+          ( "routed",
+            Obj
+              [
+                ( "gates",
+                  Int (Quantum.Decompose.elementary_gate_count physical) );
+                ("depth", Int (Quantum.Depth.depth_swap3 physical));
+                ("swaps", Int s.Sabre.Stats.n_swaps);
+                ("added_gates", Int (3 * s.n_swaps));
+              ] );
+        ]
+      @ (if sabre then
+           [
+             ( "sabre",
+               Obj
+                 [
+                   ("first_traversal_swaps", Int s.first_traversal_swaps);
+                   ("search_steps", Int s.search_steps);
+                   ("time_s", Float s.time_s);
+                 ] );
+           ]
+         else [])
+      @ (if passes then
+           [ ("passes", List (List.map2 pass c.metrics c.minor_words)) ]
+         else [])
+      @ [
+          ("initial_mapping", mapping_json r.trial_initial);
+          ("final_mapping", mapping_json r.final_mapping);
+          ("verified", Bool true);
+        ]
+      )
+  in
+  print_endline (Jsonx.to_string (Obj fields))
+
+let report ~sabre device circuit (c : Engine.Pipeline.compiled) expand =
+  let r = c.routed and n_swaps = c.stats.Sabre.Stats.n_swaps in
+  let physical = r.Engine.Context.physical in
+  let out =
+    if expand then Quantum.Decompose.expand_swaps physical else physical
+  in
   Format.printf "device          : %d qubits, %d couplers@." (Coupling.n_qubits device)
     (Coupling.n_edges device);
   Format.printf "logical circuit : %d qubits, %d gates, depth %d@."
@@ -470,13 +460,14 @@ let report device circuit (r : routed) stats expand =
   Format.printf "routed circuit  : %d gates, depth %d (+%d SWAPs = +%d gates)@."
     (Quantum.Decompose.elementary_gate_count out)
     (Quantum.Depth.depth_swap3 out)
-    r.n_swaps (3 * r.n_swaps);
-  (match stats with
-  | Some s -> Format.printf "sabre           : @[<v>%a@]@." Sabre.Stats.pp s
-  | None -> ());
+    n_swaps (3 * n_swaps);
+  if sabre then
+    Format.printf "sabre           : @[<v>%a@]@." Sabre.Stats.pp c.stats;
   Format.printf "initial mapping : %s@."
     (String.concat ", "
-       (Array.to_list (Array.mapi (fun q p -> Printf.sprintf "q%d>Q%d" q p) r.initial)));
+       (Array.to_list
+          (Array.mapi (fun q p -> Printf.sprintf "q%d>Q%d" q p)
+             (Mapping.l2p_array r.trial_initial))));
   Format.printf "verification    : OK@."
 
 (* ------------------------------------------------------------------ *)
@@ -492,6 +483,7 @@ let run_main input workload size device_name device_size directed router
     portfolio objective portfolio_race list_routers list_seeders trials
     traversals delta weight extended_size seed commutation output expand quiet
     json trace stats_json parallel batch stream gen_stream gates =
+  Baseline.Routers.register ();
   if list_routers then run_list_routers ()
   else if list_seeders then print_seeders "seeders:"
   else begin
@@ -581,47 +573,41 @@ let run_main input workload size device_name device_size directed router
     let instrument =
       if trace then Engine.Instrument.stderr_trace else Engine.Instrument.null
     in
-    let* r, stats, passes, router_label, pf_report =
-      match portfolio with
-      | None ->
-        let* r, stats, passes =
-          route router config device circuit ~domains ~instrument
-        in
-        Ok (r, stats, passes, router, None)
-      | Some spec ->
-        (* -j fans the portfolio entries across domains (trials stay
-           sequential inside each entry, so results are unchanged) *)
-        let* r, winner, report =
-          route_portfolio spec objective config device circuit ~domains
-            ~race:portfolio_race ~instrument ~quiet
-        in
-        Ok (r, None, [], winner, Some report)
+    let* c, router_label, pf_report =
+      compiling (fun () ->
+          match portfolio with
+          | None -> route router config device circuit ~domains ~instrument
+          | Some spec ->
+            (* -j fans the portfolio entries across domains (trials stay
+               sequential inside each entry, so results are unchanged) *)
+            route_portfolio spec objective config device circuit ~domains
+              ~race:portfolio_race ~instrument ~quiet)
     in
-    let* r =
+    let* c =
       match directed_device with
-      | None -> Ok r
+      | None -> Ok c
       | Some d -> (
         (* lower SWAPs and conjugate wrong-way CNOTs; re-check *)
-        match Hardware.Directed.fix_directions d r.physical with
-        | fixed -> (
-          match Hardware.Directed.check_directions d fixed with
-          | Ok () -> Ok { r with physical = fixed }
+        match Hardware.Directed.fix_directions d c.routed.physical with
+        | physical -> (
+          match Hardware.Directed.check_directions d physical with
+          | Ok () -> Ok { c with routed = { c.routed with physical } }
           | Error g ->
             Error
               (Format.asprintf "direction fixing left an illegal gate: %a"
                  Quantum.Gate.pp g))
         | exception Invalid_argument msg -> Error msg)
     in
-    if stats_json then
-      report_json ~passes ?portfolio:pf_report device circuit r stats
-        router_label
-    else if json then
-      report_json ?portfolio:pf_report device circuit r stats router_label
-    else if not quiet then report device circuit r stats expand;
+    let sabre = pf_report = None && router = "sabre" in
+    if json || stats_json then
+      report_json ~sabre ~passes:stats_json ?portfolio:pf_report device
+        circuit c router_label
+    else if not quiet then report ~sabre device circuit c expand;
     (match output with
     | Some path ->
+      let physical = c.routed.physical in
       let out =
-        if expand then Quantum.Decompose.expand_swaps r.physical else r.physical
+        if expand then Quantum.Decompose.expand_swaps physical else physical
       in
       Quantum.Qasm.to_file path out;
       if not quiet then Format.printf "wrote            : %s@." path

@@ -8,48 +8,34 @@
 module Circuit = Quantum.Circuit
 module Coupling = Hardware.Coupling
 
-let json_escape s =
-  let buf = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+module Jsonx = Serve.Jsonx
+
+let print_json v = print_endline (Jsonx.to_string v)
 
 let counterexample_json (cx : Check.Fuzz.counterexample) =
   let r = cx.repro in
-  Printf.sprintf
-    "    {\"router\": \"%s\", \"property\": \"%s\", \"seed\": %d, \
-     \"original_gates\": %d, \"shrunk_gates\": %d, \"shrink_steps\": %d, \
-     \"file\": %s, \"failure\": \"%s\"}"
-    (json_escape r.Check.Corpus.router)
-    (json_escape r.Check.Corpus.property)
-    r.Check.Corpus.seed cx.original_gates cx.shrunk_gates cx.shrink_steps
-    (match cx.path with
-    | Some p -> Printf.sprintf "\"%s\"" (json_escape p)
-    | None -> "null")
-    (json_escape r.Check.Corpus.failure)
+  Jsonx.Obj
+    [
+      ("router", Str r.Check.Corpus.router);
+      ("property", Str r.Check.Corpus.property);
+      ("seed", Int r.Check.Corpus.seed);
+      ("original_gates", Int cx.original_gates);
+      ("shrunk_gates", Int cx.shrunk_gates);
+      ("shrink_steps", Int cx.shrink_steps);
+      ("file", match cx.path with Some p -> Str p | None -> Null);
+      ("failure", Str r.Check.Corpus.failure);
+    ]
 
 let report_json (c : Check.Fuzz.campaign) =
-  let b = Buffer.create 512 in
-  Buffer.add_string b "{\n";
-  Buffer.add_string b (Printf.sprintf "  \"trials\": %d,\n" c.trials_run);
-  Buffer.add_string b (Printf.sprintf "  \"elapsed_s\": %.3f,\n" c.elapsed_s);
-  Buffer.add_string b
-    (Printf.sprintf "  \"routers\": [%s],\n"
-       (String.concat ", "
-          (List.map (fun r -> Printf.sprintf "\"%s\"" (json_escape r)) c.routers)));
-  Buffer.add_string b
-    (Printf.sprintf "  \"counterexamples\": %d,\n" (List.length c.failures));
-  Buffer.add_string b "  \"failures\": [\n";
-  Buffer.add_string b
-    (String.concat ",\n" (List.map counterexample_json c.failures));
-  Buffer.add_string b "\n  ]\n}";
-  print_endline (Buffer.contents b)
+  print_json
+    (Obj
+       [
+         ("trials", Int c.trials_run);
+         ("elapsed_s", Float c.elapsed_s);
+         ("routers", List (List.map (fun r -> Jsonx.Str r) c.routers));
+         ("counterexamples", Int (List.length c.failures));
+         ("failures", List (List.map counterexample_json c.failures));
+       ])
 
 let report_human (c : Check.Fuzz.campaign) =
   Format.printf "campaign : %d trials in %.1fs over [%s]@." c.trials_run
@@ -81,16 +67,19 @@ let run_replay path json =
     match Check.Fuzz.replay repro with
     | `Reproduced msg ->
       if json then
-        Printf.printf
-          "{\"replay\": \"%s\", \"reproduced\": true, \"failure\": \"%s\"}\n"
-          (json_escape path) (json_escape msg)
+        print_json
+          (Obj
+             [
+               ("replay", Str path);
+               ("reproduced", Bool true);
+               ("failure", Str msg);
+             ])
       else
         Format.printf "replay %s: REPRODUCED@.  %s@." path msg;
       1
     | `Passes ->
       if json then
-        Printf.printf "{\"replay\": \"%s\", \"reproduced\": false}\n"
-          (json_escape path)
+        print_json (Obj [ ("replay", Str path); ("reproduced", Bool false) ])
       else Format.printf "replay %s: passes (defect no longer manifests)@." path;
       0
     | `Error msg ->

@@ -11,25 +11,48 @@ let ensure_registered () =
   Router.register Engine.Sabre_ref_router.router;
   Baseline.Routers.register ()
 
-type routed = {
-  physical : Circuit.t;
-  initial : int array;
-  final : int array;
-  n_swaps : int;
-}
-
 let route ?initial ?scoring ?cache_spec ~config coupling circuit router =
-  let r =
-    (Engine.Pipeline.compile ~config ~router ?initial ?scoring ~verify:false
-       ?cache_spec coupling circuit)
-      .routed
-  in
-  {
-    physical = r.Engine.Context.physical;
-    initial = Mapping.l2p_array r.Engine.Context.trial_initial;
-    final = Mapping.l2p_array r.Engine.Context.final_mapping;
-    n_swaps = r.Engine.Context.n_swaps;
-  }
+  Engine.Pipeline.compile ~config ~router ?initial ?scoring ~verify:false
+    ?cache_spec coupling circuit
+
+let physical (c : Engine.Pipeline.compiled) = c.routed.Engine.Context.physical
+let n_swaps (c : Engine.Pipeline.compiled) = c.stats.Sabre_core.Stats.n_swaps
+
+(* The conformance oracle over one compile. *)
+let oracle ?dense_max_qubits ?states ~config coupling circuit
+    (c : Engine.Pipeline.compiled) =
+  Oracle.check ?dense_max_qubits ?states
+    ~commuting:config.Config.commutation_aware ~coupling ~logical:circuit
+    ~initial:(Mapping.l2p_array c.routed.Engine.Context.trial_initial)
+    ~final:(Mapping.l2p_array c.routed.Engine.Context.final_mapping)
+    ~physical:(physical c) ()
+
+(* Two compiles that must agree: the same circuit and the same initial
+   and final mappings. [what] names the two sides in the error. *)
+let same_route ~what ~config (a : Engine.Pipeline.compiled)
+    (b : Engine.Pipeline.compiled) =
+  let ra = a.routed and rb = b.routed in
+  if not (Circuit.equal ra.Engine.Context.physical rb.Engine.Context.physical)
+  then
+    Error
+      (Printf.sprintf "%s: different circuits at seed %d (%d vs %d swaps)" what
+         config.Config.seed (n_swaps a) (n_swaps b))
+  else if
+    not
+      (Mapping.equal ra.trial_initial rb.trial_initial
+      && Mapping.equal ra.final_mapping rb.final_mapping)
+  then
+    Error
+      (Printf.sprintf "%s: different mappings at seed %d" what
+         config.Config.seed)
+  else Ok ()
+
+(* The registered [sabre] router, registering the built-ins first. *)
+let sabre () =
+  ensure_registered ();
+  match Router.find Engine.Sabre_router.name with
+  | Some r -> r
+  | None -> invalid_arg "Check.Differential: router sabre missing"
 
 type verdict = Pass | Fail of Oracle.failure | Skip of string
 
@@ -43,14 +66,9 @@ type report = { router : string; n_swaps : int option; verdict : verdict }
 let check_router_full ?dense_max_qubits ?states ~config coupling circuit
     router =
   match route ~config coupling circuit router with
-  | r -> (
-    ( Some r.n_swaps,
-      match
-        Oracle.check ?dense_max_qubits ?states
-          ~commuting:config.Config.commutation_aware ~coupling
-          ~logical:circuit ~initial:r.initial ~final:r.final
-          ~physical:r.physical ()
-      with
+  | c -> (
+    ( Some (n_swaps c),
+      match oracle ?dense_max_qubits ?states ~config coupling circuit c with
       | Ok () -> Pass
       | Error f -> Fail f ))
   | exception Router.Route_failed msg -> (None, Skip msg)
@@ -80,12 +98,12 @@ let determinism ~config coupling circuit router =
       route ~config coupling circuit router )
   with
   | a, b ->
-    if Circuit.equal a.physical b.physical then Ok ()
+    if Circuit.equal (physical a) (physical b) then Ok ()
     else
       Error
         (Printf.sprintf
            "two runs at seed %d disagree: %d vs %d swaps (circuits differ)"
-           config.Config.seed a.n_swaps b.n_swaps)
+           config.Config.seed (n_swaps a) (n_swaps b))
   | exception Router.Route_failed _ -> Ok ()
 
 let relabel_invariance ~config ~perm coupling circuit router =
@@ -106,11 +124,11 @@ let relabel_invariance ~config ~perm coupling circuit router =
       route ~initial:permuted ~config coupling relabelled router )
   with
   | a, b ->
-    if a.n_swaps = b.n_swaps then Ok ()
+    if n_swaps a = n_swaps b then Ok ()
     else
       Error
         (Printf.sprintf "SWAP count not relabelling-invariant: %d vs %d"
-           a.n_swaps b.n_swaps)
+           (n_swaps a) (n_swaps b))
   | exception Router.Route_failed _ -> Ok ()
 
 let commuting_conformance ~config coupling circuit router =
@@ -120,26 +138,11 @@ let commuting_conformance ~config coupling circuit router =
   | Fail f -> Error (Oracle.failure_to_string f)
 
 let flatcore_equivalence ~config coupling circuit =
-  ensure_registered ();
-  let find n =
-    match Router.find n with
-    | Some r -> r
-    | None -> invalid_arg ("flatcore_equivalence: router " ^ n ^ " missing")
-  in
   match
-    ( route ~config coupling circuit (find Engine.Sabre_router.name),
-      route ~config coupling circuit (find Engine.Sabre_ref_router.name) )
+    ( route ~config coupling circuit (sabre ()),
+      route ~config coupling circuit Engine.Sabre_ref_router.router )
   with
-  | a, b ->
-    if not (Circuit.equal a.physical b.physical) then
-      Error
-        (Printf.sprintf
-           "flat-core and reference SABRE routed different circuits at seed \
-            %d (%d vs %d swaps)"
-           config.Config.seed a.n_swaps b.n_swaps)
-    else if a.initial <> b.initial || a.final <> b.final then
-      Error "flat-core and reference SABRE disagree on mappings"
-    else Ok ()
+  | a, b -> same_route ~what:"flat-core vs reference SABRE" ~config a b
   | exception Router.Route_failed _ -> Ok ()
 
 let stream_equivalence ~config coupling circuit =
@@ -223,13 +226,8 @@ let stream_equivalence ~config coupling circuit =
   end
 
 let iso_seed_conformance ~config coupling circuit =
-  ensure_registered ();
+  let sabre = sabre () in
   let module Seeder = Sabre_core.Initial_mapping.Seeder in
-  let sabre =
-    match Router.find Engine.Sabre_router.name with
-    | Some r -> r
-    | None -> invalid_arg "iso_seed_conformance: router sabre missing"
-  in
   match
     Seeder.iso.Seeder.derive ~seed:config.Config.seed coupling circuit
   with
@@ -237,12 +235,8 @@ let iso_seed_conformance ~config coupling circuit =
   | exception Invalid_argument _ -> Ok ()
   | Some initial -> (
     match route ~initial ~config coupling circuit sabre with
-    | r -> (
-      match
-        Oracle.check ~states:1 ~commuting:config.Config.commutation_aware
-          ~coupling ~logical:circuit ~initial:r.initial ~final:r.final
-          ~physical:r.physical ()
-      with
+    | c -> (
+      match oracle ~states:1 ~config coupling circuit c with
       | Ok () -> Ok ()
       | Error f ->
         Error
@@ -258,7 +252,7 @@ let portfolio_entries =
   ]
 
 let portfolio_dominance ~config coupling circuit =
-  ensure_registered ();
+  let sabre = sabre () in
   let module Portfolio = Engine.Portfolio in
   match
     Portfolio.run ~objective:Portfolio.Swaps ~config coupling circuit
@@ -267,11 +261,11 @@ let portfolio_dominance ~config coupling circuit =
   | exception Router.Route_failed _ -> Ok ()
   | exception Invalid_argument _ -> Ok ()
   | report -> (
-    let w = Portfolio.winner_member report in
+    let w = (Portfolio.winner_member report).Portfolio.compiled in
     let losing =
       Array.exists
         (function
-          | Ok (m : Portfolio.member) -> m.n_swaps < w.Portfolio.n_swaps
+          | Ok (m : Portfolio.member) -> n_swaps m.compiled < n_swaps w
           | Error _ -> false)
         report.Portfolio.outcomes
     in
@@ -280,24 +274,19 @@ let portfolio_dominance ~config coupling circuit =
         (Printf.sprintf
            "portfolio winner (%d swaps) beaten by one of its own members at \
             seed %d"
-           w.Portfolio.n_swaps config.Config.seed)
+           (n_swaps w) config.Config.seed)
     else
       (* sabre is an entry, so the winner can never lose to a plain
          sabre run at the same config — this also cross-checks the
          portfolio's seeded pipeline against the direct one *)
-      let sabre =
-        match Router.find Engine.Sabre_router.name with
-        | Some r -> r
-        | None -> invalid_arg "portfolio_dominance: router sabre missing"
-      in
       match route ~config coupling circuit sabre with
       | plain ->
-        if w.Portfolio.n_swaps > plain.n_swaps then
+        if n_swaps w > n_swaps plain then
           Error
             (Printf.sprintf
                "portfolio winner inserted %d swaps but plain sabre needs only \
                 %d at seed %d"
-               w.Portfolio.n_swaps plain.n_swaps config.Config.seed)
+               (n_swaps w) (n_swaps plain) config.Config.seed)
         else (
           (* fanning the entries across domains must not change anything *)
           match
@@ -305,10 +294,10 @@ let portfolio_dominance ~config coupling circuit =
               coupling circuit portfolio_entries
           with
           | report2 ->
-            let w2 = Portfolio.winner_member report2 in
+            let w2 = (Portfolio.winner_member report2).Portfolio.compiled in
             if
               report2.Portfolio.winner <> report.Portfolio.winner
-              || not (Circuit.equal w2.Portfolio.physical w.Portfolio.physical)
+              || not (Circuit.equal (physical w2) (physical w))
             then
               Error
                 (Printf.sprintf
@@ -331,7 +320,7 @@ let racing_equivalence ~config coupling circuit =
   | exception Router.Route_failed _ -> Ok ()
   | exception Invalid_argument _ -> Ok ()
   | base ->
-    let bw = Portfolio.winner_member base in
+    let bw = (Portfolio.winner_member base).Portfolio.compiled in
     let check domains =
       match run ~race:true ~domains with
       | exception Router.Route_failed _ ->
@@ -349,9 +338,8 @@ let racing_equivalence ~config coupling circuit =
                config.Config.seed domains raced.Portfolio.winner
                base.Portfolio.winner)
         else begin
-          let rw = Portfolio.winner_member raced in
-          if not (Circuit.equal rw.Portfolio.physical bw.Portfolio.physical)
-          then
+          let rw = (Portfolio.winner_member raced).Portfolio.compiled in
+          if not (Circuit.equal (physical rw) (physical bw)) then
             Error
               (Printf.sprintf
                  "racing changed the winner's routed circuit at seed %d (%d \
@@ -368,19 +356,17 @@ let racing_equivalence ~config coupling circuit =
                 match
                   (base.Portfolio.outcomes.(i), raced.Portfolio.outcomes.(i))
                 with
-                | Ok bm, Ok rm ->
+                | Ok { compiled = bm; _ }, Ok { compiled = rm; _ } ->
                   if
-                    rm.Portfolio.n_swaps <> bm.Portfolio.n_swaps
-                    || not
-                         (Circuit.equal rm.Portfolio.physical
-                            bm.Portfolio.physical)
+                    n_swaps rm <> n_swaps bm
+                    || not (Circuit.equal (physical rm) (physical bm))
                   then
                     Error
                       (Printf.sprintf
                          "racing changed completing entry %d's result at seed \
                           %d (%d domains): %d vs %d swaps"
-                         i config.Config.seed domains rm.Portfolio.n_swaps
-                         bm.Portfolio.n_swaps)
+                         i config.Config.seed domains (n_swaps rm)
+                         (n_swaps bm))
                   else scan (i + 1)
                 | Ok _, Error msg when msg = Portfolio.cancelled_msg ->
                   scan (i + 1)
@@ -405,14 +391,9 @@ let racing_equivalence ~config coupling circuit =
     (match check 1 with Error _ as e -> e | Ok () -> check 2)
 
 let cache_equivalence ~config coupling circuit =
-  ensure_registered ();
+  let sabre = sabre () in
   let ( let* ) = Result.bind in
   let module Cache = Engine.Compile_cache in
-  let sabre =
-    match Router.find Engine.Sabre_router.name with
-    | Some r -> r
-    | None -> invalid_arg "cache_equivalence: router sabre missing"
-  in
   match route ~config coupling circuit sabre with
   | exception Router.Route_failed _ -> Ok ()
   | plain ->
@@ -437,22 +418,13 @@ let cache_equivalence ~config coupling circuit =
                msg config.Config.seed)
         | cold, warm ->
           let stats = Cache.stats () in
-          let same label b =
-            if not (Circuit.equal plain.physical b.physical) then
-              Error
-                (Printf.sprintf
-                   "%s cached route emitted a different circuit at seed %d \
-                    (%d vs %d swaps)"
-                   label config.Config.seed b.n_swaps plain.n_swaps)
-            else if plain.initial <> b.initial || plain.final <> b.final then
-              Error
-                (Printf.sprintf
-                   "%s cached route disagrees on mappings at seed %d" label
-                   config.Config.seed)
-            else Ok ()
+          let* () =
+            same_route ~what:"cold (insert) cached vs uncached" ~config cold
+              plain
           in
-          let* () = same "cold (insert)" cold in
-          let* () = same "warm (hit)" warm in
+          let* () =
+            same_route ~what:"warm (hit) cached vs uncached" ~config warm plain
+          in
           if stats.Cache.insertions < 1 then
             Error
               (Printf.sprintf
@@ -466,26 +438,12 @@ let cache_equivalence ~config coupling circuit =
           else Ok ())
 
 let delta_equivalence ~config coupling circuit =
-  ensure_registered ();
-  let sabre =
-    match Router.find Engine.Sabre_router.name with
-    | Some r -> r
-    | None -> invalid_arg "delta_equivalence: router sabre missing"
-  in
+  let sabre = sabre () in
   match
     ( route ~scoring:Sabre_core.Routing_pass.Delta ~config coupling circuit
         sabre,
       route ~scoring:Sabre_core.Routing_pass.Full ~config coupling circuit
         sabre )
   with
-  | a, b ->
-    if not (Circuit.equal a.physical b.physical) then
-      Error
-        (Printf.sprintf
-           "delta and full-recompute scoring routed different circuits at \
-            seed %d (%d vs %d swaps)"
-           config.Config.seed a.n_swaps b.n_swaps)
-    else if a.initial <> b.initial || a.final <> b.final then
-      Error "delta and full-recompute scoring disagree on mappings"
-    else Ok ()
+  | a, b -> same_route ~what:"delta vs full-recompute scoring" ~config a b
   | exception Router.Route_failed _ -> Ok ()

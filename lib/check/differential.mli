@@ -17,13 +17,6 @@ val ensure_registered : unit -> unit
 (** Register the built-in routers (SABRE and the baselines) in the
     {!Engine.Router} registry. Idempotent. *)
 
-type routed = {
-  physical : Circuit.t;
-  initial : int array;
-  final : int array;
-  n_swaps : int;
-}
-
 val route :
   ?initial:Sabre_core.Mapping.t ->
   ?scoring:Sabre_core.Routing_pass.scoring_mode ->
@@ -32,7 +25,7 @@ val route :
   Coupling.t ->
   Circuit.t ->
   Router.t ->
-  routed
+  Engine.Pipeline.compiled
 (** Run one router through the engine pipeline (decompose → DAG → initial
     mapping → routing), unverified: the oracle judges the result.
     [scoring] selects the SABRE candidate-scoring strategy (delta vs
@@ -103,7 +96,9 @@ val flatcore_equivalence :
 (** Route with both the flat-core [sabre] router and the frozen
     pre-refactor [sabre-ref] reference at the same seed: physical
     circuits and both mappings must be byte-identical. Transitional
-    check for the flat-core refactor; delete with {!Engine.Sabre_ref_router}. *)
+    check for the flat-core refactor; delete with {!Engine.Sabre_ref_router}.
+    This check, {!cache_equivalence} and {!delta_equivalence} share one
+    "same circuit, same mappings" comparison. *)
 
 val stream_equivalence :
   config:Config.t -> Coupling.t -> Circuit.t -> (unit, string) result

@@ -1,19 +1,11 @@
 module Circuit = Quantum.Circuit
 module Coupling = Hardware.Coupling
 module Config = Sabre_core.Config
-module Mapping = Sabre_core.Mapping
 module Stats = Sabre_core.Stats
 
 type job = { name : string; circuit : Circuit.t }
 
-type success = {
-  name : string;
-  router : string;
-  physical : Circuit.t;
-  initial : Mapping.t;
-  final : Mapping.t;
-  stats : Stats.t;
-}
+type success = { name : string; router : string; compiled : Pipeline.compiled }
 
 type error = { name : string; message : string }
 type outcome = (success, error) result
@@ -27,51 +19,20 @@ type report = {
 
 let wall = Unix.gettimeofday
 
-let compile_one ~config ~router ~verify ~instrument coupling job =
-  match Pipeline.compile ~config ~router ~verify ~instrument coupling job.circuit with
-  | c ->
-    let r = c.Pipeline.routed in
-    Ok
-      {
-        name = job.name;
-        router = Router.name router;
-        physical = r.Context.physical;
-        initial = r.Context.trial_initial;
-        final = r.Context.final_mapping;
-        stats = c.Pipeline.stats;
-      }
-  | exception
-      ( Router.Route_failed msg
-      | Verify_pass.Verify_failed msg
-      | Invalid_argument msg ) ->
-    Error { name = job.name; message = msg }
-
-(* a portfolio job: entries race sequentially inside the job (parallelism
-   stays across jobs), the winner becomes the job's success and its
-   entry label the [router] field *)
-let compile_portfolio ~config ~entries ~objective ~verify ~race ~instrument
-    coupling job =
+(* One job: [compile] routes the circuit and names what produced it —
+   the router, or in portfolio mode the winning entry's label. The
+   row's [time_s] is the job's wall time either way. *)
+let compile_job ~compile (job : job) () =
   let t0 = wall () in
-  match
-    Portfolio.run ~domains:1 ~objective ~config ~verify ~race ~instrument
-      coupling job.circuit entries
-  with
-  | report ->
-    let m = Portfolio.winner_member report in
-    Ok
-      {
-        name = job.name;
-        router = Portfolio.entry_name m.Portfolio.entry;
-        physical = m.Portfolio.physical;
-        initial = m.Portfolio.initial;
-        final = m.Portfolio.final;
-        stats = { m.Portfolio.stats with Stats.time_s = wall () -. t0 };
-      }
+  match compile job.circuit with
+  | router, (c : Pipeline.compiled) ->
+    let stats = { c.stats with Stats.time_s = wall () -. t0 } in
+    Ok { name = job.name; router; compiled = { c with stats } }
   | exception
-      ( Router.Route_failed msg
-      | Verify_pass.Verify_failed msg
-      | Invalid_argument msg ) ->
-    Error { name = job.name; message = msg }
+      ( Router.Route_failed message
+      | Verify_pass.Verify_failed message
+      | Invalid_argument message ) ->
+    Error { name = job.name; message }
 
 (* Manifest-level deduplication: identical rows (same circuit, same
    device/config/router for the whole batch) route once; every duplicate
@@ -138,13 +99,24 @@ let compile_many ?(config = Config.default) ?(router = Sabre_router.router)
   let compile =
     match portfolio with
     | Some (entries, objective) ->
-      fun job () ->
-        compile_portfolio ~config ~entries ~objective ~verify ~race ~instrument
-          coupling job
+      (* entries run sequentially inside the job: parallelism stays
+         across jobs *)
+      fun circuit ->
+        let m =
+          Portfolio.winner_member
+            (Portfolio.run ~domains:1 ~objective ~config ~verify ~race
+               ~instrument coupling circuit entries)
+        in
+        (Portfolio.entry_name m.Portfolio.entry, m.Portfolio.compiled)
     | None ->
-      fun job () -> compile_one ~config ~router ~verify ~instrument coupling job
+      fun circuit ->
+        ( Router.name router,
+          Pipeline.compile ~config ~router ~verify ~instrument coupling circuit
+        )
   in
-  let thunks = Array.map (fun u -> compile unique_jobs.(u)) order in
+  let thunks =
+    Array.map (fun u -> compile_job ~compile unique_jobs.(u)) order
+  in
   (* [rank.(u)] is where unique job [u] was scheduled *)
   let rank = Array.make (Array.length order) 0 in
   Array.iteri (fun k u -> rank.(u) <- k) order;

@@ -1,8 +1,6 @@
 module Circuit = Quantum.Circuit
 module Coupling = Hardware.Coupling
 module Config = Sabre_core.Config
-module Mapping = Sabre_core.Mapping
-module Stats = Sabre_core.Stats
 
 (** Batch compilation: many circuits, one device, a pool of domains.
 
@@ -27,10 +25,9 @@ type success = {
   router : string;
       (** the router that produced this result — the portfolio winner's
           entry label ([Portfolio.entry_name]) in portfolio mode *)
-  physical : Circuit.t;  (** hardware-compliant routed circuit *)
-  initial : Mapping.t;  (** winning trial's initial mapping *)
-  final : Mapping.t;
-  stats : Stats.t;  (** [time_s] is this job's wall time *)
+  compiled : Pipeline.compiled;
+      (** the job's compile (the portfolio winner's in portfolio mode);
+          its [stats.time_s] is this job's wall time *)
 }
 
 type error = { name : string; message : string }
@@ -68,7 +65,9 @@ val compile_many :
     portfolio job — the per-job winner is unchanged, losing entries
     just stop early (no effect without [portfolio]). Each job is one
     {!Pipeline.compile} (or {!Portfolio.run}) without the compile
-    cache.
+    cache, run by one job function whose one handler makes what the
+    compile raises ([Router.Route_failed], [Verify_pass.Verify_failed],
+    [Invalid_argument]) the job's [error].
 
     Rows with byte-identical circuits are always collapsed before
     scheduling: the representative routes once and every duplicate

@@ -33,9 +33,6 @@ type t = {
   dag_backward : Dag.t option;
   trial_mappings : Mapping.t array option;
   routed : routed option;
-  metrics : (string * float) list;
-  minor_words : (string * float) list;
-  counters : (string * int) list;
 }
 
 let check_device coupling circuit =
@@ -60,14 +57,14 @@ let create ?(config = Config.default) ?dist ?noise
   | Error msg -> invalid_arg ("Engine.Context: " ^ msg));
   check_device coupling circuit;
   let scoring = resolve_scoring scoring circuit in
-  let dist, dist_int, dist_counters =
+  let dist, dist_int =
     match dist with
     | Some d ->
       (* custom metric: integer-valued ones (hop-like) still get delta
          scoring; non-integer ones (noise-weighted) get [None] and the
          router recomputes in full *)
       let flat = Sabre_core.Heuristic.flatten_dist d in
-      (flat, Sabre_core.Heuristic.dist_int_of_flat flat, [])
+      (flat, Sabre_core.Heuristic.dist_int_of_flat flat)
     | None ->
       (* the device-keyed cache skips the all-pairs BFS entirely when a
          structurally identical device was compiled before *)
@@ -79,10 +76,7 @@ let create ?(config = Config.default) ?dist ?noise
       instrument.Instrument.emit
         (Instrument.Counter
            { pass = "context"; name = "dist_cache_miss"; value = miss });
-      ( flat,
-        Some flat_int,
-        [ ("context.dist_cache_hit", hit); ("context.dist_cache_miss", miss) ]
-      )
+      (flat, Some flat_int)
   in
   {
     config;
@@ -99,24 +93,7 @@ let create ?(config = Config.default) ?dist ?noise
     dag_backward = None;
     trial_mappings = None;
     routed = None;
-    metrics = [];
-    minor_words = [];
-    counters = List.rev dist_counters;  (* stored newest-first *)
   }
-
-let add_metric ctx name ~minor_words v =
-  {
-    ctx with
-    metrics = (name, v) :: ctx.metrics;
-    minor_words = (name, minor_words) :: ctx.minor_words;
-  }
-
-let add_counter ctx ~pass name v =
-  { ctx with counters = (pass ^ "." ^ name, v) :: ctx.counters }
-
-let metrics ctx = List.rev ctx.metrics
-let minor_words ctx = List.rev ctx.minor_words
-let counters ctx = List.rev ctx.counters
 
 let routed_exn ctx =
   match ctx.routed with

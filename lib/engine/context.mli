@@ -13,7 +13,9 @@ module Stats = Sabre_core.Stats
     reads the fields it needs and returns an updated copy. Expensive
     derived data — notably the all-pairs distance matrix — is computed
     {e once} here and reused by every traversal of every trial instead
-    of being rebuilt per routing pass. *)
+    of being rebuilt per routing pass. The context keeps no pass
+    readings: timings and counters go to the {!Instrument.t} sink only,
+    and {!Pipeline.compile} returns the timings it took itself. *)
 
 type routed = {
   physical : Circuit.t;  (** hardware-compliant output circuit *)
@@ -65,11 +67,6 @@ type t = {
   trial_mappings : Mapping.t array option;
       (** set by {!Initial_mapping_pass}: one seed mapping per trial *)
   routed : routed option;  (** set by {!Routing_pass} *)
-  metrics : (string * float) list;
-      (** per-pass wall seconds, newest first (see {!metrics}) *)
-  minor_words : (string * float) list;
-      (** per-pass minor words, newest first (see {!minor_words}) *)
-  counters : (string * int) list;  (** per-pass counters, newest first *)
 }
 
 val create :
@@ -90,11 +87,11 @@ val create :
     hop-distance matrix comes from the device-keyed
     {!Hardware.Dist_cache} — a cache hit skips the all-pairs BFS
     entirely, and the hit/miss outcome is emitted on [instrument]
-    (counters [context.dist_cache_hit] / [context.dist_cache_miss],
-    also visible in {!counters}). The integer hop matrix rides along as
-    [dist_int] (shared from the same cache entry, or derived from a
-    custom [dist] when it happens to be integer-valued) so the router
-    can score candidates incrementally. [scoring] forces the router's
+    (counters [context.dist_cache_hit] / [context.dist_cache_miss]).
+    The integer hop matrix rides along as [dist_int] (shared from the
+    same cache entry, or derived from a custom [dist] when it happens
+    to be integer-valued) so the router can score candidates
+    incrementally. [scoring] forces the router's
     candidate-scoring strategy; without it the width rule
     ({!Sabre_core.Routing_pass.default_scoring}) picks [Full] below 48
     logical qubits and [Delta] from 48 up. Both produce bit-identical
@@ -102,23 +99,6 @@ val create :
     [initial] is copied. Raises [Invalid_argument] on an invalid config,
     a circuit wider than the device, or a disconnected coupling
     graph. *)
-
-val add_metric : t -> string -> minor_words:float -> float -> t
-(** [add_metric ctx pass ~minor_words wall_s] records one pass's wall
-    seconds and the minor-heap words it allocated. *)
-
-val add_counter : t -> pass:string -> string -> int -> t
-
-val metrics : t -> (string * float) list
-(** Per-pass wall seconds in pipeline order. *)
-
-val minor_words : t -> (string * float) list
-(** Per-pass minor-heap words allocated on the calling domain, in
-    pipeline order ({!Pipeline.run} reads [Gc.minor_words] around each
-    pass; deterministic on one domain). *)
-
-val counters : t -> (string * int) list
-(** Counters in emission order, keys ["pass.counter"]. *)
 
 val routed_exn : t -> routed
 (** The routing result; raises [Invalid_argument] if no routing pass has

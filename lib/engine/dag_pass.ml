@@ -16,5 +16,5 @@ let pass =
           Some (build (Circuit.reverse ctx.circuit))
         else None
       in
-      let ctx = { ctx with dag_forward = Some forward; dag_backward = backward } in
-      Pass.count instrument ~pass:name ctx "nodes" (Dag.n_nodes forward))
+      Pass.count instrument ~pass:name "nodes" (Dag.n_nodes forward);
+      { ctx with dag_forward = Some forward; dag_backward = backward })

@@ -33,5 +33,5 @@ let pass ?seeder () =
       let mappings =
         match derived with Some m -> [| m |] | None -> random_trials ctx
       in
-      let ctx = { ctx with trial_mappings = Some mappings } in
-      Pass.count instrument ~pass:name ctx "trials" (Array.length mappings))
+      Pass.count instrument ~pass:name "trials" (Array.length mappings);
+      { ctx with trial_mappings = Some mappings })

@@ -5,6 +5,5 @@ type t = {
 
 let make name run = { name; run }
 
-let count instrument ~pass ctx name value =
-  instrument.Instrument.emit (Instrument.Counter { pass; name; value });
-  Context.add_counter ctx ~pass name value
+let count instrument ~pass name value =
+  instrument.Instrument.emit (Instrument.Counter { pass; name; value })

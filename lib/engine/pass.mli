@@ -12,5 +12,5 @@ type t = {
 val make :
   string -> (instrument:Instrument.t -> Context.t -> Context.t) -> t
 
-val count : Instrument.t -> pass:string -> Context.t -> string -> int -> Context.t
-(** Record a counter both in the context and on the sink. *)
+val count : Instrument.t -> pass:string -> string -> int -> unit
+(** Emit a counter on the sink; the context keeps no copy. *)

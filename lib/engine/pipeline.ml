@@ -3,20 +3,25 @@ module Coupling = Hardware.Coupling
 module Config = Sabre_core.Config
 module Stats = Sabre_core.Stats
 
-(* [Gc.minor_words] counts the calling domain's allocation only: a pass
-   that fans trials out to other domains reports what it allocated
-   here, and on one domain the reading is deterministic. *)
+(* One pass, timed and announced on the sink; returns its readings.
+   [Gc.minor_words] counts the calling domain's allocation only: a pass
+   that fans trials out to other domains reports what it allocated here,
+   and on one domain the reading is deterministic. *)
+let run_pass ~instrument ctx (p : Pass.t) =
+  instrument.Instrument.emit (Instrument.Pass_start { pass = p.name });
+  let t0 = Unix.gettimeofday () and w0 = Gc.minor_words () in
+  let ctx = p.run ~instrument ctx in
+  let minor_words = Gc.minor_words () -. w0 in
+  let wall_s = Unix.gettimeofday () -. t0 in
+  instrument.Instrument.emit
+    (Instrument.Pass_end { pass = p.name; wall_s; minor_words });
+  (ctx, wall_s, minor_words)
+
 let run ?(instrument = Instrument.null) passes ctx =
   List.fold_left
-    (fun ctx (p : Pass.t) ->
-      instrument.Instrument.emit (Instrument.Pass_start { pass = p.name });
-      let t0 = Unix.gettimeofday () and w0 = Gc.minor_words () in
-      let ctx = p.run ~instrument ctx in
-      let minor_words = Gc.minor_words () -. w0 in
-      let wall_s = Unix.gettimeofday () -. t0 in
-      instrument.Instrument.emit
-        (Instrument.Pass_end { pass = p.name; wall_s; minor_words });
-      Context.add_metric ctx p.name ~minor_words wall_s)
+    (fun ctx p ->
+      let ctx, _, _ = run_pass ~instrument ctx p in
+      ctx)
     ctx passes
 
 let default ?router ?seeder ?(verify = false) () =
@@ -61,12 +66,19 @@ let compile ?config ?router ?seeder ?dist ?noise ?initial ?trial_domains
       ~instrument ?scoring coupling circuit
   in
   let route ~verify =
-    let ctx = run ~instrument (default ?router ?seeder ~verify ()) ctx in
+    let ctx, metrics, minor_words =
+      List.fold_left
+        (fun (ctx, metrics, minor_words) (p : Pass.t) ->
+          let ctx, wall_s, words = run_pass ~instrument ctx p in
+          (ctx, (p.name, wall_s) :: metrics, (p.name, words) :: minor_words))
+        (ctx, [], [])
+        (default ?router ?seeder ~verify ())
+    in
     {
       routed = Context.routed_exn ctx;
       stats = Context.stats ctx ~time_s:(Unix.gettimeofday () -. t0);
-      metrics = Context.metrics ctx;
-      minor_words = Context.minor_words ctx;
+      metrics = List.rev metrics;
+      minor_words = List.rev minor_words;
     }
   in
   match cache_spec with

@@ -8,10 +8,10 @@ module Stats = Sabre_core.Stats
     [run passes ctx] threads the context through every pass in order,
     timing each one: the pass's wall-clock duration and the minor-heap
     words it allocated on the calling domain ([Gc.minor_words], exact
-    and repeatable on one domain) are appended to the context
-    ({!Context.metrics}, {!Context.minor_words}) and carried by the
-    [Pass_end] event that follows each [Pass_start] on the instrument
-    sink, so frontends get per-stage timing and allocation for free. *)
+    and repeatable on one domain) are carried by the [Pass_end] event
+    that follows each [Pass_start] on the instrument sink, so frontends
+    get per-stage timing and allocation for free. The context keeps no
+    copy; {!compile} returns the readings it took. *)
 
 val run : ?instrument:Instrument.t -> Pass.t list -> Context.t -> Context.t
 
@@ -26,9 +26,16 @@ val default :
     without [seeder] the initial-mapping pass draws the paper's random
     trials ({!Initial_mapping_pass}). *)
 
+(** The one record of a compile, for every front end: the CLI, batch
+    rows ({!Batch.success}), portfolio members ({!Portfolio.member}),
+    serve replies and the differential checks all keep it whole rather
+    than copying its fields. *)
 type compiled = {
   routed : Context.routed;
-  stats : Stats.t;  (** [time_s] is the wall time of the call *)
+      (** the routed circuit, the initial mapping the winning trial's
+          reverse traversals settled on, and the final mapping *)
+  stats : Stats.t;
+      (** the Table II counts; [time_s] is the wall time of the call *)
   metrics : (string * float) list;
       (** per-pass wall seconds in pipeline order; [[]] for a result
           taken from the compile cache *)

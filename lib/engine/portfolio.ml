@@ -2,7 +2,6 @@ module Circuit = Quantum.Circuit
 module Coupling = Hardware.Coupling
 module Noise = Hardware.Noise
 module Config = Sabre_core.Config
-module Mapping = Sabre_core.Mapping
 module Stats = Sabre_core.Stats
 module Routing = Sabre_core.Routing_pass
 module Seeder = Sabre_core.Initial_mapping.Seeder
@@ -233,13 +232,8 @@ let parse_spec spec =
 
 type member = {
   entry : entry;
-  physical : Circuit.t;
-  initial : Mapping.t;
-  final : Mapping.t;
-  n_swaps : int;
-  depth : int;
   success_prob : float option;
-  stats : Stats.t;
+  compiled : Pipeline.compiled;
 }
 
 type outcome = (member, string) result
@@ -263,9 +257,10 @@ let winner_member r =
 (* lower-is-better scalar; success probability negated so one ordering
    serves all three objectives *)
 let objective_value objective m =
+  let stats = m.compiled.Pipeline.stats in
   match objective with
-  | Swaps -> float_of_int m.n_swaps
-  | Depth -> float_of_int m.depth
+  | Swaps -> float_of_int stats.Stats.n_swaps
+  | Depth -> float_of_int stats.Stats.routed_depth
   | Success_prob -> (
     match m.success_prob with
     | Some p -> -.p
@@ -356,25 +351,23 @@ let run ?(domains = 1) ?(objective = Swaps) ?(config = Config.default) ?noise
           ~instrument ~verify ?cache_spec coupling circuit
       with
       | c ->
-        let r = c.Pipeline.routed in
-        let physical = r.Context.physical in
         let m =
           {
             entry = e;
-            physical;
-            initial = r.Context.trial_initial;
-            final = r.Context.final_mapping;
-            n_swaps = r.Context.n_swaps;
-            depth = c.Pipeline.stats.Stats.routed_depth;
             success_prob =
               Option.map
-                (fun n -> Noise.circuit_success_probability n physical)
+                (fun n ->
+                  Noise.circuit_success_probability n
+                    c.Pipeline.routed.Context.physical)
                 noise;
-            stats = { c.Pipeline.stats with Stats.time_s = 0.0 };
+            compiled = c;
           }
         in
+        let stats = c.Pipeline.stats in
         (match tokens.(i) with
-        | Some t -> Race.complete t ~swaps:m.n_swaps ~depth:m.depth
+        | Some t ->
+          Race.complete t ~swaps:stats.Stats.n_swaps
+            ~depth:stats.Stats.routed_depth
         | None -> ());
         Ok m
       | exception Routing.Cancelled -> Error cancelled_msg
@@ -426,8 +419,8 @@ let run ?(domains = 1) ?(objective = Swaps) ?(config = Config.default) ?noise
       in
       (match o with
       | Ok m ->
-        count "swaps" m.n_swaps;
-        count "depth" m.depth
+        count "swaps" m.compiled.Pipeline.stats.Stats.n_swaps;
+        count "depth" m.compiled.Pipeline.stats.Stats.routed_depth
       | Error _ -> count "failed" 1);
       if entry_stats.(i).e_cancelled then count "cancelled" 1)
     outcomes;

@@ -2,8 +2,6 @@ module Circuit = Quantum.Circuit
 module Coupling = Hardware.Coupling
 module Noise = Hardware.Noise
 module Config = Sabre_core.Config
-module Mapping = Sabre_core.Mapping
-module Stats = Sabre_core.Stats
 
 (** Best-of-K portfolio routing: fan (router × seeder) entries across
     the {!Scheduler} pool, keep the best result per circuit.
@@ -67,16 +65,13 @@ val parse_spec : string -> (entry list, string) result
 
 type member = {
   entry : entry;
-  physical : Circuit.t;  (** hardware-compliant routed circuit *)
-  initial : Mapping.t;  (** the winning trial's starting placement *)
-  final : Mapping.t;
-  n_swaps : int;
-  depth : int;  (** [depth_swap3] of [physical] *)
   success_prob : float option;
       (** populated when a noise model was given or the objective is
           [Success_prob] *)
-  stats : Stats.t;  (** [time_s] is 0 — members race, wall time is
-                        meaningless per entry *)
+  compiled : Pipeline.compiled;
+      (** the entry's compile, whole: its routed circuit and mappings,
+          and the SWAP count and [depth_swap3] ([stats.n_swaps],
+          [stats.routed_depth]) the objectives read *)
 }
 
 type outcome = (member, string) result

@@ -87,32 +87,17 @@ let route ~instrument ~router (ctx : Context.t) =
       scoring;
     }
   in
-  let ctx = { ctx with routed = Some routed } in
-  let ctx =
-    Pass.count instrument ~pass:name ctx "trials" (Array.length outcomes)
-  in
-  let ctx = Pass.count instrument ~pass:name ctx "materialized" materialized in
-  let ctx = Pass.count instrument ~pass:name ctx "swaps" routed.n_swaps in
-  let ctx =
-    Pass.count instrument ~pass:name ctx "search_steps" routed.search_steps
-  in
-  let ctx =
-    Pass.count instrument ~pass:name ctx "fallback_swaps" routed.fallback_swaps
-  in
-  let ctx =
-    Pass.count instrument ~pass:name ctx "scoring_decisions"
-      scoring.Sabre_core.Stats.decisions
-  in
-  let ctx =
-    Pass.count instrument ~pass:name ctx "scoring_candidates"
-      scoring.Sabre_core.Stats.candidates
-  in
-  let ctx =
-    Pass.count instrument ~pass:name ctx "scoring_delta_terms"
-      scoring.Sabre_core.Stats.delta_terms
-  in
-  Pass.count instrument ~pass:name ctx "scoring_full_terms"
-    scoring.Sabre_core.Stats.full_terms
+  let count = Pass.count instrument ~pass:name in
+  count "trials" (Array.length outcomes);
+  count "materialized" materialized;
+  count "swaps" routed.n_swaps;
+  count "search_steps" routed.search_steps;
+  count "fallback_swaps" routed.fallback_swaps;
+  count "scoring_decisions" scoring.Sabre_core.Stats.decisions;
+  count "scoring_candidates" scoring.Sabre_core.Stats.candidates;
+  count "scoring_delta_terms" scoring.Sabre_core.Stats.delta_terms;
+  count "scoring_full_terms" scoring.Sabre_core.Stats.full_terms;
+  { ctx with routed = Some routed }
 
 let pass ?(router = Sabre_router.router) () =
   Pass.make name (route ~router)

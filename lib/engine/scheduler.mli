@@ -20,6 +20,11 @@
       are skipped; other domains may still run theirs);
     - per-domain execution counters are available for instrumentation.
 
+    {!run}, {!run_report} and {!run_cancellable} are one pool: the same
+    claim loop, stop flag and failure record, with an optional skip
+    test when a job is claimed. With one domain the loop runs on the
+    caller and spawns nothing.
+
     Thunks must be safe to run on any domain and must not share mutable
     state with each other. *)
 

@@ -36,7 +36,8 @@ val of_string : ?max_qubits:int -> string -> Circuit.t
     [max_qubits] (a device's qubit count), a [qreg] that takes the
     declared width past it raises {!Parse_error} at that declaration,
     before any later statement is read: a broadcast over a huge
-    register never expands. *)
+    register never expands. A recursive gate definition is a
+    {!Parse_error} at its application (see {!Qasm_stream.Parse_error}). *)
 
 val of_file : ?max_qubits:int -> string -> Circuit.t
 (** Parse from a file path, reading the channel incrementally. The

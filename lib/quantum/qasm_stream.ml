@@ -932,12 +932,18 @@ let word_of name =
   let w = Names.find_string builtins name in
   if w >= 0 then words.(w) else W_other
 
+(* A user-gate expansion nested deeper than there are definitions:
+   some definition on the way calls itself, directly or through
+   another. *)
+exception Recursive_gate
+
 (* Apply a gate given already-evaluated parameters and resolved qubit
    arguments, emitting its gates. User-defined gates expand
-   recursively, callees resolved at application: nothing yet bounds a
-   definition whose body calls itself, directly or through a later
-   definition. *)
-let rec apply_gate t line col name params args =
+   recursively, callees resolved at application (a body may call a
+   gate defined after it); [depth] counts the user gates being
+   expanded around this one. Without a cycle it stays below the number
+   of definitions, so reaching that number proves one. *)
+let rec apply_gate t ~depth line col name params args =
   let word = word_of name in
   match (word, args) with
   | W_cx, [ a; b ] ->
@@ -968,6 +974,9 @@ let rec apply_gate t line col name params args =
         (List.length def.formal_qubits);
     let qubits = List.map (one_qubit line col) args in
     distinct line col name qubits;
+    (* checked once the application is well-formed, so a malformed call
+       inside a cycle keeps its own error *)
+    if depth >= Array.length t.def_list then raise_notrace Recursive_gate;
     let qubit_binding = List.combine def.formal_qubits qubits in
     let param_binding = List.combine def.formal_params params in
     List.iter
@@ -985,8 +994,8 @@ let rec apply_gate t line col name params args =
                   "unknown qubit argument %S" formal)
             stmt.qargs
         in
-        apply_gate t stmt.callee_line stmt.callee_col stmt.callee
-          callee_params callee_args)
+        apply_gate t ~depth:(depth + 1) stmt.callee_line stmt.callee_col
+          stmt.callee callee_params callee_args)
       def.body
   | _, [ Qubit q ] ->
     emit t (Gate.Single (single_kind_of line col name word params, q))
@@ -1213,7 +1222,12 @@ let parse_application t ~build ~word ~def line col name =
   | _ ->
     let params = Array.to_list (Array.sub t.params 0 n_params) in
     let args = List.init t.nargs (fun k -> arg_of t.qregs t.args.(k)) in
-    apply_gate t line col name params args;
+    (try apply_gate t ~depth:0 line col name params args
+     with Recursive_gate ->
+       fail line col
+         "gate %S expands without end: a gate definition it uses calls \
+          itself"
+         name);
     Nothing
 
 (* Parse one statement. Returns what it produced, [Nothing] when that

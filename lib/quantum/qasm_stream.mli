@@ -28,8 +28,14 @@ exception Parse_error of { line : int; column : int; message : string }
     character). Besides syntax errors this covers integers that do not
     convert exactly to a native [int] (register sizes and indices such
     as [1e300] or [99999999999999999999]), registers whose sizes
-    overflow the running total, and applications that name one qubit
-    twice ([cx q\[0\],q\[0\]], [barrier q\[0\],q\[0\]]). *)
+    overflow the running total, applications that name one qubit
+    twice ([cx q\[0\],q\[0\]], [barrier q\[0\],q\[0\]]), and the
+    application of a user gate whose expansion recurses: a definition
+    that calls itself, directly or through another definition, is
+    refused at the application (naming the applied gate) once the
+    expansion nests deeper than the number of definitions, so it costs
+    at most that many levels of expansion. A body may still call a gate
+    defined after it. *)
 
 type t
 (** A parser over a partially-consumed input stream. *)

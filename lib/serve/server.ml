@@ -255,34 +255,34 @@ let parse_source ~device id source =
   | exception Sys_error msg -> Error (error_id id Protocol.Invalid "%s" msg)
   | circuit -> Ok circuit
 
-(* A compiled request, and the typed error for each exception
-   [Pipeline.compile] raises. The worker and the admission probe both
-   answer through these, so a request gets the same reply on either
-   path. *)
+(* The reply body of a compile, and the typed error for each exception
+   a compile raises. Router compiles, the admission probe and portfolio
+   winners all answer through these, so a request gets the same reply
+   on every path. [time_s] is the compile's own wall time unless the
+   caller timed more (a portfolio times the whole race). *)
 let cancelled_message = "cancelled mid-route: deadline expired or client gone"
 
-let ok_compiled (c : Protocol.compile) (k : Engine.Pipeline.compiled) =
+let reply id ?time_s (k : Engine.Pipeline.compiled) : Protocol.compiled =
   let r = k.routed and stats = k.stats in
-  Protocol.Ok_compiled
-    {
-      id = c.id;
-      qasm = Qasm.to_string r.Engine.Context.physical;
-      initial = Mapping.l2p_array r.Engine.Context.trial_initial;
-      final = Mapping.l2p_array r.Engine.Context.final_mapping;
-      n_swaps = stats.Sabre_core.Stats.n_swaps;
-      original_gates = stats.Sabre_core.Stats.original_gates;
-      total_gates = stats.Sabre_core.Stats.total_gates;
-      routed_depth = stats.Sabre_core.Stats.routed_depth;
-      time_s = stats.Sabre_core.Stats.time_s;
-    }
+  {
+    id;
+    qasm = Qasm.to_string r.Engine.Context.physical;
+    initial = Mapping.l2p_array r.Engine.Context.trial_initial;
+    final = Mapping.l2p_array r.Engine.Context.final_mapping;
+    n_swaps = stats.Sabre_core.Stats.n_swaps;
+    original_gates = stats.Sabre_core.Stats.original_gates;
+    total_gates = stats.Sabre_core.Stats.total_gates;
+    routed_depth = stats.Sabre_core.Stats.routed_depth;
+    time_s = Option.value time_s ~default:stats.Sabre_core.Stats.time_s;
+  }
 
-let compile_error (c : Protocol.compile) = function
+let compile_error id = function
   | Sabre_core.Routing_pass.Cancelled ->
-    error c Protocol.Route_error "%s" cancelled_message
-  | Engine.Router.Route_failed msg -> error c Protocol.Route_error "%s" msg
+    error_id id Protocol.Route_error "%s" cancelled_message
+  | Engine.Router.Route_failed msg -> error_id id Protocol.Route_error "%s" msg
   | Engine.Verify_pass.Verify_failed msg ->
-    error c Protocol.Route_error "verification: %s" msg
-  | Invalid_argument msg -> error c Protocol.Invalid "%s" msg
+    error_id id Protocol.Route_error "verification: %s" msg
+  | Invalid_argument msg -> error_id id Protocol.Invalid "%s" msg
   | e -> raise e
 
 let compile_request t ?should_stop (c : Protocol.compile) : Protocol.response =
@@ -328,8 +328,8 @@ let compile_request t ?should_stop (c : Protocol.compile) : Protocol.response =
           Engine.Pipeline.compile ~config ~router ?race ?cache_spec
             ~instrument:t.instrument device circuit
         with
-        | k -> ok_compiled c k
-        | exception e -> compile_error c e
+        | k -> Protocol.Ok_compiled (reply c.id k)
+        | exception e -> compile_error c.id e
       in
       bump_router t c.router
         (match resp with Protocol.Ok_compiled _ -> `Ok | _ -> `Err);
@@ -376,10 +376,13 @@ let portfolio_request t ?should_stop (p : Protocol.portfolio) :
           ~race:p.race ~cache:(t.cache && p.cache) ?cancel:should_stop
           ~instrument:t.instrument device circuit entries
       with
-      | exception Engine.Router.Route_failed msg ->
-        List.iter (fun n -> bump_router t n `Err) (Array.to_list names);
-        err Protocol.Route_error "%s" msg
-      | exception Invalid_argument msg -> err Protocol.Invalid "%s" msg
+      | exception e ->
+        (* every entry ran and failed; an invalid request ran none *)
+        (match e with
+        | Engine.Router.Route_failed _ ->
+          Array.iter (fun n -> bump_router t n `Err) names
+        | _ -> ());
+        compile_error p.id e
       | report ->
         Array.iteri
           (fun i o ->
@@ -387,17 +390,17 @@ let portfolio_request t ?should_stop (p : Protocol.portfolio) :
               (match o with Ok _ -> `Ok | Error _ -> `Err))
           report.Engine.Portfolio.outcomes;
         let w = Engine.Portfolio.winner_member report in
-        let stats = w.Engine.Portfolio.stats in
         let members =
           Array.mapi
             (fun i o ->
               let es = report.Engine.Portfolio.entry_stats.(i) in
               match o with
               | Ok (m : Engine.Portfolio.member) ->
+                let stats = m.compiled.Engine.Pipeline.stats in
                 {
                   Protocol.entry = names.(i);
-                  swaps = Some m.Engine.Portfolio.n_swaps;
-                  depth = Some m.Engine.Portfolio.depth;
+                  swaps = Some stats.Sabre_core.Stats.n_swaps;
+                  depth = Some stats.Sabre_core.Stats.routed_depth;
                   value =
                     Some (Engine.Portfolio.objective_value objective m);
                   wall_s = Some es.Engine.Portfolio.e_wall_s;
@@ -419,17 +422,8 @@ let portfolio_request t ?should_stop (p : Protocol.portfolio) :
         Protocol.Ok_portfolio
           {
             compiled =
-              {
-                id = p.id;
-                qasm = Qasm.to_string w.Engine.Portfolio.physical;
-                initial = Mapping.l2p_array w.Engine.Portfolio.initial;
-                final = Mapping.l2p_array w.Engine.Portfolio.final;
-                n_swaps = stats.Sabre_core.Stats.n_swaps;
-                original_gates = stats.Sabre_core.Stats.original_gates;
-                total_gates = stats.Sabre_core.Stats.total_gates;
-                routed_depth = stats.Sabre_core.Stats.routed_depth;
-                time_s = wall () -. t0;
-              };
+              reply p.id ~time_s:(wall () -. t0)
+                w.Engine.Portfolio.compiled;
             winner = names.(report.Engine.Portfolio.winner);
             members;
           }))
@@ -548,8 +542,8 @@ let admission_cache_hit t (c : Protocol.compile) : Protocol.response option =
             match
               Engine.Pipeline.cached ~config ~spec:c.router coupling circuit
             with
-            | hit -> Option.map (ok_compiled c) hit
-            | exception e -> Some (compile_error c e))))
+            | hit -> Option.map (fun k -> Protocol.Ok_compiled (reply c.id k)) hit
+            | exception e -> Some (compile_error c.id e))))
     in
     Option.map
       (fun resp ->

@@ -37,3 +37,13 @@ let contains ~sub s =
   let n = String.length s and m = String.length sub in
   let rec at i = i + m <= n && (String.sub s i m = sub || at (i + 1)) in
   at 0
+
+(* The counters an {!Engine.Instrument.collector} saw, keyed
+   ["pass.counter"], in emission order. *)
+let counters events =
+  List.filter_map
+    (function
+      | Engine.Instrument.Counter { pass; name; value } ->
+        Some (pass ^ "." ^ name, value)
+      | _ -> None)
+    events

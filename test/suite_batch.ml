@@ -42,11 +42,12 @@ let test_routes_and_verifies () =
         check Alcotest.string "outcomes in job order" jobs.(i).Batch.name
           s.name;
         check Alcotest.bool "per-job wall time recorded" true
-          (s.stats.time_s >= 0.0);
+          (s.compiled.stats.time_s >= 0.0);
         Helpers.assert_routed ~coupling:device
-          ~initial:(Mapping.l2p_array s.initial)
-          ~final:(Mapping.l2p_array s.final)
-          ~logical:jobs.(i).Batch.circuit ~physical:s.physical s.name)
+          ~initial:(Mapping.l2p_array s.compiled.routed.trial_initial)
+          ~final:(Mapping.l2p_array s.compiled.routed.final_mapping)
+          ~logical:jobs.(i).Batch.circuit ~physical:s.compiled.routed.physical
+          s.name)
     report.outcomes
 
 let test_poisoned_job_is_isolated () =
@@ -112,7 +113,7 @@ let test_dedup_respects_param_precision () =
   let report = Batch.compile_many device (jobs_of [ a; b; a ]) in
   let physical i =
     match report.outcomes.(i) with
-    | Ok (s : Batch.success) -> s.physical
+    | Ok (s : Batch.success) -> s.compiled.routed.physical
     | Error (e : Batch.error) -> Alcotest.failf "%s: %s" e.name e.message
   in
   check Alcotest.bool "identical rows fold to one result" true
@@ -158,7 +159,8 @@ let test_longest_first () =
         check Alcotest.string "outcome in job order" jobs.(i).name s.name;
         check Alcotest.int "its own circuit"
           (Circuit.length jobs.(i).circuit)
-          (Circuit.length s.physical - s.stats.Sabre.Stats.n_swaps)
+          (Circuit.length s.compiled.routed.physical
+          - s.compiled.stats.Sabre.Stats.n_swaps)
       | Error (e : Batch.error) -> Alcotest.failf "%s: %s" e.name e.message)
     report.outcomes
 

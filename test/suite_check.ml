@@ -112,13 +112,15 @@ let routed_fixture () =
   let circuit = Workloads.Qft.circuit 5 in
   let config = { Config.default with trials = 1 } in
   let r =
-    Differential.route ~config device circuit Engine.Sabre_router.router
+    (Differential.route ~config device circuit Engine.Sabre_router.router)
+      .routed
   in
   (device, circuit, r)
 
-let oracle device circuit (r : Differential.routed) physical =
-  Oracle.check ~coupling:device ~logical:circuit ~initial:r.initial
-    ~final:r.final ~physical ()
+let oracle device circuit (r : Engine.Context.routed) physical =
+  Oracle.check ~coupling:device ~logical:circuit
+    ~initial:(Sabre_core.Mapping.l2p_array r.trial_initial)
+    ~final:(Sabre_core.Mapping.l2p_array r.final_mapping) ~physical ()
 
 let rebuild like gates =
   Circuit.create ~n_qubits:(Circuit.n_qubits like)
@@ -182,12 +184,13 @@ let test_oracle_rejects_extra_gate () =
 
 let test_oracle_rejects_wrong_final_mapping () =
   let device, circuit, r = routed_fixture () in
-  let final = Array.copy r.final in
+  let final = Sabre_core.Mapping.l2p_array r.final_mapping in
   let t = final.(0) in
   final.(0) <- final.(1);
   final.(1) <- t;
   match
-    Oracle.check ~coupling:device ~logical:circuit ~initial:r.initial ~final
+    Oracle.check ~coupling:device ~logical:circuit
+      ~initial:(Sabre_core.Mapping.l2p_array r.trial_initial) ~final
       ~physical:r.physical ()
   with
   | Error _ -> ()

@@ -120,15 +120,19 @@ let test_reset_stats_keeps_entries () =
 let test_context_create_reports_cache_outcome () =
   Cache.clear ();
   let circuit = Workloads.Qft.circuit 4 in
-  let counters ctx = Engine.Context.counters ctx in
-  let first = counters (Engine.Context.create (Devices.ibm_q20_tokyo ()) circuit) in
+  (* the counters one [Context.create] emits *)
+  let create () =
+    let instrument, events = Engine.Instrument.collector () in
+    ignore
+      (Engine.Context.create ~instrument (Devices.ibm_q20_tokyo ()) circuit);
+    Helpers.counters (events ())
+  in
+  let first = create () in
   check Alcotest.int "cold create counts a miss" 1
     (List.assoc "context.dist_cache_miss" first);
   check Alcotest.int "cold create counts no hit" 0
     (List.assoc "context.dist_cache_hit" first);
-  let second =
-    counters (Engine.Context.create (Devices.ibm_q20_tokyo ()) circuit)
-  in
+  let second = create () in
   check Alcotest.int "warm create counts a hit" 1
     (List.assoc "context.dist_cache_hit" second);
   check Alcotest.int "warm create counts no miss" 0

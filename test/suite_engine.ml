@@ -151,15 +151,20 @@ let test_per_pass_timing_recorded () =
   let c = Workloads.Qft.circuit 5 in
   let sink, events = Engine.Instrument.collector () in
   let ctx = Engine.Context.create device c in
-  let ctx =
-    Engine.Pipeline.run ~instrument:sink
-      (Engine.Pipeline.default ~verify:true ())
-      ctx
-  in
+  ignore
+    (Engine.Pipeline.run ~instrument:sink
+       (Engine.Pipeline.default ~verify:true ())
+       ctx);
   check Alcotest.bool "verified" true
-    (List.assoc_opt "verify.ok" (Engine.Context.counters ctx) = Some 1);
+    (List.assoc_opt "verify.ok" (Helpers.counters (events ())) = Some 1);
   let expected = [ "decompose"; "dag"; "initial_mapping"; "routing"; "verify" ] in
-  let metrics = Engine.Context.metrics ctx in
+  let metrics =
+    List.filter_map
+      (function
+        | Engine.Instrument.Pass_end { pass; wall_s; _ } -> Some (pass, wall_s)
+        | _ -> None)
+      (events ())
+  in
   check
     (Alcotest.list Alcotest.string)
     "every stage timed" expected (List.map fst metrics);
@@ -198,14 +203,14 @@ let test_baseline_routers_via_engine () =
         | Some r -> r
         | None -> Alcotest.failf "router %s not registered" rname
       in
+      let sink, events = Engine.Instrument.collector () in
       let ctx = Engine.Context.create device c in
-      let ctx =
-        Engine.Pipeline.run
-          (Engine.Pipeline.default ~router ~verify:true ())
-          ctx
-      in
+      ignore
+        (Engine.Pipeline.run ~instrument:sink
+           (Engine.Pipeline.default ~router ~verify:true ())
+           ctx);
       check Alcotest.bool (rname ^ " verified") true
-        (List.assoc_opt "verify.ok" (Engine.Context.counters ctx) = Some 1))
+        (List.assoc_opt "verify.ok" (Helpers.counters (events ())) = Some 1))
     [ "sabre"; "greedy"; "bka" ]
 
 let test_greedy_router_matches_baseline () =

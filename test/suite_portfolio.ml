@@ -228,9 +228,9 @@ let test_winner_dominates () =
               | Error _ -> ())
             report.Portfolio.outcomes;
           Helpers.assert_routed ~coupling:device
-            ~initial:(Mapping.l2p_array w.Portfolio.initial)
-            ~final:(Mapping.l2p_array w.Portfolio.final)
-            ~logical:circuit ~physical:w.Portfolio.physical
+            ~initial:(Mapping.l2p_array w.compiled.routed.trial_initial)
+            ~final:(Mapping.l2p_array w.compiled.routed.final_mapping)
+            ~logical:circuit ~physical:w.compiled.routed.physical
             (Portfolio.objective_name objective ^ "/" ^ name))
         zoo)
     [ Portfolio.Swaps; Portfolio.Depth; Portfolio.Success_prob ]
@@ -257,11 +257,11 @@ let test_winner_never_loses_to_sabre () =
           let w = Portfolio.winner_member report in
           let tag = Printf.sprintf "%s, %s" name label in
           Helpers.assert_routed ~coupling:device
-            ~initial:(Mapping.l2p_array w.Portfolio.initial)
-            ~final:(Mapping.l2p_array w.Portfolio.final)
-            ~logical:circuit ~physical:w.Portfolio.physical tag;
+            ~initial:(Mapping.l2p_array w.compiled.routed.trial_initial)
+            ~final:(Mapping.l2p_array w.compiled.routed.final_mapping)
+            ~logical:circuit ~physical:w.compiled.routed.physical tag;
           check Alcotest.bool (tag ^ ": winner <= plain sabre") true
-            (w.Portfolio.n_swaps
+            (w.compiled.stats.n_swaps
             <= plain.Sabre.Compiler.stats.Sabre.Stats.n_swaps))
         [ ("3 entries", entries); ("6-entry grid", grid) ])
     (zoo @ [ "ising_model_10" ])
@@ -312,10 +312,13 @@ let outcome_equal a b =
   match (a, b) with
   | Ok (a : Portfolio.member), Ok (b : Portfolio.member) ->
     Portfolio.entry_name a.entry = Portfolio.entry_name b.entry
-    && Circuit.equal a.physical b.physical
-    && Mapping.equal a.initial b.initial
-    && Mapping.equal a.final b.final
-    && a.n_swaps = b.n_swaps && a.depth = b.depth
+    && Circuit.equal a.compiled.routed.physical b.compiled.routed.physical
+    && Mapping.equal a.compiled.routed.trial_initial
+         b.compiled.routed.trial_initial
+    && Mapping.equal a.compiled.routed.final_mapping
+         b.compiled.routed.final_mapping
+    && a.compiled.stats.n_swaps = b.compiled.stats.n_swaps
+    && a.compiled.stats.routed_depth = b.compiled.stats.routed_depth
   | Error a, Error b -> a = b
   | _ -> false
 
@@ -394,7 +397,8 @@ let test_batch_portfolio () =
           (Portfolio.entry_name w.Portfolio.entry)
           s.Engine.Batch.router;
         check Alcotest.bool (s.Engine.Batch.name ^ ": same circuit") true
-          (Circuit.equal w.Portfolio.physical s.Engine.Batch.physical)
+          (Circuit.equal w.compiled.routed.physical
+             s.Engine.Batch.compiled.routed.physical)
       | Error e -> Alcotest.failf "%s failed: %s" e.Engine.Batch.name e.message)
     report.Engine.Batch.outcomes
 

@@ -456,11 +456,11 @@ let prop_batch_matches_sequential =
       let par = Engine.Batch.compile_many ~config ~domains:3 coupling jobs in
       let same i (a : Engine.Batch.outcome) (b : Engine.Batch.outcome) =
         match (a, b) with
-        | Ok x, Ok y ->
-          x.name = y.name
-          && Circuit.equal x.physical y.physical
-          && Mapping.equal x.initial y.initial
-          && Mapping.equal x.final y.final
+        | Ok { name = xn; compiled = x; _ }, Ok { name = yn; compiled = y; _ } ->
+          xn = yn
+          && Circuit.equal x.routed.physical y.routed.physical
+          && Mapping.equal x.routed.trial_initial y.routed.trial_initial
+          && Mapping.equal x.routed.final_mapping y.routed.final_mapping
           && x.stats.n_swaps = y.stats.n_swaps
           && x.stats.search_steps = y.stats.search_steps
           && x.stats.first_traversal_swaps = y.stats.first_traversal_swaps

@@ -445,6 +445,66 @@ let test_eager_parse_allocation_budget () =
         (Printf.sprintf "%.1f minor words per gate <= 10" per)
         true (per <= 10.0))
 
+(* A gate definition that calls itself, directly or through a second
+   definition, is refused where it is applied, naming the applied gate,
+   by every entry point of the frontend and before the expansion grows:
+   under a megabyte allocated. A call to a gate defined later is not a
+   cycle and still parses. *)
+let recursive_self =
+  "OPENQASM 2.0;\ninclude \"qelib1.inc\";\nqreg q[2];\n\
+   gate h2 a { h a; h2 a; }\nh2 q[0];\n"
+
+let recursive_pair =
+  "OPENQASM 2.0;\nqreg q[2];\ngate a x { h x; b x; }\n\
+   gate b x { t x; a x; }\na q[0];\n"
+
+let test_recursive_gate_refused () =
+  List.iter
+    (fun (what, text, line, gate) ->
+      List.iter
+        (fun (entry, parse) ->
+          let label = what ^ " via " ^ entry in
+          let before = Gc.allocated_bytes () in
+          (match parse text with
+          | exception Qasm.Parse_error { line = l; message; _ } ->
+            check Alcotest.int (label ^ ": at the application") line l;
+            check Alcotest.bool
+              (label ^ ": names the gate: " ^ message)
+              true
+              (Helpers.contains ~sub:(Printf.sprintf "%S" gate) message)
+          | () -> Alcotest.failf "%s: parsed" label);
+          let bytes = Gc.allocated_bytes () -. before in
+          check Alcotest.bool
+            (Printf.sprintf "%s: %.0f bytes allocated < 1 MB" label bytes)
+            true (bytes < 1e6))
+        [
+          ("Qasm.of_string", fun s -> ignore (Qasm.of_string s));
+          ( "Qasm_stream.survey",
+            fun s ->
+              ignore
+                (Quantum.Qasm_stream.survey (Quantum.Qasm_stream.of_string s))
+          );
+          ( "Qasm_stream.gates",
+            fun s ->
+              let next =
+                Quantum.Qasm_stream.gates (Quantum.Qasm_stream.of_string s)
+              in
+              while next () <> None do
+                ()
+              done );
+        ])
+    [
+      ("self-call", recursive_self, 5, "h2");
+      ("two-definition cycle", recursive_pair, 5, "a");
+    ];
+  let forward =
+    Qasm.of_string
+      "OPENQASM 2.0;\nqreg q[1];\ngate a x { b x; }\ngate b x { h x; }\n\
+       a q[0];\n"
+  in
+  check Alcotest.int "a call to a later definition parses" 1
+    (Circuit.length forward)
+
 let suite =
   [
     tc "parse basic program" `Quick test_parse_basic;
@@ -471,4 +531,6 @@ let suite =
     tc "corpus replays at every refill size" `Quick test_corpus_replays;
     tc "eager parse allocation budget over Table II" `Quick
       test_eager_parse_allocation_budget;
+    tc "recursive gate definitions refused at application" `Quick
+      test_recursive_gate_refused;
   ]

@@ -386,9 +386,9 @@ let bench_zoo =
 let outcome_equal a b =
   match (a, b) with
   | Ok (a : Portfolio.member), Ok (b : Portfolio.member) ->
-    Circuit.equal a.Portfolio.physical b.Portfolio.physical
-    && a.Portfolio.n_swaps = b.Portfolio.n_swaps
-    && a.Portfolio.depth = b.Portfolio.depth
+    Circuit.equal a.compiled.routed.physical b.compiled.routed.physical
+    && a.compiled.stats.n_swaps = b.compiled.stats.n_swaps
+    && a.compiled.stats.routed_depth = b.compiled.stats.routed_depth
   | Error a, Error b -> a = b
   | _ -> false
 

@@ -717,6 +717,21 @@ let test_oversized_register () =
       | r -> Alcotest.failf "next request: %s" (P.encode_response r));
       check Alcotest.int "one served" 1 (Server.stats server).P.served)
 
+(* A request whose gate definition calls itself gets a typed qasm_error
+   at the application, not a worker that expands it without end, and
+   the daemon answers the next request. *)
+let test_recursive_gate_definition () =
+  with_server ~domains:1 (fun path server ->
+      expect_error P.Qasm_error
+        (rpc path
+           (compile_req
+              "OPENQASM 2.0;\ninclude \"qelib1.inc\";\nqreg q[2];\n\
+               gate h2 a { h a; h2 a; }\nh2 q[0];\n"));
+      (match rpc path (compile_req ~id:"next" small_qasm) with
+      | P.Ok_compiled _ -> ()
+      | r -> Alcotest.failf "next request: %s" (P.encode_response r));
+      check Alcotest.int "one served" 1 (Server.stats server).P.served)
+
 let test_oversized_request () =
   with_server ~domains:1 ~max_request_bytes:4096 (fun path _server ->
       expect_error P.Oversized
@@ -776,19 +791,22 @@ let test_byte_identity () =
                 check Alcotest.string (label ^ ": id") label r.P.id;
                 check Alcotest.string
                   (label ^ ": QASM byte-identical to Engine.Batch")
-                  (Qasm.to_string s.physical) r.P.qasm;
+                  (Qasm.to_string s.compiled.routed.physical) r.P.qasm;
                 check
                   Alcotest.(array int)
                   (label ^ ": initial mapping")
-                  (Mapping.l2p_array s.initial) r.P.initial;
+                  (Mapping.l2p_array s.compiled.routed.trial_initial)
+                  r.P.initial;
                 check
                   Alcotest.(array int)
                   (label ^ ": final mapping")
-                  (Mapping.l2p_array s.final) r.P.final;
+                  (Mapping.l2p_array s.compiled.routed.final_mapping)
+                  r.P.final;
                 check Alcotest.int (label ^ ": swaps")
-                  s.stats.Sabre_core.Stats.n_swaps r.P.n_swaps;
+                  s.compiled.stats.Sabre_core.Stats.n_swaps r.P.n_swaps;
                 check Alcotest.int (label ^ ": routed depth")
-                  s.stats.Sabre_core.Stats.routed_depth r.P.routed_depth
+                  s.compiled.stats.Sabre_core.Stats.routed_depth
+                  r.P.routed_depth
               | P.Error_resp { message; _ }, _ ->
                 Alcotest.failf "%s: server error: %s" label message
               | _, Error (e : Batch.error) ->
@@ -947,10 +965,10 @@ let test_portfolio_matches_engine () =
           (Engine.Portfolio.entry_name lw.Engine.Portfolio.entry)
           winner;
         check Alcotest.string "QASM byte-identical to Engine.Portfolio"
-          (Qasm.to_string lw.Engine.Portfolio.physical)
+          (Qasm.to_string lw.Engine.Portfolio.compiled.routed.physical)
           compiled.P.qasm;
         check Alcotest.int "same swap count"
-          lw.Engine.Portfolio.n_swaps compiled.P.n_swaps
+          lw.Engine.Portfolio.compiled.stats.n_swaps compiled.P.n_swaps
       | r ->
         Alcotest.failf "portfolio request answered %s" (P.encode_response r))
 
@@ -1019,7 +1037,7 @@ let test_concurrent_clients () =
             [| { Batch.name = "ref"; circuit = Qasm.of_string text } |]
         in
         match report.Batch.outcomes.(0) with
-        | Ok s -> Qasm.to_string s.Batch.physical
+        | Ok s -> Qasm.to_string s.Batch.compiled.routed.physical
         | Error e -> Alcotest.failf "reference compile failed: %s" e.message)
       texts
   in
@@ -1511,4 +1529,6 @@ let suite =
       test_oversized_register;
     tc "poisoned cache entry refused at admission and in the worker" `Quick
       test_poisoned_cache_entry_refused;
+    tc "recursive gate definition refused, daemon answers on" `Quick
+      test_recursive_gate_definition;
   ]
