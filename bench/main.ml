@@ -13,9 +13,11 @@
      scoring     — delta scoring >= 1.3x full recompute on the largest
                    device of the scaling sweep, and full recompute
                    >= 1.2x delta on a width-10 circuit on Tokyo, with
-                   identical routes; prints each row's width, the scorer
-                   the width rule picks, and each mode's minor words per
-                   decision
+                   identical routes; on that row the full scorer's bound
+                   skips >= 50% of a full recompute's lookups (a count,
+                   the same on any host); prints each row's width, the
+                   scorer the width rule picks, each mode's minor words
+                   per decision and the full scorer's lookups
      throughput  — 2-domain batch >= 0.6x sequential with equal SWAP
                    totals; warm distance cache >= 10x cheaper than cold
      racing      — incumbent-bound pruning >= 1.3x on the best circuit
@@ -80,6 +82,15 @@ let check_floor name ~bound reading =
   Format.printf "@.floor %s: %.2fx (bound >= %.1fx)@." name reading bound;
   if not (reading >= bound) then
     fatal "%s: %.2fx is below the %.1fx floor" name reading bound
+
+(* A count floor: a share of deterministic counts, the same on any
+   host; printed and enforced like a speed floor. *)
+let check_share_floor name ~bound share =
+  Format.printf "@.floor %s: %.1f%% (bound >= %.0f%%)@." name (100.0 *. share)
+    (100.0 *. bound);
+  if not (share >= bound) then
+    fatal "%s: %.1f%% is below the %.0f%% floor" name (100.0 *. share)
+      (100.0 *. bound)
 
 let verified ?(coupling = device) ~logical ~initial ~final ~physical label =
   match
@@ -451,11 +462,12 @@ let scoring () =
     "@.== Candidate scoring: O(Δ) incremental evaluation vs full recompute, \
      and the width rule's pick ==@.@.";
   Format.printf
-    "%-10s %7s %6s %7s %7s %7s | %9s %9s %8s | %9s %9s | %11s %11s@."
+    "%-10s %7s %6s %7s %7s %7s | %9s %9s %8s | %9s %9s | %11s %11s %11s@."
     "device" "qubits" "width" "default" "gates" "swaps" "full_s" "delta_s"
-    "speedup" "full_w/d" "delta_w/d" "delta_terms" "full_terms";
+    "speedup" "full_w/d" "delta_w/d" "delta_terms" "full_lookup" "full_terms";
   (* route [circuit] on [dev] under each mode from the identity; print
-     the row and return delta's speedup over full recompute *)
+     the row and return delta's speedup over full recompute, and the
+     share of a full recompute's lookups the full scorer skipped *)
   let row name dev circuit =
     let n = Circuit.n_qubits circuit in
     let dag = Quantum.Dag.of_circuit circuit in
@@ -495,17 +507,18 @@ let scoring () =
       fatal "scoring: delta touched %d terms on %s, full only %d" delta_terms
         name full_terms;
     let speedup = t_full /. t_delta in
+    let full_lookups = full.scoring.Sabre.Stats.delta_terms in
     Format.printf
       "%-10s %7d %6d %7s %7d %7d | %8.3fs %8.3fs %7.2fx | %9.0f %9.0f | %11d \
-       %11d@.%!"
+       %11d %11d@.%!"
       name (Coupling.n_qubits dev) n
       (Sabre.Routing_pass.scoring_mode_name
          (Sabre.Routing_pass.default_scoring ~n_logical:n))
       (Circuit.length circuit) delta.n_swaps t_full t_delta speedup
       (per_decision full_words full)
       (per_decision delta_words delta)
-      delta_terms full_terms;
-    speedup
+      delta_terms full_lookups full_terms;
+    (speedup, 1.0 -. (float_of_int full_lookups /. float_of_int full_terms))
   in
   let largest = ref (0, nan) in
   List.iter
@@ -518,12 +531,12 @@ let scoring () =
         Workloads.Random_reversible.circuit ~seed:n_physical ~hot_bias:0.0 ~n
           ~gates:(20 * n) ()
       in
-      let speedup = row (Printf.sprintf "grid%dx%d" rows cols) dev circuit in
+      let speedup, _ = row (Printf.sprintf "grid%dx%d" rows cols) dev circuit in
       if Coupling.n_qubits dev > fst !largest then
         largest := (Coupling.n_qubits dev, speedup))
     !scaling_sizes;
   (* the narrow side of the width rule: a Table II-sized circuit *)
-  let narrow =
+  let narrow, skipped =
     row "tokyo" device
       (Workloads.Random_reversible.circuit ~seed:10 ~hot_bias:0.0 ~n:10
          ~gates:2000 ())
@@ -531,7 +544,9 @@ let scoring () =
   check_floor "scoring (delta over full, largest device)" ~bound:1.3
     (snd !largest);
   check_floor "scoring (full over delta, width 10 on tokyo)" ~bound:1.2
-    (1.0 /. narrow)
+    (1.0 /. narrow);
+  check_share_floor "scoring (lookups full skips, width 10 on tokyo)"
+    ~bound:0.5 skipped
 
 (* ------------------------------------------------------------------ *)
 (* Batch throughput: Scheduler domain pool + device-keyed dist cache    *)

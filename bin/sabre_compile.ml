@@ -204,23 +204,27 @@ let run_batch manifest router_name config device ~portfolio ~race ~domains
     | Error msg -> Error msg
     | Ok [] -> Error (Printf.sprintf "%s: empty manifest" manifest)
     | Ok paths ->
-      (* parse failures become error rows, not batch aborts *)
+      (* the files parse on the pool that routes them, each into its
+         circuit or its error row, so a bad file never stops the batch;
+         results keep manifest order *)
+      let parse path () =
+        match
+          Quantum.Qasm.of_file ~max_qubits:(Coupling.n_qubits device) path
+        with
+        | circuit -> Ok { Engine.Batch.name = path; circuit }
+        | exception Quantum.Qasm.Parse_error { line; column; message } ->
+          Error
+            {
+              Engine.Batch.name = path;
+              message = Printf.sprintf "%s:%d:%d: %s" path line column message;
+            }
+        | exception Sys_error msg ->
+          Error { Engine.Batch.name = path; message = msg }
+      in
       let parsed =
-        List.map
-          (fun path ->
-            match
-              Quantum.Qasm.of_file ~max_qubits:(Coupling.n_qubits device) path
-            with
-            | circuit -> Ok { Engine.Batch.name = path; circuit }
-            | exception Quantum.Qasm.Parse_error { line; column; message } ->
-              Error
-                {
-                  Engine.Batch.name = path;
-                  message = Printf.sprintf "%s:%d:%d: %s" path line column message;
-                }
-            | exception Sys_error msg ->
-              Error { Engine.Batch.name = path; message = msg })
-          paths
+        Array.to_list
+          (Engine.Scheduler.run ~domains
+             (Array.of_list (List.map parse paths)))
       in
       let jobs =
         Array.of_list

@@ -23,16 +23,24 @@ type scoring_mode =
           (see {!Heuristic}'s exactness argument). The default from
           {!delta_min_width} logical qubits up. *)
   | Full
-      (** Full |F|+|E| recompute per candidate: cheaper than [Delta]
-          on narrow circuits, whose front and extended sets are short,
-          and the only scorer for custom float metrics. The default
-          below {!delta_min_width} logical qubits. *)
+      (** Full |F|+|E| recompute per candidate, pruned on an integer
+          metric: each candidate's front sum is exact, and its extended
+          sum is recomputed only when a lower bound on its score
+          (extended sum under π, less what the SWAP can move: L_e per
+          extended pair endpoint on the swapped qubits, L_e the most
+          one pair term can change across edge e) does not already
+          lose to the best score so far. Bit-identical output to an
+          unpruned recompute. Cheaper than [Delta] on narrow circuits,
+          whose front and extended sets are short, and the only scorer
+          for custom float metrics, which it scores unpruned. The
+          default below {!delta_min_width} logical qubits. *)
 
 val delta_min_width : int
 (** The width rule's crossover, 48 logical qubits: below it full
     recompute routes faster than delta on every device measured (up to
     400 qubits), above it delta pulls ahead (1.45× at width 100, 2.8×
-    at 400). The two are within noise of each other from 40 to 64. *)
+    at 400, measured before full recompute was pruned). The pruned
+    full scorer ties delta at width 50. *)
 
 val default_scoring : n_logical:int -> scoring_mode
 (** The width rule: [Full] below {!delta_min_width} logical qubits,
@@ -91,10 +99,11 @@ type result = {
 }
 
 (** Reusable search-state arena: every array the traversal loop touches
-    (front deque, candidate stamps, BFS ring buffer, decay, front-pair
-    and extended-set caches), allocated once per device and reset per
-    run, so a driver that routes many circuits allocates no arrays per
-    run once the arena has grown. The loop itself allocates nothing per
+    (front deque, candidate list, stamps and bounds, lookahead queue,
+    decay, front-pair and extended-set caches, the physical→logical
+    mirror), allocated once per device and reset per run, so a driver
+    that routes many circuits allocates no arrays per run once the
+    arena has grown. The loop itself allocates nothing per
     candidate or per gate: both scorers compute each candidate's score
     in their own loop, so no float is boxed, and on a warmed scratch
     {!run_mapping} takes about 160 words per run whatever the circuit's
@@ -164,11 +173,13 @@ val run :
     connected qubits and exactly [n_physical²] long. Drivers routing
     many traversals flatten once and share the array.
 
-    [dist_int] is the integer view of the same matrix for the delta
-    scorer (e.g. {!Hardware.Dist_cache.lookup_all}'s second component);
-    it must agree with [dist] entry for entry. When omitted under
-    [Delta] an integer view is derived from [dist] when possible, else
-    the run degrades to full recompute.
+    [dist_int] is the integer view of the same matrix, which both
+    scorers use exactly (e.g. {!Hardware.Dist_cache.lookup_all}'s
+    second component); it must agree with [dist] entry for entry. When
+    omitted, [Delta] derives one from [dist] when possible (an n² scan
+    and array per run), and [Full] derives one only for the hop
+    distances it computes when [dist] is omitted too; without one the
+    run recomputes every candidate in full, in float, unpruned.
 
     [scoring] forces a scorer; without it the run picks one by the
     circuit's width ({!default_scoring}). Both give bit-identical

@@ -11,8 +11,11 @@ type scoring = {
   delta_terms : int;
       (** distance-matrix lookups the scorer actually performed: base-sum
           construction once per decision plus the touched pair terms per
-          candidate (delta mode), or the full per-candidate recompute
-          (full mode, where [delta_terms = full_terms]) *)
+          candidate (delta mode); or, in full mode, the extended base sum
+          once per decision, every candidate's front terms and the
+          extended terms of the candidates the bound could not rule out.
+          It equals [full_terms] in full mode only on a metric without an
+          integer view (noise-weighted), which is scored unpruned. *)
   full_terms : int;
       (** lookups a full per-candidate recompute would perform:
           [candidates × (|F| + |E|)] — the work the delta scorer avoids *)

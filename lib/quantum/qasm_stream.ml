@@ -786,6 +786,11 @@ type gate_def = {
   formal_params : string list;
   formal_qubits : string list;
   body : body_stmt list;
+  (* [call_gates]'s memo: the gates one call expands to, valid while
+     [counted] equals the parser's [count_gen] (-1 while being
+     counted) *)
+  mutable counted : int;
+  mutable gates : int;
 }
 
 type t = {
@@ -794,6 +799,7 @@ type t = {
   cregs : regs;
   defs : Names.t;  (* name -> index into [def_list] *)
   mutable def_list : gate_def array;
+  mutable count_gen : int;  (* one per counted application *)
   mutable n_qubits : int;
   mutable n_clbits : int;
   (* gates of an expanding statement (broadcast, [ccx], a user gate),
@@ -922,89 +928,163 @@ let two_qubits line col name a b =
   if a = b then fail line col "gate %S repeats a qubit argument" name;
   (a, b)
 
-let single_kind_of line col name word params =
-  let k = List.length params in
-  if single_arity word <> k then
-    fail line col "gate %S with %d parameter(s) is not supported" name k;
-  single_kind word (Array.of_list params)
-
 let word_of name =
   let w = Names.find_string builtins name in
   if w >= 0 then words.(w) else W_other
 
-(* A user-gate expansion nested deeper than there are definitions:
-   some definition on the way calls itself, directly or through
-   another. *)
-exception Recursive_gate
-
-(* Apply a gate given already-evaluated parameters and resolved qubit
-   arguments, emitting its gates. User-defined gates expand
-   recursively, callees resolved at application (a body may call a
-   gate defined after it); [depth] counts the user gates being
-   expanded around this one. Without a cycle it stays below the number
-   of definitions, so reaching that number proves one. *)
-let rec apply_gate t ~depth line col name params args =
-  let word = word_of name in
-  match (word, args) with
-  | W_cx, [ a; b ] ->
-    let a, b = two_qubits line col name a b in
-    emit t (Gate.Cnot (a, b))
-  | W_cz, [ a; b ] ->
-    let a, b = two_qubits line col name a b in
-    emit t (Gate.Cz (a, b))
-  | W_swap, [ a; b ] ->
-    let a, b = two_qubits line col name a b in
-    emit t (Gate.Swap (a, b))
+(* The checks an application of [name] with [n_params] parameters on
+   [args] passes before anything of it is emitted or expanded, raising
+   the application's own error. [apply_gate] makes them at every
+   application and the count ([check_stmt]) at every body statement it
+   walks, so the two refuse a malformed call alike. *)
+let check_call t line col name n_params args =
+  match (word_of name, args) with
+  | (W_cx | W_cz | W_swap), [ a; b ] -> ignore (two_qubits line col name a b)
   | W_ccx, [ a; b; c ] ->
     let a = one_qubit line col a
     and b = one_qubit line col b
     and c = one_qubit line col c in
-    distinct line col name [ a; b; c ];
-    List.iter (emit t) (Decompose.toffoli a b c)
+    distinct line col name [ a; b; c ]
   | (W_cx | W_cz | W_swap), _ ->
     fail line col "gate %S expects exactly 2 qubit arguments" name
   | W_ccx, _ -> fail line col "gate %S expects exactly 3 qubit arguments" name
   | _, _ when Names.find_string t.defs name >= 0 ->
     let def = t.def_list.(Names.find_string t.defs name) in
-    if List.length params <> List.length def.formal_params then
+    if n_params <> List.length def.formal_params then
       fail line col "gate %S expects %d parameter(s)" name
         (List.length def.formal_params);
     if List.length args <> List.length def.formal_qubits then
       fail line col "gate %S expects %d qubit argument(s)" name
         (List.length def.formal_qubits);
-    let qubits = List.map (one_qubit line col) args in
-    distinct line col name qubits;
-    (* checked once the application is well-formed, so a malformed call
-       inside a cycle keeps its own error *)
-    if depth >= Array.length t.def_list then raise_notrace Recursive_gate;
-    let qubit_binding = List.combine def.formal_qubits qubits in
+    distinct line col name (List.map (one_qubit line col) args)
+  | word, [ _ ] ->
+    if single_arity word <> n_params then
+      fail line col "gate %S with %d parameter(s) is not supported" name
+        n_params
+  | _, _ -> fail line col "gate %S expects exactly 1 qubit argument" name
+
+(* The qubit arguments of body statement [stmt] under [binding] (formal
+   name -> qubit). *)
+let stmt_args (stmt : body_stmt) binding =
+  List.map
+    (fun formal ->
+      match List.assoc_opt formal binding with
+      | Some q -> Qubit q
+      | None ->
+        fail stmt.callee_line stmt.callee_col "unknown qubit argument %S"
+          formal)
+    stmt.qargs
+
+(* A user gate whose expansion never ends: some definition it reaches
+   calls itself, directly or through another. *)
+exception Recursive_gate
+
+let max_expansion = 1 lsl 20
+
+(* An application that would expand to more than [max_expansion]
+   gates. *)
+exception Too_many_gates
+
+let toffoli_gates = List.length (Decompose.toffoli 0 1 2)
+
+(* The checks the expansion makes at body statement [stmt] of a
+   definition, in its order: its parameters' names (evaluated under
+   [env], the definition's formal parameters bound to 0.0), its qubit
+   arguments' names (under [binding], the formal qubits bound to
+   distinct indices), then the call itself. None depends on the values
+   an expansion binds: evaluation fails only on an unknown name, and an
+   application's qubits are checked distinct before its body runs. *)
+let check_stmt t ~env ~binding (stmt : body_stmt) =
+  let n = Array.length stmt.starts - 1 in
+  eval_params t stmt.code stmt.starts n ~env;
+  check_call t stmt.callee_line stmt.callee_col stmt.callee n
+    (stmt_args stmt binding)
+
+(* The gates a call of [name] on single qubits expands to, as
+   [apply_gate] emits them, saturated at [max_expansion + 1], without
+   building any. It walks the expansion's order, each definition once
+   per application (its memo is stamped with [count_gen]), so a count
+   costs no more than the definitions the call reaches; callees
+   resolve as [apply_gate] resolves them, and each statement walked is
+   checked as the expansion would check it ([check_stmt]), so the
+   first malformed call raises its own error, as it would there.
+   Reaching a definition whose count is still open is a cycle: gate
+   bodies have no conditions, so the expansion would never end, and
+   the count raises [Recursive_gate]. A count that saturates stops
+   walking, and the application is refused as too many gates. *)
+let rec call_gates t name =
+  match word_of name with
+  | W_cx | W_cz | W_swap -> 1
+  | W_ccx -> toffoli_gates
+  | _ ->
+    let d = Names.find_string t.defs name in
+    if d < 0 then 1
+    else
+      let def = t.def_list.(d) in
+      if def.counted = t.count_gen then
+        if def.gates < 0 then raise_notrace Recursive_gate else def.gates
+      else begin
+        def.counted <- t.count_gen;
+        def.gates <- -1;
+        let env = List.map (fun p -> (p, 0.0)) def.formal_params
+        and binding = List.mapi (fun i q -> (q, i)) def.formal_qubits in
+        let n = body_gates t ~env ~binding 0 def.body in
+        def.gates <- n;
+        n
+      end
+
+and body_gates t ~env ~binding acc = function
+  | [] -> acc
+  | (stmt : body_stmt) :: rest ->
+    check_stmt t ~env ~binding stmt;
+    let acc = acc + call_gates t stmt.callee in
+    if acc > max_expansion then max_expansion + 1
+    else body_gates t ~env ~binding acc rest
+
+(* Apply a gate given already-evaluated parameters and resolved qubit
+   arguments, emitting its gates, once [check_call] has passed it.
+   User-defined gates expand recursively, callees resolved at
+   application (a body may call a gate defined after it). At the
+   statement's own application ([top]) the gates are counted before
+   any is built ([call_gates]), so an expansion that goes ahead ends
+   within [max_expansion] gates. *)
+let rec apply_gate t ~top line col name params args =
+  check_call t line col name (List.length params) args;
+  match (word_of name, args) with
+  | W_cx, [ Qubit a; Qubit b ] -> emit t (Gate.Cnot (a, b))
+  | W_cz, [ Qubit a; Qubit b ] -> emit t (Gate.Cz (a, b))
+  | W_swap, [ Qubit a; Qubit b ] -> emit t (Gate.Swap (a, b))
+  | W_ccx, [ Qubit a; Qubit b; Qubit c ] ->
+    List.iter (emit t) (Decompose.toffoli a b c)
+  | (W_cx | W_cz | W_swap | W_ccx), _ -> () (* refused by [check_call] *)
+  | _, _ when Names.find_string t.defs name >= 0 ->
+    let def = t.def_list.(Names.find_string t.defs name) in
+    if top then begin
+      t.count_gen <- t.count_gen + 1;
+      if call_gates t name > max_expansion then raise_notrace Too_many_gates
+    end;
+    let qubit_binding =
+      List.combine def.formal_qubits (List.map (one_qubit line col) args)
+    in
     let param_binding = List.combine def.formal_params params in
     List.iter
       (fun (stmt : body_stmt) ->
         let n = Array.length stmt.starts - 1 in
         eval_params t stmt.code stmt.starts n ~env:param_binding;
         let callee_params = Array.to_list (Array.sub t.params 0 n) in
-        let callee_args =
-          List.map
-            (fun formal ->
-              match List.assoc_opt formal qubit_binding with
-              | Some q -> Qubit q
-              | None ->
-                fail stmt.callee_line stmt.callee_col
-                  "unknown qubit argument %S" formal)
-            stmt.qargs
-        in
-        apply_gate t ~depth:(depth + 1) stmt.callee_line stmt.callee_col
-          stmt.callee callee_params callee_args)
+        apply_gate t ~top:false stmt.callee_line stmt.callee_col stmt.callee
+          callee_params
+          (stmt_args stmt qubit_binding))
       def.body
-  | _, [ Qubit q ] ->
-    emit t (Gate.Single (single_kind_of line col name word params, q))
-  | _, [ Whole reg ] ->
-    let kind = single_kind_of line col name word params in
+  | word, [ Qubit q ] ->
+    emit t (Gate.Single (single_kind word (Array.of_list params), q))
+  | word, [ Whole reg ] ->
+    let kind = single_kind word (Array.of_list params) in
+    if reg.size > max_expansion then raise_notrace Too_many_gates;
     for i = 0 to reg.size - 1 do
       emit t (Gate.Single (kind, reg.base + i))
     done
-  | _, _ -> fail line col "gate %S expects exactly 1 qubit argument" name
+  | _, _ -> () (* refused by [check_call] *)
 
 (* gate name(p, ...) q, ... { callee(expr, ...) q, ...; ... } *)
 let parse_gate_def t =
@@ -1102,7 +1182,16 @@ let parse_gate_def t =
   let d = Array.length t.def_list in
   t.def_list <-
     Array.append t.def_list
-      [| { def_name = name; formal_params; formal_qubits; body = List.rev !body } |];
+      [|
+        {
+          def_name = name;
+          formal_params;
+          formal_qubits;
+          body = List.rev !body;
+          counted = -1;
+          gates = 0;
+        };
+      |];
   Names.add t.defs name d
 
 let parse_register t word =
@@ -1167,6 +1256,8 @@ let parse_measure t ~build line col =
   else if src < 0 && dst < 0 && t.qregs.size.(-src - 1) = t.cregs.size.(-dst - 1)
   then begin
     let qb = t.qregs.base.(-src - 1) and cb = t.cregs.base.(-dst - 1) in
+    if t.qregs.size.(-src - 1) > max_expansion then
+      fail line col "measure expands to more than %d gates" max_expansion;
     for i = 0 to t.qregs.size.(-src - 1) - 1 do
       emit t (Gate.Measure (qb + i, cb + i))
     done;
@@ -1222,12 +1313,15 @@ let parse_application t ~build ~word ~def line col name =
   | _ ->
     let params = Array.to_list (Array.sub t.params 0 n_params) in
     let args = List.init t.nargs (fun k -> arg_of t.qregs t.args.(k)) in
-    (try apply_gate t ~depth:0 line col name params args
-     with Recursive_gate ->
-       fail line col
-         "gate %S expands without end: a gate definition it uses calls \
-          itself"
-         name);
+    (try apply_gate t ~top:true line col name params args with
+    | Recursive_gate ->
+      fail line col
+        "gate %S expands without end: a gate definition it uses calls \
+         itself"
+        name
+    | Too_many_gates ->
+      fail line col "gate %S expands to more than %d gates" name
+        max_expansion);
     Nothing
 
 (* Parse one statement. Returns what it produced, [Nothing] when that
@@ -1291,6 +1385,7 @@ let make refill =
     cregs = new_regs ();
     defs = Names.create ();
     def_list = [||];
+    count_gen = 0;
     n_qubits = 0;
     n_clbits = 0;
     fifo = Array.make 16 (Gate.Barrier []);

@@ -32,10 +32,18 @@ exception Parse_error of { line : int; column : int; message : string }
     twice ([cx q\[0\],q\[0\]], [barrier q\[0\],q\[0\]]), and the
     application of a user gate whose expansion recurses: a definition
     that calls itself, directly or through another definition, is
-    refused at the application (naming the applied gate) once the
-    expansion nests deeper than the number of definitions, so it costs
-    at most that many levels of expansion. A body may still call a gate
-    defined after it. *)
+    refused at the application (naming the applied gate) before any of
+    its gates is built. A body may still call a gate defined after
+    it. *)
+
+val max_expansion : int
+(** 2{^20}: the most gates one statement may expand to. An application
+    whose expansion would exceed it — a user gate whose definitions
+    multiply its gates, or a broadcast or whole-register [measure] over
+    more qubits — is a {!Parse_error} at the application, naming the
+    gate, raised before any of its gates is built: the count walks the
+    definitions the call reaches, each once. It bounds one statement;
+    many statements under the bound are not bounded together. *)
 
 type t
 (** A parser over a partially-consumed input stream. *)

@@ -505,6 +505,80 @@ let test_recursive_gate_refused () =
   check Alcotest.int "a call to a later definition parses" 1
     (Circuit.length forward)
 
+(* A chain of definitions, each calling the one before twice: [levels]
+   doublings of [g0]'s one gate. *)
+let doubling_chain levels =
+  let b = Buffer.create 1024 in
+  Buffer.add_string b
+    "OPENQASM 2.0;\ninclude \"qelib1.inc\";\nqreg q[1];\ngate g0 a { h a; }\n";
+  for i = 1 to levels do
+    Printf.bprintf b "gate g%d a { g%d a; g%d a; }\n" i (i - 1) (i - 1)
+  done;
+  Printf.bprintf b "g%d q[0];\n" levels;
+  Buffer.contents b
+
+(* A statement that would expand to more than [max_expansion] gates is
+   refused at the application, naming the gate, by every entry point of
+   the frontend and before the expansion is built: 917 bytes that
+   expand to 2^30 gates cost under a megabyte. *)
+let test_gate_fan_out_refused () =
+  let text = doubling_chain 30 in
+  check Alcotest.int "the 917-byte file" 917 (String.length text);
+  List.iter
+    (fun (entry, parse) ->
+      let before = Gc.allocated_bytes () in
+      (match parse text with
+      | exception Qasm.Parse_error { line; message; _ } ->
+        check Alcotest.int (entry ^ ": at the application") 35 line;
+        check Alcotest.bool
+          (entry ^ ": names the gate: " ^ message)
+          true
+          (Helpers.contains ~sub:"\"g30\"" message)
+      | () -> Alcotest.failf "%s: parsed" entry);
+      let bytes = Gc.allocated_bytes () -. before in
+      check Alcotest.bool
+        (Printf.sprintf "%s: %.0f bytes allocated < 1 MB" entry bytes)
+        true (bytes < 1e6))
+    [
+      ("Qasm.of_string", fun s -> ignore (Qasm.of_string s));
+      ( "Qasm_stream.survey",
+        fun s ->
+          ignore (Quantum.Qasm_stream.survey (Quantum.Qasm_stream.of_string s))
+      );
+      ( "Qasm_stream.gates",
+        fun s ->
+          let next = Quantum.Qasm_stream.gates (Quantum.Qasm_stream.of_string s) in
+          while next () <> None do
+            ()
+          done );
+    ];
+  check Alcotest.int "a 10-level chain parses to 1,024 gates" 1024
+    (Circuit.length (Qasm.of_string (doubling_chain 10)));
+  (* a cycle is refused by the count, before any gate is built: a
+     definition that emits 15,000 gates before it calls itself costs
+     no more than its parse *)
+  let b = Buffer.create 16_384 in
+  Buffer.add_string b "OPENQASM 2.0;\nqreg q[3];\ngate c a, b, e {";
+  for _ = 1 to 1000 do
+    Buffer.add_string b " ccx a, b, e;"
+  done;
+  Buffer.add_string b " c a, b, e; }\nc q[0], q[1], q[2];\n";
+  let before = Gc.allocated_bytes () in
+  (match Qasm.of_string (Buffer.contents b) with
+  | exception Qasm.Parse_error { line; message; _ } ->
+    check Alcotest.int "a cycle: at the application" 4 line;
+    check Alcotest.bool
+      ("a cycle: refused as recursive: " ^ message)
+      true
+      (Helpers.contains ~sub:"\"c\" expands without end" message)
+  | _ -> Alcotest.fail "a cycle: parsed");
+  let bytes = Gc.allocated_bytes () -. before in
+  check Alcotest.bool
+    (Printf.sprintf "a cycle: %.0f bytes allocated < 1 MB" bytes)
+    true (bytes < 1e6);
+  check Alcotest.bool "the bound is 2^20 gates" true
+    (Quantum.Qasm_stream.max_expansion = 1 lsl 20)
+
 let suite =
   [
     tc "parse basic program" `Quick test_parse_basic;
@@ -533,4 +607,6 @@ let suite =
       test_eager_parse_allocation_budget;
     tc "recursive gate definitions refused at application" `Quick
       test_recursive_gate_refused;
+    tc "gate fan-out refused before it expands" `Quick
+      test_gate_fan_out_refused;
   ]

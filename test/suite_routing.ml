@@ -444,8 +444,25 @@ let test_scoring_stats_reported () =
     (d.scoring.Sabre.Stats.delta_terms < d.scoring.Sabre.Stats.full_terms);
   check Alcotest.int "same work measured either way"
     d.scoring.Sabre.Stats.full_terms f.scoring.Sabre.Stats.full_terms;
-  check Alcotest.int "full mode recomputes everything"
-    f.scoring.Sabre.Stats.full_terms f.scoring.Sabre.Stats.delta_terms
+  (* full mode on an integer metric prunes: it makes fewer lookups than
+     a full recompute, over the same decisions and candidates *)
+  check Alcotest.bool "full mode skips lookups" true
+    (f.scoring.Sabre.Stats.delta_terms < f.scoring.Sabre.Stats.full_terms);
+  check
+    Alcotest.(list int)
+    "full counts delta's decisions, candidates and full terms"
+    [
+      d.scoring.Sabre.Stats.decisions;
+      d.scoring.Sabre.Stats.candidates;
+      d.scoring.Sabre.Stats.full_terms;
+    ]
+    [
+      f.scoring.Sabre.Stats.decisions;
+      f.scoring.Sabre.Stats.candidates;
+      f.scoring.Sabre.Stats.full_terms;
+    ];
+  check Alcotest.bool "the modes route alike" true
+    (Circuit.equal d.physical f.physical)
 
 let test_non_integer_metric_falls_back_to_full () =
   (* a non-integer metric (e.g. noise-weighted) cannot use exact integer
@@ -472,7 +489,9 @@ let test_non_integer_metric_falls_back_to_full () =
   check Alcotest.int "no delta savings on a float metric"
     a.scoring.Sabre.Stats.full_terms a.scoring.Sabre.Stats.delta_terms;
   check Alcotest.bool "scored something" true
-    (a.scoring.Sabre.Stats.full_terms > 0)
+    (a.scoring.Sabre.Stats.full_terms > 0);
+  check Alcotest.int "forced full makes every lookup on a float metric"
+    b.scoring.Sabre.Stats.full_terms b.scoring.Sabre.Stats.delta_terms
 
 let test_mismatched_dist_int_rejected () =
   let device = Devices.linear 4 in
@@ -605,6 +624,73 @@ let test_width_rule_picks_scorer () =
         ((Sabre.Engine.Context.create device c).scoring_mode = expected))
     [ (w - 1, Routing_pass.Full); (w, Routing_pass.Delta) ]
 
+(* The pruned full scorer's bound on a matrix that is not a metric:
+   squared hop distances are symmetric, integer and zero on the
+   diagonal, but break the triangle inequality, so a SWAP can move a
+   pair term by more than 1 (by up to 2·diameter − 1 here). The bound
+   must use each edge's own shift: assuming hop distances' shift of 1
+   rules out candidates that win, and full then routes apart from delta,
+   whose per-candidate deltas are exact, and from an unpruned
+   recompute. *)
+let test_pruned_bound_on_non_metric () =
+  let device = Devices.ibm_q20_tokyo () in
+  let n = Coupling.n_qubits device in
+  let hops = Hardware.Dist_cache.hop_distances_int device in
+  let dist_int = Array.map (fun d -> d * d) hops in
+  let dist = Array.map float_of_int dist_int in
+  let widened = ref false in
+  for e = 0 to Coupling.n_edges device - 1 do
+    let a, b = Coupling.edge_endpoints device e in
+    for x = 0 to n - 1 do
+      if abs (dist_int.((a * n) + x) - dist_int.((b * n) + x)) >= 2 then
+        widened := true
+    done
+  done;
+  check Alcotest.bool "some coupling edge shifts a term by 2 or more" true
+    !widened;
+  List.iter
+    (fun seed ->
+      let c = Helpers.random_circuit ~seed ~n:12 ~gates:240 in
+      let dag = Dag.of_circuit c in
+      let m = Mapping.identity ~n_logical:12 ~n_physical:n in
+      List.iter
+        (fun h ->
+          let config = { single_pass with Config.heuristic = h } in
+          let route scoring =
+            Routing_pass.run ~dist ~dist_int ~scoring config device dag m
+          in
+          let d = route Routing_pass.Delta and f = route Routing_pass.Full in
+          let label =
+            Printf.sprintf "seed %d, %s" seed
+              (match h with
+              | Config.Basic -> "basic"
+              | Lookahead -> "lookahead"
+              | Decay -> "decay")
+          in
+          check Alcotest.bool (label ^ ": full routes as delta") true
+            (Circuit.equal d.physical f.physical
+            && Mapping.l2p_array d.final_mapping
+               = Mapping.l2p_array f.final_mapping);
+          (* without its integer view the matrix is recomputed in full,
+             in float, unpruned *)
+          let u =
+            Routing_pass.run ~dist ~scoring:Routing_pass.Full config device
+              dag m
+          in
+          check Alcotest.bool (label ^ ": full routes as unpruned") true
+            (Circuit.equal u.physical f.physical
+            && u.scoring.Sabre.Stats.delta_terms
+               = u.scoring.Sabre.Stats.full_terms);
+          (* Basic has no extended set, so nothing is left to skip *)
+          check Alcotest.bool
+            (label ^ ": full makes fewer lookups than a full recompute")
+            true
+            ((if h = Config.Basic then ( <= ) else ( < ))
+               f.scoring.Sabre.Stats.delta_terms
+               f.scoring.Sabre.Stats.full_terms))
+        [ Config.Basic; Config.Lookahead; Config.Decay ])
+    [ 1; 2; 3; 4 ]
+
 let suite =
   [
     tc "executable circuit untouched" `Quick test_executable_circuit_untouched;
@@ -651,4 +737,6 @@ let suite =
     tc "mapping-only allocation budget" `Quick
       test_mapping_only_allocation_budget;
     tc "width rule picks the scorer" `Quick test_width_rule_picks_scorer;
+    tc "pruned full scoring on a non-metric matrix" `Quick
+      test_pruned_bound_on_non_metric;
   ]

@@ -732,6 +732,24 @@ let test_recursive_gate_definition () =
       | r -> Alcotest.failf "next request: %s" (P.encode_response r));
       check Alcotest.int "one served" 1 (Server.stats server).P.served)
 
+(* A request whose gate definitions double 30 times (2^30 gates from
+   917 bytes) gets a typed qasm_error before the expansion is built, and
+   the daemon answers the next request. *)
+let test_gate_fan_out () =
+  let b = Buffer.create 1024 in
+  Buffer.add_string b
+    "OPENQASM 2.0;\ninclude \"qelib1.inc\";\nqreg q[1];\ngate g0 a { h a; }\n";
+  for i = 1 to 30 do
+    Printf.bprintf b "gate g%d a { g%d a; g%d a; }\n" i (i - 1) (i - 1)
+  done;
+  Buffer.add_string b "g30 q[0];\n";
+  with_server ~domains:1 (fun path server ->
+      expect_error P.Qasm_error (rpc path (compile_req (Buffer.contents b)));
+      (match rpc path (compile_req ~id:"next" small_qasm) with
+      | P.Ok_compiled _ -> ()
+      | r -> Alcotest.failf "next request: %s" (P.encode_response r));
+      check Alcotest.int "one served" 1 (Server.stats server).P.served)
+
 let test_oversized_request () =
   with_server ~domains:1 ~max_request_bytes:4096 (fun path _server ->
       expect_error P.Oversized
@@ -1531,4 +1549,5 @@ let suite =
       test_poisoned_cache_entry_refused;
     tc "recursive gate definition refused, daemon answers on" `Quick
       test_recursive_gate_definition;
+    tc "gate fan-out refused, daemon answers on" `Quick test_gate_fan_out;
   ]
