@@ -215,8 +215,8 @@ def compile_req(rid, seed, **extra):
 
 def serve_protocol():
     # valid compiles, a malformed line, an oversized line (the 4096-byte cap
-    # makes it cheap to trip), a pre-expired deadline and a stats probe; the
-    # daemon's own counters must agree with what was sent
+    # makes it cheap to trip), a pre-expired deadline, an unknown router and
+    # a stats probe; the daemon's own counters must agree with what was sent
     with daemon("serve-protocol", "--max-request-bytes", "4096") as (proc, sock):
         c = Conn(sock)
         served = 0
@@ -248,6 +248,11 @@ def serve_protocol():
         assert after["qasm"] == first["qasm"], "pool poisoned by timeout"
         served += 1
 
+        # an unknown router gets its own typed error at admission and never
+        # becomes a worker job
+        unknown = c.rpc(compile_req("f", 7, router="astar-deluxe"))
+        assert unknown["kind"] == "error" and unknown["error"] == "invalid", unknown
+
         # the bad-json line and the oversized frame both land in "malformed"
         stats = c.rpc({"kind": "stats", "id": "s"})
         c.close()
@@ -258,7 +263,7 @@ def serve_protocol():
         assert stats["malformed"] == 2, stats
         assert stats["timed_out"] == 1, stats
         assert stats["rejected"] == 0, stats
-        assert stats["errored"] == 0, stats
+        assert stats["errored"] == 1, stats
         assert stats["domains"] == 2, stats
         # a request counts one hit or one miss (Compile_cache's counting
         # semantics): "b" and "e" hit at admission, the cold "a" misses once
@@ -268,7 +273,7 @@ def serve_protocol():
         assert stats["cache_entries"] >= 1, stats
         assert stats["cache_bytes"] > 0, stats
         # every popped job counts, the timed-out pickup included, but
-        # admission-time cache hits never become jobs
+        # admission-time cache hits and the refused router never become jobs
         jobs = sum(d["jobs_run"] for d in stats["per_domain"])
         assert jobs == served + 1 - stats["cache_hits"], (jobs, served, stats)
         stop(proc, sock)

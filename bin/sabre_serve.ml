@@ -9,7 +9,7 @@
    and exits 0. *)
 
 let run socket port host domains queue deadline max_request_bytes trace
-    cache_mb no_cache dist_cache_entries =
+    cache_mb dist_cache_entries =
   let endpoint =
     match (socket, port) with
     | Some _, Some _ ->
@@ -34,9 +34,9 @@ let run socket port host domains queue deadline max_request_bytes trace
       dist_cache_entries;
     exit 2
   end;
-  Engine.Compile_cache.set_capacity_mb (if no_cache then 0 else cache_mb);
+  Engine.Compile_cache.set_capacity_mb cache_mb;
   Hardware.Dist_cache.set_capacity dist_cache_entries;
-  let cache = (not no_cache) && cache_mb > 0 in
+  let cache = cache_mb > 0 in
   let server =
     try
       Serve.Server.start ~domains ~queue_capacity:queue ~cache
@@ -120,13 +120,6 @@ let cache_mb =
               already routed is answered at admission, byte-identically, \
               without occupying a worker. 0 disables caching.")
 
-let no_cache =
-  Arg.(
-    value & flag
-    & info [ "no-cache" ]
-        ~doc:"Disable the compile cache: every request routes from \
-              scratch on a worker domain.")
-
 let dist_cache_entries =
   Arg.(
     value & opt int 16
@@ -154,7 +147,6 @@ let cmd =
     (Cmd.info "sabre_serve" ~version:"1.0.0" ~doc ~man)
     Term.(
       const run $ socket $ port $ host $ domains $ queue $ deadline
-      $ max_request_bytes $ trace $ cache_mb $ no_cache
-      $ dist_cache_entries)
+      $ max_request_bytes $ trace $ cache_mb $ dist_cache_entries)
 
 let () = exit (Cmd.eval' cmd)

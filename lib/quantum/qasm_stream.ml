@@ -798,7 +798,8 @@ type t = {
   qregs : regs;
   cregs : regs;
   defs : Names.t;  (* name -> index into [def_list] *)
-  mutable def_list : gate_def array;
+  mutable def_list : gate_def array;  (* the first [n_defs] are live *)
+  mutable n_defs : int;
   mutable count_gen : int;  (* one per counted application *)
   mutable n_qubits : int;
   mutable n_clbits : int;
@@ -1179,19 +1180,26 @@ let parse_gate_def t =
       end
   in
   body_loop ();
-  let d = Array.length t.def_list in
-  t.def_list <-
-    Array.append t.def_list
-      [|
-        {
-          def_name = name;
-          formal_params;
-          formal_qubits;
-          body = List.rev !body;
-          counted = -1;
-          gates = 0;
-        };
-      |];
+  let def =
+    {
+      def_name = name;
+      formal_params;
+      formal_qubits;
+      body = List.rev !body;
+      counted = -1;
+      gates = 0;
+    }
+  in
+  (* grown by doubling, like [fifo]: appending one definition at a time
+     would copy the array on each, quadratic in the definition count *)
+  let d = t.n_defs in
+  if d >= Array.length t.def_list then begin
+    let a = Array.make (max 8 (2 * d)) def in
+    Array.blit t.def_list 0 a 0 d;
+    t.def_list <- a
+  end;
+  t.def_list.(d) <- def;
+  t.n_defs <- d + 1;
   Names.add t.defs name d
 
 let parse_register t word =
@@ -1364,7 +1372,7 @@ let parse_statement t ~build =
   | W_other | W_cx | W_cz | W_swap | W_ccx | W_fixed _ | W_rx | W_ry | W_rz
   | W_u1 | W_u2 | W_u3 ->
     let def =
-      if Array.length t.def_list = 0 then -1
+      if t.n_defs = 0 then -1
       else Names.find t.defs lx.buf lx.start len
     in
     let name =
@@ -1385,6 +1393,7 @@ let make refill =
     cregs = new_regs ();
     defs = Names.create ();
     def_list = [||];
+    n_defs = 0;
     count_gen = 0;
     n_qubits = 0;
     n_clbits = 0;

@@ -5,9 +5,10 @@ module Config = Sabre_core.Config
 module Mapping = Sabre_core.Mapping
 
 let wall = Unix.gettimeofday
+let ( let* ) = Result.bind
 
 (* ------------------------------------------------------------------ *)
-(* Jobs and result slots                                               *)
+(* Requests, jobs and result slots                                     *)
 (* ------------------------------------------------------------------ *)
 
 (* One-shot rendezvous between the connection thread that admitted a
@@ -40,18 +41,35 @@ let await slot =
   in
   go ()
 
-type work =
-  | W_compile of Protocol.compile
-  | W_portfolio of Protocol.portfolio
+(* What every reply to a compile or portfolio request needs: its id,
+   when its line was decoded, and the absolute deadline counted from
+   then ([infinity] = none, [neg_infinity] = expired on arrival). *)
+type ticket = { id : string; received : float; deadline : float }
 
-let work_id = function
-  | W_compile c -> c.Protocol.id
-  | W_portfolio p -> p.Protocol.id
+(* What routes a request: one registered router under its name (the
+   name the compile cache keys with), or a portfolio's entries. *)
+type recipe =
+  | By_router of { name : string; router : Engine.Router.t }
+  | By_portfolio of {
+      entries : Engine.Portfolio.entry list;
+      objective : Engine.Portfolio.objective;
+      race : bool;
+    }
+
+(* A compile or portfolio request resolved once, on its connection
+   thread. The admission probe and the worker both read it, so a worker
+   only routes. *)
+type resolved = {
+  config : Config.t;  (** validated *)
+  recipe : recipe;
+  device : Hardware.Coupling.t;
+  circuit : Quantum.Circuit.t;
+  cache : bool;  (** the server caches and the request allows it *)
+}
 
 type job = {
-  work : work;
-  deadline : float;  (** absolute; [infinity] = none *)
-  admitted_at : float;
+  ticket : ticket;
+  req : resolved;
   slot : slot;
   conn_fd : Unix.file_descr;
       (** the requesting connection, for the disconnect probe; its
@@ -61,27 +79,29 @@ type job = {
 
 (* Cooperative cancellation probe for an in-flight job: the routing
    hook polls this every few dozen decisions. Deadline expiry is a
-   clock read; client disconnect is a zero-timeout select + MSG_PEEK
-   (the connection thread never reads while parked in [await], so a
-   readable-but-empty socket can only mean EOF; pipelined requests
-   peek as data and keep the job alive). Any socket error counts as a
-   disconnect — nobody is left to read the answer. *)
+   clock read; client disconnect is one non-blocking MSG_PEEK [recv],
+   which works on any descriptor number (a [select] fails on one past
+   FD_SETSIZE). The connection thread never reads while parked in
+   [await], so it cannot race the switch to non-blocking mode, and an
+   empty read can only mean EOF; pipelined requests peek as data and
+   keep the job alive. Any other socket error counts as a disconnect —
+   nobody is left to read the answer. *)
 let should_stop_probe job =
+  let fd = job.conn_fd and byte = Bytes.create 1 in
   let disconnected () =
-    match Unix.select [ job.conn_fd ] [] [] 0.0 with
-    | [], _, _ -> false
-    | _ :: _, _, _ -> (
-      match Unix.recv job.conn_fd (Bytes.create 1) 0 1 [ Unix.MSG_PEEK ] with
-      | 0 -> true
-      | _ -> false
-      | exception
-          Unix.Unix_error
-            ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) ->
-        false
-      | exception Unix.Unix_error _ -> true)
-    | exception Unix.Unix_error _ -> true
+    match
+      Unix.set_nonblock fd;
+      Fun.protect
+        ~finally:(fun () -> Unix.clear_nonblock fd)
+        (fun () -> Unix.recv fd byte 0 1 [ Unix.MSG_PEEK ])
+    with
+    | n -> n = 0
+    | exception
+        Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) ->
+      false
+    | exception _ -> true
   in
-  fun () -> wall () > job.deadline || disconnected ()
+  fun () -> wall () > job.ticket.deadline || disconnected ()
 
 (* ------------------------------------------------------------------ *)
 (* Server state                                                        *)
@@ -216,7 +236,7 @@ let stats t : Protocol.server_stats =
   }
 
 (* ------------------------------------------------------------------ *)
-(* The compile path: exactly Engine.Batch's per-job pipeline           *)
+(* Resolving a request: config, recipe, device, then source            *)
 (* ------------------------------------------------------------------ *)
 
 let config_of_overrides (o : Protocol.overrides) =
@@ -240,8 +260,6 @@ let error_id id kind fmt =
     (fun message -> Protocol.Error_resp { id; kind; message })
     fmt
 
-let error (c : Protocol.compile) kind fmt = error_id c.Protocol.id kind fmt
-
 (* [device] bounds the declared width before any gate is expanded *)
 let parse_source ~device id source =
   let max_qubits = Hardware.Coupling.n_qubits device in
@@ -254,6 +272,27 @@ let parse_source ~device id source =
     Error (error_id id Protocol.Qasm_error "%d:%d: %s" line column message)
   | exception Sys_error msg -> Error (error_id id Protocol.Invalid "%s" msg)
   | circuit -> Ok circuit
+
+(* The one resolver of compile and portfolio requests. Each failure is a
+   typed error, checked in this order: the config, the [recipe] (the
+   router, or the portfolio spec and objective), the device, then the
+   source. *)
+let resolve t id ~overrides ~device ~device_size ~source ~cache recipe =
+  let invalid fmt = error_id id Protocol.Invalid fmt in
+  let config = config_of_overrides overrides in
+  let* () = Result.map_error (invalid "config: %s") (Config.validate config) in
+  let* recipe = Result.map_error (invalid "%s") recipe in
+  let* device =
+    match Devices.by_name device device_size with
+    | device -> Ok device
+    | exception Invalid_argument msg -> Error (invalid "device: %s" msg)
+  in
+  let* circuit = parse_source ~device id source in
+  Ok { config; recipe; device; circuit; cache = t.cache && cache }
+
+(* ------------------------------------------------------------------ *)
+(* Routing: exactly Engine.Batch's per-job pipeline                    *)
+(* ------------------------------------------------------------------ *)
 
 (* The reply body of a compile, and the typed error for each exception
    a compile raises. Router compiles, the admission probe and portfolio
@@ -285,148 +324,115 @@ let compile_error id = function
   | Invalid_argument msg -> error_id id Protocol.Invalid "%s" msg
   | e -> raise e
 
-let compile_request t ?should_stop (c : Protocol.compile) : Protocol.response =
-  match
-    let config = config_of_overrides c.overrides in
-    (match Config.validate config with
-    | Ok () -> Ok config
-    | Error msg -> Error (error c Protocol.Invalid "config: %s" msg))
-    |> Result.map (fun config ->
-           match Engine.Router.find c.router with
-           | None ->
-             Error
-               (error c Protocol.Invalid "unknown router %S (available: %s)"
-                  c.router
-                  (String.concat ", " (Engine.Router.names ())))
-           | Some router -> Ok (config, router))
-    |> Result.join
-    |> Result.map (fun (config, router) ->
-           match Devices.by_name c.device c.device_size with
-           | device -> Ok (config, router, device)
-           | exception Invalid_argument msg ->
-             Error (error c Protocol.Invalid "device: %s" msg))
-    |> Result.join
-  with
-  | Error resp -> resp
-  | Ok (config, router, device) -> (
-    match parse_source ~device c.id c.source with
-    | Error resp -> resp
-    | Ok circuit ->
-      let race =
-        Option.map (fun f -> Engine.Race.token ~should_stop:f ()) should_stop
-      in
-      let cache_spec =
-        (* [Router.find] is an exact-name lookup, so [c.router] is the
-           canonical router name the cache keys with *)
-        if t.cache && c.cache then Some c.router else None
-      in
-      (* sequential trials and verification on: the same compile as
-         [Engine.Batch] and [sabre_compile], so the QASM we answer with
-         is byte-identical to theirs for the same inputs *)
-      let resp =
-        match
-          Engine.Pipeline.compile ~config ~router ?race ?cache_spec
-            ~instrument:t.instrument device circuit
-        with
-        | k -> Protocol.Ok_compiled (reply c.id k)
-        | exception e -> compile_error c.id e
-      in
-      bump_router t c.router
-        (match resp with Protocol.Ok_compiled _ -> `Ok | _ -> `Err);
-      resp)
+(* The catch-all of both threads that run a request: a stray exception
+   becomes a typed error on this one request, and neither the worker
+   nor the connection thread dies with it. *)
+let internal_error id exn =
+  error_id id Protocol.Route_error "internal error: %s" (Printexc.to_string exn)
 
-(* A portfolio request: Engine.Portfolio over the entries, the winner
-   answered in the Ok_compiled shape plus per-entry outcomes. *)
-let portfolio_request t ?should_stop (p : Protocol.portfolio) :
-    Protocol.response =
-  let err kind fmt = error_id p.id kind fmt in
-  match
-    let config = config_of_overrides p.overrides in
-    (match Config.validate config with
-    | Ok () -> Ok config
-    | Error msg -> Error (err Protocol.Invalid "config: %s" msg))
-    |> Result.map (fun config ->
-           match Engine.Portfolio.parse_spec p.spec with
-           | Ok entries -> Ok (config, entries)
-           | Error msg -> Error (err Protocol.Invalid "%s" msg))
-    |> Result.join
-    |> Result.map (fun (config, entries) ->
-           match Engine.Portfolio.objective_of_string p.objective with
-           | Ok objective -> Ok (config, entries, objective)
-           | Error msg -> Error (err Protocol.Invalid "%s" msg))
-    |> Result.join
-    |> Result.map (fun (config, entries, objective) ->
-           match Devices.by_name p.device p.device_size with
-           | device -> Ok (config, entries, objective, device)
-           | exception Invalid_argument msg ->
-             Error (err Protocol.Invalid "device: %s" msg))
-    |> Result.join
-  with
-  | Error resp -> resp
-  | Ok (config, entries, objective, device) -> (
-    match parse_source ~device p.id p.source with
-    | Error resp -> resp
-    | Ok circuit -> (
-      let names =
-        Array.of_list (List.map Engine.Portfolio.entry_name entries)
-      in
-      let t0 = wall () in
+let outcome = function Protocol.Ok_compiled _ -> `Ok | _ -> `Err
+
+(* Route a resolved request on a worker. A router compile runs with
+   sequential trials and verification on: the same compile as
+   [Engine.Batch] and [sabre_compile], so the QASM we answer with is
+   byte-identical to theirs for the same inputs. A portfolio answers its
+   winner in the Ok_compiled shape plus per-entry outcomes. *)
+let route t ~should_stop id (r : resolved) : Protocol.response =
+  match r.recipe with
+  | By_router { name; router } ->
+    let resp =
       match
-        Engine.Portfolio.run ~domains:1 ~objective ~config ~verify:true
-          ~race:p.race ~cache:(t.cache && p.cache) ?cancel:should_stop
-          ~instrument:t.instrument device circuit entries
+        Engine.Pipeline.compile ~config:r.config ~router
+          ~race:(Engine.Race.token ~should_stop ())
+          ?cache_spec:(if r.cache then Some name else None)
+          ~instrument:t.instrument r.device r.circuit
       with
-      | exception e ->
-        (* every entry ran and failed; an invalid request ran none *)
-        (match e with
-        | Engine.Router.Route_failed _ ->
-          Array.iter (fun n -> bump_router t n `Err) names
-        | _ -> ());
-        compile_error p.id e
-      | report ->
-        Array.iteri
+      | k -> Protocol.Ok_compiled (reply id k)
+      | exception e -> compile_error id e
+    in
+    bump_router t name (outcome resp);
+    resp
+  | By_portfolio { entries; objective; race } -> (
+    let names = Array.of_list (List.map Engine.Portfolio.entry_name entries) in
+    let t0 = wall () in
+    match
+      Engine.Portfolio.run ~domains:1 ~objective ~config:r.config ~verify:true
+        ~race ~cache:r.cache ~cancel:should_stop ~instrument:t.instrument
+        r.device r.circuit entries
+    with
+    | exception e ->
+      (* every entry ran and failed; an invalid request ran none *)
+      (match e with
+      | Engine.Router.Route_failed _ ->
+        Array.iter (fun n -> bump_router t n `Err) names
+      | _ -> ());
+      compile_error id e
+    | report ->
+      Array.iteri
+        (fun i o ->
+          bump_router t names.(i) (match o with Ok _ -> `Ok | Error _ -> `Err))
+        report.Engine.Portfolio.outcomes;
+      let w = Engine.Portfolio.winner_member report in
+      let members =
+        Array.mapi
           (fun i o ->
-            bump_router t names.(i)
-              (match o with Ok _ -> `Ok | Error _ -> `Err))
-          report.Engine.Portfolio.outcomes;
-        let w = Engine.Portfolio.winner_member report in
-        let members =
-          Array.mapi
-            (fun i o ->
-              let es = report.Engine.Portfolio.entry_stats.(i) in
-              match o with
-              | Ok (m : Engine.Portfolio.member) ->
-                let stats = m.compiled.Engine.Pipeline.stats in
-                {
-                  Protocol.entry = names.(i);
-                  swaps = Some stats.Sabre_core.Stats.n_swaps;
-                  depth = Some stats.Sabre_core.Stats.routed_depth;
-                  value =
-                    Some (Engine.Portfolio.objective_value objective m);
-                  wall_s = Some es.Engine.Portfolio.e_wall_s;
-                  cancelled = es.Engine.Portfolio.e_cancelled;
-                  error = None;
-                }
-              | Error msg ->
-                {
-                  Protocol.entry = names.(i);
-                  swaps = None;
-                  depth = None;
-                  value = None;
-                  wall_s = Some es.Engine.Portfolio.e_wall_s;
-                  cancelled = es.Engine.Portfolio.e_cancelled;
-                  error = Some msg;
-                })
-            report.Engine.Portfolio.outcomes
-        in
-        Protocol.Ok_portfolio
-          {
-            compiled =
-              reply p.id ~time_s:(wall () -. t0)
-                w.Engine.Portfolio.compiled;
-            winner = names.(report.Engine.Portfolio.winner);
-            members;
-          }))
+            let es = report.Engine.Portfolio.entry_stats.(i) in
+            match o with
+            | Ok (m : Engine.Portfolio.member) ->
+              let stats = m.compiled.Engine.Pipeline.stats in
+              {
+                Protocol.entry = names.(i);
+                swaps = Some stats.Sabre_core.Stats.n_swaps;
+                depth = Some stats.Sabre_core.Stats.routed_depth;
+                value = Some (Engine.Portfolio.objective_value objective m);
+                wall_s = Some es.Engine.Portfolio.e_wall_s;
+                cancelled = es.Engine.Portfolio.e_cancelled;
+                error = None;
+              }
+            | Error msg ->
+              {
+                Protocol.entry = names.(i);
+                swaps = None;
+                depth = None;
+                value = None;
+                wall_s = Some es.Engine.Portfolio.e_wall_s;
+                cancelled = es.Engine.Portfolio.e_cancelled;
+                error = Some msg;
+              })
+          report.Engine.Portfolio.outcomes
+      in
+      Protocol.Ok_portfolio
+        {
+          compiled =
+            reply id ~time_s:(wall () -. t0) w.Engine.Portfolio.compiled;
+          winner = names.(report.Engine.Portfolio.winner);
+          members;
+        })
+
+(* The one exit of every compile and portfolio reply, whether the
+   resolver, the admission probe or a worker made it: a reply finished
+   past its deadline is [timeout], error replies included, and each
+   outcome is counted once. A [timeout] made at pickup keeps its own
+   message. *)
+let finish t tk resp =
+  let now = wall () in
+  let resp =
+    match resp with
+    | Protocol.Error_resp { kind = Protocol.Timeout; _ } -> resp
+    | _ when now > tk.deadline ->
+      (* a deadline that expired on arrival is late by the whole wait *)
+      error_id tk.id Protocol.Timeout
+        "finished %.3fs past the deadline; result discarded"
+        (now -. Float.max tk.deadline tk.received)
+    | _ -> resp
+  in
+  (match resp with
+  | Protocol.Ok_compiled _ | Protocol.Ok_portfolio _ -> bump t t.served "served"
+  | Protocol.Error_resp { kind = Protocol.Timeout; _ } ->
+    bump t t.timed_out "timed_out"
+  | Protocol.Error_resp _ -> bump t t.errored "errored"
+  | Protocol.Ok_stats _ | Protocol.Pong _ -> ());
+  resp
 
 (* ------------------------------------------------------------------ *)
 (* Worker domains                                                      *)
@@ -437,45 +443,25 @@ let worker_loop t i =
     match Rqueue.pop t.queue with
     | None -> () (* closed and drained *)
     | Some job ->
-      let id = work_id job.work in
+      let tk = job.ticket in
+      let t0 = wall () in
       let resp =
-        let now = wall () in
-        if now > job.deadline then
-          error_id id Protocol.Timeout
+        if t0 > tk.deadline then
+          error_id tk.id Protocol.Timeout
             "deadline expired after %.3fs in queue (routing not started)"
-            (now -. job.admitted_at)
+            (t0 -. tk.received)
         else begin
-          let t0 = wall () in
-          let should_stop = should_stop_probe job in
           let resp =
-            try
-              match job.work with
-              | W_compile c -> compile_request t ~should_stop c
-              | W_portfolio p -> portfolio_request t ~should_stop p
-            with exn ->
-              (* a worker never dies with its pool: any stray exception
-                 becomes a typed error on this one request *)
-              error_id id Protocol.Route_error "internal error: %s"
-                (Printexc.to_string exn)
+            try route t ~should_stop:(should_stop_probe job) tk.id job.req
+            with exn -> internal_error tk.id exn
           in
-          let t1 = wall () in
-          Atomic.set t.worker_busy.(i) (Atomic.get t.worker_busy.(i) +. (t1 -. t0));
-          if t1 > job.deadline then
-            error_id id Protocol.Timeout
-              "routing finished %.3fs past the deadline; result discarded"
-              (t1 -. job.deadline)
-          else resp
+          Atomic.set t.worker_busy.(i)
+            (Atomic.get t.worker_busy.(i) +. (wall () -. t0));
+          resp
         end
       in
-      (match resp with
-      | Protocol.Ok_compiled _ | Protocol.Ok_portfolio _ ->
-        bump t t.served "served"
-      | Protocol.Error_resp { kind = Protocol.Timeout; _ } ->
-        bump t t.timed_out "timed_out"
-      | Protocol.Error_resp _ -> bump t t.errored "errored"
-      | Protocol.Ok_stats _ | Protocol.Pong _ -> ());
       Atomic.incr t.worker_jobs.(i);
-      deliver job.slot resp;
+      deliver job.slot (finish t tk resp);
       loop ()
   in
   loop ()
@@ -484,91 +470,90 @@ let worker_loop t i =
 (* Connection threads                                                  *)
 (* ------------------------------------------------------------------ *)
 
-let admit t ~conn_fd work deadline_s =
-  let id = work_id work in
-  let now = wall () in
-  let deadline =
-    match (deadline_s, t.default_deadline_s) with
-    | Some d, _ | None, Some d -> if d <= 0.0 then neg_infinity else now +. d
-    | None, None -> infinity
-  in
-  let slot = new_slot () in
-  match
-    Rqueue.try_push t.queue { work; deadline; admitted_at = now; slot; conn_fd }
-  with
-  | `Ok -> await slot
-  | `Full ->
-    bump t t.rejected "rejected";
-    error_id id Protocol.Queue_full "queue full (%d waiting, capacity %d)"
-      (Rqueue.length t.queue) (Rqueue.capacity t.queue)
-  | `Closed ->
-    error_id id Protocol.Shutting_down
-      "server is draining; request not admitted"
-
-(* Admission-time cache fast path: a compile request whose complete
-   result is already memoized is answered on the connection thread,
-   bypassing the worker queue entirely — a hit costs one QASM parse, one
-   digest and one check of the hit, never a queue slot. A hit that fails
-   its check is answered with the worker's typed verification error.
-   Strictly best-effort otherwise: any parse or validation failure falls
-   through to the normal admission path, which produces the proper typed
-   error. A request whose deadline is already expired is NOT probed — it
-   must time out exactly as before, whatever the cache holds. A draining
-   server is NOT probed either: the request falls through to [admit],
-   whose closed-queue push rejects it with [Shutting_down] like every
-   other request path. *)
-let admission_cache_hit t (c : Protocol.compile) : Protocol.response option =
-  let pre_expired =
-    match (c.Protocol.deadline_s, t.default_deadline_s) with
-    | Some d, _ | None, Some d -> d <= 0.0
-    | None, None -> false
-  in
-  if Rqueue.is_closed t.queue || (not t.cache) || (not c.Protocol.cache)
-     || pre_expired
-  then None
-  else
-    let probe =
-      let config = config_of_overrides c.overrides in
-      match Config.validate config with
-      | Error _ -> None
-      | Ok () -> (
-        match Devices.by_name c.device c.device_size with
-        | exception Invalid_argument _ -> None
-        | coupling -> (
-          match parse_source ~device:coupling c.id c.source with
-          | Error _ -> None
-          | Ok circuit -> (
-            (* a miss here is re-probed, and counted, by the worker *)
-            match
-              Engine.Pipeline.cached ~config ~spec:c.router coupling circuit
-            with
-            | hit -> Option.map (fun k -> Protocol.Ok_compiled (reply c.id k)) hit
-            | exception e -> Some (compile_error c.id e))))
+(* The admission cache probe: a router compile whose result is already
+   memoized is answered on the connection thread, without a queue slot
+   or a worker. A hit that fails its check answers the worker's
+   verification error. A miss counts nothing here: the worker's compile
+   counts it. A request whose deadline expired on arrival is never
+   probed: it is queued and times out at pickup, whatever the cache
+   holds. Neither is a request reaching a draining server, whose closed
+   queue refuses it [shutting_down]. *)
+let probe t tk (r : resolved) =
+  match r.recipe with
+  | By_router { name; _ }
+    when r.cache && tk.deadline > neg_infinity
+         && not (Rqueue.is_closed t.queue) ->
+    let hit =
+      match
+        Engine.Pipeline.cached ~config:r.config ~spec:name r.device r.circuit
+      with
+      | k -> Option.map (fun k -> Protocol.Ok_compiled (reply tk.id k)) k
+      | exception e -> Some (compile_error tk.id e)
     in
-    Option.map
+    Option.iter
       (fun resp ->
         t.instrument.Instrument.emit
           (Instrument.Counter
              { pass = "serve"; name = "cache_admission_hit"; value = 1 });
-        (match resp with
-        | Protocol.Ok_compiled _ ->
-          bump t t.served "served";
-          bump_router t c.router `Ok
-        | _ ->
-          bump t t.errored "errored";
-          bump_router t c.router `Err);
-        resp)
-      probe
+        bump_router t name (outcome resp))
+      hit;
+    hit
+  | _ -> None
+
+(* Admission, from the moment the request line was decoded: resolve the
+   request once, answer it from the compile cache if it can be, else
+   queue it for a worker. The request's own typed error comes before any
+   queue answer. *)
+let admit t ~conn_fd id deadline_s resolve =
+  let received = wall () in
+  let deadline =
+    match (deadline_s, t.default_deadline_s) with
+    | Some d, _ | None, Some d ->
+      if d <= 0.0 then neg_infinity else received +. d
+    | None, None -> infinity
+  in
+  let tk = { id; received; deadline } in
+  match
+    try Result.map (fun req -> (req, probe t tk req)) (resolve ())
+    with exn -> Error (internal_error id exn)
+  with
+  | Error resp | Ok (_, Some resp) -> finish t tk resp
+  | Ok (req, None) -> (
+    let slot = new_slot () in
+    match Rqueue.try_push t.queue { ticket = tk; req; slot; conn_fd } with
+    | `Ok -> await slot
+    | `Full ->
+      bump t t.rejected "rejected";
+      error_id id Protocol.Queue_full "queue full (%d waiting, capacity %d)"
+        (Rqueue.length t.queue) (Rqueue.capacity t.queue)
+    | `Closed ->
+      error_id id Protocol.Shutting_down
+        "server is draining; request not admitted")
 
 let handle_request t ~conn_fd (req : Protocol.request) : Protocol.response =
   match req with
   | Protocol.Ping { id } -> Protocol.Pong { id }
   | Protocol.Stats { id } -> Protocol.Ok_stats { id; stats = stats t }
-  | Protocol.Compile c -> (
-    match admission_cache_hit t c with
-    | Some resp -> resp
-    | None -> admit t ~conn_fd (W_compile c) c.deadline_s)
-  | Protocol.Portfolio p -> admit t ~conn_fd (W_portfolio p) p.deadline_s
+  | Protocol.Compile c ->
+    (* [Router.find] is an exact-name lookup, so [c.router] is the
+       canonical router name the cache keys with *)
+    admit t ~conn_fd c.id c.deadline_s (fun () ->
+        resolve t c.id ~overrides:c.overrides ~device:c.device
+          ~device_size:c.device_size ~source:c.source ~cache:c.cache
+          (match Engine.Router.find c.router with
+          | Some router -> Ok (By_router { name = c.router; router })
+          | None ->
+            Error
+              (Printf.sprintf "unknown router %S (available: %s)" c.router
+                 (String.concat ", " (Engine.Router.names ())))))
+  | Protocol.Portfolio p ->
+    (* entry names are resolved by [Engine.Portfolio.run] itself *)
+    admit t ~conn_fd p.id p.deadline_s (fun () ->
+        resolve t p.id ~overrides:p.overrides ~device:p.device
+          ~device_size:p.device_size ~source:p.source ~cache:p.cache
+          (let* entries = Engine.Portfolio.parse_spec p.spec in
+           let* objective = Engine.Portfolio.objective_of_string p.objective in
+           Ok (By_portfolio { entries; objective; race = p.race })))
 
 let handle_conn t fd =
   let reader = Netline.reader fd in

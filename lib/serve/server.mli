@@ -13,36 +13,52 @@
     calling domain (one acceptor plus one thread per connection), so a
     slow client never blocks routing; compilation runs on a pool of
     [domains] worker {e domains} that pop jobs from a bounded
-    {!Rqueue}. Workers are persistent, which is the point: each keeps
-    its {!Sabre_core.Routing_pass.Scratch} arena warm in domain-local
-    storage across requests, and the device-keyed
+    {!Rqueue}. Workers are persistent, and the device-keyed
     {!Hardware.Dist_cache} stays hot process-wide — after the first
-    request against a device, setup cost is a digest lookup.
+    request against a device, its distance matrix is a digest lookup.
+    Each request builds its own device, though, and a domain's
+    {!Sabre_core.Routing_pass.Scratch} arena is keyed on the device
+    instance, so the arena is re-created for every request.
 
-    {b Admission and deadlines.} A full queue rejects immediately with
-    a [queue_full] error (backpressure is a protocol answer, not an
-    internal buffer). Each compile request carries an absolute deadline
-    from its admission time; it is checked when a worker picks the job
-    up (time spent queued counts), {e during} routing, and again when
-    routing returns (a late result produces a [timeout] answer and is
-    discarded). In-flight interruption is cooperative: the worker hands
-    the engine an {!Engine.Race} token whose probe watches the deadline
-    clock and the requesting connection (zero-timeout [select] +
-    [MSG_PEEK]; EOF means the client hung up and nobody will read the
-    answer), and the routing pass aborts at its next progress check via
-    {!Sabre_core.Routing_pass.Cancelled}. The abort path unwinds
-    through the same scratch-arena write-back as a completed route, so
-    the worker stays unpoisoned and its arena reusable. Portfolio
-    requests additionally accept a [race] flag that arms
-    incumbent-bound pruning across their entries
+    {b Admission.} A compile or portfolio request is resolved once, on
+    its connection thread: the config is validated, the router (or the
+    portfolio spec and objective) looked up, the device built and the
+    source parsed, and the first of these to fail, in that order, gives
+    the request its typed error ([invalid], or [qasm_error] for the
+    source) — ahead of any queue answer. A resolved request is answered
+    from the compile cache when it can be (see [cache] below), else
+    queued as a job that holds the resolved inputs, so a worker only
+    routes. A full queue rejects immediately with a [queue_full] error
+    (backpressure is a protocol answer, not an internal buffer). A
+    stray exception while resolving or routing becomes a [route_error]
+    on that one request; neither the connection thread nor the worker
+    dies with it.
+
+    {b Deadlines.} Each request carries an absolute deadline counted
+    from the moment its line was decoded, so resolution and time
+    spent queued count against it. A job whose deadline has passed
+    when a worker picks it up times out without routing. In-flight
+    interruption is cooperative: the worker hands the engine an
+    {!Engine.Race} token whose probe watches the deadline clock and the
+    requesting connection (one non-blocking [MSG_PEEK] read, which
+    works on any descriptor number; EOF means the client hung up and
+    nobody will read the answer), and the routing pass aborts at its
+    next progress check via {!Sabre_core.Routing_pass.Cancelled}. The
+    abort path unwinds through the same scratch-arena write-back as a
+    completed route, so the worker stays unpoisoned and its arena
+    reusable. Every reply, whether the resolver, the admission probe or
+    a worker made it, then passes one check: a reply finished past its
+    deadline is answered [timeout] and its result discarded, error
+    replies included. Portfolio requests additionally accept a [race]
+    flag that arms incumbent-bound pruning across their entries
     ({!Engine.Portfolio.run}'s [~race]); the winner is unchanged,
     losing entries just stop early and are reported [cancelled].
 
     {b Shutdown.} {!stop} (or SIGTERM/SIGINT once
     {!install_signal_handlers} ran) closes the listener, lets the
-    workers drain every admitted job, answers [shutting_down] to
-    anything that arrives during the drain, flushes the per-connection
-    responses, and only then returns. *)
+    workers drain every admitted job, answers [shutting_down] to any
+    valid request that arrives during the drain, flushes the
+    per-connection responses, and only then returns. *)
 
 type t
 
@@ -57,8 +73,8 @@ val start :
   t
 (** Bind, listen and return once the server accepts connections.
     [domains] (default 1) sizes the worker pool; [queue_capacity]
-    (default 64) bounds the admission queue ([0] rejects every compile
-    — used by admission tests); [default_deadline_s] applies to
+    (default 64) bounds the admission queue ([0] rejects every valid
+    compile — used by admission tests); [default_deadline_s] applies to
     requests that carry none (default: no deadline);
     [max_request_bytes] (default {!Protocol.default_max_bytes}) bounds
     one request line. [instrument] receives server counter events
@@ -71,11 +87,13 @@ val start :
     memoized is answered {e at admission}, on the connection thread,
     without ever occupying a queue slot or a worker (counted in
     [served] and the per-router bucket, but not in any worker's
-    [jobs_run]); misses route normally and insert. A request carrying
-    [cache=false] bypasses the cache in both directions, and a request
-    whose deadline is already expired is never answered from the cache
-    — it times out exactly as without caching. The [sabre_serve]
-    binary enables this by default ([--no-cache] turns it off).
+    [jobs_run]); misses route normally and insert. A hit finished past
+    its deadline answers [timeout] like any late reply. A request
+    carrying [cache=false] bypasses the cache in both directions, and
+    a request whose deadline had already expired when it arrived is
+    never answered from the cache — it is queued and times out at
+    pickup exactly as without caching. The [sabre_serve] binary
+    enables this by default ([--cache-mb 0] turns it off).
 
     Registers the baseline routers and ignores [SIGPIPE]. Raises
     [Unix.Unix_error] when binding fails (path in use, privileged

@@ -579,6 +579,27 @@ let test_gate_fan_out_refused () =
   check Alcotest.bool "the bound is 2^20 gates" true
     (Quantum.Qasm_stream.max_expansion = 1 lsl 20)
 
+(* Gate definitions cost linear time and memory: 10,000 one-line
+   definitions parse in under 2 KB allocated per definition. Copying the
+   definition array on each definition would allocate about 41 KB per
+   definition at this count, growing with the count. *)
+let test_many_gate_definitions_linear () =
+  let n = 10_000 in
+  let b = Buffer.create (n * 24) in
+  Buffer.add_string b "OPENQASM 2.0;\ninclude \"qelib1.inc\";\nqreg q[2];\n";
+  for i = 0 to n - 1 do
+    Printf.bprintf b "gate g%d a { h a; }\n" i
+  done;
+  Buffer.add_string b "g9999 q[0];\ncx q[0],q[1];\n";
+  let text = Buffer.contents b in
+  let before = Gc.allocated_bytes () in
+  let c = Qasm.of_string text in
+  let per_def = (Gc.allocated_bytes () -. before) /. float_of_int n in
+  check Alcotest.int "the last definition applies" 2 (Circuit.length c);
+  check Alcotest.bool
+    (Printf.sprintf "%.0f bytes per definition < 2 KB" per_def)
+    true (per_def < 2048.0)
+
 let suite =
   [
     tc "parse basic program" `Quick test_parse_basic;
@@ -609,4 +630,6 @@ let suite =
       test_recursive_gate_refused;
     tc "gate fan-out refused before it expands" `Quick
       test_gate_fan_out_refused;
+    tc "gate definitions parse in linear memory" `Quick
+      test_many_gate_definitions_linear;
   ]

@@ -689,8 +689,8 @@ let test_typed_errors () =
         s.P.errored;
       check Alcotest.int "nothing served" 0 s.P.served)
 
-(* An oversized device size is refused in the admission cache probe and
-   in the worker alike, and the daemon answers the next request. *)
+(* An oversized device size is refused when the request is resolved, at
+   admission, and the daemon answers the next request. *)
 let test_oversized_device () =
   with_server ~domains:1 (fun path server ->
       expect_error P.Invalid
@@ -702,9 +702,9 @@ let test_oversized_device () =
       check Alcotest.int "one served" 1 (Server.stats server).P.served)
 
 (* A 130-byte request declaring 10^8 qubits and broadcasting H over
-   them gets a typed qasm_error: the admission probe and the worker
-   both parse with the device's width as the bound, so the broadcast
-   never expands, and the daemon answers the next request. *)
+   them gets a typed qasm_error: admission parses with the device's
+   width as the bound, so the broadcast never expands, and the daemon
+   answers the next request. *)
 let test_oversized_register () =
   with_server ~domains:1 (fun path server ->
       expect_error P.Qasm_error
@@ -1491,6 +1491,148 @@ let test_sync_collector_with_batch () =
     (pass_ends >= 4)
 
 (* ------------------------------------------------------------------ *)
+(* One admission path                                                  *)
+(* ------------------------------------------------------------------ *)
+
+(* The disconnect probe works on any descriptor number: a connection
+   whose descriptor is past FD_SETSIZE (1024) routes to the end instead
+   of being taken for a client that hung up. The server starts first,
+   so the listener and self-pipe it selects on stay low; /dev/null then
+   fills every descriptor up to 1025, and the two highest are freed for
+   the client's socket and the server's end of it. *)
+let test_disconnect_probe_past_fd_setsize () =
+  with_server ~domains:1 (fun path _server ->
+      let opened = ref [] in
+      Fun.protect
+        ~finally:(fun () -> List.iter Unix.close !opened)
+        (fun () ->
+          (* a [Unix.file_descr] is its descriptor number on Unix *)
+          let number (fd : Unix.file_descr) : int = Obj.magic fd in
+          let rec fill () =
+            let fd =
+              Unix.openfile "/dev/null" [ Unix.O_RDONLY; Unix.O_CLOEXEC ] 0
+            in
+            opened := fd :: !opened;
+            if number fd < 1025 then fill ()
+          in
+          (match fill () with
+          | () -> ()
+          | exception Unix.Unix_error ((Unix.EMFILE | Unix.ENFILE), _, _) ->
+            Alcotest.skip ());
+          (match !opened with
+          | a :: b :: rest ->
+            Unix.close a;
+            Unix.close b;
+            opened := rest
+          | _ -> assert false);
+          match rpc path (compile_req ~id:"high" (Lazy.force big_qasm)) with
+          | P.Ok_compiled r -> check Alcotest.string "routed" "high" r.P.id
+          | r ->
+            Alcotest.failf "high descriptor answered %s" (P.encode_response r)))
+
+(* A request is parsed once, on its connection thread, and the worker
+   routes what admission parsed. The source is a FIFO whose writer
+   serves the program on the first open and an invalid program on any
+   later one, so a second parse would answer qasm_error. *)
+let test_request_parsed_once () =
+  Engine.Compile_cache.clear ();
+  let fifo =
+    Filename.concat
+      (Filename.get_temp_dir_name ())
+      (Printf.sprintf "sabre_serve_%d.fifo" (Unix.getpid ()))
+  in
+  Unix.mkfifo fifo 0o600;
+  let opens = Atomic.make 0 and stop = Atomic.make false in
+  let serve text =
+    (* blocks until a reader opens the FIFO *)
+    let oc = open_out fifo in
+    Atomic.incr opens;
+    try
+      if not (Atomic.get stop) then output_string oc text;
+      close_out oc
+    with Sys_error _ -> close_out_noerr oc
+  in
+  let writer =
+    Thread.create
+      (fun () ->
+        serve small_qasm;
+        (* a later open is served only once the first reader has long
+           seen its end of file, so the two programs never reach one read;
+           the test ends this wait as soon as it has its reply *)
+        let t0 = Unix.gettimeofday () in
+        while (not (Atomic.get stop)) && Unix.gettimeofday () -. t0 < 2.0 do
+          Thread.delay 0.01
+        done;
+        while not (Atomic.get stop) do
+          serve "OPENQASM 2.0;\nqreg q[2];\nfrobnicate q;\n"
+        done)
+      ()
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      (* release the writer's pending open: with a reader held open, its
+         next open cannot block *)
+      Atomic.set stop true;
+      let release = Unix.openfile fifo [ Unix.O_RDONLY; Unix.O_NONBLOCK ] 0 in
+      Thread.join writer;
+      Unix.close release;
+      Sys.remove fifo)
+    (fun () ->
+      with_server ~domains:1 ~cache:true (fun path _server ->
+          (match
+             rpc path
+               (P.Compile
+                  {
+                    id = "fifo";
+                    source = P.Path fifo;
+                    device = "tokyo";
+                    device_size = None;
+                    router = "sabre";
+                    overrides = P.no_overrides;
+                    cache = true;
+                    deadline_s = None;
+                  })
+           with
+          | P.Ok_compiled r -> check Alcotest.string "routed" "fifo" r.P.id
+          | r -> Alcotest.failf "FIFO source answered %s" (P.encode_response r));
+          check Alcotest.int "the source was opened once" 1 (Atomic.get opens)))
+
+(* The deadline covers the admission path too: a cache hit finished past
+   its deadline answers timeout. 40,000 unused gate definitions make the
+   request's own parse outlast its 5 ms deadline. *)
+let test_admission_hit_deadline () =
+  Engine.Compile_cache.clear ();
+  let b = Buffer.create (40_000 * 24) in
+  Buffer.add_string b "OPENQASM 2.0;\ninclude \"qelib1.inc\";\nqreg q[2];\n";
+  for i = 0 to 39_999 do
+    Printf.bprintf b "gate g%d a { h a; }\n" i
+  done;
+  Buffer.add_string b "cx q[0],q[1];\n";
+  let qasm = Buffer.contents b in
+  Fun.protect ~finally:Engine.Compile_cache.clear (fun () ->
+      with_server ~domains:1 ~cache:true (fun path server ->
+          (match rpc path (compile_req ~id:"cold" qasm) with
+          | P.Ok_compiled _ -> ()
+          | r -> Alcotest.failf "cold compile: %s" (P.encode_response r));
+          expect_error P.Timeout
+            (rpc path (compile_req ~id:"late" ~deadline_s:0.005 qasm));
+          let s = Server.stats server in
+          check Alcotest.int "answered from the cache" 1 s.P.cache_hits;
+          check Alcotest.int "timeout counted" 1 s.P.timed_out;
+          check Alcotest.int "only the cold compile served" 1 s.P.served))
+
+(* A request's own typed error comes before any queue answer: on a
+   server whose queue admits nothing, an unknown router answers
+   invalid, not queue_full. *)
+let test_invalid_before_queue_full () =
+  with_server ~domains:1 ~queue_capacity:0 (fun path server ->
+      expect_error P.Invalid
+        (rpc path (compile_req ~router:"astar-deluxe" small_qasm));
+      let s = Server.stats server in
+      check Alcotest.int "not a rejection" 0 s.P.rejected;
+      check Alcotest.int "counted as an error" 1 s.P.errored)
+
+(* ------------------------------------------------------------------ *)
 
 let suite =
   [
@@ -1550,4 +1692,11 @@ let suite =
     tc "recursive gate definition refused, daemon answers on" `Quick
       test_recursive_gate_definition;
     tc "gate fan-out refused, daemon answers on" `Quick test_gate_fan_out;
+    tc "disconnect probe works past descriptor 1023" `Slow
+      test_disconnect_probe_past_fd_setsize;
+    tc "a request is parsed once" `Quick test_request_parsed_once;
+    tc "admission cache hit past its deadline times out" `Quick
+      test_admission_hit_deadline;
+    tc "invalid request answered before queue_full" `Quick
+      test_invalid_before_queue_full;
   ]
