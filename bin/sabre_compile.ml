@@ -671,19 +671,19 @@ let router =
 let portfolio =
   Arg.(value & opt (some string) None
        & info [ "portfolio" ] ~docv:"SPEC"
-           ~doc:"Best-of-K portfolio routing: comma-separated \
+           ~doc:
+             (Printf.sprintf
+                "Best-of-K portfolio routing: comma-separated \
                  ROUTER[/SEEDER][:key=val,...] entries, e.g. \
                  sabre,hail/iso,greedy or \
                  sabre:trials=1,traversals=1,sabre:trials=10. Trailing \
                  key=val pairs override config fields for that entry \
-                 only (keys: heuristic, extended-set-size, \
-                 extended-set-weight, decay-increment, \
-                 decay-reset-interval, trials, traversals, seed, \
-                 stall-limit, commutation-aware). The circuit routes \
-                 once per entry and the winner under --objective is \
-                 kept (earliest entry wins ties, deterministically). \
-                 Overrides --router; -j N fans the entries across N \
-                 domains without changing the result.")
+                 only (keys: %s). The circuit routes once per entry and \
+                 the winner under --objective is kept (earliest entry \
+                 wins ties, deterministically). Overrides --router; -j \
+                 N fans the entries across N domains without changing \
+                 the result."
+                (String.concat ", " Engine.Portfolio.override_keys)))
 
 let objective =
   Arg.(value & opt string "swaps"

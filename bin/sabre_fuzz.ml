@@ -1,9 +1,8 @@
 (* sabre_fuzz: differential fuzzing and conformance campaign driver.
 
-   Generates random (circuit, device, config) instances, routes each with
-   every selected router through the engine pipeline, and checks the
-   conformance oracle plus seed determinism. Failures are shrunk to
-   minimal counterexamples and written as replayable repro files. *)
+   Generates random (circuit, device, config) instances and checks each
+   against Check.Fuzz's property table. Failures are shrunk to minimal
+   counterexamples and written as replayable repro files. *)
 
 module Circuit = Quantum.Circuit
 module Coupling = Hardware.Coupling
@@ -233,12 +232,20 @@ let cmd =
     [
       `S Manpage.s_description;
       `P "Generates random SWAP-free circuits, connected coupling graphs \
-          and seeded configurations; routes every instance with each \
-          selected router through the engine pipeline; and checks the \
-          conformance contract (hardware compliance, semantic \
-          equivalence, gate accounting, depth bounds) plus seed \
-          determinism. Failures are shrunk to minimal counterexamples \
-          and saved as replayable repro files.";
+          and seeded configurations, routes every instance through the \
+          engine pipeline, and checks it against each property below. \
+          Failures are shrunk to minimal counterexamples and saved as \
+          replayable repro files.";
+      `P
+        (Printf.sprintf
+           "Properties, in campaign order: %s. The first two run on each \
+            selected router: conformance is the conformance contract \
+            (hardware compliance, semantic equivalence, gate accounting, \
+            depth bounds), determinism asks two routes of a randomized \
+            router at one seed to agree. The rest run once per \
+            instance, when the routers they compare are selected, and \
+            report under sabre."
+           (String.concat ", " Check.Fuzz.property_names));
       `S Manpage.s_examples;
       `P "A 60-second campaign over all routers, JSON report:";
       `Pre "  sabre_fuzz --budget-s 60 --json";

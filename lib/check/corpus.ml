@@ -14,96 +14,6 @@ type repro = {
 
 let header = "sabre-fuzz repro v1"
 
-let heuristic_to_string = function
-  | Config.Basic -> "basic"
-  | Config.Lookahead -> "lookahead"
-  | Config.Decay -> "decay"
-
-let heuristic_of_string = function
-  | "basic" -> Ok Config.Basic
-  | "lookahead" -> Ok Config.Lookahead
-  | "decay" -> Ok Config.Decay
-  | s -> Error (Printf.sprintf "unknown heuristic %S" s)
-
-(* Floats are written in hex notation (%h) so a round-trip is bit-exact. *)
-let config_to_string (c : Config.t) =
-  Printf.sprintf
-    "heuristic:%s extended_set_size:%d extended_set_weight:%h \
-     decay_increment:%h decay_reset_interval:%d trials:%d traversals:%d \
-     seed:%d stall_limit:%s commutation_aware:%b"
-    (heuristic_to_string c.heuristic)
-    c.extended_set_size c.extended_set_weight c.decay_increment
-    c.decay_reset_interval c.trials c.traversals c.seed
-    (match c.stall_limit with None -> "none" | Some s -> string_of_int s)
-    c.commutation_aware
-
-let config_of_string s =
-  let ( let* ) = Result.bind in
-  let fields =
-    String.split_on_char ' ' (String.trim s)
-    |> List.filter (fun f -> f <> "")
-    |> List.filter_map (fun f ->
-           match String.index_opt f ':' with
-           | None -> None
-           | Some i ->
-             Some
-               ( String.sub f 0 i,
-                 String.sub f (i + 1) (String.length f - i - 1) ))
-  in
-  let get k =
-    match List.assoc_opt k fields with
-    | Some v -> Ok v
-    | None -> Error (Printf.sprintf "config: missing field %S" k)
-  in
-  let int_field k =
-    let* v = get k in
-    match int_of_string_opt v with
-    | Some i -> Ok i
-    | None -> Error (Printf.sprintf "config: bad int %S for %s" v k)
-  in
-  let float_field k =
-    let* v = get k in
-    match float_of_string_opt v with
-    | Some f -> Ok f
-    | None -> Error (Printf.sprintf "config: bad float %S for %s" v k)
-  in
-  let* h = get "heuristic" in
-  let* heuristic = heuristic_of_string h in
-  let* extended_set_size = int_field "extended_set_size" in
-  let* extended_set_weight = float_field "extended_set_weight" in
-  let* decay_increment = float_field "decay_increment" in
-  let* decay_reset_interval = int_field "decay_reset_interval" in
-  let* trials = int_field "trials" in
-  let* traversals = int_field "traversals" in
-  let* seed = int_field "seed" in
-  let* stall = get "stall_limit" in
-  let* stall_limit =
-    if stall = "none" then Ok None
-    else
-      match int_of_string_opt stall with
-      | Some s -> Ok (Some s)
-      | None -> Error (Printf.sprintf "config: bad stall_limit %S" stall)
-  in
-  let* commut = get "commutation_aware" in
-  let* commutation_aware =
-    match bool_of_string_opt commut with
-    | Some b -> Ok b
-    | None -> Error (Printf.sprintf "config: bad bool %S" commut)
-  in
-  Ok
-    {
-      Config.heuristic;
-      extended_set_size;
-      extended_set_weight;
-      decay_increment;
-      decay_reset_interval;
-      trials;
-      traversals;
-      seed;
-      stall_limit;
-      commutation_aware;
-    }
-
 let coupling_to_string c =
   Printf.sprintf "n:%d edges:%s" (Coupling.n_qubits c)
     (String.concat ","
@@ -160,7 +70,7 @@ let to_string r =
       "property=" ^ r.property;
       "seed=" ^ string_of_int r.seed;
       "failure=" ^ escape_line r.failure;
-      "config=" ^ config_to_string r.config;
+      "config=" ^ Config.to_string r.config;
       "device=" ^ coupling_to_string r.coupling;
       "qasm:";
       Quantum.Qasm.to_string r.circuit;
@@ -200,7 +110,9 @@ let of_string s =
     in
     let* failure = get "failure" in
     let* config_s = get "config" in
-    let* config = config_of_string config_s in
+    let* config =
+      Result.map_error (fun m -> "config: " ^ m) (Config.of_string config_s)
+    in
     let* device_s = get "device" in
     let* coupling = coupling_of_string device_s in
     let* circuit =

@@ -6,14 +6,15 @@ module Config = Sabre_core.Config
 
     A repro file is a small self-contained text record: header, the
     failing router and property, the instance seed, the full
-    configuration (floats in lossless hex notation), the coupling graph,
-    and the (shrunk) circuit as embedded OpenQASM — everything needed to
-    re-run the exact failing check on another machine, with no dependency
-    on generator internals staying stable. *)
+    configuration (its {!Config.to_string} line, floats in lossless hex
+    notation), the coupling graph, and the (shrunk) circuit as embedded
+    OpenQASM — everything needed to re-run the exact failing check on
+    another machine, with no dependency on generator internals staying
+    stable. *)
 
 type repro = {
   router : string;
-  property : string;  (** "conformance" or "determinism" *)
+  property : string;  (** one of {!Fuzz.property_names} *)
   seed : int;  (** instance seed the campaign derived the case from *)
   failure : string;  (** human-readable description captured at find time *)
   config : Config.t;

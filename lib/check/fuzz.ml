@@ -1,5 +1,6 @@
 module Gate = Quantum.Gate
 module Circuit = Quantum.Circuit
+module Coupling = Hardware.Coupling
 module Router = Engine.Router
 module Config = Sabre_core.Config
 
@@ -110,57 +111,73 @@ let broken_router : Router.t =
   end)
 
 (* ------------------------------------------------------------------ *)
-(* Campaign driver                                                     *)
+(* The properties                                                      *)
+(* ------------------------------------------------------------------ *)
+
+type verdict = Pass | Fail of string | Skip of string
+
+type scope =
+  | Each_router of (Router.t -> bool)
+      (** checked on every selected router this accepts *)
+  | Instance of string list
+      (** checked once per instance when all of these routers are
+          selected, and recorded under the first *)
+
+type property = {
+  name : string;
+  scope : scope;
+  check : config:Config.t -> Coupling.t -> Circuit.t -> Router.t -> verdict;
+      (** an [Instance] check ignores the router *)
+}
+
+let of_result = function Ok () -> Pass | Error msg -> Fail msg
+
+let instance name needs f =
+  let check ~config coupling circuit _ = of_result (f ~config coupling circuit) in
+  { name; scope = Instance needs; check }
+
+(* In campaign order: each router's two, then the instance's seven (see
+   Differential for what each checks). *)
+let properties =
+  let sabre = [ "sabre" ] and trio = [ "sabre"; "hail"; "greedy" ] in
+  [
+    {
+      name = "conformance";
+      scope = Each_router (fun _ -> true);
+      check =
+        (fun ~config coupling circuit router ->
+          match
+            Differential.check_router ~states:1 ~config coupling circuit router
+          with
+          | Differential.Pass -> Pass
+          | Differential.Fail f -> Fail (Oracle.failure_to_string f)
+          | Differential.Skip msg -> Skip msg);
+    };
+    {
+      name = "determinism";
+      scope = Each_router (fun r -> not (Router.deterministic r));
+      check =
+        (fun ~config coupling circuit router ->
+          of_result (Differential.determinism ~config coupling circuit router));
+    };
+    instance "flatcore-equivalence" sabre Differential.flatcore_equivalence;
+    instance "delta-equivalence" sabre Differential.delta_equivalence;
+    instance "stream-equivalence" sabre Differential.stream_equivalence;
+    instance "iso-seed" sabre Differential.iso_seed_conformance;
+    instance "portfolio-dominance" trio Differential.portfolio_dominance;
+    instance "racing-equivalence" trio Differential.racing_equivalence;
+    instance "cache-equivalence" sabre Differential.cache_equivalence;
+  ]
+
+let property_names = List.map (fun p -> p.name) properties
+
+(* ------------------------------------------------------------------ *)
+(* Campaigns                                                           *)
 (* ------------------------------------------------------------------ *)
 
 (* trial i's instance seed: a fixed odd-constant hash of (seed, i), kept
    non-negative so it survives the repro file's decimal round-trip *)
 let mix seed i = (seed + (i * 0x9e3779b1)) land 0x3FFFFFFF
-
-let conformance_failure ~config coupling circuit router =
-  match Differential.check_router ~states:1 ~config coupling circuit router with
-  | Differential.Fail f -> Some (Oracle.failure_to_string f)
-  | Differential.Pass | Differential.Skip _ -> None
-
-let determinism_failure ~config coupling circuit router =
-  match Differential.determinism ~config coupling circuit router with
-  | Error msg -> Some msg
-  | Ok () -> None
-
-let flatcore_failure ~config coupling circuit =
-  match Differential.flatcore_equivalence ~config coupling circuit with
-  | Error msg -> Some msg
-  | Ok () -> None
-
-let delta_failure ~config coupling circuit =
-  match Differential.delta_equivalence ~config coupling circuit with
-  | Error msg -> Some msg
-  | Ok () -> None
-
-let stream_failure ~config coupling circuit =
-  match Differential.stream_equivalence ~config coupling circuit with
-  | Error msg -> Some msg
-  | Ok () -> None
-
-let iso_seed_failure ~config coupling circuit =
-  match Differential.iso_seed_conformance ~config coupling circuit with
-  | Error msg -> Some msg
-  | Ok () -> None
-
-let portfolio_failure ~config coupling circuit =
-  match Differential.portfolio_dominance ~config coupling circuit with
-  | Error msg -> Some msg
-  | Ok () -> None
-
-let racing_failure ~config coupling circuit =
-  match Differential.racing_equivalence ~config coupling circuit with
-  | Error msg -> Some msg
-  | Ok () -> None
-
-let cache_failure ~config coupling circuit =
-  match Differential.cache_equivalence ~config coupling circuit with
-  | Error msg -> Some msg
-  | Ok () -> None
 
 let run ?budget_s ?max_trials ?corpus_dir ?(max_qubits = 6) ?(max_gates = 40)
     ?(on_event = fun (_ : event) -> ()) ~seed ~routers () =
@@ -176,169 +193,77 @@ let run ?budget_s ?max_trials ?corpus_dir ?(max_qubits = 6) ?(max_gates = 40)
     | None -> false)
     || match trial_cap with Some m -> trials >= m | None -> false
   in
+  (* the selected routers that are registered, in selection order *)
+  let selected =
+    List.filter_map
+      (fun name -> Option.map (fun r -> (name, r)) (Router.find name))
+      routers
+  in
   let failures = ref [] in
   let dead = Hashtbl.create 8 in
-  let record ~router ~property ~config ~coupling ~circuit ~iseed ~first_failure
-      ~failure_of =
-    let still_fails c = Option.is_some (failure_of c) in
-    let shrunk, shrink_steps = shrink ~still_fails circuit in
-    let failure =
-      match failure_of shrunk with Some f -> f | None -> first_failure
+  (* check [p] on router [rname]; on its first failure, shrink, save and
+     report the counterexample, and retire the pair *)
+  let attempt ~iseed (inst : Generators.instance) p (rname, router) =
+    let config = inst.config and coupling = inst.coupling in
+    let failure_of c =
+      match p.check ~config coupling c router with
+      | Fail msg -> Some msg
+      | Pass | Skip _ -> None
     in
-    let repro =
-      { Corpus.router; property; seed = iseed; failure; config; coupling;
-        circuit = shrunk }
-    in
-    let path = Option.map (fun dir -> Corpus.save ~dir repro) corpus_dir in
-    let cx =
-      {
-        repro;
-        original_gates = Circuit.length circuit;
-        shrunk_gates = Circuit.length shrunk;
-        shrink_steps;
-        path;
-      }
-    in
-    failures := cx :: !failures;
-    Hashtbl.replace dead (router, property) ();
-    on_event (Counterexample cx)
+    if not (Hashtbl.mem dead (rname, p.name)) then
+      match failure_of inst.circuit with
+      | None -> ()
+      | Some first_failure ->
+        let shrunk, shrink_steps =
+          shrink ~still_fails:(fun c -> Option.is_some (failure_of c))
+            inst.circuit
+        in
+        let repro =
+          {
+            Corpus.router = rname;
+            property = p.name;
+            seed = iseed;
+            failure = Option.value (failure_of shrunk) ~default:first_failure;
+            config;
+            coupling;
+            circuit = shrunk;
+          }
+        in
+        let path = Option.map (fun dir -> Corpus.save ~dir repro) corpus_dir in
+        let cx =
+          {
+            repro;
+            original_gates = Circuit.length inst.circuit;
+            shrunk_gates = Circuit.length shrunk;
+            shrink_steps;
+            path;
+          }
+        in
+        failures := cx :: !failures;
+        Hashtbl.replace dead (rname, p.name) ();
+        on_event (Counterexample cx)
   in
   let trials = ref 0 in
   while not (stop !trials) do
     let iseed = mix seed !trials in
     let inst = Generators.instance_of_seed ~max_qubits ~max_gates iseed in
-    let config = inst.Generators.config in
-    let coupling = inst.Generators.coupling in
     List.iter
-      (fun rname ->
-        match Router.find rname with
-        | None -> ()
-        | Some router ->
-          let (module R : Router.S) = router in
-          if not (Hashtbl.mem dead (rname, "conformance")) then begin
-            match
-              conformance_failure ~config coupling inst.Generators.circuit
-                router
-            with
-            | None -> ()
-            | Some first_failure ->
-              record ~router:rname ~property:"conformance" ~config ~coupling
-                ~circuit:inst.Generators.circuit ~iseed ~first_failure
-                ~failure_of:(fun c ->
-                  conformance_failure ~config coupling c router)
-          end;
-          if
-            (not R.deterministic)
-            && not (Hashtbl.mem dead (rname, "determinism"))
-          then begin
-            match
-              determinism_failure ~config coupling inst.Generators.circuit
-                router
-            with
-            | None -> ()
-            | Some first_failure ->
-              record ~router:rname ~property:"determinism" ~config ~coupling
-                ~circuit:inst.Generators.circuit ~iseed ~first_failure
-                ~failure_of:(fun c ->
-                  determinism_failure ~config coupling c router)
-          end)
-      routers;
-    (* transitional flat-core refactor property: old and new SABRE must
-       emit byte-identical routings on every generated instance *)
-    if
-      List.mem "sabre" routers
-      && not (Hashtbl.mem dead ("sabre", "flatcore-equivalence"))
-    then begin
-      match flatcore_failure ~config coupling inst.Generators.circuit with
-      | None -> ()
-      | Some first_failure ->
-        record ~router:"sabre" ~property:"flatcore-equivalence" ~config
-          ~coupling ~circuit:inst.Generators.circuit ~iseed ~first_failure
-          ~failure_of:(fun c -> flatcore_failure ~config coupling c)
-    end;
-    (* delta-scoring property: incremental and full-recompute candidate
-       scoring must emit byte-identical routings on every instance *)
-    if
-      List.mem "sabre" routers
-      && not (Hashtbl.mem dead ("sabre", "delta-equivalence"))
-    then begin
-      match delta_failure ~config coupling inst.Generators.circuit with
-      | None -> ()
-      | Some first_failure ->
-        record ~router:"sabre" ~property:"delta-equivalence" ~config
-          ~coupling ~circuit:inst.Generators.circuit ~iseed ~first_failure
-          ~failure_of:(fun c -> delta_failure ~config coupling c)
-    end;
-    (* streaming property: windowed single-pass routing must emit the
-       byte-identical gate sequence to the materialised run *)
-    if
-      List.mem "sabre" routers
-      && not (Hashtbl.mem dead ("sabre", "stream-equivalence"))
-    then begin
-      match stream_failure ~config coupling inst.Generators.circuit with
-      | None -> ()
-      | Some first_failure ->
-        record ~router:"sabre" ~property:"stream-equivalence" ~config
-          ~coupling ~circuit:inst.Generators.circuit ~iseed ~first_failure
-          ~failure_of:(fun c -> stream_failure ~config coupling c)
-    end;
-    (* seeder property: the iso-anchored initial mapping must keep the
-       routed result oracle-clean when pinned on sabre *)
-    if
-      List.mem "sabre" routers
-      && not (Hashtbl.mem dead ("sabre", "iso-seed"))
-    then begin
-      match iso_seed_failure ~config coupling inst.Generators.circuit with
-      | None -> ()
-      | Some first_failure ->
-        record ~router:"sabre" ~property:"iso-seed" ~config ~coupling
-          ~circuit:inst.Generators.circuit ~iseed ~first_failure
-          ~failure_of:(fun c -> iso_seed_failure ~config coupling c)
-    end;
-    (* portfolio property: the best-of-K winner dominates its members,
-       plain sabre, and any domain fan-out *)
-    if
-      List.mem "sabre" routers
-      && List.mem "hail" routers
-      && List.mem "greedy" routers
-      && not (Hashtbl.mem dead ("sabre", "portfolio-dominance"))
-    then begin
-      match portfolio_failure ~config coupling inst.Generators.circuit with
-      | None -> ()
-      | Some first_failure ->
-        record ~router:"sabre" ~property:"portfolio-dominance" ~config
-          ~coupling ~circuit:inst.Generators.circuit ~iseed ~first_failure
-          ~failure_of:(fun c -> portfolio_failure ~config coupling c)
-    end;
-    (* racing property: incumbent-bound pruning must be observationally
-       pure — same winner, same completing-entry results, losers only
-       ever reported cancelled *)
-    if
-      List.mem "sabre" routers
-      && List.mem "hail" routers
-      && List.mem "greedy" routers
-      && not (Hashtbl.mem dead ("sabre", "racing-equivalence"))
-    then begin
-      match racing_failure ~config coupling inst.Generators.circuit with
-      | None -> ()
-      | Some first_failure ->
-        record ~router:"sabre" ~property:"racing-equivalence" ~config
-          ~coupling ~circuit:inst.Generators.circuit ~iseed ~first_failure
-          ~failure_of:(fun c -> racing_failure ~config coupling c)
-    end;
-    (* cache property: a memoized routing result (cold insert and warm
-       hit) must be byte-identical to the uncached route *)
-    if
-      List.mem "sabre" routers
-      && not (Hashtbl.mem dead ("sabre", "cache-equivalence"))
-    then begin
-      match cache_failure ~config coupling inst.Generators.circuit with
-      | None -> ()
-      | Some first_failure ->
-        record ~router:"sabre" ~property:"cache-equivalence" ~config
-          ~coupling ~circuit:inst.Generators.circuit ~iseed ~first_failure
-          ~failure_of:(fun c -> cache_failure ~config coupling c)
-    end;
+      (fun ((_, router) as r) ->
+        List.iter
+          (fun p ->
+            match p.scope with
+            | Each_router accepts when accepts router -> attempt ~iseed inst p r
+            | Each_router _ | Instance _ -> ())
+          properties)
+      selected;
+    List.iter
+      (fun p ->
+        match p.scope with
+        | Instance (first :: _ as needs)
+          when List.for_all (fun n -> List.mem_assoc n selected) needs ->
+          attempt ~iseed inst p (first, List.assoc first selected)
+        | Instance _ | Each_router _ -> ())
+      properties;
     incr trials;
     on_event (Trial_done !trials)
   done;
@@ -351,50 +276,15 @@ let run ?budget_s ?max_trials ?corpus_dir ?(max_qubits = 6) ?(max_gates = 40)
 
 let replay (r : Corpus.repro) =
   Differential.ensure_registered ();
-  if r.Corpus.router = "broken" then Router.register broken_router;
-  match Router.find r.Corpus.router with
-  | None -> `Error (Printf.sprintf "router %S is not registered" r.Corpus.router)
-  | Some router -> (
-    let config = r.Corpus.config in
-    let coupling = r.Corpus.coupling in
-    let circuit = r.Corpus.circuit in
-    match r.Corpus.property with
-    | "conformance" -> (
-      match Differential.check_router ~states:1 ~config coupling circuit router with
-      | Differential.Fail f -> `Reproduced (Oracle.failure_to_string f)
-      | Differential.Pass -> `Passes
-      | Differential.Skip msg ->
-        `Error (Printf.sprintf "router skipped the instance: %s" msg))
-    | "determinism" -> (
-      match Differential.determinism ~config coupling circuit router with
-      | Error msg -> `Reproduced msg
-      | Ok () -> `Passes)
-    | "flatcore-equivalence" -> (
-      match Differential.flatcore_equivalence ~config coupling circuit with
-      | Error msg -> `Reproduced msg
-      | Ok () -> `Passes)
-    | "delta-equivalence" -> (
-      match Differential.delta_equivalence ~config coupling circuit with
-      | Error msg -> `Reproduced msg
-      | Ok () -> `Passes)
-    | "stream-equivalence" -> (
-      match Differential.stream_equivalence ~config coupling circuit with
-      | Error msg -> `Reproduced msg
-      | Ok () -> `Passes)
-    | "iso-seed" -> (
-      match Differential.iso_seed_conformance ~config coupling circuit with
-      | Error msg -> `Reproduced msg
-      | Ok () -> `Passes)
-    | "portfolio-dominance" -> (
-      match Differential.portfolio_dominance ~config coupling circuit with
-      | Error msg -> `Reproduced msg
-      | Ok () -> `Passes)
-    | "racing-equivalence" -> (
-      match Differential.racing_equivalence ~config coupling circuit with
-      | Error msg -> `Reproduced msg
-      | Ok () -> `Passes)
-    | "cache-equivalence" -> (
-      match Differential.cache_equivalence ~config coupling circuit with
-      | Error msg -> `Reproduced msg
-      | Ok () -> `Passes)
-    | p -> `Error (Printf.sprintf "unknown property %S" p))
+  if r.router = "broken" then Router.register broken_router;
+  match
+    ( Router.find r.router,
+      List.find_opt (fun p -> p.name = r.property) properties )
+  with
+  | None, _ -> `Error (Printf.sprintf "router %S is not registered" r.router)
+  | Some _, None -> `Error (Printf.sprintf "unknown property %S" r.property)
+  | Some router, Some p -> (
+    match p.check ~config:r.config r.coupling r.circuit router with
+    | Fail msg -> `Reproduced msg
+    | Pass -> `Passes
+    | Skip msg -> `Error (Printf.sprintf "router skipped the instance: %s" msg))

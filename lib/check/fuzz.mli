@@ -5,8 +5,8 @@ module Router = Engine.Router
     minimisation.
 
     Each trial derives a deterministic instance from (campaign seed,
-    trial index), routes it with every selected router, and applies the
-    conformance oracle plus the seed-determinism metamorphic check. On a
+    trial index) and checks it against one ordered table of properties
+    ({!property_names}), which {!run} and {!replay} both read. On a
     failure the circuit is shrunk with greedy delta-debugging (chunks of
     halving size, then single gates) while the failure persists, and the
     minimal case is captured as a replayable {!Corpus.repro}. *)
@@ -47,6 +47,14 @@ val broken_router : Router.t
     routing violates the oracle. Used to validate that the harness
     catches, shrinks and reports real bugs (and by [--inject-broken]). *)
 
+val property_names : string list
+(** The properties a campaign checks, in its order. On each trial,
+    for each selected registered router: ["conformance"] (the {!Oracle}
+    contract on one random state), then ["determinism"] if the router is
+    randomized. Then, once and recorded under ["sabre"], the
+    {!Differential} checks ["flatcore-equivalence"] … ["cache-equivalence"],
+    each when the routers it compares are selected. *)
+
 val run :
   ?budget_s:float ->
   ?max_trials:int ->
@@ -66,7 +74,9 @@ val run :
     files are written to [corpus_dir] when given. *)
 
 val replay : Corpus.repro -> [ `Reproduced of string | `Passes | `Error of string ]
-(** Re-run the stored check on the stored instance: [`Reproduced msg]
-    when it still fails (with the fresh failure description), [`Passes]
-    when the defect no longer manifests, [`Error] when the repro cannot
-    be executed (unknown router or property). *)
+(** Re-run the stored property on the stored instance and router:
+    [`Reproduced msg] when it still fails (with the fresh failure
+    description), [`Passes] when the defect no longer manifests,
+    [`Error] when the repro cannot be executed (an unregistered router,
+    a property not in {!property_names}, or a router that skips the
+    instance under ["conformance"]). *)

@@ -39,15 +39,39 @@ val default : t
     W = 0.5, δ = 0.001, reset every 5 steps, 5 trials, 3 traversals,
     seed 2019, strict (non-commutation-aware) DAG. *)
 
+val max_trials : int
+(** 1,000. Each trial's initial mapping is built before routing starts
+    (the paper runs 5 trials, the bench's restart ablation 10). *)
+
+val max_extended_set_size : int
+(** 1,000. The router's scratch holds 2·|E| ints before its first
+    decision (the paper uses |E| = 20, the bench's |E| sweep 50). *)
+
 val validate : t -> (unit, string) result
-(** Check parameter ranges (sizes non-negative, weight in [0,1), odd
-    positive traversal count, positive trials). *)
+(** Check parameter ranges (|E| in \[0, {!max_extended_set_size}\],
+    weight in \[0,1), trials in \[1, {!max_trials}\], odd positive
+    traversal count). *)
+
+val to_string : t -> string
+(** The one text form: [name:value] fields in declaration order
+    (["heuristic:decay extended_set_size:20 ... commutation_aware:false"]),
+    floats as hex-floats ([%h]) so it round-trips bit-exactly, NaN,
+    signed zero and subnormals included. Repro files store it. *)
+
+val of_string : string -> (t, string) result
+(** Read {!to_string}'s form; every field must be present. Errors read
+    ["trials: expected an integer, got \"x\""]. Not {!validate}d. *)
+
+val field_names : string list
+(** The fields' names in {!to_string}, in its order. *)
+
+val set : t -> string -> string -> (t, string) result
+(** [set c name value]: [c] with field [name] read from [value], spelled
+    as {!to_string} prints it (booleans also as [on]/[off]/[1]/[0]). The
+    error does not name the field: ["expected a number, got \"abc\""].
+    Not {!validate}d. *)
 
 val digest : t -> string
-(** Canonical hex digest of every field. Floats are serialised as
-    hex-floats ([%h]) so bit-equal configurations — including NaN,
-    signed zero and subnormal weights — always produce the same digest,
-    and any bit difference changes it. Used as a component of the
-    compile-cache key. *)
+(** Hex MD5 of {!to_string}: a component of the compile-cache key. *)
 
 val pp : Format.formatter -> t -> unit

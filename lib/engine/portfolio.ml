@@ -32,74 +32,15 @@ type entry = {
 (* Per-entry config overrides                                          *)
 (* ------------------------------------------------------------------ *)
 
+(* an override key is a config field name spelled with '-' for '_' *)
 let override_keys =
-  [
-    "heuristic";
-    "extended-set-size";
-    "extended-set-weight";
-    "decay-increment";
-    "decay-reset-interval";
-    "trials";
-    "traversals";
-    "seed";
-    "stall-limit";
-    "commutation-aware";
-  ]
-
-let parse_bool key v =
-  match v with
-  | "true" | "on" | "1" -> Ok true
-  | "false" | "off" | "0" -> Ok false
-  | _ -> Error (Printf.sprintf "override %s: expected a boolean, got %S" key v)
-
-let parse_int key v =
-  match int_of_string_opt v with
-  | Some i -> Ok i
-  | None ->
-    Error (Printf.sprintf "override %s: expected an integer, got %S" key v)
-
-let parse_float key v =
-  match float_of_string_opt v with
-  | Some f -> Ok f
-  | None -> Error (Printf.sprintf "override %s: expected a number, got %S" key v)
+  List.map (String.map (function '_' -> '-' | c -> c)) Config.field_names
 
 let apply_override config (key, v) =
-  let open Config in
-  match key with
-  | "heuristic" -> (
-    match v with
-    | "basic" -> Ok { config with heuristic = Basic }
-    | "lookahead" -> Ok { config with heuristic = Lookahead }
-    | "decay" -> Ok { config with heuristic = Decay }
-    | _ ->
-      Error
-        (Printf.sprintf
-           "override heuristic: unknown value %S (available: basic, \
-            lookahead, decay)"
-           v))
-  | "extended-set-size" ->
-    Result.map (fun i -> { config with extended_set_size = i }) (parse_int key v)
-  | "extended-set-weight" ->
-    Result.map
-      (fun f -> { config with extended_set_weight = f })
-      (parse_float key v)
-  | "decay-increment" ->
-    Result.map (fun f -> { config with decay_increment = f }) (parse_float key v)
-  | "decay-reset-interval" ->
-    Result.map
-      (fun i -> { config with decay_reset_interval = i })
-      (parse_int key v)
-  | "trials" -> Result.map (fun i -> { config with trials = i }) (parse_int key v)
-  | "traversals" ->
-    Result.map (fun i -> { config with traversals = i }) (parse_int key v)
-  | "seed" -> Result.map (fun i -> { config with seed = i }) (parse_int key v)
-  | "stall-limit" ->
-    if v = "none" then Ok { config with stall_limit = None }
-    else
-      Result.map (fun i -> { config with stall_limit = Some i }) (parse_int key v)
-  | "commutation-aware" ->
-    Result.map (fun b -> { config with commutation_aware = b }) (parse_bool key v)
-  | _ ->
+  if List.mem key override_keys then
+    Config.set config (String.map (function '-' -> '_' | c -> c) key) v
+    |> Result.map_error (Printf.sprintf "override %s: %s" key)
+  else
     (* the same suggest-style miss as Router/Seeder.find_suggest: name
        the culprit, list what would have worked *)
     Error

@@ -45,14 +45,18 @@ val entry_name : entry -> string
     deltas are appended as [":key=val,..."]. *)
 
 val override_keys : string list
-(** The override keys {!apply_overrides} understands — the kebab-case
-    names of every {!Config.t} field. *)
+(** The override keys {!apply_overrides} understands: every
+    {!Config.field_names} entry spelled with [-] for [_]
+    (["extended-set-size"]). The snake-case names are refused. *)
 
 val apply_overrides :
   Config.t -> (string * string) list -> (Config.t, string) result
-(** Fold entry overrides into a base config and re-validate. Unknown
-    keys and malformed values are rejected with a message listing
-    {!override_keys} (mirroring the registries' suggest-style errors). *)
+(** Fold entry overrides into a base config through {!Config.set}, then
+    re-validate. An unknown key is refused with a message listing
+    {!override_keys} (mirroring the registries' suggest-style errors), a
+    malformed value with ["override KEY: "] and {!Config.set}'s reason,
+    an invalid result with ["overrides produce an invalid config: "] and
+    {!Config.validate}'s. *)
 
 val parse_spec : string -> (entry list, string) result
 (** Parse a CLI spec: comma-separated [ROUTER[/SEEDER][:key=val,...]]

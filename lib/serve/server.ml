@@ -69,6 +69,7 @@ type resolved = {
 
 type job = {
   ticket : ticket;
+  queued : float;  (** when admission pushed it *)
   req : resolved;
   slot : slot;
   conn_fd : Unix.file_descr;
@@ -448,8 +449,11 @@ let worker_loop t i =
       let resp =
         if t0 > tk.deadline then
           error_id tk.id Protocol.Timeout
-            "deadline expired after %.3fs in queue (routing not started)"
+            "deadline expired after %.3fs (%.3fs admitting, %.3fs queued; \
+             routing not started)"
             (t0 -. tk.received)
+            (job.queued -. tk.received)
+            (t0 -. job.queued)
         else begin
           let resp =
             try route t ~should_stop:(should_stop_probe job) tk.id job.req
@@ -520,7 +524,8 @@ let admit t ~conn_fd id deadline_s resolve =
   | Error resp | Ok (_, Some resp) -> finish t tk resp
   | Ok (req, None) -> (
     let slot = new_slot () in
-    match Rqueue.try_push t.queue { ticket = tk; req; slot; conn_fd } with
+    let job = { ticket = tk; queued = wall (); req; slot; conn_fd } in
+    match Rqueue.try_push t.queue job with
     | `Ok -> await slot
     | `Full ->
       bump t t.rejected "rejected";

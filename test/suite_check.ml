@@ -286,6 +286,36 @@ let test_campaign_catches_broken_router () =
       | `Passes -> Alcotest.fail "replay of the broken repro passes"
       | `Error msg -> Alcotest.failf "replay error: %s" msg))
 
+(* The repro README's replay example uses: its [config=] line is
+   [Config.to_string]'s, so this pins the on-disk form. *)
+let test_checked_in_repro_replays () =
+  match Corpus.load "../fuzz/corpus/repro-broken-conformance-2019.txt" with
+  | Error msg -> Alcotest.failf "checked-in repro unreadable: %s" msg
+  | Ok repro ->
+    check Alcotest.string "config line"
+      "heuristic:lookahead extended_set_size:3 \
+       extended_set_weight:0x1.5213457ecf487p-1 \
+       decay_increment:0x1.3e01af2fef12ep-7 decay_reset_interval:5 trials:2 \
+       traversals:3 seed:521104 stall_limit:none commutation_aware:false"
+      (Config.to_string repro.Corpus.config);
+    check Alcotest.bool "replay reproduces" true
+      (Fuzz.replay repro
+      = `Reproduced "tracker: un-routed circuit differs from the original")
+
+(* Every property in the table replays, and passes on a clean instance. *)
+let test_replay_every_property () =
+  check Alcotest.int "nine properties" 9 (List.length Fuzz.property_names);
+  List.iter
+    (fun property ->
+      match Fuzz.replay { (sample_repro ()) with Corpus.property } with
+      | `Passes -> ()
+      | `Reproduced msg -> Alcotest.failf "%s fails: %s" property msg
+      | `Error msg -> Alcotest.failf "%s does not replay: %s" property msg)
+    Fuzz.property_names;
+  check Alcotest.bool "unknown property" true
+    (Fuzz.replay { (sample_repro ()) with Corpus.property = "warp" }
+    = `Error "unknown property \"warp\"")
+
 let test_campaign_clean_on_real_routers () =
   let campaign = Fuzz.run ~max_trials:25 ~seed:42 ~routers:[ "sabre"; "greedy"; "bka" ] () in
   check Alcotest.int "trials run" 25 campaign.trials_run;
@@ -321,4 +351,7 @@ let suite =
         test_campaign_catches_broken_router;
       tc "campaign is clean on the real routers" `Quick
         test_campaign_clean_on_real_routers;
+      tc "checked-in repro loads and reproduces" `Quick
+        test_checked_in_repro_replays;
+      tc "replay runs every property" `Quick test_replay_every_property;
     ]

@@ -528,6 +528,56 @@ let test_apply_overrides () =
     check Alcotest.bool "invalid config names the rule" true
       (String.length msg > 0)
 
+(* Each key is a field's name with '-' for '_', and sets the field that
+   [Config.of_string] reads under that name: splice one field of a
+   config that differs from the default everywhere into the default's
+   text, and apply the same text as an override. *)
+let test_override_keys_are_config_fields () =
+  check
+    (Alcotest.list Alcotest.string)
+    "keys are the field names"
+    (List.map (String.map (function '_' -> '-' | c -> c)) Config.field_names)
+    Portfolio.override_keys;
+  let fields c =
+    String.split_on_char ' ' (Config.to_string c)
+    |> List.map (fun kv ->
+           let i = String.index kv ':' in
+           ( String.sub kv 0 i,
+             String.sub kv (i + 1) (String.length kv - i - 1) ))
+  in
+  let donor =
+    {
+      Config.heuristic = Config.Basic;
+      extended_set_size = 3;
+      extended_set_weight = 0.25;
+      decay_increment = 0.125;
+      decay_reset_interval = 7;
+      trials = 2;
+      traversals = 5;
+      seed = 11;
+      stall_limit = Some 4;
+      commutation_aware = true;
+    }
+  in
+  List.iter2
+    (fun key (field, v) ->
+      let spliced =
+        fields Config.default
+        |> List.map (fun (f, d) -> f ^ ":" ^ if f = field then v else d)
+        |> String.concat " "
+      in
+      match
+        (Portfolio.apply_overrides Config.default [ (key, v) ],
+         Config.of_string spliced)
+      with
+      | Ok got, Ok want ->
+        check Alcotest.bool (key ^ " moves the field") true
+          (want <> Config.default);
+        check Alcotest.string (key ^ " sets " ^ field)
+          (Config.to_string want) (Config.to_string got)
+      | Error msg, _ | _, Error msg -> Alcotest.failf "%s=%s: %s" key v msg)
+    Portfolio.override_keys (fields donor)
+
 (* ------------------------------------------------------------------ *)
 
 let suite =
@@ -561,4 +611,6 @@ let suite =
     tc "parse_spec: per-entry overrides" `Quick test_parse_spec_overrides;
     tc "apply_overrides: typed keys and re-validation" `Quick
       test_apply_overrides;
+    tc "override keys are the config fields" `Quick
+      test_override_keys_are_config_fields;
   ]

@@ -1634,6 +1634,50 @@ let test_invalid_before_queue_full () =
 
 (* ------------------------------------------------------------------ *)
 
+(* Both fields size an allocation made before routing starts: one past
+   the bound is refused at admission, and the daemon answers on. *)
+let test_config_bounds_refused () =
+  with_server ~domains:1 (fun path _server ->
+      let over o = rpc path (compile_req ~overrides:o small_qasm) in
+      (match
+         over { P.no_overrides with trials = Some (Config.max_trials + 1) }
+       with
+      | P.Error_resp { kind = P.Invalid; message; _ } ->
+        check Alcotest.string "trials message"
+          (Printf.sprintf "config: trials must be <= %d" Config.max_trials)
+          message
+      | r -> Alcotest.failf "trials past the bound: %s" (P.encode_response r));
+      expect_error P.Invalid
+        (over
+           {
+             P.no_overrides with
+             extended_set = Some (Config.max_extended_set_size + 1);
+           });
+      match rpc path (compile_req ~id:"next" small_qasm) with
+      | P.Ok_compiled _ -> ()
+      | r ->
+        Alcotest.failf "daemon did not answer on: %s" (P.encode_response r))
+
+(* A pickup timeout splits its wait into admission and queue time. *)
+let test_pickup_timeout_message () =
+  with_server ~domains:1 (fun path _server ->
+      match rpc path (compile_req ~deadline_s:0.0 small_qasm) with
+      | P.Error_resp { kind = P.Timeout; message; _ } -> (
+        match
+          Scanf.sscanf message
+            "deadline expired after %fs (%fs admitting, %fs queued; routing \
+             not started)%!"
+            (fun total admitting queued -> (total, admitting, queued))
+        with
+        | total, admitting, queued ->
+          check Alcotest.bool ("parts add up in " ^ message) true
+            (admitting >= 0.0 && queued >= 0.0
+            && Float.abs (total -. (admitting +. queued)) <= 0.0015)
+        | exception (Scanf.Scan_failure _ | Failure _ | End_of_file) ->
+          Alcotest.failf "unexpected message %S" message)
+      | r ->
+        Alcotest.failf "expected a pickup timeout: %s" (P.encode_response r))
+
 let suite =
   [
     tc "jsonx round-trips" `Quick test_jsonx_roundtrip;
@@ -1699,4 +1743,8 @@ let suite =
       test_admission_hit_deadline;
     tc "invalid request answered before queue_full" `Quick
       test_invalid_before_queue_full;
+    tc "config bounds refused, daemon answers on" `Quick
+      test_config_bounds_refused;
+    tc "pickup timeout splits admitting and queued time" `Quick
+      test_pickup_timeout_message;
   ]
