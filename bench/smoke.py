@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
-"""Smoke checks: the CLI and daemon contracts, the bench's speed floors and
-the benchmark's determinism self-check.
+"""Smoke checks: the CLI and daemon contracts, the examples, the bench's
+speed floors and the benchmark's determinism self-check.
 
     python3 bench/smoke.py
 
@@ -26,8 +26,10 @@ COMPILE = "_build/default/bin/sabre_compile.exe"
 SERVE = "_build/default/bin/sabre_serve.exe"
 FUZZ = "_build/default/bin/sabre_fuzz.exe"
 BENCH = "_build/default/bench/main.exe"
+EXAMPLES = ["quickstart", "qft_on_tokyo", "tradeoff_explorer", "device_survey",
+            "noise_aware", "optimality_check"]
 TARGETS = ["bin/sabre_compile.exe", "bin/sabre_serve.exe", "bin/sabre_fuzz.exe",
-           "bench/main.exe"]
+           "bench/main.exe"] + [f"examples/{e}.exe" for e in EXAMPLES]
 
 QASM = ("OPENQASM 2.0;\n"
         'include "qelib1.inc";\n'
@@ -122,7 +124,8 @@ def batch_replay():
     # rows of -j 1 (README: parallelism across circuits changes no routed
     # byte). Two more rows name paths holding a tab: a copy of a circuit
     # and a missing file. Both rows must still be JSON, ok and error; the
-    # missing file makes the batch exit 1.
+    # missing file makes the batch exit 1. --trace prints the engine's
+    # pass lines on stderr and leaves the rows as they are.
     manifest = out("batch-manifest.txt")
     tab_copy, tab_missing = out("tab\tcopy.qasm"), out("tab\tmissing.qasm")
     shutil.copyfile("circuits/qpe_3bit.qasm", tab_copy)
@@ -133,6 +136,7 @@ def batch_replay():
     base = [COMPILE, "--batch", manifest, "-d", "tokyo"]
     seq = run(base + ["-j", "1"], "batch-j1.log", code=1)
     par = run(base + ["-j", "2"], "batch-j2.log", code=1)
+    traced = run(base + ["-j", "1", "--trace"], "batch-trace.log", code=1)
     lines = seq.stdout.splitlines()
     rows = [json.loads(line) for line in lines]
     assert len(rows) == 7, rows
@@ -150,6 +154,9 @@ def batch_replay():
                 for l in stdout.splitlines()]
 
     assert routed(seq.stdout) == routed(par.stdout), "-j 2 changed the batch output"
+    assert any(l.startswith("[engine] pass routing:") for l in traced.stderr.splitlines()), \
+        "--trace printed no [engine] pass routing: line under --batch"
+    assert routed(seq.stdout) == routed(traced.stdout), "--trace changed the batch output"
     return next(l for l in par.stderr.splitlines() if l.startswith("batch:"))
 
 
@@ -354,6 +361,15 @@ def stream_memory():
             f"{per_gate:.1f} minor words per gate")
 
 
+# ---------------------------------------------------------------- examples
+
+def examples():
+    # each example checks its own routes and exits non-zero on a failure
+    for e in EXAMPLES:
+        run([f"_build/default/examples/{e}.exe"], f"example-{e}.log")
+    return f"{len(EXAMPLES)} examples"
+
+
 # ---------------------------------------------------------------- bench
 
 def bench(section, *flags):
@@ -379,6 +395,7 @@ CHECKS = [
     ("serve-protocol", serve_protocol),
     ("serve-cache-replay", serve_cache_replay),
     ("stream-memory", stream_memory),
+    ("examples", examples),
     ("bench-scaling", bench("scaling", "--max-qubits", "56")),
     ("floor-scoring", bench("scoring")),
     ("floor-throughput", bench("throughput")),

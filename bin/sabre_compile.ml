@@ -187,7 +187,7 @@ let batch_row = function
       [ ("name", Str name); ("status", Str "error"); ("message", Str message) ]
 
 let run_batch manifest router_name config device ~portfolio ~race ~domains
-    ~verify ~quiet =
+    ~verify ~instrument ~quiet =
   let* router, portfolio =
     match portfolio with
     | None ->
@@ -232,7 +232,7 @@ let run_batch manifest router_name config device ~portfolio ~race ~domains
       in
       let report =
         Engine.Batch.compile_many ~config ~router ?portfolio ~race ~domains
-          ~verify device jobs
+          ~verify ~instrument device jobs
       in
       (* re-merge compile outcomes with parse failures, manifest order *)
       let outcomes = Queue.create () in
@@ -512,6 +512,9 @@ let run_main input workload size device_name device_size directed router
     |> Result.map (fun () -> config)
   in
   let domains = match parallel with None -> 1 | Some n -> max 1 n in
+  let instrument =
+    if trace then Engine.Instrument.stderr_trace else Engine.Instrument.null
+  in
   let result =
     match (gen_stream, stream) with
     | Some path, _ -> run_gen_stream path size gates seed ~quiet
@@ -549,7 +552,7 @@ let run_main input workload size device_name device_size directed router
       let* config = build_config ~trials ~traversals in
       run_batch manifest router config device
         ~portfolio:(Option.map (fun s -> (s, objective)) portfolio)
-        ~race:portfolio_race ~domains ~verify:true ~quiet
+        ~race:portfolio_race ~domains ~verify:true ~instrument ~quiet
     | None ->
     let* directed_device =
       match directed with
@@ -573,9 +576,6 @@ let run_main input workload size device_name device_size directed router
           (Printf.sprintf "circuit needs %d qubits but device has %d"
              (Circuit.n_qubits circuit) (Coupling.n_qubits device))
       else Ok ()
-    in
-    let instrument =
-      if trace then Engine.Instrument.stderr_trace else Engine.Instrument.null
     in
     let* c, router_label, pf_report =
       compiling (fun () ->

@@ -39,12 +39,18 @@ let () =
      semantically identical to the original (two independent checkers). *)
   let initial = Sabre.Mapping.l2p_array result.initial_mapping in
   let final = Sabre.Mapping.l2p_array result.final_mapping in
-  (match
-     Sim.Tracker.check ~coupling:device ~initial ~final ~logical:circuit
-       ~physical:result.physical ()
-   with
-  | Ok () -> Format.printf "tracker verification      : OK@."
-  | Error e -> Format.printf "tracker verification      : %a@." Sim.Tracker.pp_error e);
+  let tracked =
+    match
+      Sim.Tracker.check ~coupling:device ~initial ~final ~logical:circuit
+        ~physical:result.physical ()
+    with
+    | Ok () ->
+      Format.printf "tracker verification      : OK@.";
+      true
+    | Error e ->
+      Format.printf "tracker verification      : %a@." Sim.Tracker.pp_error e;
+      false
+  in
   let equivalent =
     Sim.Equivalence.routed_equivalent ~initial ~final ~logical:circuit
       ~physical:result.physical ()
@@ -55,4 +61,5 @@ let () =
   (* 5. Lower the inserted SWAPs to CNOTs and export as OpenQASM. *)
   let elementary = Quantum.Decompose.expand_swaps result.physical in
   Format.printf "@.== OpenQASM 2.0 output ==@.%s"
-    (Quantum.Qasm.to_string elementary)
+    (Quantum.Qasm.to_string elementary);
+  if not (tracked && equivalent) then exit 1

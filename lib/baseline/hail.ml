@@ -14,11 +14,11 @@ module Race = Engine.Race
    layers, weighting a pair in layer offset k as [lookahead_layers - k]
    (the blocked front gate carries the full weight), and only considers
    SWAPs on edges incident to the front gate's operands — HAIL's
-   search-space reduction. Candidate evaluation reuses the PR 5 delta
-   contract: with an integer distance view the score change is the
-   exact integer sum over the window pairs touching the swapped
-   occupants; a non-integer metric falls back to a full float recompute
-   per candidate. *)
+   search-space reduction. A candidate's score is its exact change to
+   the window's weighted hop distance: the integer sum over the window
+   pairs touching the swapped occupants. [delta_terms] counts those
+   lookups and [full_terms] the window size per candidate, the lookups
+   a full recompute would make. *)
 
 let name = "hail"
 let deterministic = false
@@ -48,8 +48,7 @@ let route (ctx : Context.t) ~initial =
   let config = ctx.Context.config in
   let n_physical = Coupling.n_qubits coupling in
   let stride = n_physical in
-  let dist = ctx.Context.dist in
-  let dist_int = ctx.Context.dist_int in
+  let dist = ctx.Context.dist_int in
   let gates = Circuit.gate_array circuit in
   let layer = asap_layers gates (Circuit.n_qubits circuit) in
   let mapping = Mapping.copy initial in
@@ -127,36 +126,25 @@ let route (ctx : Context.t) ~initial =
     else if q = lb && lb >= 0 then pa
     else Mapping.to_physical mapping q
   in
-  let delta_exact di win pa pb =
+  let delta win pa pb =
     let la = Mapping.to_logical mapping pa
     and lb = Mapping.to_logical mapping pb in
     let d = ref 0 in
     for k = 0 to win - 1 do
       let a = wq1.(k) and b = wq2.(k) in
       if (a = la || a = lb || b = la || b = lb) && (la >= 0 || lb >= 0) then begin
-        let old_d = di.((Mapping.to_physical mapping a * stride)
-                        + Mapping.to_physical mapping b)
+        let old_d = dist.((Mapping.to_physical mapping a * stride)
+                          + Mapping.to_physical mapping b)
         and new_d =
-          di.((pos_after ~la ~lb ~pa ~pb a * stride)
-              + pos_after ~la ~lb ~pa ~pb b)
+          dist.((pos_after ~la ~lb ~pa ~pb a * stride)
+                + pos_after ~la ~lb ~pa ~pb b)
         in
         d := !d + (ww.(k) * (new_d - old_d));
         incr delta_terms
       end
     done;
-    float_of_int !d
-  in
-  let score_full_after win pa pb =
-    let la = Mapping.to_logical mapping pa
-    and lb = Mapping.to_logical mapping pb in
-    let s = ref 0.0 in
-    for k = 0 to win - 1 do
-      let a = pos_after ~la ~lb ~pa ~pb wq1.(k)
-      and b = pos_after ~la ~lb ~pa ~pb wq2.(k) in
-      s := !s +. (float_of_int ww.(k) *. dist.((a * stride) + b));
-      incr full_terms
-    done;
-    !s
+    full_terms := !full_terms + win;
+    !d
   in
   (* candidate edges incident to either operand's position, deduped and
      visited in edge-id order so ties break deterministically *)
@@ -173,19 +161,12 @@ let route (ctx : Context.t) ~initial =
     add p1;
     add p2;
     let cands = List.sort_uniq compare !cands in
-    let best = ref (-1) and best_score = ref infinity in
+    let best = ref (-1) and best_score = ref max_int in
     List.iter
       (fun eid ->
         let pa, pb = Coupling.edge_endpoints coupling eid in
         incr candidates;
-        let score =
-          match dist_int with
-          | Some di -> delta_exact di win pa pb
-          | None ->
-            (* non-integer metric: full recompute; subtracting the
-               shared base preserves the comparison *)
-            score_full_after win pa pb
-        in
+        let score = delta win pa pb in
         if score < !best_score then begin
           best_score := score;
           best := eid

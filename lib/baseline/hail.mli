@@ -5,11 +5,13 @@
     (only edges incident to the blocked gate's operands — HAIL's
     search-space reduction) against the two-qubit pairs of the next
     [lookahead] static ASAP layers, weighted [lookahead - offset] so the
-    front gate dominates. Candidate evaluation follows the PR 5 delta
-    contract: exact integer base−old+new sums over the affected window
-    pairs when {!Engine.Context.t.dist_int} is available, full float
-    recompute per candidate otherwise; both paths feed
-    {!Sabre_core.Stats.scoring}. A stall guard (config [stall_limit],
+    front gate dominates. A candidate scores the exact integer change
+    (new − old) of the window's weighted hop distance
+    ({!Engine.Context.t.dist_int}), summed over the window pairs that
+    touch the swapped occupants. {!Sabre_core.Stats.scoring} counts
+    those lookups as [delta_terms] and each candidate's window size as
+    [full_terms] (what a full recompute would look up), so
+    [delta_terms <= full_terms]. A stall guard (config [stall_limit],
     default [2 * n_physical]) falls back to a shortest-path walk so
     routing always terminates.
 

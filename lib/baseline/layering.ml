@@ -43,4 +43,3 @@ let partition_asap c =
          match l with [] -> None | _ -> Some { gates = List.rev l })
 
 let two_qubit_pairs layer = List.filter_map Gate.two_qubit_pair layer.gates
-let layer_count c = List.length (partition c)

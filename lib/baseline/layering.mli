@@ -24,5 +24,3 @@ val partition_asap : Circuit.t -> layer list
 
 val two_qubit_pairs : layer -> (int * int) list
 (** The qubit pairs of the layer's two-qubit gates. *)
-
-val layer_count : Circuit.t -> int

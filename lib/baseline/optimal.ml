@@ -59,7 +59,10 @@ let count_placements ~n_logical ~n_physical =
 
 type node = { l2p : int array; k : int }
 
-let run ?initial ?(max_states = 2_000_000) coupling circuit =
+(* search budget: states expanded, and initial placements enumerated *)
+let max_states = 2_000_000
+
+let run ?initial coupling circuit =
   let n_logical = Circuit.n_qubits circuit in
   let n_physical = Coupling.n_qubits coupling in
   if n_logical > n_physical then

@@ -29,15 +29,14 @@ type failure =
 
 val run :
   ?initial:Mapping.t ->
-  ?max_states:int ->
   Coupling.t ->
   Circuit.t ->
   (result, failure) Stdlib.result
 (** [run coupling circuit] finds a minimum-SWAP routing. When [initial]
     is given the initial mapping is fixed; otherwise all injective
     placements are implicitly searched (every zero-cost start state).
-    [max_states] (default 2,000,000) bounds the search. Instances with
-    more than 12 physical qubits are rejected as [Too_large]. *)
+    At most 2,000,000 states are expanded. Instances with more than 12
+    physical qubits are rejected as [Too_large]. *)
 
 val min_swaps : ?initial:Mapping.t -> Coupling.t -> Circuit.t -> int option
 (** Just the optimum; [None] when the search is infeasible. *)

@@ -19,9 +19,8 @@ let physical (c : Engine.Pipeline.compiled) = c.routed.Engine.Context.physical
 let n_swaps (c : Engine.Pipeline.compiled) = c.stats.Sabre_core.Stats.n_swaps
 
 (* The conformance oracle over one compile. *)
-let oracle ?dense_max_qubits ?states ~config coupling circuit
-    (c : Engine.Pipeline.compiled) =
-  Oracle.check ?dense_max_qubits ?states
+let oracle ?states ~config coupling circuit (c : Engine.Pipeline.compiled) =
+  Oracle.check ?states
     ~commuting:config.Config.commutation_aware ~coupling ~logical:circuit
     ~initial:(Mapping.l2p_array c.routed.Engine.Context.trial_initial)
     ~final:(Mapping.l2p_array c.routed.Engine.Context.final_mapping)
@@ -55,42 +54,33 @@ let sabre () =
   | None -> invalid_arg "Check.Differential: router sabre missing"
 
 type verdict = Pass | Fail of Oracle.failure | Skip of string
-
-let pp_verdict ppf = function
-  | Pass -> Format.fprintf ppf "pass"
-  | Fail f -> Format.fprintf ppf "FAIL: %a" Oracle.pp_failure f
-  | Skip msg -> Format.fprintf ppf "skip (%s)" msg
-
 type report = { router : string; n_swaps : int option; verdict : verdict }
 
-let check_router_full ?dense_max_qubits ?states ~config coupling circuit
-    router =
+let check_router_full ?states ~config coupling circuit router =
   match route ~config coupling circuit router with
   | c -> (
     ( Some (n_swaps c),
-      match oracle ?dense_max_qubits ?states ~config coupling circuit c with
+      match oracle ?states ~config coupling circuit c with
       | Ok () -> Pass
       | Error f -> Fail f ))
   | exception Router.Route_failed msg -> (None, Skip msg)
   | exception e -> (None, Fail (Oracle.Crash (Printexc.to_string e)))
 
-let check_router ?dense_max_qubits ?states ~config coupling circuit router =
-  snd (check_router_full ?dense_max_qubits ?states ~config coupling circuit router)
+let check_router ?states ~config coupling circuit router =
+  snd (check_router_full ?states ~config coupling circuit router)
 
-let check_all ?routers ?dense_max_qubits ?states ~config coupling circuit () =
+let check_all ~config coupling circuit () =
   ensure_registered ();
-  let names = match routers with Some ns -> ns | None -> Router.names () in
-  List.map
+  List.filter_map
     (fun name ->
-      match Router.find name with
-      | None -> { router = name; n_swaps = None; verdict = Skip "unregistered" }
-      | Some router ->
-        let n_swaps, verdict =
-          check_router_full ?dense_max_qubits ?states ~config coupling circuit
-            router
-        in
-        { router = name; n_swaps; verdict })
-    (List.sort compare names)
+      Option.map
+        (fun router ->
+          let n_swaps, verdict =
+            check_router_full ~config coupling circuit router
+          in
+          { router = name; n_swaps; verdict })
+        (Router.find name))
+    (List.sort compare (Router.names ()))
 
 let determinism ~config coupling circuit router =
   match

@@ -43,12 +43,9 @@ type verdict =
       (** the router declined the instance ([Route_failed], e.g. BKA's
           node-budget abort) — not a conformance failure *)
 
-val pp_verdict : Format.formatter -> verdict -> unit
-
 type report = { router : string; n_swaps : int option; verdict : verdict }
 
 val check_router :
-  ?dense_max_qubits:int ->
   ?states:int ->
   config:Config.t ->
   Coupling.t ->
@@ -59,16 +56,8 @@ val check_router :
     the verdict ([Skip] for [Route_failed], [Fail Crash] otherwise). *)
 
 val check_all :
-  ?routers:string list ->
-  ?dense_max_qubits:int ->
-  ?states:int ->
-  config:Config.t ->
-  Coupling.t ->
-  Circuit.t ->
-  unit ->
-  report list
-(** {!check_router} for every named router (default: all registered),
-    in sorted name order. *)
+  config:Config.t -> Coupling.t -> Circuit.t -> unit -> report list
+(** {!check_router} for every registered router, in sorted name order. *)
 
 val determinism :
   config:Config.t -> Coupling.t -> Circuit.t -> Router.t ->

@@ -33,8 +33,11 @@ let remove_window gates lo len =
   List.filteri (fun i _ -> i < lo || i >= lo + len) gates
 
 (* Greedy delta debugging over the gate list: sweep windows of halving
-   size, deleting any window whose removal keeps the failure alive. *)
-let shrink ?(max_evals = 400) ~still_fails c =
+   size, deleting any window whose removal keeps the failure alive, in
+   at most [max_evals] evaluations of the predicate. *)
+let max_evals = 400
+
+let shrink ~still_fails c =
   let evals = ref 0 in
   let ok cand =
     !evals < max_evals

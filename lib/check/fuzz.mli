@@ -30,16 +30,12 @@ type campaign = {
   failures : counterexample list;
 }
 
-val shrink :
-  ?max_evals:int ->
-  still_fails:(Circuit.t -> bool) ->
-  Circuit.t ->
-  Circuit.t * int
+val shrink : still_fails:(Circuit.t -> bool) -> Circuit.t -> Circuit.t * int
 (** [shrink ~still_fails c] greedily removes gates while [still_fails]
-    holds, evaluating the predicate at most [max_evals] (default 400)
-    times; returns the shrunk circuit (never larger than [c]) and the
-    number of accepted reductions. The result always satisfies
-    [still_fails] when [c] did. *)
+    holds, evaluating the predicate at most 400 times; returns the
+    shrunk circuit (never larger than [c]) and the number of accepted
+    reductions. The result always satisfies [still_fails] when [c]
+    did. *)
 
 val broken_router : Router.t
 (** A deliberately faulty router named ["broken"]: it routes with SABRE

@@ -38,10 +38,8 @@ let shrink_circuit c yield =
   QCheck.Shrink.list_spine (Circuit.gates c) (fun gates ->
       yield (rebuild c gates))
 
-let circuit_arb ?min_qubits ?max_qubits ?max_gates () =
-  QCheck.make
-    (circuit ?min_qubits ?max_qubits ?max_gates ())
-    ~print:Circuit.to_string ~shrink:shrink_circuit
+let circuit_arb () =
+  QCheck.make (circuit ()) ~print:Circuit.to_string ~shrink:shrink_circuit
 
 (* ------------------------------------------------------------------ *)
 (* QASM programs                                                       *)
@@ -270,10 +268,8 @@ let print_instance i =
 let shrink_instance i yield =
   shrink_circuit i.circuit (fun c -> yield { i with circuit = c })
 
-let instance_arb ?max_qubits ?max_gates () =
-  QCheck.make
-    (instance ?max_qubits ?max_gates ())
-    ~print:print_instance ~shrink:shrink_instance
+let instance_arb () =
+  QCheck.make (instance ()) ~print:print_instance ~shrink:shrink_instance
 
 let instance_of_seed ?max_qubits ?max_gates seed =
   QCheck.Gen.generate1

@@ -28,10 +28,9 @@ val shrink_circuit : Circuit.t QCheck.Shrink.t
 (** Shrinks by deleting gates (spine shrinking); the register size is
     preserved so a shrunk circuit still fits the same device. *)
 
-val circuit_arb :
-  ?min_qubits:int -> ?max_qubits:int -> ?max_gates:int -> unit ->
-  Circuit.t QCheck.arbitrary
-(** {!circuit} packaged with printing and {!shrink_circuit}. *)
+val circuit_arb : unit -> Circuit.t QCheck.arbitrary
+(** {!circuit} at its defaults, packaged with printing and
+    {!shrink_circuit}. *)
 
 val qasm_program : string QCheck.Gen.t
 (** A random valid OpenQASM 2.0 source: 1–3 quantum and 1–2 classical
@@ -79,8 +78,9 @@ val shrink_instance : instance QCheck.Shrink.t
 (** Shrinks the circuit only (device and config are kept, so the shrunk
     instance remains well-formed). *)
 
-val instance_arb :
-  ?max_qubits:int -> ?max_gates:int -> unit -> instance QCheck.arbitrary
+val instance_arb : unit -> instance QCheck.arbitrary
+(** {!instance} at its defaults, packaged with {!print_instance} and
+    {!shrink_instance}. *)
 
 val instance_of_seed : ?max_qubits:int -> ?max_gates:int -> int -> instance
 (** Deterministic instance from a single integer seed — the fuzz

@@ -60,8 +60,11 @@ let check_semantics ~commuting ~coupling ~logical ~initial ~final ~physical =
     | Ok () -> Ok ()
     | Error e -> tracker_err e
 
-let check ?(dense_max_qubits = 12) ?(states = 2) ?(commuting = false) ~coupling
-    ~logical ~initial ~final ~physical () =
+(* dense simulation of [2^n] amplitudes stays cheap up to here *)
+let dense_max_qubits = 12
+
+let check ?(states = 2) ?(commuting = false) ~coupling ~logical ~initial
+    ~final ~physical () =
   let ( let* ) = Result.bind in
   let* () =
     check_semantics ~commuting ~coupling ~logical ~initial ~final ~physical

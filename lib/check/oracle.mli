@@ -22,7 +22,7 @@ module Coupling = Hardware.Coupling
       logical depth (skipped when [commuting] — reordering commuting
       gates may legally beat the strict-DAG depth);
     - {b equivalence}: on devices small enough for dense simulation
-      (≤ [dense_max_qubits]), the routed circuit is unitarily equivalent
+      (≤ 12 qubits), the routed circuit is unitarily equivalent
       to the source through the initial/final mappings
       ({!Sim.Equivalence}); larger devices rely on the permutation
       tracker ({!Sim.Tracker}), which is exact and scalable.
@@ -47,7 +47,6 @@ val pp_failure : Format.formatter -> failure -> unit
 val failure_to_string : failure -> string
 
 val check :
-  ?dense_max_qubits:int ->
   ?states:int ->
   ?commuting:bool ->
   coupling:Coupling.t ->
@@ -57,8 +56,8 @@ val check :
   physical:Circuit.t ->
   unit ->
   (unit, failure) result
-(** Full contract. [dense_max_qubits] (default 12) bounds the device size
-    for the dense-simulation leg; [states] (default 2) is the number of
-    random states it tests; [commuting] (default false) relaxes semantics
-    to commuting-DAG linearisations, as commutation-aware routing is
+(** Full contract. The dense-simulation leg runs on devices of at most
+    12 qubits; [states] (default 2) is the number of random states it
+    tests; [commuting] (default false) relaxes semantics to
+    commuting-DAG linearisations, as commutation-aware routing is
     allowed to reorder commuting gates. *)

@@ -28,6 +28,7 @@ let default =
   }
 
 let max_trials = 1000
+let max_traversals = 1000
 let max_extended_set_size = 1000
 
 let validate c =
@@ -49,6 +50,8 @@ let validate c =
     Error (Printf.sprintf "trials must be <= %d" max_trials)
   else if c.traversals < 1 || c.traversals mod 2 = 0 then
     Error "traversals must be odd and >= 1 (forward passes bracket the run)"
+  else if c.traversals > max_traversals then
+    Error (Printf.sprintf "traversals must be <= %d" max_traversals)
   else if (match c.stall_limit with Some s -> s < 1 | None -> false) then
     Error "stall_limit must be >= 1"
   else Ok ()

@@ -43,14 +43,19 @@ val max_trials : int
 (** 1,000. Each trial's initial mapping is built before routing starts
     (the paper runs 5 trials, the bench's restart ablation 10). *)
 
+val max_traversals : int
+(** 1,000, so the largest traversal count accepted is 999. Each trial
+    routes every traversal, so the cost is linear in it (the paper runs
+    3, the bench's traversal ablation at most 5). *)
+
 val max_extended_set_size : int
 (** 1,000. The router's scratch holds 2·|E| ints before its first
     decision (the paper uses |E| = 20, the bench's |E| sweep 50). *)
 
 val validate : t -> (unit, string) result
 (** Check parameter ranges (|E| in \[0, {!max_extended_set_size}\],
-    weight in \[0,1), trials in \[1, {!max_trials}\], odd positive
-    traversal count). *)
+    weight in \[0,1), trials in \[1, {!max_trials}\], an odd traversal
+    count in \[1, {!max_traversals}\]). *)
 
 val to_string : t -> string
 (** The one text form: [name:value] fields in declaration order

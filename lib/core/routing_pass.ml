@@ -1132,8 +1132,8 @@ let grown arr len = if Array.length arr >= len then arr else Array.make len 0
    one, which quietly fails — falling back to float full recompute —
    for non-integer metrics such as noise-weighted distances; [Full]
    derives one only for the hop distances it computes itself, so a
-   caller that passes its own metric without a view (the engine does,
-   having found it has none) pays no per-run scan for it. *)
+   caller that passes its own metric without a view pays no per-run
+   scan for it. *)
 let resolve_metric ~coupling ~scoring ~dist:given ~dist_int =
   let n_physical = Coupling.n_qubits coupling in
   let dist =

@@ -18,7 +18,8 @@ type scoring = {
           integer view (noise-weighted), which is scored unpruned. *)
   full_terms : int;
       (** lookups a full per-candidate recompute would perform:
-          [candidates × (|F| + |E|)] — the work the delta scorer avoids *)
+          [candidates × (|F| + |E|)] — the work the delta scorer avoids
+          (for HAIL, each candidate's lookahead-window size) *)
 }
 (** Inner-loop scorer accounting, summed over traversals and trials. *)
 

@@ -24,7 +24,7 @@ type t = {
   circuit : Circuit.t;
   noise : Noise.t option;
   dist : float array;  (* row-major, stride = Coupling.n_qubits coupling *)
-  dist_int : int array option;  (* integer view of [dist], if exact *)
+  dist_int : int array;  (* the same hop distances as integers *)
   scoring_mode : Sabre_core.Routing_pass.scoring_mode;
   trial_domains : int;
   race : Race.t option;
@@ -49,35 +49,23 @@ let resolve_scoring scoring circuit =
     Sabre_core.Routing_pass.default_scoring
       ~n_logical:(Circuit.n_qubits circuit)
 
-let create ?(config = Config.default) ?dist ?noise
-    ?(trial_domains = 1) ?race ?initial
-    ?(instrument = Instrument.null) ?scoring coupling circuit =
+let create ?(config = Config.default) ?noise ?(trial_domains = 1) ?race
+    ?initial ?(instrument = Instrument.null) ?scoring coupling circuit =
   (match Config.validate config with
   | Ok () -> ()
   | Error msg -> invalid_arg ("Engine.Context: " ^ msg));
   check_device coupling circuit;
   let scoring = resolve_scoring scoring circuit in
-  let dist, dist_int =
-    match dist with
-    | Some d ->
-      (* custom metric: integer-valued ones (hop-like) still get delta
-         scoring; non-integer ones (noise-weighted) get [None] and the
-         router recomputes in full *)
-      let flat = Sabre_core.Heuristic.flatten_dist d in
-      (flat, Sabre_core.Heuristic.dist_int_of_flat flat)
-    | None ->
-      (* the device-keyed cache skips the all-pairs BFS entirely when a
-         structurally identical device was compiled before *)
-      let flat, flat_int, outcome = Hardware.Dist_cache.lookup_all coupling in
-      let hit, miss = match outcome with `Hit -> (1, 0) | `Miss -> (0, 1) in
-      instrument.Instrument.emit
-        (Instrument.Counter
-           { pass = "context"; name = "dist_cache_hit"; value = hit });
-      instrument.Instrument.emit
-        (Instrument.Counter
-           { pass = "context"; name = "dist_cache_miss"; value = miss });
-      (flat, Some flat_int)
-  in
+  (* the device-keyed cache skips the all-pairs BFS entirely when a
+     structurally identical device was compiled before *)
+  let dist, dist_int, outcome = Hardware.Dist_cache.lookup_all coupling in
+  let hit, miss = match outcome with `Hit -> (1, 0) | `Miss -> (0, 1) in
+  instrument.Instrument.emit
+    (Instrument.Counter
+       { pass = "context"; name = "dist_cache_hit"; value = hit });
+  instrument.Instrument.emit
+    (Instrument.Counter
+       { pass = "context"; name = "dist_cache_miss"; value = miss });
   {
     config;
     coupling;

@@ -41,14 +41,13 @@ type t = {
       (** when present, trial ranking prefers estimated success
           probability (Section VI variability-aware mapping) *)
   dist : float array;
-      (** routing metric, row-major flattened with stride
-          [Coupling.n_qubits coupling]; all-pairs hop distances unless
-          the caller substituted a custom matrix — computed once per
-          compilation and shared by every trial and traversal *)
-  dist_int : int array option;
-      (** integer view of [dist] for the router's exact delta scorer;
-          [None] when the metric is not integer-valued (e.g.
-          noise-weighted), which forces full recompute scoring *)
+      (** the device's all-pairs hop distances, row-major flattened with
+          stride [Coupling.n_qubits coupling] — taken once per
+          compilation from {!Hardware.Dist_cache} and shared by every
+          trial and traversal *)
+  dist_int : int array;
+      (** the same hop distances as integers, from the same cache entry:
+          the metric the routers score candidates on *)
   scoring_mode : Sabre_core.Routing_pass.scoring_mode;
       (** candidate-scoring strategy handed to the router: the caller's
           [~scoring], else {!Sabre_core.Routing_pass.default_scoring}
@@ -71,7 +70,6 @@ type t = {
 
 val create :
   ?config:Config.t ->
-  ?dist:float array array ->
   ?noise:Noise.t ->
   ?trial_domains:int ->
   ?race:Race.t ->
@@ -81,17 +79,15 @@ val create :
   Coupling.t ->
   Circuit.t ->
   t
-(** Validate the inputs and build a fresh context. [dist] overrides the
-    hop-count metric (e.g. {!Hardware.Noise.swap_reliability_distance})
-    and is flattened row-major here, once; when absent the flat
-    hop-distance matrix comes from the device-keyed
-    {!Hardware.Dist_cache} — a cache hit skips the all-pairs BFS
+(** Validate the inputs and build a fresh context. The routing metric
+    is always the device's hop distances (paper Section IV-B), float and
+    integer views of one entry of the device-keyed
+    {!Hardware.Dist_cache}: a cache hit skips the all-pairs BFS
     entirely, and the hit/miss outcome is emitted on [instrument]
     (counters [context.dist_cache_hit] / [context.dist_cache_miss]).
-    The integer hop matrix rides along as [dist_int] (shared from the
-    same cache entry, or derived from a custom [dist] when it happens
-    to be integer-valued) so the router can score candidates
-    incrementally. [scoring] forces the router's
+    A custom metric (e.g. {!Hardware.Noise.swap_reliability_distance})
+    routes one traversal through {!Sabre_core.Routing_pass.run}
+    [~dist] instead. [scoring] forces the router's
     candidate-scoring strategy; without it the width rule
     ({!Sabre_core.Routing_pass.default_scoring}) picks [Full] below 48
     logical qubits and [Delta] from 48 up. Both produce bit-identical

@@ -32,11 +32,3 @@ let sync_collector () =
   in
   ( { emit = (fun e -> with_lock (fun () -> events := e :: !events)) },
     fun () -> with_lock (fun () -> List.rev !events) )
-
-let tee a b =
-  {
-    emit =
-      (fun e ->
-        a.emit e;
-        b.emit e);
-  }

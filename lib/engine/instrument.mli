@@ -39,7 +39,4 @@ val sync_collector : unit -> t * (unit -> event list)
     read-back function may run concurrently with emitters and sees a
     consistent prefix. *)
 
-val tee : t -> t -> t
-(** Duplicates every event into both sinks. *)
-
 val pp_event : Format.formatter -> event -> unit

@@ -57,13 +57,13 @@ let checked_hit ~key ~config coupling circuit ~t0 r =
     minor_words = [];
   }
 
-let compile ?config ?router ?seeder ?dist ?noise ?initial ?trial_domains
-    ?race ?scoring ?(instrument = Instrument.null) ?(verify = true)
-    ?cache_spec coupling circuit =
+let compile ?config ?router ?seeder ?noise ?initial ?trial_domains ?race
+    ?scoring ?(instrument = Instrument.null) ?(verify = true) ?cache_spec
+    coupling circuit =
   let t0 = Unix.gettimeofday () in
   let ctx =
-    Context.create ?config ?dist ?noise ?trial_domains ?race ?initial
-      ~instrument ?scoring coupling circuit
+    Context.create ?config ?noise ?trial_domains ?race ?initial ~instrument
+      ?scoring coupling circuit
   in
   let route ~verify =
     let ctx, metrics, minor_words =
@@ -83,12 +83,10 @@ let compile ?config ?router ?seeder ?dist ?noise ?initial ?trial_domains
   in
   match cache_spec with
   (* Only fully keyed compilations use the cache: a noise model changes
-     trial ranking without entering the key, a custom metric replaces
-     the digested hop distances, and a fixed initial mapping replaces
-     the seeded trials. *)
-  | Some spec
-    when Compile_cache.enabled () && noise = None && dist = None
-         && initial = None ->
+     trial ranking without entering the key, and a fixed initial mapping
+     replaces the seeded trials. *)
+  | Some spec when Compile_cache.enabled () && noise = None && initial = None
+    ->
     let config = ctx.Context.config in
     let key =
       Compile_cache.key ~circuit ~coupling ~config ~scoring:ctx.scoring_mode

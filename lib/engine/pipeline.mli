@@ -48,7 +48,6 @@ val compile :
   ?config:Config.t ->
   ?router:Router.t ->
   ?seeder:Sabre_core.Initial_mapping.Seeder.t ->
-  ?dist:float array array ->
   ?noise:Hardware.Noise.t ->
   ?initial:Sabre_core.Mapping.t ->
   ?trial_domains:int ->
@@ -72,8 +71,8 @@ val compile :
     {!Compile_cache}: it names the route recipe (router name or
     portfolio entry name) that completes the key beside the circuit,
     device, config and scoring-mode digests. It applies only when the
-    cache is enabled and the compilation is fully keyed (no [noise],
-    [dist] or [initial]); otherwise the call routes as without it. A
+    cache is enabled and the compilation is fully keyed (no [noise] or
+    [initial]); otherwise the call routes as without it. A
     miss routes and verifies whatever [verify] says, then fills the
     key; a failure aborts the flight and is not cached. Concurrent
     callers of one cold key wait for the first (single flight). Every

@@ -218,7 +218,7 @@ let better objective (_, a) (_, b) =
 let wall = Unix.gettimeofday
 let cancelled_msg = "cancelled: a completed entry is unbeatable"
 
-let run ?(domains = 1) ?(objective = Swaps) ?(config = Config.default) ?noise
+let run ?(domains = 1) ?(objective = Swaps) ?(config = Config.default)
     ?(verify = false) ?(race = false) ?(cache = false) ?cancel
     ?(instrument = Instrument.null) coupling circuit entries =
   (match Config.validate config with
@@ -247,13 +247,12 @@ let run ?(domains = 1) ?(objective = Swaps) ?(config = Config.default) ?noise
       entries
     |> Array.of_list
   in
-  (* success probability needs a noise model; default to the uniform
-     Tokyo-average calibration over this device *)
+  (* success probability needs a noise model: the uniform Tokyo-average
+     calibration over this device *)
   let noise =
-    match (noise, objective) with
-    | (Some _ as n), _ -> n
-    | None, Success_prob -> Some (Noise.uniform coupling)
-    | None, _ -> None
+    match objective with
+    | Success_prob -> Some (Noise.uniform coupling)
+    | Swaps | Depth -> None
   in
   (* Racing tokens. Success_prob has no monotone counter, so it opts
      out of pruning (no group) — the ?cancel probe still applies.
@@ -327,7 +326,7 @@ let run ?(domains = 1) ?(objective = Swaps) ?(config = Config.default) ?noise
   let outcomes =
     if Array.for_all Option.is_none tokens then Scheduler.run ~domains jobs
     else
-      Scheduler.run_cancellable ~chunk:1
+      Scheduler.run_cancellable
         ~cancelled:(fun i ->
           match tokens.(i) with
           | Some t -> Race.skip_at_claim t

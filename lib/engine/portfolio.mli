@@ -25,8 +25,8 @@ type objective =
   | Swaps  (** fewest inserted SWAPs *)
   | Depth  (** lowest {!Quantum.Depth.depth_swap3} of the routed circuit *)
   | Success_prob
-      (** highest {!Hardware.Noise.circuit_success_probability}; without
-          an explicit noise model, [Noise.uniform] over the device *)
+      (** highest {!Hardware.Noise.circuit_success_probability} under
+          [Noise.uniform] over the device *)
 
 val objective_name : objective -> string
 val objective_of_string : string -> (objective, string) result
@@ -70,8 +70,7 @@ val parse_spec : string -> (entry list, string) result
 type member = {
   entry : entry;
   success_prob : float option;
-      (** populated when a noise model was given or the objective is
-          [Success_prob] *)
+      (** populated when the objective is [Success_prob] *)
   compiled : Pipeline.compiled;
       (** the entry's compile, whole: its routed circuit and mappings,
           and the SWAP count and [depth_swap3] ([stats.n_swaps],
@@ -115,7 +114,6 @@ val run :
   ?domains:int ->
   ?objective:objective ->
   ?config:Config.t ->
-  ?noise:Noise.t ->
   ?verify:bool ->
   ?race:bool ->
   ?cache:bool ->
@@ -144,8 +142,8 @@ val run :
     after one check of the hit and — under [race] — its
     [Race.complete] lands immediately, so the hit becomes an instant
     incumbent that prunes every entry it renders unbeatable. Entries
-    running with a noise model ([Success_prob], or explicit [noise])
-    are excluded from the cache and route normally.
+    running with a noise model ([Success_prob]) are excluded from the
+    cache and route normally.
 
     [cancel] is an external hard-stop probe (deadline expiry, client
     disconnect), polled at claim time and at every in-flight progress

@@ -110,9 +110,9 @@ let beaten t lb =
 
 let skip_at_claim t = cancelled t || beaten t 0
 
-let hook ?(every = 64) t : Routing.hook =
+let hook t : Routing.hook =
   {
-    Routing.every;
+    Routing.every = 64;
     notify =
       (fun p ->
         if cancelled t then Routing.Stop

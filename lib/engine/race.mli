@@ -101,7 +101,7 @@ val skip_at_claim : t -> bool
 (** Claim-time check: hard-cancelled, or already beaten with the
     trivial bound 0 (an earlier entry completed at value 0). *)
 
-val hook : ?every:int -> t -> Sabre_core.Routing_pass.hook
+val hook : t -> Sabre_core.Routing_pass.hook
 (** The progress hook to install into the routing pass: checks hard
-    cancellation, then the certified bound against the incumbent.
-    [every] (default 64) is the decision granularity. *)
+    cancellation, then the certified bound against the incumbent, every
+    64 decisions. *)

@@ -56,7 +56,7 @@ let route (ctx : Context.t) ~initial =
     else begin
       note_traversal i;
       let r =
-        Routing.run_mapping ~scratch ~dist:ctx.dist ?dist_int:ctx.dist_int
+        Routing.run_mapping ~scratch ~dist:ctx.dist ~dist_int:ctx.dist_int
           ~scoring:ctx.scoring_mode ?hook ctx.config ctx.coupling
           (if i mod 2 = 1 then forward else backward)
           mapping
@@ -73,7 +73,7 @@ let route (ctx : Context.t) ~initial =
   in
   note_traversal total;
   let r =
-    Routing.run_logged ~scratch ~dist:ctx.dist ?dist_int:ctx.dist_int
+    Routing.run_logged ~scratch ~dist:ctx.dist ~dist_int:ctx.dist_int
       ~scoring:ctx.scoring_mode ?hook ctx.config ctx.coupling forward mapping
   in
   {

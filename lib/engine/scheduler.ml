@@ -93,14 +93,14 @@ let run_report ?chunk ~domains jobs =
 
 let run ?chunk ~domains jobs = (run_report ?chunk ~domains jobs).results
 
-(* Defaults to chunk 1: racing jobs have wildly unequal lengths, so
-   per-job claiming is what lets a short entry free its domain for a
-   long one. Cancellation of a job already running is the job's own
-   business (the routing-pass progress hook); this layer only stops
-   work from starting. *)
-let run_cancellable ?(chunk = 1) ~cancelled ~domains jobs =
+(* Chunk 1: racing jobs have wildly unequal lengths, so per-job
+   claiming is what lets a short entry free its domain for a long one.
+   Cancellation of a job already running is the job's own business (the
+   routing-pass progress hook); this layer only stops work from
+   starting. *)
+let run_cancellable ~cancelled ~domains jobs =
   if Array.length jobs = 0 then [||]
-  else fst (pool ~skip:cancelled ~chunk:(max 1 chunk) ~domains jobs)
+  else fst (pool ~skip:cancelled ~chunk:1 ~domains jobs)
 
 let best ~better = function
   | [||] -> invalid_arg "Scheduler.best: no results"

@@ -67,7 +67,6 @@ val run_report :
     on the calling domain only, [stats] has a single entry. *)
 
 val run_cancellable :
-  ?chunk:int ->
   cancelled:(int -> bool) ->
   domains:int ->
   (unit -> 'a) array ->
@@ -76,8 +75,8 @@ val run_cancellable :
     worker claims job [i]; [true] skips the thunk and leaves [None] in
     slot [i]. A job already running is not interrupted here — in-flight
     cancellation belongs to the job itself (see {!Race.hook}); this
-    check only keeps doomed work from starting. [chunk] defaults to 1
-    (racing jobs have unequal lengths, so per-job claiming lets a short
-    entry's domain steal the next job instead of sitting on a stale
-    chunk). [cancelled] must be domain-safe. Results keep input order;
+    check only keeps doomed work from starting. Workers claim one job
+    at a time (racing jobs have unequal lengths, so per-job claiming
+    lets a short entry's domain steal the next job instead of sitting on
+    a stale chunk). [cancelled] must be domain-safe. Results keep input order;
     exceptions propagate as in {!run} (lowest failed index). *)

@@ -88,11 +88,3 @@ let route_file ?(config = Config.default) coupling ~input ~output =
     Error (Printf.sprintf "%s:%d:%d: %s" input line column message)
   | exception Sys_error msg -> Error msg
   | exception Invalid_argument msg -> Error msg
-
-let route_files ?(config = Config.default) ?(domains = 1) coupling jobs =
-  let thunks =
-    Array.map
-      (fun (input, output) -> fun () -> route_file ~config coupling ~input ~output)
-      jobs
-  in
-  Scheduler.run ~domains thunks

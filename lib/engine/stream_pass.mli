@@ -54,22 +54,10 @@ val route_file :
     streaming route writing gates as they are decided. The routed gates
     go through a {!Quantum.Qasm.gate_writer} of the call's own, written
     to the channel each time it holds 64 KiB and once at the end, so
-    {!route_files} may run calls on several domains. Per input gate,
-    both passes together allocate little beyond the gates the route
-    emits (under 10 minor words on the stream-1m brickwork). Parse
+    calls may run on several domains at once ({!Scheduler.run}). Per
+    input gate, both passes together allocate little beyond the gates
+    the route emits (under 10 minor words on the stream-1m brickwork). Parse
     errors, I/O errors and width mismatches come back as
     [Error "file:line:col: message"]-style strings; the output file is not meaningful after an
     [Error]. A register wider than the device is reported before the
     survey sizes anything by it. [wall_s] covers both passes. *)
-
-val route_files :
-  ?config:Config.t ->
-  ?domains:int ->
-  Coupling.t ->
-  (string * string) array ->
-  (report, string) result array
-(** [route_files coupling jobs] runs {!route_file} over
-    [(input, output)] pairs on a {!Scheduler} domain pool ([domains]
-    defaults to 1). Results are in job order; one failing file never
-    affects the others. Memory is bounded by [domains] × the largest
-    window, not by any file's length. *)

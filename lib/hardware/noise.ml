@@ -20,25 +20,23 @@ let tokyo_readout = 8.74e-2
 let tokyo_t1 = 87.29
 let tokyo_t2 = 54.43
 
-let uniform ?(single_qubit_error = tokyo_1q) ?(two_qubit_error = tokyo_2q)
-    ?(readout_error = tokyo_readout) ?(t1_us = tokyo_t1) ?(t2_us = tokyo_t2)
-    ?(gate_time_1q_ns = 50.0) ?(gate_time_2q_ns = 300.0) coupling =
+let uniform coupling =
   let n = Coupling.n_qubits coupling in
   let two = Array.make_matrix n n 0.0 in
   List.iter
     (fun (a, b) ->
-      two.(a).(b) <- two_qubit_error;
-      two.(b).(a) <- two_qubit_error)
+      two.(a).(b) <- tokyo_2q;
+      two.(b).(a) <- tokyo_2q)
     (Coupling.edges coupling);
   {
     coupling;
-    single_qubit_error = Array.make n single_qubit_error;
+    single_qubit_error = Array.make n tokyo_1q;
     two_qubit_error = two;
-    readout_error = Array.make n readout_error;
-    t1_us = Array.make n t1_us;
-    t2_us = Array.make n t2_us;
-    gate_time_1q_ns;
-    gate_time_2q_ns;
+    readout_error = Array.make n tokyo_readout;
+    t1_us = Array.make n tokyo_t1;
+    t2_us = Array.make n tokyo_t2;
+    gate_time_1q_ns = 50.0;
+    gate_time_2q_ns = 300.0;
   }
 
 let randomized ?(seed = 1) ?(spread = 0.5) coupling =

@@ -22,20 +22,11 @@ type t = {
   gate_time_2q_ns : float;  (** CNOT duration *)
 }
 
-val uniform :
-  ?single_qubit_error:float ->
-  ?two_qubit_error:float ->
-  ?readout_error:float ->
-  ?t1_us:float ->
-  ?t2_us:float ->
-  ?gate_time_1q_ns:float ->
-  ?gate_time_2q_ns:float ->
-  Coupling.t ->
-  t
-(** Uniform noise across the device; defaults are the IBM Q20 Tokyo
-    averages of the paper's Fig. 2 (single-qubit 4.43e-3, CNOT 3.00e-2,
-    readout 8.74e-2, T1 = 87.29 µs, T2 = 54.43 µs) with typical
-    superconducting gate times (50 ns / 300 ns). *)
+val uniform : Coupling.t -> t
+(** Uniform noise across the device: the IBM Q20 Tokyo averages of the
+    paper's Fig. 2 (single-qubit 4.43e-3, CNOT 3.00e-2, readout
+    8.74e-2, T1 = 87.29 µs, T2 = 54.43 µs) with typical superconducting
+    gate times (50 ns / 300 ns). *)
 
 val randomized : ?seed:int -> ?spread:float -> Coupling.t -> t
 (** [randomized coupling] draws per-qubit and per-edge rates log-normally
@@ -51,10 +42,11 @@ val edge_error : t -> int -> int -> float
 val swap_reliability_distance : t -> float array array
 (** All-pairs routing metric for fidelity-aware mapping: the weight of an
     edge is −log(1 − e) of its SWAP failure probability (three CNOTs),
-    and entries are weighted shortest-path distances. Plugs directly into
-    {!Sabre.Compiler.run}'s [~dist] parameter: minimising summed
-    distances then maximises the product of success probabilities along
-    the chosen SWAP paths. *)
+    and entries are weighted shortest-path distances. Plugs into
+    {!Sabre_core.Routing_pass.run}'s [~dist] once flattened with
+    {!Sabre_core.Heuristic.flatten_dist}: minimising summed distances
+    then maximises the product of success probabilities along the
+    chosen SWAP paths. *)
 
 val mixed_routing_distance : ?lambda:float -> t -> float array array
 (** [mixed_routing_distance t] blends hop count with reliability:

@@ -18,8 +18,8 @@ let asap ?(weight = default_weight) c =
   done;
   { levels; depth = !depth }
 
-let alap ?(weight = default_weight) c =
-  let { depth; _ } = asap ~weight c in
+let alap c =
+  let { depth; _ } = asap c in
   let gates = Circuit.gate_array c in
   let n = Array.length gates in
   (* deadline.(q): latest finish allowed for the next-earlier gate on q *)
@@ -28,15 +28,15 @@ let alap ?(weight = default_weight) c =
   for i = n - 1 downto 0 do
     let qs = Gate.qubits gates.(i) in
     let finish = List.fold_left (fun acc q -> min acc deadline.(q)) depth qs in
-    let start = finish - weight gates.(i) in
+    let start = finish - default_weight gates.(i) in
     levels.(i) <- start;
     List.iter (fun q -> deadline.(q) <- start) qs
   done;
   { levels; depth }
 
-let slack ?(weight = default_weight) c =
-  let early = (asap ~weight c).levels in
-  let late = (alap ~weight c).levels in
+let slack c =
+  let early = (asap c).levels in
+  let late = (alap c).levels in
   Array.init (Array.length early) (fun i -> late.(i) - early.(i))
 
 (* [asap]'s makespan without its schedule: fold the per-qubit ready

@@ -17,12 +17,12 @@ val asap : ?weight:(Gate.t -> int) -> Circuit.t -> schedule
     duration in time steps (default: 1 for every unitary gate and
     measurement, 0 for barriers — barriers order gates but take no time). *)
 
-val alap : ?weight:(Gate.t -> int) -> Circuit.t -> schedule
-(** As-late-as-possible schedule with the same makespan as {!asap}:
-    [levels.(i)] is the latest start of gate i that still finishes the
-    circuit in [depth] steps. *)
+val alap : Circuit.t -> schedule
+(** As-late-as-possible schedule with the same makespan as {!asap} under
+    its default weights: [levels.(i)] is the latest start of gate i that
+    still finishes the circuit in [depth] steps. *)
 
-val slack : ?weight:(Gate.t -> int) -> Circuit.t -> int array
+val slack : Circuit.t -> int array
 (** Per-gate scheduling freedom: [alap level − asap level]. Gates with
     slack 0 form the critical path(s); large-slack gates are where a
     depth-aware router (the decay effect of Section IV-C3) can hide

@@ -801,6 +801,7 @@ type t = {
   mutable def_list : gate_def array;  (* the first [n_defs] are live *)
   mutable n_defs : int;
   mutable count_gen : int;  (* one per counted application *)
+  mutable expanded : int;  (* gates the expanding statements added *)
   mutable n_qubits : int;
   mutable n_clbits : int;
   (* gates of an expanding statement (broadcast, [ccx], a user gate),
@@ -982,9 +983,21 @@ exception Recursive_gate
 
 let max_expansion = 1 lsl 20
 
-(* An application that would expand to more than [max_expansion]
-   gates. *)
+(* An application that would take the program's expanded gates past
+   [max_expansion]. *)
 exception Too_many_gates
+
+(* Charge [n] gates of an expanding statement (a user-gate application,
+   a broadcast, a whole-register measure) to the program, before any of
+   them is built: [false], charging nothing, when they would take its
+   expanded gates past [max_expansion]. A plain statement yields one
+   gate for its own bytes and is not charged. *)
+let charge t n =
+  n <= max_expansion - t.expanded
+  && begin
+       t.expanded <- t.expanded + n;
+       true
+     end
 
 let toffoli_gates = List.length (Decompose.toffoli 0 1 2)
 
@@ -1047,8 +1060,8 @@ and body_gates t ~env ~binding acc = function
    User-defined gates expand recursively, callees resolved at
    application (a body may call a gate defined after it). At the
    statement's own application ([top]) the gates are counted before
-   any is built ([call_gates]), so an expansion that goes ahead ends
-   within [max_expansion] gates. *)
+   any is built ([call_gates]) and charged to the program, so the
+   program's expansions end within [max_expansion] gates. *)
 let rec apply_gate t ~top line col name params args =
   check_call t line col name (List.length params) args;
   match (word_of name, args) with
@@ -1062,7 +1075,7 @@ let rec apply_gate t ~top line col name params args =
     let def = t.def_list.(Names.find_string t.defs name) in
     if top then begin
       t.count_gen <- t.count_gen + 1;
-      if call_gates t name > max_expansion then raise_notrace Too_many_gates
+      if not (charge t (call_gates t name)) then raise_notrace Too_many_gates
     end;
     let qubit_binding =
       List.combine def.formal_qubits (List.map (one_qubit line col) args)
@@ -1081,7 +1094,7 @@ let rec apply_gate t ~top line col name params args =
     emit t (Gate.Single (single_kind word (Array.of_list params), q))
   | word, [ Whole reg ] ->
     let kind = single_kind word (Array.of_list params) in
-    if reg.size > max_expansion then raise_notrace Too_many_gates;
+    if not (charge t reg.size) then raise_notrace Too_many_gates;
     for i = 0 to reg.size - 1 do
       emit t (Gate.Single (kind, reg.base + i))
     done
@@ -1264,8 +1277,9 @@ let parse_measure t ~build line col =
   else if src < 0 && dst < 0 && t.qregs.size.(-src - 1) = t.cregs.size.(-dst - 1)
   then begin
     let qb = t.qregs.base.(-src - 1) and cb = t.cregs.base.(-dst - 1) in
-    if t.qregs.size.(-src - 1) > max_expansion then
-      fail line col "measure expands to more than %d gates" max_expansion;
+    if not (charge t t.qregs.size.(-src - 1)) then
+      fail line col "measure takes the program past %d expanded gates"
+        max_expansion;
     for i = 0 to t.qregs.size.(-src - 1) - 1 do
       emit t (Gate.Measure (qb + i, cb + i))
     done;
@@ -1328,7 +1342,7 @@ let parse_application t ~build ~word ~def line col name =
          itself"
         name
     | Too_many_gates ->
-      fail line col "gate %S expands to more than %d gates" name
+      fail line col "gate %S takes the program past %d expanded gates" name
         max_expansion);
     Nothing
 
@@ -1395,6 +1409,7 @@ let make refill =
     def_list = [||];
     n_defs = 0;
     count_gen = 0;
+    expanded = 0;
     n_qubits = 0;
     n_clbits = 0;
     fifo = Array.make 16 (Gate.Barrier []);

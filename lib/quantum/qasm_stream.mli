@@ -34,16 +34,18 @@ exception Parse_error of { line : int; column : int; message : string }
     that calls itself, directly or through another definition, is
     refused at the application (naming the applied gate) before any of
     its gates is built. A body may still call a gate defined after
-    it. *)
+    it. So is the statement that takes the program past
+    {!max_expansion} expanded gates. *)
 
 val max_expansion : int
-(** 2{^20}: the most gates one statement may expand to. An application
-    whose expansion would exceed it — a user gate whose definitions
-    multiply its gates, or a broadcast or whole-register [measure] over
-    more qubits — is a {!Parse_error} at the application, naming the
-    gate, raised before any of its gates is built: the count walks the
-    definitions the call reaches, each once. It bounds one statement;
-    many statements under the bound are not bounded together. *)
+(** 2{^20}: the most gates a program's expanding statements — user-gate
+    applications, broadcasts and whole-register [measure]s — may add
+    together. The statement that would take the running total past it
+    is a {!Parse_error} at that statement, naming the gate, raised
+    before any of its gates is built: a user gate's count walks the
+    definitions the call reaches, each once. Plain statements, which
+    yield one gate each ([ccx] its decomposition), cost their own input
+    bytes and are not counted. *)
 
 type t
 (** A parser over a partially-consumed input stream. *)

@@ -25,17 +25,12 @@ let finish (c : Engine.Pipeline.compiled) =
     stats = c.stats;
   }
 
-let run ?(config = Config.default) ?dist ?noise coupling circuit =
+let run ?(config = Config.default) ?noise coupling circuit =
   validate config;
-  finish
-    (Engine.Pipeline.compile ~config ?dist ?noise ~verify:false coupling
-       circuit)
+  finish (Engine.Pipeline.compile ~config ?noise ~verify:false coupling circuit)
 
-let route_with_initial ?(config = Config.default) ?dist coupling circuit
-    initial =
-  validate config;
+let route_with_initial coupling circuit initial =
   (* the historical contract: exactly one forward traversal, no trials *)
-  let config = { config with Config.trials = 1; traversals = 1 } in
+  let config = { Config.default with Config.trials = 1; traversals = 1 } in
   finish
-    (Engine.Pipeline.compile ~config ?dist ~initial ~verify:false coupling
-       circuit)
+    (Engine.Pipeline.compile ~config ~initial ~verify:false coupling circuit)

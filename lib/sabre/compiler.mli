@@ -30,15 +30,12 @@ type result = {
 }
 
 val run :
-  ?config:Config.t ->
-  ?dist:float array array ->
-  ?noise:Hardware.Noise.t ->
-  Coupling.t -> Circuit.t -> result
+  ?config:Config.t -> ?noise:Hardware.Noise.t -> Coupling.t -> Circuit.t -> result
 (** [run coupling circuit] compiles [circuit] for the device. Defaults to
-    {!Config.default}. [dist] substitutes a custom routing metric for the
-    hop-count distance matrix — pass
-    {!Hardware.Noise.swap_reliability_distance} to make the search avoid
-    unreliable couplers. [noise] changes the ranking among the random
+    {!Config.default}. Candidate SWAPs are scored on the device's hop
+    distances; a custom metric such as
+    {!Hardware.Noise.swap_reliability_distance} routes one traversal
+    through {!Sabre_core.Routing_pass.run} [~dist]. [noise] changes the ranking among the random
     trials from (SWAPs, depth) to the estimated success probability under
     that model, so equally cheap routings resolve toward reliable
     couplers — variability-aware mapping, the Section VI extension.
@@ -46,12 +43,10 @@ val run :
     than the device, the config is invalid, or the coupling graph is
     disconnected. *)
 
-val route_with_initial :
-  ?config:Config.t ->
-  ?dist:float array array ->
-  Coupling.t -> Circuit.t -> Mapping.t -> result
-(** Single forward traversal from a caller-supplied initial mapping (no
-    trials, no reverse traversal) — the building block exposed for
-    ablation studies and for the paper's [g_la] first-traversal column.
-    Raises [Invalid_argument] as {!run} does, and when the mapping is
-    sized for a device of another width. *)
+val route_with_initial : Coupling.t -> Circuit.t -> Mapping.t -> result
+(** Single forward traversal from a caller-supplied initial mapping under
+    {!Config.default}'s heuristic (no trials, no reverse traversal) — the
+    building block exposed for ablation studies and for the paper's
+    [g_la] first-traversal column. Raises [Invalid_argument] as {!run}
+    does, and when the mapping is sized for a device of another
+    width. *)

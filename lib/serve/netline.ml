@@ -8,10 +8,10 @@ type reader = {
   mutable broken : bool;  (** overflowed: framing lost for good *)
 }
 
-let reader ?(chunk_bytes = 65536) fd =
+let reader fd =
   {
     fd;
-    chunk = Bytes.create (max 1 chunk_bytes);
+    chunk = Bytes.create 65536;
     acc = Buffer.create 4096;
     start = 0;
     scanned = 0;

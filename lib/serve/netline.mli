@@ -12,9 +12,9 @@
 
 type reader
 
-val reader : ?chunk_bytes:int -> Unix.file_descr -> reader
-(** Buffered reader over [fd]. [chunk_bytes] (default 65536) sizes the
-    read buffer, not a limit on line length. *)
+val reader : Unix.file_descr -> reader
+(** Buffered reader over [fd], reading 64 KiB at a time (a read size,
+    not a limit on line length). *)
 
 type line =
   | Line of string

@@ -3,10 +3,14 @@ module Circuit = Quantum.Circuit
 
 let interaction_pairs n = List.init (max 0 (n - 1)) (fun i -> (i, i + 1))
 
-let circuit ?(steps = 13) ?(j = 1.0) ?(h = 0.7) n =
+(* coupling J, transverse field h and Trotter step dt *)
+let j = 1.0
+let h = 0.7
+let dt = 0.1
+
+let circuit ?(steps = 13) n =
   if n < 2 then invalid_arg "Ising.circuit: need at least two spins";
   if steps < 1 then invalid_arg "Ising.circuit: need at least one step";
-  let dt = 0.1 in
   let gates = ref [] in
   let add g = gates := g :: !gates in
   for q = 0 to n - 1 do

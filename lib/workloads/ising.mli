@@ -6,12 +6,13 @@ module Circuit = Quantum.Circuit
     executes it with zero SWAPs — the paper's "trivial optimum" that
     SABRE finds and BKA misses. *)
 
-val circuit : ?steps:int -> ?j:float -> ?h:float -> int -> Circuit.t
+val circuit : ?steps:int -> int -> Circuit.t
 (** [circuit n] builds the simulation of an n-spin chain: an initial
     Hadamard layer, then [steps] (default 13) Trotter steps, each
     applying the ZZ interaction exp(−iJ·Z⊗Z·dt) on every bond (as
     CNOT–Rz–CNOT, brickwork order: even bonds then odd bonds) followed by
-    the transverse field as Rx on every spin. Gate count:
+    the transverse field as Rx on every spin, with J = 1, h = 0.7 and
+    dt = 0.1. Gate count:
     n + steps × (3(n−1) + n). *)
 
 val interaction_pairs : int -> (int * int) list

@@ -14,7 +14,11 @@ let random_graph ?(seed = 1) ~n ~edge_prob () =
   done;
   List.rev !edges
 
-let circuit ?(rounds = 2) ?(gamma = 0.35) ?(beta = 0.6) ~n ~edges () =
+(* the cost and mixer angles of every round *)
+let gamma = 0.35
+let beta = 0.6
+
+let circuit ?(rounds = 2) ~n ~edges () =
   if n < 2 then invalid_arg "Qaoa.circuit: need >= 2 qubits";
   if rounds < 1 then invalid_arg "Qaoa.circuit: need >= 1 round";
   List.iter

@@ -10,17 +10,12 @@ val random_graph :
 (** Erdős–Rényi instance over [n] vertices; deterministic in [seed]. *)
 
 val circuit :
-  ?rounds:int ->
-  ?gamma:float ->
-  ?beta:float ->
-  n:int ->
-  edges:(int * int) list ->
-  unit ->
-  Circuit.t
+  ?rounds:int -> n:int -> edges:(int * int) list -> unit -> Circuit.t
 (** [circuit ~n ~edges ()] builds the QAOA state-preparation circuit:
     initial Hadamard layer, then [rounds] (default 2) of the cost layer —
     exp(−iγ Z⊗Z) on every problem edge as CNOT·Rz·CNOT — followed by the
-    mixer Rx(2β) on every vertex, and final measurements. *)
+    mixer Rx(2β) on every vertex, and final measurements; γ = 0.35 and
+    β = 0.6. *)
 
 val maxcut_instance : ?seed:int -> n:int -> edge_prob:float -> unit -> Circuit.t
 (** Convenience: {!random_graph} fed into {!circuit} with defaults. *)

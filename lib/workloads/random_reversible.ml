@@ -38,8 +38,8 @@ let circuit ?(seed = 1) ?(two_qubit_ratio = 0.7) ?(hot_fraction = 0.3)
   in
   Circuit.create ~n_qubits:n gate_list
 
-let toffoli_network ?(seed = 1) ?(hot_fraction = 0.4) ?(hot_bias = 0.5) ~n
-    ~gates () =
+let toffoli_network ?(seed = 1) ~n ~gates () =
+  let hot_fraction = 0.4 and hot_bias = 0.5 in
   if n < 3 then invalid_arg "Random_reversible.toffoli_network: need >= 3 qubits";
   if gates < 0 then invalid_arg "Random_reversible.toffoli_network: negative size";
   let rng = Random.State.make [| seed; n; gates; 0x70ff |] in

@@ -26,12 +26,11 @@ val circuit :
     each CNOT operand is hot with probability [hot_bias] (default 0.6).
     [seed] defaults to 1. Requires [n >= 2]. *)
 
-val toffoli_network :
-  ?seed:int -> ?hot_fraction:float -> ?hot_bias:float -> n:int -> gates:int ->
-  unit -> Circuit.t
+val toffoli_network : ?seed:int -> n:int -> gates:int -> unit -> Circuit.t
 (** [toffoli_network ~n ~gates ()] mimics RevLib netlists structurally: a
     random sequence of Toffoli (60 %), CNOT (30 %) and NOT/phase (10 %)
-    operations over hot-biased operands, decomposed into the elementary
+    operations over hot-biased operands (40 % of the qubits are hot, and
+    each operand is hot with probability 0.5), decomposed into the elementary
     gate set with {!Quantum.Decompose.toffoli} and truncated to exactly
     [gates] elementary gates. Unlike {!circuit}'s uniform pair soup, the
     interaction graph is a union of a few triangles and edges — sparse

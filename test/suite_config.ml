@@ -117,6 +117,18 @@ let test_text_errors () =
                 (fun kv -> not (String.starts_with ~prefix:"seed:" kv))
                 (String.split_on_char ' ' text)))))
 
+(* The traversal count is odd, so the largest one accepted is 999; each
+   traversal routes the whole circuit, so the cost of an unbounded count
+   is linear in it. *)
+let test_traversals_bounded () =
+  let d = Config.default in
+  check Alcotest.bool "999 traversals" true (valid { d with traversals = 999 });
+  check
+    Alcotest.(result unit string)
+    "1,001 traversals"
+    (Error "traversals must be <= 1000")
+    (Config.validate { d with traversals = 1001 })
+
 let suite =
   [
     tc "default matches paper Section V" `Quick test_default_matches_paper;
@@ -127,4 +139,5 @@ let suite =
     tc "text form round-trips edge floats" `Quick test_text_roundtrip_floats;
     tc "digest of the default pinned" `Quick test_digest_pinned;
     tc "text form errors name the field" `Quick test_text_errors;
+    tc "traversals bounded" `Quick test_traversals_bounded;
   ]

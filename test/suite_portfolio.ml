@@ -368,6 +368,32 @@ let test_hail_conformance () =
         ("hail/" ^ name))
     zoo
 
+(* HAIL keeps the scoring counters' contract: [full_terms] is what a
+   full recompute of each candidate's window would look up, and the
+   pairs a candidate touches are a subset of its window, so
+   [delta_terms <= full_terms]. *)
+let test_hail_scoring_counters () =
+  let hail =
+    match Engine.Router.find "hail" with
+    | Some r -> r
+    | None -> Alcotest.fail "hail not registered"
+  in
+  let c =
+    Engine.Pipeline.compile ~router:hail device (Workloads.Qft.circuit 8)
+  in
+  let s = c.Engine.Pipeline.stats in
+  let sc = s.Sabre.Stats.scoring in
+  check Alcotest.bool "the route inserts SWAPs" true (s.Sabre.Stats.n_swaps > 0);
+  check Alcotest.bool
+    (Printf.sprintf "full_terms %d > 0" sc.Sabre.Stats.full_terms)
+    true
+    (sc.Sabre.Stats.full_terms > 0);
+  check Alcotest.bool
+    (Printf.sprintf "delta_terms %d <= full_terms %d" sc.Sabre.Stats.delta_terms
+       sc.Sabre.Stats.full_terms)
+    true
+    (sc.Sabre.Stats.delta_terms <= sc.Sabre.Stats.full_terms)
+
 let test_batch_portfolio () =
   let jobs =
     Array.of_list
@@ -444,4 +470,6 @@ let suite =
       test_batch_portfolio;
     tc "Router.find_suggest lists registered routers" `Quick
       test_router_find_suggest;
+    tc "hail's scoring counters bound its lookups" `Quick
+      test_hail_scoring_counters;
   ]

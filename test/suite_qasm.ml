@@ -600,6 +600,62 @@ let test_many_gate_definitions_linear () =
     (Printf.sprintf "%.0f bytes per definition < 2 KB" per_def)
     true (per_def < 2048.0)
 
+(* [max_expansion] bounds what a program's expanding statements add
+   together, not each statement alone: two applications of a 2^19-gate
+   definition fit exactly, and a third is refused at its line, by every
+   entry point of the frontend. *)
+let test_expansion_budget_per_program () =
+  let program applications =
+    let b = Buffer.create 1024 in
+    Buffer.add_string b (doubling_chain 19);
+    for _ = 2 to applications do
+      Buffer.add_string b "g19 q[0];\n"
+    done;
+    Buffer.contents b
+  in
+  let entries =
+    [
+      ("Qasm.of_string", fun s -> Circuit.length (Qasm.of_string s));
+      ( "Qasm_stream.survey",
+        fun s ->
+          (Quantum.Qasm_stream.survey (Quantum.Qasm_stream.of_string s))
+            .Quantum.Qasm_stream.sv_n_gates );
+      ( "Qasm_stream.gates",
+        fun s ->
+          let next = Quantum.Qasm_stream.gates (Quantum.Qasm_stream.of_string s) in
+          let n = ref 0 in
+          while next () <> None do
+            incr n
+          done;
+          !n );
+    ]
+  in
+  List.iter
+    (fun (entry, count) ->
+      check Alcotest.int (entry ^ ": two applications") (1 lsl 20)
+        (count (program 2));
+      match count (program 3) with
+      | exception Qasm.Parse_error { line; message; _ } ->
+        check Alcotest.int (entry ^ ": at the third application") 26 line;
+        check Alcotest.bool
+          (entry ^ ": names the gate: " ^ message)
+          true
+          (Helpers.contains ~sub:"\"g19\"" message)
+      | n -> Alcotest.failf "%s: three applications parsed to %d gates" entry n)
+    entries;
+  (* broadcasts draw on the same budget: 1,024 of them over 1,024 qubits
+     fit exactly, and the 1,025th is refused *)
+  let broadcasts n =
+    "OPENQASM 2.0;\ninclude \"qelib1.inc\";\nqreg q[1024];\n"
+    ^ String.concat "" (List.init n (fun _ -> "h q;\n"))
+  in
+  check Alcotest.int "1,024 broadcasts" (1 lsl 20)
+    (Circuit.length (Qasm.of_string (broadcasts 1024)));
+  match Qasm.of_string (broadcasts 1025) with
+  | exception Qasm.Parse_error { line; _ } ->
+    check Alcotest.int "the 1,025th broadcast" 1028 line
+  | _ -> Alcotest.fail "1,025 broadcasts parsed"
+
 let suite =
   [
     tc "parse basic program" `Quick test_parse_basic;
@@ -632,4 +688,6 @@ let suite =
       test_gate_fan_out_refused;
     tc "gate definitions parse in linear memory" `Quick
       test_many_gate_definitions_linear;
+    tc "one expansion budget per program" `Quick
+      test_expansion_budget_per_program;
   ]

@@ -1678,6 +1678,46 @@ let test_pickup_timeout_message () =
       | r ->
         Alcotest.failf "expected a pickup timeout: %s" (P.encode_response r))
 
+(* A traversal count past the bound is refused at admission, before a
+   single traversal is routed, and the daemon answers on. *)
+let test_traversals_bound_refused () =
+  with_server ~domains:1 (fun path _server ->
+      (match
+         rpc path
+           (compile_req
+              ~overrides:{ P.no_overrides with traversals = Some 1001 }
+              small_qasm)
+       with
+      | P.Error_resp { kind = P.Invalid; message; _ } ->
+        check Alcotest.string "traversals message"
+          "config: traversals must be <= 1000" message
+      | r ->
+        Alcotest.failf "1,001 traversals: %s" (P.encode_response r));
+      match rpc path (compile_req ~id:"next" small_qasm) with
+      | P.Ok_compiled _ -> ()
+      | r ->
+        Alcotest.failf "daemon did not answer on: %s" (P.encode_response r))
+
+(* The expansion bound covers the whole program: three applications of a
+   2^19-gate definition, each under the bound alone, are one small
+   request refused as qasm_error at admission. Without the bound the
+   request would route 1.5M gates, so its deadline turns that into a
+   quick timeout rather than a slow test. *)
+let test_expansion_budget_refused () =
+  let b = Buffer.create 1024 in
+  Buffer.add_string b
+    "OPENQASM 2.0;\ninclude \"qelib1.inc\";\nqreg q[1];\ngate g0 a { h a; }\n";
+  for i = 1 to 19 do
+    Printf.bprintf b "gate g%d a { g%d a; g%d a; }\n" i (i - 1) (i - 1)
+  done;
+  Buffer.add_string b "g19 q[0];\ng19 q[0];\ng19 q[0];\n";
+  with_server ~domains:1 (fun path _server ->
+      expect_error P.Qasm_error
+        (rpc path (compile_req ~deadline_s:3.0 (Buffer.contents b)));
+      match rpc path (compile_req ~id:"next" small_qasm) with
+      | P.Ok_compiled _ -> ()
+      | r -> Alcotest.failf "next request: %s" (P.encode_response r))
+
 let suite =
   [
     tc "jsonx round-trips" `Quick test_jsonx_roundtrip;
@@ -1747,4 +1787,8 @@ let suite =
       test_config_bounds_refused;
     tc "pickup timeout splits admitting and queued time" `Quick
       test_pickup_timeout_message;
+    tc "traversals past the bound refused, daemon answers on" `Quick
+      test_traversals_bound_refused;
+    tc "program past the expansion budget refused, daemon answers on" `Quick
+      test_expansion_budget_refused;
   ]

@@ -603,8 +603,11 @@ let test_route_files_isolates_failures () =
       output_string oc "OPENQASM 2.0;\nqreg q[2];\ncx q[0];\n";
       close_out oc;
       let results =
-        Engine.Stream_pass.route_files ~domains:2 tokyo
-          [| (good_in, good_out); (bad_in, bad_out) |]
+        Engine.Scheduler.run ~domains:2
+          (Array.map
+             (fun (input, output) () ->
+               Engine.Stream_pass.route_file tokyo ~input ~output)
+             [| (good_in, good_out); (bad_in, bad_out) |])
       in
       (match results.(0) with
       | Ok _ -> ()
