@@ -12,6 +12,7 @@ well under one.
 """
 
 import contextlib
+import filecmp
 import json
 import os
 import shutil
@@ -117,6 +118,24 @@ def racing_equivalence():
                     f"{w}/{m['entry']}: completing entry changed under racing"
     assert total_cancelled > 0, "pruning never fired across the corpus — racing is inert"
     return f"{total_cancelled} members cancelled"
+
+
+def hail_words():
+    # a count, so it holds on any host: HAIL's routing pass (5 trials, the
+    # kept trial's circuit replayed from its log) allocates at most 100
+    # minor words per logical gate through the real entry point (observed
+    # ~11; the list-based router read 1,454 and 1,659)
+    bound = 100
+    readings = []
+    for n in ("16", "20"):
+        r = json.loads(run([COMPILE, "-w", "qft", "-n", n, "-d", "tokyo", "-r", "hail",
+                            "--stats-json"], f"hail-words-{n}.log").stdout)
+        words = next(p["minor_words"] for p in r["passes"] if p["name"] == "routing")
+        per = words / r["logical"]["gates"]
+        assert per <= bound, \
+            f"qft {n}: {per:.1f} minor words per logical gate in hail's routing pass, above {bound}"
+        readings.append(f"qft {n}: {per:.1f}")
+    return "; ".join(readings) + " minor words per gate"
 
 
 def batch_replay():
@@ -327,15 +346,26 @@ def stream_memory():
     # Allocation must stay with the gates routed: at most 20 minor words
     # per input gate over both passes of the 1M-gate run (observed ~9.5).
     # The output paths hold a tab, which the JSON report must escape.
+    # The 250k run is repeated under --trace, which must print both stream
+    # steps and leave the routed bytes as they were.
     ceiling_words = 6_000_000
     words_per_gate = 20
     reports = {}
+    traced = out("routed\ttraced.qasm")
     try:
         for name, gates in (("250k", 250_000), ("1m", 1_000_000)):
             src, dst = out(f"chain_{name}.qasm"), out(f"routed\t{name}.qasm")
             run([COMPILE, "--gen-stream", src, "-n", "16", "--gates", str(gates),
                  "--seed", "7", "-q"], f"gen-{name}.log")
             r = compile_json([src, "--stream", "-o", dst], f"stream-{name}.log")
+            if name == "250k":
+                p = run([COMPILE, src, "--stream", "-o", traced, "--trace", "-q"],
+                        "stream-250k-trace.log")
+                for step in ("survey", "route"):
+                    assert f"[engine] pass {step}: done in" in p.stderr, \
+                        f"--stream --trace printed no '{step}' step"
+                assert filecmp.cmp(dst, traced, shallow=False), \
+                    "--stream --trace changed the routed output"
             assert r["output"] == dst, f"{name}: report names {r['output']!r}, not {dst!r}"
             assert r["gates_in"] == gates, f"{name}: expected {gates} gates, routed {r['gates_in']}"
             assert r["gates_out"] in (r["gates_in"] + 3 * r["swaps"], r["gates_in"] + r["swaps"]), \
@@ -349,6 +379,8 @@ def stream_memory():
             for path in (out(f"chain_{name}.qasm"), out(f"routed\t{name}.qasm")):
                 with contextlib.suppress(FileNotFoundError):
                     os.unlink(path)
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(traced)
     small, large = reports["250k"]["peak_heap_words"], reports["1m"]["peak_heap_words"]
     ratio = large / small
     assert ratio <= 1.5, \
@@ -391,6 +423,7 @@ CHECKS = [
     ("list-seeders", list_seeders),
     ("portfolio-dominance", portfolio_dominance),
     ("racing-equivalence", racing_equivalence),
+    ("hail-words", hail_words),
     ("batch-replay", batch_replay),
     ("serve-protocol", serve_protocol),
     ("serve-cache-replay", serve_cache_replay),

@@ -272,7 +272,7 @@ let run_batch manifest router_name config device ~portfolio ~race ~domains
 (* Streaming mode                                                       *)
 (* ------------------------------------------------------------------ *)
 
-let run_stream input output device config ~quiet ~json =
+let run_stream input output device config ~instrument ~quiet ~json =
   let ( let* ) = Result.bind in
   let* path =
     match input with
@@ -289,7 +289,10 @@ let run_stream input output device config ~quiet ~json =
   in
   (* minor words are per domain, and both passes run on this one *)
   let words0 = Gc.minor_words () in
-  let* rep = Engine.Stream_pass.route_file ~config device ~input:path ~output:out in
+  let* rep =
+    Engine.Stream_pass.route_file ~config ~instrument device ~input:path
+      ~output:out
+  in
   let minor_words = Gc.minor_words () -. words0 in
   let r = rep.Engine.Stream_pass.result in
   let heap_words = (Gc.quick_stat ()).Gc.top_heap_words in
@@ -536,7 +539,7 @@ let run_main input workload size device_name device_size directed router
       (* single forward traversal from the identity placement: the
          trial/traversal knobs need the materialised circuit *)
       let* config = build_config ~trials:1 ~traversals:1 in
-      run_stream input output device config ~quiet ~json
+      run_stream input output device config ~instrument ~quiet ~json
     | None, false ->
     match batch with
     | Some manifest ->

@@ -15,6 +15,15 @@
     default [2 * n_physical]) falls back to a shortest-path walk so
     routing always terminates.
 
+    A trial allocates O(gates) int tables and an emission log, and
+    nothing per gate, decision or candidate: each emitted gate is
+    logged as its index or a {!Sabre_core.Routing_pass.swap_code}, and
+    the outcome's [depth] is the swap3 depth tracked as the log grows.
+    The outcome's [physical] is replayed from the log
+    ({!Sabre_core.Routing_pass.replay}) only when forced, so the
+    routing pass builds the circuit of the trial it keeps and no
+    other.
+
     Not deterministic ([deterministic = false]): a trial's random
     initial mapping flows straight into the search, so the engine's
     multi-trial machinery and external seeders both apply. Registered as

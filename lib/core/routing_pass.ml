@@ -392,27 +392,29 @@ let rec barrier_set finish l2p t = function
     finish.(l2p.(q)) <- t;
     barrier_set finish l2p t rest
 
-let note_pair st pa pb w =
-  let fa = st.finish.(pa) and fb = st.finish.(pb) in
+let finish_pair finish pa pb w =
+  let fa = finish.(pa) and fb = finish.(pb) in
   let t = (if fa > fb then fa else fb) + w in
-  st.finish.(pa) <- t;
-  st.finish.(pb) <- t;
-  if t > st.depth then st.depth <- t
+  finish.(pa) <- t;
+  finish.(pb) <- t;
+  t
 
-let note_gate st g =
-  let l2p = st.l2p_scratch in
-  match g with
+let finish_swap finish p1 p2 = finish_pair finish p1 p2 3
+
+let finish_gate finish l2p = function
   | Gate.Single (_, q) | Gate.Measure (q, _) ->
     let p = l2p.(q) in
-    let t = st.finish.(p) + 1 in
-    st.finish.(p) <- t;
-    if t > st.depth then st.depth <- t
-  | Gate.Cnot (a, b) | Gate.Cz (a, b) -> note_pair st l2p.(a) l2p.(b) 1
-  | Gate.Swap (a, b) -> note_pair st l2p.(a) l2p.(b) 3
+    let t = finish.(p) + 1 in
+    finish.(p) <- t;
+    t
+  | Gate.Cnot (a, b) | Gate.Cz (a, b) -> finish_pair finish l2p.(a) l2p.(b) 1
+  | Gate.Swap (a, b) -> finish_pair finish l2p.(a) l2p.(b) 3
   | Gate.Barrier qs ->
-    let t = barrier_start st.finish l2p 0 qs in
-    barrier_set st.finish l2p t qs;
-    if t > st.depth then st.depth <- t
+    let t = barrier_start finish l2p 0 qs in
+    barrier_set finish l2p t qs;
+    t
+
+let note_depth st t = if t > st.depth then st.depth <- t
 
 let log_push st x =
   if st.log_len = Array.length st.log then begin
@@ -483,7 +485,7 @@ let execute_eager st dag (flat : Dag.flat) (remaining : int array) i =
   | Silent -> ()
   | Logged ->
     log_push st i;
-    note_gate st (Dag.gate dag i)
+    note_depth st (finish_gate st.finish st.l2p_scratch (Dag.gate dag i))
   | Sink sink -> sink (Gate.remap st.to_physical (Dag.gate dag i)));
   for k = flat.succ_off.(i) to flat.succ_off.(i + 1) - 1 do
     let j = flat.succ_idx.(k) in
@@ -547,7 +549,8 @@ let execute_streamed st w on_ready i =
   | Silent -> ()
   | Logged ->
     log_push st i;
-    note_gate st (Dag.Window.gate w i)
+    note_depth st
+      (finish_gate st.finish st.l2p_scratch (Dag.Window.gate w i))
   | Sink sink -> sink (Gate.remap st.to_physical (Dag.Window.gate w i)));
   let two = Dag.Window.pair_q1 w i >= 0 in
   Dag.Window.execute w i on_ready;
@@ -754,7 +757,7 @@ let apply_swap st ~fallback p1 p2 =
   | Silent -> ()
   | Logged ->
     log_push st (swap_code ~stride:st.stride p1 p2);
-    note_pair st p1 p2 3
+    note_depth st (finish_swap st.finish p1 p2)
   | Sink sink -> sink (Gate.Swap (p1, p2)));
   let l1 = st.p2l.(p1) and l2 = st.p2l.(p2) in
   Mapping.swap_physical_inplace st.mapping p1 p2;
@@ -1357,14 +1360,14 @@ let traverse_dag ~scratch ~dist ~dist_int ~scoring ~hook ~output config
 (* The physical circuit of a logged run, rebuilt from its emission log
    straight into the circuit's gate array. The walk runs forwards from
    the initial mapping, applying each SWAP as it passes it, so every
-   node is remapped through the π it executed under. *)
-let replay ~n_physical ~n_clbits dag ~initial_l2p:l2p log =
+   logged gate is remapped through the π it executed under. *)
+let replay ~n_physical ~n_clbits gates ~initial_l2p:l2p log =
   let p2l = Array.make n_physical (-1) in
   Array.iteri (fun l p -> p2l.(p) <- l) l2p;
   let to_physical = Array.get l2p in
   Circuit.init ~n_qubits:n_physical ~n_clbits (Array.length log) (fun k ->
       let x = log.(k) in
-      if x >= 0 then Gate.remap to_physical (Dag.gate dag x)
+      if x >= 0 then Gate.remap to_physical gates.(x)
       else begin
         let code = -1 - x in
         let p1 = code / n_physical and p2 = code mod n_physical in
@@ -1385,14 +1388,15 @@ let run_logged ?scratch ?dist ?dist_int ?scoring ?hook config coupling dag
   (* the scratch's log is overwritten by the next run on this domain, so
      the outcome keeps its own copy: one int per emitted gate *)
   let log = Array.sub st.log 0 st.log_len
-  and initial_l2p = Mapping.l2p_array initial in
+  and initial_l2p = Mapping.l2p_array initial
+  and circuit = Dag.circuit dag in
   {
     l_physical =
       lazy
         (replay
            ~n_physical:(Coupling.n_qubits coupling)
-           ~n_clbits:(Circuit.n_clbits (Dag.circuit dag))
-           dag ~initial_l2p log);
+           ~n_clbits:(Circuit.n_clbits circuit)
+           circuit.Circuit.gates ~initial_l2p log);
     l_depth = st.depth;
     l_final_mapping = st.mapping;
     l_n_swaps = st.n_swaps;

@@ -234,6 +234,46 @@ val run_logged :
     plus [Lazy.force]. A [hook] sees the logged prefix's depth as
     [depth_lb]. Arguments and exceptions are those of {!run}. *)
 
+(** {2 Emission logs}
+
+    A logged run records each emitted gate as one int: the gate's index
+    in the source circuit's gate array, or a SWAP as its {!swap_code}.
+    It tracks the emitted prefix's {!Quantum.Depth.depth_swap3} with
+    {!finish_gate} and {!finish_swap}. A router outside this module
+    (HAIL) logs the same way and defers its circuit to {!replay}. *)
+
+val swap_code : stride:int -> int -> int -> int
+(** [swap_code ~stride p1 p2] is the log entry of a SWAP on physical
+    qubits [p1] and [p2], in that order, on a device of [stride] qubits:
+    negative, so it never collides with a gate index. *)
+
+val finish_gate : int array -> int array -> Quantum.Gate.t -> int
+(** [finish_gate finish l2p g] places the logical gate [g] as soon as
+    possible on the physical qubits [l2p] maps its operands to, after
+    the gates whose finish times [finish] holds per physical qubit,
+    under {!Quantum.Depth.depth_swap3}'s weights (Swap 3, Barrier 0,
+    else 1). It updates [finish] and returns [g]'s finish time; over a
+    log, the largest one returned is the swap3 depth of the circuit
+    {!replay} builds. Allocates nothing. *)
+
+val finish_swap : int array -> int -> int -> int
+(** [finish_swap finish p1 p2] is {!finish_gate} for a SWAP on the
+    physical qubits [p1] and [p2]. *)
+
+val replay :
+  n_physical:int ->
+  n_clbits:int ->
+  Quantum.Gate.t array ->
+  initial_l2p:int array ->
+  int array ->
+  Circuit.t
+(** [replay ~n_physical ~n_clbits gates ~initial_l2p log] is the routed
+    circuit [log] describes: a gate index [i] becomes [gates.(i)]
+    remapped through the mapping it was emitted under, a SWAP code its
+    [Swap]. The mapping starts at [initial_l2p], which the walk updates
+    in place (pass a copy). Each gate is validated as {!Circuit.init}
+    validates it. *)
+
 (** {2 Mapping-only entry point} *)
 
 type mapping_result = {

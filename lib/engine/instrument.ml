@@ -15,6 +15,15 @@ let pp_event ppf = function
   | Counter { pass; name; value } ->
     Format.fprintf ppf "pass %s: %s = %d" pass name value
 
+let timed t pass f =
+  t.emit (Pass_start { pass });
+  let t0 = Unix.gettimeofday () and w0 = Gc.minor_words () in
+  let r = f () in
+  let minor_words = Gc.minor_words () -. w0 in
+  let wall_s = Unix.gettimeofday () -. t0 in
+  t.emit (Pass_end { pass; wall_s; minor_words });
+  (r, wall_s, minor_words)
+
 let stderr_trace =
   { emit = (fun e -> Format.eprintf "[engine] %a@." pp_event e) }
 

@@ -22,6 +22,15 @@ type t = { emit : event -> unit }
 val null : t
 (** Drops every event (the default sink). *)
 
+val timed : t -> string -> (unit -> 'a) -> 'a * float * float
+(** [timed sink pass f] runs [f ()] as the pass named [pass]: a
+    [Pass_start], whatever [f] emits, then a [Pass_end] carrying the
+    wall-clock seconds [f] took and the words it allocated in the
+    calling domain's minor heap ([Gc.minor_words] counts that domain
+    only, so work fanned out to other domains is not in it, and on one
+    domain the reading is repeatable). Returns [f]'s result with those
+    two figures. *)
+
 val stderr_trace : t
 (** One line per event on stderr, prefixed with [[engine]]. *)
 

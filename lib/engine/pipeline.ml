@@ -3,19 +3,9 @@ module Coupling = Hardware.Coupling
 module Config = Sabre_core.Config
 module Stats = Sabre_core.Stats
 
-(* One pass, timed and announced on the sink; returns its readings.
-   [Gc.minor_words] counts the calling domain's allocation only: a pass
-   that fans trials out to other domains reports what it allocated here,
-   and on one domain the reading is deterministic. *)
+(* One pass, timed and announced on the sink; returns its readings. *)
 let run_pass ~instrument ctx (p : Pass.t) =
-  instrument.Instrument.emit (Instrument.Pass_start { pass = p.name });
-  let t0 = Unix.gettimeofday () and w0 = Gc.minor_words () in
-  let ctx = p.run ~instrument ctx in
-  let minor_words = Gc.minor_words () -. w0 in
-  let wall_s = Unix.gettimeofday () -. t0 in
-  instrument.Instrument.emit
-    (Instrument.Pass_end { pass = p.name; wall_s; minor_words });
-  (ctx, wall_s, minor_words)
+  Instrument.timed instrument p.name (fun () -> p.run ~instrument ctx)
 
 let run ?(instrument = Instrument.null) passes ctx =
   List.fold_left

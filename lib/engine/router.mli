@@ -11,11 +11,13 @@ module Mapping = Sabre_core.Mapping
 
 type outcome = {
   physical : Circuit.t Lazy.t;
-      (** the routed circuit. SABRE defers it: a trial keeps its final
-          traversal's emission log, and the circuit is replayed from it
+      (** the routed circuit. SABRE and HAIL defer it: a trial keeps
+          the int log of its (final) traversal's emissions, and the
+          circuit is replayed from it ({!Sabre_core.Routing_pass.replay})
           only when forced — by the routing pass, for the trial it
-          returns. Routers that build the circuit anyway wrap it in
-          [Lazy.from_val]. Force it on one domain at a time. *)
+          returns. Routers that build the circuit anyway (greedy, BKA)
+          wrap it in [Lazy.from_val]. Force it on one domain at a
+          time. *)
   depth : int;
       (** {!Quantum.Depth.depth_swap3} of [physical], known without
           forcing it: the trial ranking's tie-break *)

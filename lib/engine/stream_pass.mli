@@ -42,6 +42,7 @@ val run :
 
 val route_file :
   ?config:Config.t ->
+  ?instrument:Instrument.t ->
   Coupling.t ->
   input:string ->
   output:string ->
@@ -60,4 +61,13 @@ val route_file :
     errors, I/O errors and width mismatches come back as
     [Error "file:line:col: message"]-style strings; the output file is not meaningful after an
     [Error]. A register wider than the device is reported before the
-    survey sizes anything by it. [wall_s] covers both passes. *)
+    survey sizes anything by it. [wall_s] covers both passes.
+
+    Each pass is announced on [instrument] (default
+    {!Instrument.null}) as a pipeline pass is, under the names
+    ["survey"] and ["route"]: [Pass_start], then [Pass_end] with its
+    wall time and the minor words it allocated on this domain. Before
+    its [Pass_end], ["route"] emits the counters [gates_in],
+    [gates_out], [swaps], [fallback_swaps] and [peak_window]. The route
+    step includes writing the output, which the sink does as it
+    routes. *)

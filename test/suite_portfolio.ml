@@ -6,6 +6,7 @@
    dominates its members under each objective — deterministically,
    whatever the domain count. *)
 
+module Gate = Quantum.Gate
 module Circuit = Quantum.Circuit
 module Coupling = Hardware.Coupling
 module Devices = Hardware.Devices
@@ -345,12 +346,13 @@ let domain_determinism_prop =
 (* Hail conformance and Batch integration                              *)
 (* ------------------------------------------------------------------ *)
 
+let hail_router () =
+  match Engine.Router.find "hail" with
+  | Some r -> r
+  | None -> Alcotest.fail "hail not registered"
+
 let test_hail_conformance () =
-  let hail =
-    match Engine.Router.find "hail" with
-    | Some r -> r
-    | None -> Alcotest.fail "hail not registered"
-  in
+  let hail = hail_router () in
   List.iter
     (fun name ->
       let circuit = zoo_circuit name in
@@ -373,11 +375,7 @@ let test_hail_conformance () =
    pairs a candidate touches are a subset of its window, so
    [delta_terms <= full_terms]. *)
 let test_hail_scoring_counters () =
-  let hail =
-    match Engine.Router.find "hail" with
-    | Some r -> r
-    | None -> Alcotest.fail "hail not registered"
-  in
+  let hail = hail_router () in
   let c =
     Engine.Pipeline.compile ~router:hail device (Workloads.Qft.circuit 8)
   in
@@ -393,6 +391,191 @@ let test_hail_scoring_counters () =
        sc.Sabre.Stats.full_terms)
     true
     (sc.Sabre.Stats.delta_terms <= sc.Sabre.Stats.full_terms)
+
+(* ------------------------------------------------------------------ *)
+(* HAIL golden outputs                                                 *)
+(* ------------------------------------------------------------------ *)
+
+(* Circuits the Table II rows leave out: barriers, measurements, CZ and
+   SWAP gates on 3 to 12 qubits, across four device shapes, one in five
+   with a stall limit of 1 so that the shortest-path fallback fires.
+   Seeded, so each is the same circuit on every run. *)
+let hail_generated k =
+  let st = Random.State.make [| 7919; k |] in
+  let n = 3 + Random.State.int st 10 in
+  let other q = (q + 1 + Random.State.int st (n - 1)) mod n in
+  let gate () =
+    let q = Random.State.int st n in
+    match Random.State.int st 12 with
+    | 0 -> Gate.Single (Gate.H, q)
+    | 1 -> Gate.Single (Gate.T, q)
+    | 2 -> Gate.Single (Gate.Rz (0.25 *. float_of_int (Random.State.int st 8)), q)
+    | 3 -> Gate.Cz (q, other q)
+    | 4 -> Gate.Swap (q, other q)
+    | 5 -> Gate.Measure (q, q)
+    | 6 ->
+      let qs = ref [] in
+      for p = n - 1 downto 0 do
+        if p = q || Random.State.bool st then qs := p :: !qs
+      done;
+      Gate.Barrier !qs
+    | _ -> Gate.Cnot (q, other q)
+  in
+  let gates = ref [] in
+  for _ = 1 to 20 + Random.State.int st 130 do
+    gates := gate () :: !gates
+  done;
+  let device =
+    match k mod 4 with
+    | 0 -> Devices.ibm_q20_tokyo ()
+    | 1 -> Devices.grid ~rows:3 ~cols:4
+    | 2 -> Devices.linear 12
+    | _ -> Devices.ring 12
+  in
+  let config =
+    {
+      Config.default with
+      seed = 2019 + k;
+      stall_limit = (if k mod 5 = 0 then Some 1 else None);
+    }
+  in
+  ( Printf.sprintf "generated-%d" k,
+    device,
+    config,
+    Circuit.create ~n_qubits:n (List.rev !gates) )
+
+let hail_golden_rows () =
+  List.map
+    (fun (row : Workloads.Suite.row) ->
+      (row.name, device, Config.default, Lazy.force row.circuit))
+    Workloads.Suite.all
+  @ List.init 20 hail_generated
+
+(* One route's outputs: routed QASM, mappings, SWAPs, depth, fallback
+   SWAPs and the four scoring counters. *)
+let hail_payload name (c : Engine.Pipeline.compiled) =
+  let r = c.Engine.Pipeline.routed and s = c.Engine.Pipeline.stats in
+  let sc = s.Sabre.Stats.scoring in
+  let mapping m =
+    String.concat "," (List.map string_of_int (Array.to_list (Mapping.l2p_array m)))
+  in
+  String.concat "\n"
+    [
+      name;
+      Quantum.Qasm.to_string r.Engine.Context.physical;
+      mapping r.Engine.Context.trial_initial;
+      mapping r.Engine.Context.final_mapping;
+      Printf.sprintf
+        "swaps=%d depth=%d steps=%d fallback=%d decisions=%d candidates=%d \
+         delta=%d full=%d"
+        s.Sabre.Stats.n_swaps s.Sabre.Stats.routed_depth
+        s.Sabre.Stats.search_steps s.Sabre.Stats.fallback_swaps
+        sc.Sabre.Stats.decisions sc.Sabre.Stats.candidates
+        sc.Sabre.Stats.delta_terms sc.Sabre.Stats.full_terms;
+    ]
+
+(* Recorded with the list-based HAIL router (candidate lists sorted per
+   decision, a window filled for every two-qubit gate, every trial's
+   circuit built) over the 26 Table II rows on Tokyo plus the 20
+   generated circuits above, one digest per router/seeder entry. The
+   allocation-free router must reproduce each byte for byte. *)
+let hail_goldens =
+  [
+    ("hail", None, "d60b895a9a5296b1bf01907398785642");
+    ("hail/degree", Some "degree", "35a083fd340e6515f4132839dce2ed9c");
+    ("hail/interaction", Some "interaction", "dcc7549c48a072fafc2b333edc69025e");
+    ("hail/iso", Some "iso", "966f4b9ffd75675a73c12665f6db358c");
+  ]
+
+let test_hail_goldens () =
+  let router = hail_router () in
+  let rows = hail_golden_rows () in
+  let fallback = ref 0 in
+  List.iter
+    (fun (entry, seeder, expected) ->
+      let seeder =
+        Option.map
+          (fun n ->
+            match Seeder.find n with
+            | Some s -> s
+            | None -> Alcotest.failf "seeder %s not registered" n)
+          seeder
+      in
+      let buf = Buffer.create (1 lsl 20) in
+      List.iter
+        (fun (name, device, config, circuit) ->
+          let c =
+            Engine.Pipeline.compile ~config ~router ?seeder ~verify:false
+              device circuit
+          in
+          fallback := !fallback + c.Engine.Pipeline.stats.Sabre.Stats.fallback_swaps;
+          Buffer.add_string buf (hail_payload name c);
+          Buffer.add_char buf '\n')
+        rows;
+      check Alcotest.string
+        (Printf.sprintf "%s over %d circuits unchanged" entry (List.length rows))
+        expected
+        (Digest.to_hex (Digest.string (Buffer.contents buf))))
+    hail_goldens;
+  check Alcotest.bool
+    (Printf.sprintf "the goldens cover the fallback (%d fallback SWAPs)" !fallback)
+    true (!fallback > 0)
+
+(* A default 5-trial HAIL compile builds only the winning trial's
+   circuit, as SABRE's does. *)
+let test_hail_materializes_winner () =
+  let sink, events = Engine.Instrument.collector () in
+  ignore
+    (Engine.Pipeline.compile ~router:(hail_router ()) ~instrument:sink device
+       (Workloads.Qft.circuit 10));
+  check (Alcotest.list Alcotest.int) "routing.materialized" [ 1 ]
+    (List.filter_map
+       (function
+         | Engine.Instrument.Counter
+             { pass = "routing"; name = "materialized"; value } ->
+           Some value
+         | _ -> None)
+       (events ()))
+
+let hail_trial ?(config = Config.default) device circuit =
+  let ctx = Engine.Context.create ~config device circuit in
+  let initial =
+    Mapping.random ~state:(Random.State.make [| 11 |])
+      ~n_logical:(Circuit.n_qubits circuit)
+      ~n_physical:(Coupling.n_qubits device)
+  in
+  fun () -> Baseline.Hail.route ctx ~initial
+
+(* A warm HAIL trial allocates a few minor words per input gate before
+   its circuit is forced: tables and the emission log are per-trial
+   arrays, and the decision loop allocates nothing per gate or
+   candidate. *)
+let test_hail_allocation_budget () =
+  List.iter
+    (fun name ->
+      let circuit = zoo_circuit name in
+      let trial = hail_trial device circuit in
+      ignore (trial ());
+      let w0 = Gc.minor_words () in
+      ignore (trial ());
+      let per =
+        (Gc.minor_words () -. w0) /. float_of_int (Circuit.length circuit)
+      in
+      check Alcotest.bool
+        (Printf.sprintf "%s: %.1f minor words per input gate <= 16" name per)
+        true (per <= 16.0))
+    [ "qft_16"; "rd84_142"; "adr4_197" ]
+
+(* A trial's [depth], tracked as its emissions are logged, is the swap3
+   depth of the circuit replayed from them, over gates of every kind. *)
+let test_hail_tracked_depth () =
+  List.iter
+    (fun (name, device, config, circuit) ->
+      let o = hail_trial ~config device circuit () in
+      check Alcotest.int (name ^ ": depth is the circuit's swap3 depth")
+        (Quantum.Depth.depth_swap3 (Lazy.force o.Engine.Router.physical))
+        o.Engine.Router.depth)
+    (List.init 20 hail_generated)
 
 let test_batch_portfolio () =
   let jobs =
@@ -472,4 +655,12 @@ let suite =
       test_router_find_suggest;
     tc "hail's scoring counters bound its lookups" `Quick
       test_hail_scoring_counters;
+    tc "hail goldens: routed bytes, mappings and counters" `Quick
+      test_hail_goldens;
+    tc "hail builds only the winning trial's circuit" `Quick
+      test_hail_materializes_winner;
+    tc "hail allocation budget per input gate" `Quick
+      test_hail_allocation_budget;
+    tc "hail's tracked depth is its circuit's swap3 depth" `Quick
+      test_hail_tracked_depth;
   ]

@@ -590,6 +590,53 @@ let test_route_file_matches_materialised () =
         check Alcotest.int "report qubit count" 8
           rep.Engine.Stream_pass.n_qubits)
 
+(* [route_file] announces its two passes on the instrument as pipeline
+   passes are, [survey] then [route], and the route's counters agree
+   with its report. *)
+let test_route_file_instrument () =
+  let tokyo = Devices.ibm_q20_tokyo () in
+  let input = temp "in" and output = temp "out" in
+  Fun.protect
+    ~finally:(fun () ->
+      Sys.remove input;
+      Sys.remove output)
+    (fun () ->
+      Qasm.to_file input (Workloads.Qft.circuit 8);
+      let sink, events = Engine.Instrument.collector () in
+      match
+        Engine.Stream_pass.route_file ~instrument:sink tokyo ~input ~output
+      with
+      | Error msg -> Alcotest.failf "route_file failed: %s" msg
+      | Ok rep ->
+        let r = rep.Engine.Stream_pass.result in
+        let shape =
+          List.map
+            (function
+              | Engine.Instrument.Pass_start { pass } -> "start " ^ pass
+              | Engine.Instrument.Pass_end { pass; _ } -> "end " ^ pass
+              | Engine.Instrument.Counter { pass; name; _ } ->
+                pass ^ "." ^ name)
+            (events ())
+        in
+        check (Alcotest.list Alcotest.string) "events in order"
+          [
+            "start survey"; "end survey"; "start route"; "route.gates_in";
+            "route.gates_out"; "route.swaps"; "route.fallback_swaps";
+            "route.peak_window"; "end route";
+          ]
+          shape;
+        check
+          (Alcotest.list (Alcotest.pair Alcotest.string Alcotest.int))
+          "counters match the report"
+          [
+            ("route.gates_in", r.Routing_pass.s_gates_in);
+            ("route.gates_out", r.Routing_pass.s_gates_out);
+            ("route.swaps", r.Routing_pass.s_n_swaps);
+            ("route.fallback_swaps", r.Routing_pass.s_fallback_swaps);
+            ("route.peak_window", r.Routing_pass.s_peak_window);
+          ]
+          (Helpers.counters (events ())))
+
 let test_route_files_isolates_failures () =
   let tokyo = Devices.ibm_q20_tokyo () in
   let good_in = temp "good" and bad_in = temp "bad" in
@@ -783,6 +830,8 @@ let suite =
     tc "tokens of 64 KiB or more are errors" `Quick test_token_bound;
     tc "route_file matches materialised routing" `Quick
       test_route_file_matches_materialised;
+    tc "route_file announces survey and route on the instrument" `Quick
+      test_route_file_instrument;
     tc "route_files isolates per-file failures" `Quick
       test_route_files_isolates_failures;
     tc "route_file rejects bad input with typed errors" `Quick
